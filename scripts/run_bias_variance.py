@@ -11,7 +11,8 @@ import dataclasses
 import json
 
 from gtta.analysis import bias_variance_sweep
-from gtta.predictor import MlpModel, OutputKind, batch_from_dataset, mlp_train
+from gtta.data import OutputKind
+from gtta.predictor import MlpModel, batch_from_dataset, mlp_train
 from gtta.rng import RngStream
 from gtta.subspace import fit
 from gtta.synthdata import BlobsSpec, gen_blobs

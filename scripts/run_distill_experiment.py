@@ -12,11 +12,11 @@ import json
 
 import numpy as np
 
-from gtta.data import Dataset, Task
+from gtta.data import Dataset, OutputKind
 from gtta.distill import PseudoLabelSet, distill, generate_pseudolabels
 from gtta.metrics import binary_f_score
 from gtta.perturb import NoiseSchedule
-from gtta.predictor import MlpModel, OutputKind, batch_from_dataset, mlp_train
+from gtta.predictor import MlpModel, batch_from_dataset, mlp_train
 from gtta.rng import RngStream
 from gtta.subspace import fit
 from gtta.synthdata import BlobImagesSpec, gen_blob_images
@@ -42,10 +42,10 @@ def main():
             input_noise=0.05, seed=seed,
         ))
         labeled = Dataset(bundle.data.inputs[:40], bundle.data.targets[:40],
-                          Task.segmentation())
-        unlabeled = Dataset(bundle.data.inputs[40:64], None, Task.segmentation())
+                          OutputKind.per_pixel(16, 16))
+        unlabeled = Dataset(bundle.data.inputs[40:64], None, OutputKind.per_pixel(16, 16))
         holdout = Dataset(bundle.data.inputs[64:], bundle.clean_targets[64:],
-                          Task.segmentation())
+                          OutputKind.per_pixel(16, 16))
         student = MlpModel([256, 48, 256], OutputKind.per_pixel(16, 16),
                            RngStream(seed, 70))
         mlp_train(student, batch_from_dataset(labeled), epochs=150, lr=0.5,

@@ -9,7 +9,7 @@ import argparse
 import json
 
 from gtta.analysis import covariance_spectrum_experiment
-from gtta.data import Dataset, Task
+from gtta.data import Dataset, OutputKind
 from gtta.perturb import NoiseSchedule
 from gtta.rng import RngStream
 from gtta.subspace import fit
@@ -30,7 +30,7 @@ def main():
         n_frames=60, height=16, width=16, frame_noise=0.05, seed=args.seed
     )).frames.inputs
     s = fit(frames[:30], args.components)
-    data = Dataset(frames[30:], None, Task.regression())
+    data = Dataset(frames[30:], None, OutputKind.real_values())
     report = covariance_spectrum_experiment(
         s, NoiseSchedule("constant", 0.1, args.n), data, args.n,
         RngStream(args.stream), baseline="global_jitter",

@@ -13,7 +13,7 @@ import json
 import numpy as np
 
 from gtta.analysis import structured_noise_removal
-from gtta.data import Dataset, Task
+from gtta.data import Dataset, OutputKind
 from gtta.perturb import NoiseSchedule
 from gtta.rng import RngStream
 from gtta.synthdata import BlobImagesSpec, gen_blob_images, gen_circle_pattern
@@ -33,7 +33,7 @@ def main():
         bundle = gen_blob_images(BlobImagesSpec(
             n_images=40, height=16, width=16, input_noise=0.05, seed=100 + seed
         ))
-        carrier = Dataset(bundle.data.inputs, None, Task.regression())
+        carrier = Dataset(bundle.data.inputs, None, OutputKind.real_values())
         pattern = gen_circle_pattern(16, 16, radius=5.0, thickness=1.5,
                                      amplitude=args.amplitude)
         report = structured_noise_removal(

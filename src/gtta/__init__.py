@@ -6,7 +6,7 @@ from .analysis import (
     std_error_correlation,
     structured_noise_removal,
 )
-from .data import Dataset, Task
+from .data import Dataset, OutputKind
 from .distill import PseudoLabelSet, distill, generate_pseudolabels
 from .segcount import (
     CountResult,
@@ -32,7 +32,6 @@ from .ensemble import (
     DEFAULT_SIGMA_GRID,
     EnsembleResult,
     SigmaSearchConfig,
-    aggregate_variable_length,
     run_gtta,
     select_sigma,
     uncertainty_weights,
@@ -57,7 +56,6 @@ from .perturb import (
 )
 from .predictor import (
     MlpModel,
-    OutputKind,
     SubprocessPredictor,
     WeightedBatch,
     gradient_check,
@@ -65,7 +63,7 @@ from .predictor import (
     weighted_cross_entropy,
     weighted_squared_error,
 )
-from .rng import RngStream, gaussian
+from .rng import RngStream
 from .subspace import Subspace, fit, load_subspace, project, reconstruct, save_subspace
 from .tensorio import load_tensor, save_tensor
 
@@ -95,11 +93,9 @@ __all__ = [
     "SubprocessPredictor",
     "Subspace",
     "TabularSpec",
-    "Task",
     "TrainingDivergedError",
     "UnsupportedTaskError",
     "WeightedBatch",
-    "aggregate_variable_length",
     "bias_variance_sweep",
     "count",
     "covariance_spectrum_experiment",
@@ -107,7 +103,6 @@ __all__ = [
     "erode",
     "evaluate_counting",
     "fit",
-    "gaussian",
     "gen_blob_images",
     "gen_blobs",
     "gen_circle_pattern",

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import CLASSIFICATION, Dataset
+from .data import PROBABILITIES, Dataset
 from .ensemble import run_gtta
 from .errors import ParamError, UnsupportedTaskError
 from .metrics import pearson_r
@@ -25,8 +25,8 @@ from .subspace import Subspace, fit, project
 def _target_rows(eval_data: Dataset) -> np.ndarray:
     if eval_data.targets is None:
         raise ParamError("evaluation data needs targets")
-    if eval_data.task.kind == CLASSIFICATION:
-        return one_hot(eval_data.targets, eval_data.task.num_classes)
+    if eval_data.output_kind.kind == PROBABILITIES:
+        return one_hot(eval_data.targets, eval_data.output_kind.num_classes)
     return np.asarray(eval_data.targets, dtype=np.float64)
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from . import analysis, synthdata
 from .distill import distill as run_distill
 from .distill import generate_pseudolabels, save_pseudolabels
-from .data import Dataset, Task, load_dataset
+from .data import REAL_VALUES, Dataset, OutputKind, load_dataset
 from .ensemble import (
     DEFAULT_SIGMA_GRID,
     SigmaSearchConfig,
@@ -33,7 +33,6 @@ from .errors import GttaError, ParamError
 from .perturb import NoiseSchedule
 from .predictor import (
     MlpModel,
-    OutputKind,
     SubprocessPredictor,
     batch_from_dataset,
     load_model,
@@ -54,18 +53,20 @@ DEFAULT_ENSEMBLE_REGRESSION = 100
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = _build_parser()
-    config = _load_config(argv)
-    if config:
-        for sub in _all_subparsers(parser):
-            sub.set_defaults(**config)
-            for action in sub._actions:
-                if action.required and action.dest in config:
-                    action.required = False
-    args = parser.parse_args(argv)
-    if not hasattr(args, "handler"):
-        parser.print_usage(sys.stderr)
-        return 2
     try:
+        config = _load_config(argv)
+        for sub in _all_subparsers(parser):
+            # Only a subcommand's own options are taken from the config; the
+            # provenance of another command or an older version names others.
+            own = {a.dest: config[a.dest] for a in sub._actions if a.dest in config}
+            sub.set_defaults(**own)
+            for action in sub._actions:
+                if action.required and action.dest in own:
+                    action.required = False
+        args = parser.parse_args(argv)
+        if not hasattr(args, "handler"):
+            parser.print_usage(sys.stderr)
+            return 2
         args.handler(args)
     except GttaError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
@@ -86,7 +87,10 @@ def _load_config(argv) -> dict:
     if path is None:
         return {}
     with open(path) as fh:
-        loaded = json.load(fh)
+        try:
+            loaded = json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise ParamError(f"--config {path} is not JSON: {exc}") from None
     # Provenance files carry the resolved config under "config".
     return loaded.get("config", loaded) if isinstance(loaded, dict) else {}
 
@@ -158,7 +162,8 @@ def _parallel_map(fn, items, threads):
 def _add_common(sub):
     sub.add_argument("--config", help="JSON file of defaults; flags override")
     sub.add_argument("--threads", type=int, default=1,
-                     help="worker threads for per-input parallelism")
+                     help="worker threads, one input row each; pays off only with "
+                          "--model-cmd, whose child processes then run in parallel")
     sub.add_argument("--seed", type=int, default=0)
 
 
@@ -184,23 +189,19 @@ def _add_model_source(sub):
                      help="for --model-cmd: probabilities:C, real, or per-pixel:HxW")
 
 
-def _parse_task(kind: str, classes, image_shape) -> Task:
-    if kind == "classification":
-        return Task.classification(int(classes))
-    if kind == "segmentation":
-        return Task.segmentation()
-    return Task.regression()
-
-
 def _parse_output_kind(text: str) -> OutputKind:
-    if text == "real":
-        return OutputKind.real_values()
-    if text.startswith("probabilities:"):
-        return OutputKind.probabilities(int(text.split(":", 1)[1]))
-    if text.startswith("per-pixel:"):
-        h, w = text.split(":", 1)[1].lower().split("x")
-        return OutputKind.per_pixel(int(h), int(w))
-    raise ParamError(f"cannot parse output kind {text!r}")
+    try:
+        if text == "real":
+            return OutputKind.real_values()
+        if text.startswith("probabilities:"):
+            return OutputKind.probabilities(int(text.split(":", 1)[1]))
+        if text.startswith("per-pixel:"):
+            h, w = text.split(":", 1)[1].lower().split("x")
+            return OutputKind.per_pixel(int(h), int(w))
+    except ValueError:
+        pass
+    raise ParamError(f"cannot parse output kind {text!r}; "
+                     "use probabilities:C, real, or per-pixel:HxW")
 
 
 def _load_predictor(args):
@@ -217,16 +218,41 @@ def _load_predictor(args):
 def _default_ensemble_size(args, model) -> int:
     if args.n is not None:
         return args.n
-    if model is not None and model.output_kind.kind == "real_values":
+    if model is not None and model.output_kind.kind == REAL_VALUES:
         return DEFAULT_ENSEMBLE_REGRESSION
     return DEFAULT_ENSEMBLE
+
+
+def _schedule(args, n: int) -> NoiseSchedule:
+    return NoiseSchedule(args.strategy, args.sigma, n,
+                         var_floor=args.var_floor, sigma_cap=args.sigma_cap)
+
+
+def _parse_floats(text, flag: str) -> tuple:
+    try:
+        return tuple(float(tok) for tok in str(text).split(","))
+    except ValueError:
+        raise ParamError(f"{flag} needs comma-separated numbers, got {text!r}") from None
 
 
 def _parse_clamp(text):
     if text is None:
         return None
-    lo, hi = (float(tok) for tok in text.split(","))
-    return (lo, hi)
+    bounds = _parse_floats(text, "--clamp")
+    if len(bounds) != 2:
+        raise ParamError(f"--clamp needs LO,HI, got {text!r}")
+    return bounds
+
+
+def _parse_retain(text):
+    """'all', an integer component count, or a retained-variance fraction."""
+    text = str(text)
+    if text == "all":
+        return text
+    try:
+        return int(text) if text.isdigit() else float(text)
+    except ValueError:
+        raise ParamError(f"--retain needs a fraction, a count, or 'all', got {text!r}") from None
 
 
 # --------------------------------------------------------------------------
@@ -273,34 +299,33 @@ def _cmd_fit(args):
     data = load_tensor(args.data, header=args.header)
     if args.target_col == "last":
         data = np.ascontiguousarray(data[:, :-1])
-    retain = args.retain
-    if retain != "all":
-        retain = float(retain) if "." in str(retain) else (
-            int(retain) if str(retain).isdigit() else float(retain)
-        )
     range_ref = load_tensor(args.range_data) if args.range_data else None
-    s = fit(data, retain, range_reference=range_ref)
+    s = fit(data, _parse_retain(args.retain), range_reference=range_ref)
     save_subspace(s, args.out)
     inputs = [args.data] + ([args.range_data] if args.range_data else [])
     _write_provenance("fit", args, inputs, [args.out, args.out + ".json"], args.out)
 
 
+def _train_kind(args, targets) -> OutputKind:
+    if args.task == "classification":
+        if args.classes is None:
+            raise ParamError("--task classification needs --classes")
+        return OutputKind.probabilities(args.classes)
+    if args.task == "segmentation":
+        if targets is None or targets.ndim != 3:
+            shape = None if targets is None else targets.shape
+            raise ParamError(f"--task segmentation needs [n, H, W] --targets, got {shape}")
+        return OutputKind.per_pixel(*targets.shape[1:])
+    return OutputKind.real_values()
+
+
 def _cmd_train(args):
-    task = _parse_task(args.task, args.classes, args.image_shape)
-    ds = load_dataset(args.data, task, targets_path=args.targets,
+    targets = load_tensor(args.targets, header=args.header) if args.targets else None
+    kind = _train_kind(args, targets)
+    ds = load_dataset(args.data, kind, targets,
                       target_col_last=args.target_col == "last", header=args.header)
     hidden = [int(tok) for tok in args.hidden.split(",") if tok]
-    if task.kind == "classification":
-        kind = OutputKind.probabilities(task.num_classes)
-        out_size = task.num_classes
-    elif task.kind == "segmentation":
-        h, w = ds.targets.shape[1:]
-        kind = OutputKind.per_pixel(h, w)
-        out_size = h * w
-    else:
-        kind = OutputKind.real_values()
-        out_size = 1
-    model = MlpModel([ds.d] + hidden + [out_size], kind, RngStream(args.seed))
+    model = MlpModel([ds.d] + hidden + [kind.head_width or 1], kind, RngStream(args.seed))
     curve = mlp_train(
         model, batch_from_dataset(ds),
         epochs=args.epochs, lr=args.lr, rng=RngStream(args.seed, 1),
@@ -325,9 +350,7 @@ def _cmd_predict(args):
     model, model_files = _load_predictor(args)
     s = load_subspace(args.subspace)
     rows = np.atleast_2d(load_tensor(args.input))
-    n = _default_ensemble_size(args, model)
-    sched = NoiseSchedule(args.strategy, args.sigma, n,
-                          var_floor=args.var_floor, sigma_cap=args.sigma_cap)
+    sched = _schedule(args, _default_ensemble_size(args, model))
     clamp = _parse_clamp(args.clamp)
 
     def runner(x, stream):
@@ -345,9 +368,8 @@ def _cmd_auto_sigma(args):
     model, model_files = _load_predictor(args)
     s = load_subspace(args.subspace)
     rows = np.atleast_2d(load_tensor(args.input))
-    grid = tuple(float(tok) for tok in args.grid.split(","))
     cfg = SigmaSearchConfig(
-        grid=grid,
+        grid=_parse_floats(args.grid, "--grid"),
         ensemble_size=_default_ensemble_size(args, model),
         confidence_threshold=args.threshold,
         var_floor=args.var_floor,
@@ -391,12 +413,10 @@ def _emit_ensemble_outputs(results, out: Path):
 def _cmd_distill(args):
     student = load_model(args.student)
     s = load_subspace(args.subspace)
-    task = _parse_task(args.task, args.classes, args.image_shape)
-    labeled = load_dataset(args.labeled, task, targets_path=args.labeled_targets)
-    unlabeled = Dataset(np.atleast_2d(load_tensor(args.unlabeled)), None, task)
-    n = _default_ensemble_size(args, student)
-    sched = NoiseSchedule(args.strategy, args.sigma, n,
-                          var_floor=args.var_floor, sigma_cap=args.sigma_cap)
+    kind = student.output_kind
+    labeled = load_dataset(args.labeled, kind, load_tensor(args.labeled_targets))
+    unlabeled = Dataset(np.atleast_2d(load_tensor(args.unlabeled)), None, kind)
+    sched = _schedule(args, _default_ensemble_size(args, student))
     pseudo = generate_pseudolabels(
         student, s, sched, unlabeled, RngStream(args.seed, 7)
     )
@@ -457,12 +477,17 @@ def _cmd_analyze(args):
                       csv_paths + [out / "report.json"], out)
 
 
+def _load_eval_data(args, model) -> Dataset:
+    """The evaluation rows and targets, read as the model's output kind."""
+    targets = load_tensor(args.targets) if args.targets else None
+    return load_dataset(args.data, model.output_kind, targets)
+
+
 def _analyze_bias_variance(args, out: Path):
     model, model_files = _load_predictor(args)
     s = load_subspace(args.subspace)
-    task = _parse_task(args.task, args.classes, args.image_shape)
-    data = load_dataset(args.data, task, targets_path=args.targets)
-    grid = tuple(float(tok) for tok in args.grid.split(","))
+    data = _load_eval_data(args, model)
+    grid = _parse_floats(args.grid, "--grid")
     n = _default_ensemble_size(args, model)
     report = analysis.bias_variance_sweep(
         model, s, args.strategy, grid, n, data, args.repeats,
@@ -478,9 +503,8 @@ def _analyze_bias_variance(args, out: Path):
 
 def _analyze_spectrum(args, out: Path):
     s = load_subspace(args.subspace)
-    data = Dataset(np.atleast_2d(load_tensor(args.data)), None, Task.regression())
-    sched = NoiseSchedule(args.strategy, args.sigma, max(args.n or DEFAULT_ENSEMBLE, 2),
-                          var_floor=args.var_floor, sigma_cap=args.sigma_cap)
+    data = Dataset(np.atleast_2d(load_tensor(args.data)), None, OutputKind.real_values())
+    sched = _schedule(args, max(args.n or DEFAULT_ENSEMBLE, 2))
     report = analysis.covariance_spectrum_experiment(
         s, sched, data, sched.ensemble_size, RngStream(args.seed, 12),
         baseline=args.baseline, equal_sigma=args.equal_sigma,
@@ -497,11 +521,8 @@ def _analyze_spectrum(args, out: Path):
 def _analyze_std_error(args, out: Path):
     model, model_files = _load_predictor(args)
     s = load_subspace(args.subspace)
-    task = _parse_task(args.task, args.classes, args.image_shape)
-    data = load_dataset(args.data, task, targets_path=args.targets)
-    sched = NoiseSchedule(args.strategy, args.sigma,
-                          _default_ensemble_size(args, model),
-                          var_floor=args.var_floor, sigma_cap=args.sigma_cap)
+    data = _load_eval_data(args, model)
+    sched = _schedule(args, _default_ensemble_size(args, model))
     report = analysis.std_error_correlation(
         model, s, sched, data, RngStream(args.seed, 13), bins=args.bins
     )
@@ -516,17 +537,11 @@ def _analyze_std_error(args, out: Path):
 
 
 def _analyze_structured_noise(args, out: Path):
-    carrier = Dataset(np.atleast_2d(load_tensor(args.data)), None, Task.regression())
+    carrier = Dataset(np.atleast_2d(load_tensor(args.data)), None, OutputKind.real_values())
     pattern = load_tensor(args.pattern).reshape(-1)
-    n = args.n or DEFAULT_ENSEMBLE
-    sched = NoiseSchedule(args.strategy, args.sigma, n,
-                          var_floor=args.var_floor, sigma_cap=args.sigma_cap)
-    retain = args.retain
-    if retain != "all":
-        retain = float(retain)
     report = analysis.structured_noise_removal(
-        carrier, pattern, sched, RngStream(args.seed, 14),
-        inject_fraction=args.inject_fraction, retain=retain,
+        carrier, pattern, _schedule(args, args.n or DEFAULT_ENSEMBLE), RngStream(args.seed, 14),
+        inject_fraction=args.inject_fraction, retain=_parse_retain(args.retain),
     )
     rows = [(i, r["latent_noise"], r["global_jitter"])
             for i, r in enumerate(report.per_row)]
@@ -575,7 +590,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--task", choices=["classification", "regression", "segmentation"],
                    required=True)
     p.add_argument("--classes", type=int, default=None)
-    p.add_argument("--image-shape", default=None, metavar="HxW")
     p.add_argument("--hidden", default="64,64")
     p.add_argument("--epochs", type=int, default=100)
     p.add_argument("--lr", type=float, default=0.05)
@@ -609,10 +623,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--labeled", required=True)
     p.add_argument("--labeled-targets", required=True)
     p.add_argument("--unlabeled", required=True)
-    p.add_argument("--task", choices=["classification", "regression", "segmentation"],
-                   required=True)
-    p.add_argument("--classes", type=int, default=None)
-    p.add_argument("--image-shape", default=None)
     _add_schedule(p)
     p.add_argument("--lambda", dest="lambda", type=float, default=0.5,
                    help="supervised loss share in [0, 1]")
@@ -646,10 +656,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subspace", default=None)
     p.add_argument("--data", required=True)
     p.add_argument("--targets", default=None)
-    p.add_argument("--task", choices=["classification", "regression", "segmentation"],
-                   default="classification")
-    p.add_argument("--classes", type=int, default=2)
-    p.add_argument("--image-shape", default=None)
     _add_schedule(p)
     p.add_argument("--grid", default=",".join(str(v) for v in DEFAULT_SIGMA_GRID))
     p.add_argument("--repeats", type=int, default=20, help="ensembles per input and sigma")

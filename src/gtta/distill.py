@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import PROBABILITIES, Dataset
 from .ensemble import run_gtta, uncertainty_weights
 from .errors import DataError, ParamError, TrainingDivergedError
 from .perturb import NoiseSchedule
@@ -136,7 +136,7 @@ def _pseudo_targets(pseudo: PseudoLabelSet, model: MlpModel, hard: bool) -> np.n
     targets = pseudo.teacher_targets
     if not hard:
         return targets
-    if model.output_kind.kind == "probabilities":
+    if model.output_kind.kind == PROBABILITIES:
         labels = targets.argmax(axis=1)
         out = np.zeros_like(targets)
         out[np.arange(len(labels)), labels] = 1.0

@@ -12,9 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import PER_PIXEL, PROBABILITIES
 from .errors import ParamError, UnsupportedTaskError
 from .perturb import NoiseSchedule, make_candidates
-from .predictor import PER_PIXEL, PROBABILITIES
 from .rng import RngStream
 from .subspace import Subspace
 
@@ -138,26 +138,3 @@ def uncertainty_weights(result: EnsembleResult, output_kind) -> np.ndarray:
             f"uncertainty weights need probability outputs, got {output_kind.kind!r}"
         )
     return np.clip(1.0 - result.std_map, 0.0, 1.0)
-
-
-def aggregate_variable_length(candidates):
-    """Aggregate decoded sequences of varying length.
-
-    ``candidates`` is a list of (token_ids, per_token_probs) pairs where
-    ``per_token_probs`` is [length, vocab]. Only candidates of the modal
-    length survive (ties favor the shorter length); their probability
-    vectors are averaged position-wise and the argmax token is emitted.
-    """
-    if not candidates:
-        raise ParamError("no candidates to aggregate")
-    counts = {}
-    for tokens, _ in candidates:
-        counts[len(tokens)] = counts.get(len(tokens), 0) + 1
-    best_len = min(counts, key=lambda ln: (-counts[ln], ln))
-    survivors = [c for c in candidates if len(c[0]) == best_len]
-
-    first = np.asarray(survivors[0][0])
-    if all(np.array_equal(np.asarray(t), first) for t, _ in survivors):
-        return first.copy()
-    probs = np.mean([np.asarray(p, dtype=np.float64) for _, p in survivors], axis=0)
-    return probs.argmax(axis=1)

@@ -42,4 +42,4 @@ class UnsupportedTaskError(GttaError):
 
 
 class PredictorError(GttaError):
-    """An external predictor process failed or returned malformed output."""
+    """A predictor failed, or its output breaks the conventions of its output kind."""

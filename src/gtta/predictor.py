@@ -1,12 +1,8 @@
 """Models the ensemble wraps: a trainable MLP plus a subprocess escape hatch.
 
 Any object with a ``predict(batch) -> array`` method and an ``output_kind``
-attribute can be used as a predictor. ``predict`` must be deterministic.
-Output conventions by kind:
-
-* ``probabilities``: [b, num_classes] rows summing to 1
-* ``real_values``: [b]
-* ``per_pixel_probabilities``: [b, H, W] foreground probabilities in [0, 1]
+attribute can be used as a predictor. ``predict`` must be deterministic and
+follow the output conventions of :class:`gtta.data.OutputKind`.
 
 The training loss is a weighted cross entropy normalized by the total
 weight, L = -(1/sum w) * sum w * y * log p, with a two-term variant for
@@ -21,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset
+from .data import PER_PIXEL, PROBABILITIES, REAL_VALUES, Dataset, OutputKind
 from .errors import (
     DataError,
     DegenerateWeightError,
@@ -34,33 +30,6 @@ from .rng import RngStream
 from .tensorio import dumps_tensor, load_container, loads_tensor, save_container
 
 PROB_EPS = 1e-12
-
-PROBABILITIES = "probabilities"
-REAL_VALUES = "real_values"
-PER_PIXEL = "per_pixel_probabilities"
-
-
-@dataclass(frozen=True)
-class OutputKind:
-    kind: str
-    num_classes: int | None = None
-    image_shape: tuple[int, int] | None = None
-
-    @staticmethod
-    def probabilities(num_classes: int) -> "OutputKind":
-        return OutputKind(PROBABILITIES, num_classes=num_classes)
-
-    @staticmethod
-    def real_values() -> "OutputKind":
-        return OutputKind(REAL_VALUES)
-
-    @staticmethod
-    def per_pixel(height: int, width: int) -> "OutputKind":
-        return OutputKind(PER_PIXEL, image_shape=(height, width))
-
-    @property
-    def is_probabilistic(self) -> bool:
-        return self.kind in (PROBABILITIES, PER_PIXEL)
 
 
 # --------------------------------------------------------------------------
@@ -160,8 +129,8 @@ def batch_from_dataset(ds: Dataset, weights: np.ndarray | None = None) -> Weight
     """Unit-weight training batch; classification targets become one-hot."""
     if ds.targets is None:
         raise DataError("dataset has no targets")
-    if ds.task.kind == "classification":
-        targets = one_hot(ds.targets, ds.task.num_classes)
+    if ds.output_kind.kind == PROBABILITIES:
+        targets = one_hot(ds.targets, ds.output_kind.num_classes)
     else:
         targets = np.asarray(ds.targets, dtype=np.float64)
     if weights is None:
@@ -198,7 +167,7 @@ class MlpModel:
     def __init__(self, layer_sizes, output_kind: OutputKind, rng: RngStream):
         if len(layer_sizes) < 2:
             raise ParamError("need at least input and output sizes")
-        expected_out = _head_size(output_kind)
+        expected_out = output_kind.head_width
         if expected_out is not None and layer_sizes[-1] != expected_out:
             raise ParamError(
                 f"output layer size {layer_sizes[-1]} does not match {output_kind.kind}"
@@ -239,16 +208,11 @@ class MlpModel:
             )
         out = self._head(self._forward(batch)[-1])
         kind = self.output_kind.kind
-        if __debug__ and kind == PROBABILITIES:
-            assert np.all(out >= 0) and np.all(out <= 1)
-            assert np.allclose(out.sum(axis=1), 1.0, atol=1e-6)
         if kind == PER_PIXEL:
-            h, w = self.output_kind.image_shape
-            out = out.reshape(batch.shape[0], h, w)
-            if __debug__:
-                assert np.all(out >= 0) and np.all(out <= 1)
+            out = out.reshape(batch.shape[0], *self.output_kind.image_shape)
         elif kind == REAL_VALUES and out.shape[1] == 1:
             out = out[:, 0]
+        self.output_kind.check_outputs(out, batch.shape[0])
         return out
 
     # -- training ----------------------------------------------------------
@@ -329,15 +293,6 @@ class MlpModel:
             [w.copy() for w in self.weights],
             [b.copy() for b in self.biases],
         )
-
-
-def _head_size(output_kind: OutputKind) -> int | None:
-    if output_kind.kind == PROBABILITIES:
-        return output_kind.num_classes
-    if output_kind.kind == PER_PIXEL:
-        h, w = output_kind.image_shape
-        return h * w
-    return None
 
 
 def epoch_batches(n: int, batch_size: int, stream: RngStream):
@@ -473,8 +428,9 @@ class SubprocessPredictor:
     """Runs an external command per batch: tensor on stdin, tensor on stdout.
 
     The child receives one binary tensor of shape [b, d] and must write one
-    binary tensor whose first dimension is b. A nonzero exit status raises
-    :class:`PredictorError` with the child's stderr attached.
+    binary tensor of ``b`` outputs that follow ``output_kind``, and nothing
+    after it. A nonzero exit status or any other output raises
+    :class:`PredictorError`, with the child's stderr attached on failure.
     """
 
     def __init__(self, argv: list[str], output_kind: OutputKind):
@@ -484,7 +440,8 @@ class SubprocessPredictor:
         self.output_kind = output_kind
 
     def predict(self, batch) -> np.ndarray:
-        blob = dumps_tensor(np.atleast_2d(np.asarray(batch, dtype=np.float64)))
+        batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
+        blob = dumps_tensor(batch)
         try:
             proc = subprocess.run(
                 self.argv, input=blob, stdout=subprocess.PIPE,
@@ -497,12 +454,12 @@ class SubprocessPredictor:
                 f"{self.argv[0]} exited {proc.returncode}: "
                 f"{proc.stderr.decode(errors='replace').strip()}"
             )
-        out, _ = loads_tensor(proc.stdout)
-        if out.shape[0] != np.atleast_2d(batch).shape[0]:
+        out, end = loads_tensor(proc.stdout)
+        if end != len(proc.stdout):
             raise PredictorError(
-                f"predictor returned {out.shape[0]} rows for a batch of "
-                f"{np.atleast_2d(batch).shape[0]}"
+                f"{self.argv[0]} wrote {len(proc.stdout) - end} bytes after its tensor"
             )
         if self.output_kind.kind == REAL_VALUES and out.ndim == 2 and out.shape[1] == 1:
             out = out[:, 0]
+        self.output_kind.check_outputs(out, batch.shape[0])
         return out

@@ -11,8 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParamError
-
 _MASK = (1 << 64) - 1
 
 
@@ -40,18 +38,3 @@ class RngStream:
         # so callers create a fresh generator per draw site instead of sharing one.
         key = ((self.master_seed & _MASK) << 64) | (self.stream_id & _MASK)
         return np.random.Generator(np.random.Philox(key=key))
-
-
-def gaussian(rng: RngStream, n: int, sigma: float) -> np.ndarray:
-    """Return ``n`` i.i.d. draws from N(0, sigma^2).
-
-    ``sigma == 0`` returns exact zeros. The output is a pure function of
-    ``(rng.master_seed, rng.stream_id, n, sigma)``.
-    """
-    if sigma < 0:
-        raise ParamError(f"sigma must be nonnegative, got {sigma}")
-    if n < 0:
-        raise ParamError(f"n must be nonnegative, got {n}")
-    if sigma == 0:
-        return np.zeros(n)
-    return sigma * rng.generator().standard_normal(n)

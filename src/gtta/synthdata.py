@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Dataset, Task
+from .data import Dataset, OutputKind
 from .errors import ParamError
 from .rng import RngStream
 
@@ -52,12 +52,12 @@ def gen_tabular(spec: TabularSpec) -> TabularData:
     y = tabular_target(X, coeff, spec.nonlinear_scale)
     if spec.noise > 0:
         y = y + spec.noise * root.derive(3).generator().standard_normal(spec.n)
-    task = Task.regression()
+    kind = OutputKind.real_values()
     n_train = int(round(spec.splits[0] * spec.n))
     n_val = int(round(spec.splits[1] * spec.n))
-    train = Dataset(X[:n_train], y[:n_train], task)
-    val = Dataset(X[n_train : n_train + n_val], y[n_train : n_train + n_val], task)
-    test = Dataset(X[n_train + n_val :], y[n_train + n_val :], task)
+    train = Dataset(X[:n_train], y[:n_train], kind)
+    val = Dataset(X[n_train : n_train + n_val], y[n_train : n_train + n_val], kind)
+    test = Dataset(X[n_train + n_val :], y[n_train + n_val :], kind)
     return TabularData(train, val, test, coeff, spec)
 
 
@@ -122,7 +122,7 @@ def gen_blobs(spec: BlobsSpec) -> BlobsData:
         injected = draws < rates[labels]
     if spec.distractor_amplitude != 0:
         X[injected] += pattern
-    data = Dataset(X, labels.astype(np.float64), Task.classification(2))
+    data = Dataset(X, labels.astype(np.float64), OutputKind.probabilities(2))
     return BlobsData(data, pattern, injected, spec)
 
 
@@ -234,7 +234,7 @@ def gen_blob_images(spec: BlobImagesSpec) -> BlobImagesData:
         instance_maps.append(instances)
         counts[i] = len(placed)
 
-    data = Dataset(inputs, targets, Task.segmentation())
+    data = Dataset(inputs, targets, OutputKind.per_pixel(spec.height, spec.width))
     return BlobImagesData(data, instance_maps, counts, clean_targets, spec)
 
 
@@ -272,7 +272,7 @@ def gen_frame_sequence(spec: FrameSequenceSpec) -> FrameSequenceData:
     gen = RngStream(spec.seed).derive(20).generator()
     frames = scene + spec.frame_noise * gen.standard_normal((spec.n_frames, scene.size))
     return FrameSequenceData(
-        frames=Dataset(frames, None, Task.segmentation()),
+        frames=Dataset(frames, None, OutputKind.per_pixel(spec.height, spec.width)),
         scene=scene,
         spec=spec,
     )

@@ -18,7 +18,7 @@ from gtta.analysis import (
     structured_noise_removal,
 )
 from gtta.cli import main as cli_main
-from gtta.data import Dataset, Task
+from gtta.data import Dataset, OutputKind
 from gtta.distill import PseudoLabelSet, distill, generate_pseudolabels
 from gtta.ensemble import run_gtta
 from gtta.metrics import binary_f_score
@@ -31,7 +31,6 @@ from gtta.perturb import (
 )
 from gtta.predictor import (
     MlpModel,
-    OutputKind,
     WeightedBatch,
     batch_from_dataset,
     gradient_check,
@@ -266,7 +265,7 @@ def test_c06_spectrum_flat_vs_lowrank_jitter():
         FrameSequenceSpec(n_frames=60, height=16, width=16, frame_noise=0.05, seed=901)
     ).frames.inputs
     s = fit(frames[:30], 3)
-    data = Dataset(frames[30:], None, Task.regression())
+    data = Dataset(frames[30:], None, OutputKind.real_values())
     report = covariance_spectrum_experiment(
         s, NoiseSchedule("constant", 0.1, 100), data, 100, RngStream(57),
         baseline="global_jitter", equal_sigma=0.3,
@@ -285,8 +284,8 @@ def test_c07_spread_tracks_error():
         n_images=80, height=16, width=16, boundary_noise=0.25, input_noise=0.05,
         seed=42,
     ))
-    train = Dataset(bundle.data.inputs[:60], bundle.data.targets[:60], Task.segmentation())
-    ev = Dataset(bundle.data.inputs[60:], bundle.clean_targets[60:], Task.segmentation())
+    train = Dataset(bundle.data.inputs[:60], bundle.data.targets[:60], OutputKind.per_pixel(16, 16))
+    ev = Dataset(bundle.data.inputs[60:], bundle.clean_targets[60:], OutputKind.per_pixel(16, 16))
     model = MlpModel([256, 48, 256], OutputKind.per_pixel(16, 16), RngStream(1, 60))
     mlp_train(model, batch_from_dataset(train), epochs=150, lr=0.5, rng=RngStream(1, 61))
     s = fit(train.inputs, 0.99)
@@ -307,7 +306,7 @@ def test_c08_pattern_scrubbing_beats_jitter():
         bundle = gen_blob_images(BlobImagesSpec(
             n_images=40, height=16, width=16, input_noise=0.05, seed=100 + seed
         ))
-        carrier = Dataset(bundle.data.inputs, None, Task.regression())
+        carrier = Dataset(bundle.data.inputs, None, OutputKind.real_values())
         pattern = gen_circle_pattern(16, 16, radius=5.0, thickness=1.5, amplitude=0.8)
         report = structured_noise_removal(
             carrier, pattern, NoiseSchedule("constant", 0.1, 15), RngStream(seed),
@@ -366,10 +365,10 @@ def test_c10_weighted_distillation():
             seed=seed,
         ))
         labeled = Dataset(bundle.data.inputs[:40], bundle.data.targets[:40],
-                          Task.segmentation())
-        unlabeled = Dataset(bundle.data.inputs[40:64], None, Task.segmentation())
+                          OutputKind.per_pixel(16, 16))
+        unlabeled = Dataset(bundle.data.inputs[40:64], None, OutputKind.per_pixel(16, 16))
         holdout = Dataset(bundle.data.inputs[64:], bundle.clean_targets[64:],
-                          Task.segmentation())
+                          OutputKind.per_pixel(16, 16))
         student = MlpModel([256, 48, 256], OutputKind.per_pixel(16, 16), RngStream(seed, 70))
         mlp_train(student, batch_from_dataset(labeled), epochs=150, lr=0.5,
                   rng=RngStream(seed, 71))
@@ -465,7 +464,7 @@ def test_c12_cli_determinism(tmp_path):
                      "--out", str(root / "s.gtt")]) == 0
     assert cli_main(["train", "--data", str(root / "train_x.gtt"),
                      "--targets", str(root / "train_y.gtt"),
-                     "--task", "segmentation", "--image-shape", "12x12",
+                     "--task", "segmentation",
                      "--hidden", "24", "--epochs", "25", "--lr", "0.5",
                      "--seed", "3", "--out", str(root / "m.gtt")]) == 0
     assert cli_main(["predict", "--model", str(root / "m.gtt"),

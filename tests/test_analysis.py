@@ -7,10 +7,10 @@ from gtta.analysis import (
     std_error_correlation,
     structured_noise_removal,
 )
-from gtta.data import Dataset, Task
+from gtta.data import Dataset, OutputKind
 from gtta.errors import ParamError
 from gtta.perturb import NoiseSchedule
-from gtta.predictor import MlpModel, OutputKind, batch_from_dataset, mlp_train
+from gtta.predictor import MlpModel, batch_from_dataset, mlp_train
 from gtta.rng import RngStream
 from gtta.subspace import fit
 from gtta.synthdata import (
@@ -44,7 +44,7 @@ def test_unbiased_oracle_decomposition():
     X = gen.standard_normal((n_inputs, 4))
     y = gen.standard_normal(n_inputs)
     s = fit(X, "all")
-    data = Dataset(X, y, Task.regression())
+    data = Dataset(X, y, OutputKind.real_values())
     model = NoisyOracle(y, v, seed=1)
     report = bias_variance_sweep(model, s, "constant", [0.1], N, data, M,
                                  RngStream(2))
@@ -59,7 +59,7 @@ def test_zero_noise_deterministic_model():
     gen = RngStream(3).generator()
     X = gen.standard_normal((12, 5))
     y = gen.integers(0, 2, size=12).astype(np.float64)
-    data = Dataset(X, y, Task.classification(2))
+    data = Dataset(X, y, OutputKind.probabilities(2))
     s = fit(X, "all")
     model = MlpModel([5, 6, 2], OutputKind.probabilities(2), RngStream(4))
     report = bias_variance_sweep(model, s, "constant", [0.0], 5, data, 4, RngStream(5))
@@ -72,7 +72,7 @@ def test_identity_holds_on_every_row():
     gen = RngStream(6).generator()
     X = gen.standard_normal((8, 4))
     y = gen.integers(0, 2, size=8).astype(np.float64)
-    data = Dataset(X, y, Task.classification(2))
+    data = Dataset(X, y, OutputKind.probabilities(2))
     s = fit(X, "all")
     model = MlpModel([4, 6, 2], OutputKind.probabilities(2), RngStream(7))
     report = bias_variance_sweep(model, s, "incremental", [0.0, 0.05, 0.2], 6,
@@ -83,7 +83,7 @@ def test_identity_holds_on_every_row():
 
 def test_sweep_needs_repeats():
     X = RngStream(9).generator().standard_normal((6, 3))
-    data = Dataset(X, np.zeros(6), Task.regression())
+    data = Dataset(X, np.zeros(6), OutputKind.real_values())
     model = NoisyOracle(np.zeros(6), 0.1, seed=10)
     with pytest.raises(ParamError):
         bias_variance_sweep(model, fit(X, "all"), "constant", [0.1], 3, data, 1,
@@ -100,7 +100,7 @@ def _frame_fixture(seed=901, noise_seed=7001):
                           seed=seed)
     ).frames.inputs
     s = fit(frames[:30], 3)
-    return s, Dataset(frames[30:], None, Task.regression())
+    return s, Dataset(frames[30:], None, OutputKind.real_values())
 
 
 def test_zero_noise_spectrum_is_zero():
@@ -153,7 +153,7 @@ def test_degenerate_when_model_deterministic():
     gen = RngStream(15).generator()
     X = gen.standard_normal((10, 4))
     y = gen.integers(0, 2, size=10).astype(np.float64)
-    data = Dataset(X, y, Task.classification(2))
+    data = Dataset(X, y, OutputKind.probabilities(2))
     s = fit(X, "all")
     model = MlpModel([4, 5, 2], OutputKind.probabilities(2), RngStream(16))
     report = std_error_correlation(model, s, NoiseSchedule("constant", 0.0, 4),
@@ -168,8 +168,8 @@ def test_boundary_noise_task_correlates():
         n_images=60, height=16, width=16, boundary_noise=0.25, input_noise=0.05,
         seed=42,
     ))
-    train = Dataset(bundle.data.inputs[:45], bundle.data.targets[:45], Task.segmentation())
-    ev = Dataset(bundle.data.inputs[45:], bundle.clean_targets[45:], Task.segmentation())
+    train = Dataset(bundle.data.inputs[:45], bundle.data.targets[:45], OutputKind.per_pixel(16, 16))
+    ev = Dataset(bundle.data.inputs[45:], bundle.clean_targets[45:], OutputKind.per_pixel(16, 16))
     model = MlpModel([256, 48, 256], OutputKind.per_pixel(16, 16), RngStream(1, 60))
     mlp_train(model, batch_from_dataset(train), epochs=120, lr=0.5, rng=RngStream(1, 61))
     s = fit(train.inputs, 0.99)
@@ -188,7 +188,7 @@ def test_boundary_noise_task_correlates():
 
 def test_zero_pattern_zero_correlation():
     gen = RngStream(18).generator()
-    carrier = Dataset(gen.standard_normal((30, 8)), None, Task.regression())
+    carrier = Dataset(gen.standard_normal((30, 8)), None, OutputKind.real_values())
     report = structured_noise_removal(
         carrier, np.zeros(8), NoiseSchedule("constant", 0.1, 6), RngStream(19)
     )
@@ -200,7 +200,7 @@ def test_orthogonal_pattern_annihilated():
     gen = RngStream(20).generator()
     rows = np.zeros((40, 10))
     rows[:, :6] = gen.standard_normal((40, 6))  # data spans axes 0..5 only
-    carrier = Dataset(rows, None, Task.regression())
+    carrier = Dataset(rows, None, OutputKind.real_values())
     pattern = np.zeros(10)
     pattern[8] = 1.0
     report = structured_noise_removal(
@@ -215,7 +215,7 @@ def test_latent_noise_beats_jitter_at_scrubbing():
 
     bundle = gen_blob_images(BlobImagesSpec(n_images=40, height=16, width=16,
                                             input_noise=0.05, seed=100))
-    carrier = Dataset(bundle.data.inputs, None, Task.regression())
+    carrier = Dataset(bundle.data.inputs, None, OutputKind.real_values())
     pattern = gen_circle_pattern(16, 16, radius=5.0, thickness=1.5, amplitude=0.8)
     report = structured_noise_removal(
         carrier, pattern, NoiseSchedule("constant", 0.1, 15), RngStream(0),
@@ -225,7 +225,7 @@ def test_latent_noise_beats_jitter_at_scrubbing():
 
 
 def test_pattern_shape_validated():
-    carrier = Dataset(np.ones((10, 4)), None, Task.regression())
+    carrier = Dataset(np.ones((10, 4)), None, OutputKind.real_values())
     with pytest.raises(ParamError):
         structured_noise_removal(carrier, np.ones(3),
                                  NoiseSchedule("constant", 0.1, 4), RngStream(22))

@@ -1,10 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import gtta
 from gtta.cli import main
 from gtta.tensorio import content_hash, load_tensor, save_tensor
+
+SRC = Path(gtta.__file__).resolve().parents[1]
 
 
 def run(*argv):
@@ -36,6 +43,7 @@ def pipeline(tmp_path_factory):
     save_tensor(targets[:24], root / "train_y.gtt")
     save_tensor(inputs[24:32], root / "unlabeled_x.gtt")
     save_tensor(inputs[32:], root / "test_x.gtt")
+    save_tensor(targets[32:], root / "test_y.gtt")
 
     sub = root / "subspace.gtt"
     assert run("fit", "--data", str(root / "train_x.gtt"), "--retain", "0.99",
@@ -44,7 +52,7 @@ def pipeline(tmp_path_factory):
     model = root / "model.gtt"
     assert run("train", "--data", str(root / "train_x.gtt"),
                "--targets", str(root / "train_y.gtt"),
-               "--task", "segmentation", "--image-shape", "12x12",
+               "--task", "segmentation",
                "--hidden", "32", "--epochs", "40", "--lr", "0.5",
                "--seed", "3", "--out", str(model)) == 0
 
@@ -59,7 +67,6 @@ def pipeline(tmp_path_factory):
                "--labeled", str(root / "train_x.gtt"),
                "--labeled-targets", str(root / "train_y.gtt"),
                "--unlabeled", str(root / "unlabeled_x.gtt"),
-               "--task", "segmentation", "--image-shape", "12x12",
                "--strategy", "constant", "--sigma", "0.05", "--n", "8",
                "--lambda", "0.5", "--epochs", "10", "--lr", "0.3",
                "--seed", "4", "--out", str(distill_dir)) == 0
@@ -131,7 +138,8 @@ def test_threads_do_not_change_bytes(pipeline, tmp_path):
 def test_zero_sigma_single_candidate_matches_model(tmp_path):
     # Full-rank subspace (n > d), where the zero-noise ensemble must
     # reproduce the plain model output bit for bit.
-    from gtta.predictor import MlpModel, OutputKind, save_model
+    from gtta.data import OutputKind
+    from gtta.predictor import MlpModel, save_model
     from gtta.rng import RngStream
     from gtta.subspace import fit, save_subspace
 
@@ -282,3 +290,77 @@ def test_fit_drops_target_column(tmp_path):
     assert run("fit", "--data", str(csv), "--target-col", "last",
                "--retain", "all", "--out", str(out)) == 0
     assert load_subspace(out).d == 2
+
+
+def test_distill_rerun_from_provenance_is_byte_identical(pipeline, tmp_path):
+    out = tmp_path / "distill2"
+    assert run("distill", "--config", str(pipeline / "distilled" / "provenance.json"),
+               "--out", str(out)) == 0
+    for name in ("pseudolabels.gtt", "distilled.gtt", "report.json"):
+        assert content_hash(pipeline / "distilled" / name) == content_hash(out / name), name
+
+
+def test_analyze_std_error_reads_kind_from_model(pipeline, tmp_path):
+    out = tmp_path / "se"
+    assert run("analyze", "std-error", "--model", str(pipeline / "model.gtt"),
+               "--subspace", str(pipeline / "subspace.gtt"),
+               "--data", str(pipeline / "test_x.gtt"),
+               "--targets", str(pipeline / "test_y.gtt"),
+               "--sigma", "0.05", "--n", "4", "--seed", "2", "--out", str(out)) == 0
+    # every pixel of every [12, 12] map is one (std, error) pair
+    assert read_json(out / "report.json")["n_elements"] == 8 * 12 * 12
+
+
+@pytest.mark.parametrize("argv", [
+    ["predict", "--model-cmd", "cat", "--output-kind", "per-pixel:abc"],
+    ["predict", "--model-cmd", "cat", "--output-kind", "probabilities:x"],
+    ["predict", "--model-cmd", "cat", "--output-kind", "probabilities:1"],
+    ["predict", "--model-cmd", "cat", "--output-kind", "per-pixel:0x4"],
+    ["predict", "--model", "{root}/model.gtt", "--clamp", "1"],
+    ["predict", "--model", "{root}/model.gtt", "--clamp", "a,b"],
+    ["auto-sigma", "--model", "{root}/model.gtt", "--grid", "a,b"],
+    ["fit", "--data", "{root}/train_x.gtt", "--retain", "abc"],
+    ["predict", "--config", "{tmp}/missing.json"],
+    ["train", "--data", "{root}/train_x.gtt", "--targets", "{root}/train_y.gtt",
+     "--task", "classification"],
+    ["train", "--data", "{root}/train_x.gtt", "--targets", "{tmp}/flat_y.gtt",
+     "--task", "segmentation"],
+])
+def test_bad_values_end_in_error_line(pipeline, tmp_path, argv):
+    save_tensor(np.zeros(24), tmp_path / "flat_y.gtt")
+    if argv[0] in ("predict", "auto-sigma"):
+        argv = argv + ["--subspace", "{root}/subspace.gtt", "--input", "{root}/test_x.gtt"]
+    argv = [a.format(root=pipeline, tmp=tmp_path) for a in argv]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, "-m", "gtta.cli", *argv, "--out", str(tmp_path / "o")],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode in (1, 2)
+    assert proc.stderr.strip().splitlines()[-1].startswith("error:")
+    assert "Traceback" not in proc.stderr
+
+
+CHILD = """import sys
+sys.path.insert(0, {src!r})
+import numpy as np
+from gtta.tensorio import dumps_tensor, loads_tensor
+x, _ = loads_tensor(sys.stdin.buffer.read())
+sys.stdout.buffer.write({reply})
+"""
+
+
+@pytest.mark.parametrize("reply", [
+    "dumps_tensor(np.clip(x, 0, 1))",                                 # [b, H*W], not [b, H, W]
+    "dumps_tensor(3 * x.reshape(-1, 12, 12) - 1)",                    # outside [0, 1]
+    "dumps_tensor(np.clip(x, 0, 1).reshape(-1, 12, 12)) + b'extra'",  # bytes after the tensor
+])
+def test_model_cmd_output_is_checked_against_output_kind(pipeline, tmp_path, capsys, reply):
+    child = tmp_path / "child.py"
+    child.write_text(CHILD.format(src=str(SRC), reply=reply))
+    code = run("predict", "--model-cmd", f"{sys.executable} {child}",
+               "--output-kind", "per-pixel:12x12",
+               "--subspace", str(pipeline / "subspace.gtt"),
+               "--input", str(pipeline / "test_x.gtt"),
+               "--sigma", "0.05", "--n", "2", "--out", str(tmp_path / "o"))
+    assert code == 1
+    assert "error: PredictorError" in capsys.readouterr().err
+    assert not (tmp_path / "o" / "std.gtt").exists()

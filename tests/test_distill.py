@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from gtta.data import Dataset, Task
+from gtta.data import Dataset, OutputKind
 from gtta.distill import (
     PseudoLabelSet,
     distill,
@@ -13,7 +13,6 @@ from gtta.errors import ParamError
 from gtta.perturb import NoiseSchedule
 from gtta.predictor import (
     MlpModel,
-    OutputKind,
     batch_from_dataset,
     mlp_train,
     weighted_cross_entropy,
@@ -28,7 +27,7 @@ def make_setup(seed=0, n=24, d=6):
     X = gen.standard_normal((n, d))
     s = fit(X, "all")
     model = MlpModel([d, 8, 2], OutputKind.probabilities(2), RngStream(seed, 1))
-    unlabeled = Dataset(X[: n // 2], None, Task.classification(2))
+    unlabeled = Dataset(X[: n // 2], None, OutputKind.probabilities(2))
     return model, s, unlabeled
 
 
@@ -96,7 +95,7 @@ def _labeled_and_pseudo(seed):
     mlp_train(model, batch_from_dataset(blobs.data), epochs=10, lr=0.1,
               rng=RngStream(seed, 3))
     s = fit(blobs.data.inputs, "all")
-    unlabeled = Dataset(blobs.data.inputs[:16], None, Task.classification(2))
+    unlabeled = Dataset(blobs.data.inputs[:16], None, OutputKind.probabilities(2))
     pseudo = generate_pseudolabels(model, s, NoiseSchedule("constant", 0.05, 5),
                                    unlabeled, RngStream(seed, 4))
     return model, blobs.data, pseudo
@@ -138,7 +137,7 @@ def test_self_training_initial_loss_matches_independent_pass():
     labeled = Dataset(
         unlabeled.inputs,
         np.zeros(unlabeled.n),
-        Task.classification(2),
+        OutputKind.probabilities(2),
     )
     _, report = distill(model, labeled, pseudo, mixing=0.0, epochs=1, lr=0.0,
                         rng=RngStream(15), batch_size=unlabeled.n)

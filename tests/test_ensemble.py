@@ -1,16 +1,16 @@
 import numpy as np
 import pytest
 
+from gtta.data import OutputKind
 from gtta.ensemble import (
     SigmaSearchConfig,
-    aggregate_variable_length,
     run_gtta,
     select_sigma,
     uncertainty_weights,
 )
 from gtta.errors import ParamError, UnsupportedTaskError
 from gtta.perturb import NoiseSchedule
-from gtta.predictor import MlpModel, OutputKind, batch_from_dataset, mlp_train
+from gtta.predictor import MlpModel, batch_from_dataset, mlp_train
 from gtta.rng import RngStream
 from gtta.subspace import fit
 from gtta.synthdata import BlobsSpec, gen_blobs
@@ -188,55 +188,6 @@ def test_uncertainty_weights_need_probabilities():
     result = run_gtta(model, s, NoiseSchedule("constant", 0.1, 3), s.mean, RngStream(29))
     with pytest.raises(UnsupportedTaskError):
         uncertainty_weights(result, kind)
-
-
-# --------------------------------------------------------------------------
-# variable-length aggregation
-
-
-def test_modal_length_survives():
-    candidates = [
-        ([1, 2, 3], np.eye(4)[[1, 2, 3]]),
-        ([1, 2, 0], np.eye(4)[[1, 2, 0]]),
-        ([1, 2, 3, 0, 1], np.eye(4)[[1, 2, 3, 0, 1]]),
-    ]
-    out = aggregate_variable_length(candidates)
-    assert len(out) == 3
-
-
-def test_probability_averaging_argmax():
-    candidates = [
-        ([0], np.array([[0.6, 0.4]])),
-        ([1], np.array([[0.2, 0.8]])),
-    ]
-    out = aggregate_variable_length(candidates)
-    assert out.tolist() == [1]  # averaged [0.4, 0.6]
-
-
-def test_identical_candidates_pass_through():
-    tok = [3, 1, 2]
-    probs = np.array([[0.1, 0.2, 0.3, 0.4]] * 3)
-    out = aggregate_variable_length([(tok, probs), (tok, probs)])
-    assert out.tolist() == tok
-
-
-def test_length_ties_prefer_shorter():
-    candidates = [
-        ([1], np.array([[0.0, 1.0]])),
-        ([0, 0], np.array([[1.0, 0.0], [1.0, 0.0]])),
-    ]
-    out = aggregate_variable_length(candidates)
-    assert out.tolist() == [1]
-
-
-def test_single_candidate_passes_through():
-    out = aggregate_variable_length([([7, 7], np.full((2, 9), 1 / 9))])
-    assert out.tolist() == [7, 7]
-
-
-def test_empty_candidates_rejected():
-    with pytest.raises(ParamError):
-        aggregate_variable_length([])
 
 
 # --------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gtta.data import OutputKind
 from gtta.errors import (
     DegenerateWeightError,
     ParamError,
@@ -15,7 +16,6 @@ from gtta.errors import (
 )
 from gtta.predictor import (
     MlpModel,
-    OutputKind,
     SubprocessPredictor,
     WeightedBatch,
     batch_from_dataset,
@@ -237,6 +237,18 @@ def test_regression_output_is_flat():
 def test_head_size_must_match_kind():
     with pytest.raises(ParamError):
         MlpModel([4, 8, 5], OutputKind.probabilities(3), RngStream(32))
+
+
+def test_unknown_output_kind_rejected():
+    with pytest.raises(ParamError):
+        OutputKind("logits")
+
+
+def test_mlp_output_is_checked_against_its_kind():
+    model = MlpModel([4, 8, 3], OutputKind.probabilities(3), RngStream(32))
+    model._head = lambda z: z + 5.0  # rows that are no probabilities
+    with pytest.raises(PredictorError):
+        model.predict(np.ones((2, 4)))
 
 
 def test_checkpoint_round_trip(tmp_path):
