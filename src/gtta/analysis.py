@@ -16,9 +16,15 @@ from .data import PROBABILITIES, Dataset
 from .ensemble import run_gtta
 from .errors import ParamError, UnsupportedTaskError
 from .metrics import pearson_r
-from .perturb import NoiseSchedule, latent_candidates, make_candidates
+from .perturb import (
+    NoiseSchedule,
+    latent_candidates,
+    latent_sample_covariance,
+    make_candidates,
+    per_component_sigma,
+)
 from .predictor import one_hot
-from .rng import RngStream
+from .rng import RngStream, standard_normal
 from .subspace import Subspace, fit, project
 
 
@@ -64,29 +70,22 @@ def bias_variance_sweep(model, s: Subspace, strategy: str, sigma_grid, N: int,
     if M < 2:
         raise ParamError(f"need at least 2 repeats, got {M}")
     targets = _target_rows(eval_data)
+    n = eval_data.n
+    X = np.repeat(eval_data.inputs, M, axis=0)
+    streams = [stream for row in rng.rows(n) for stream in row.rows(M)]
     rows = []
     for sigma in sigma_grid:
         sched = NoiseSchedule(strategy, float(sigma), N, var_floor=var_floor)
-        bias_acc, var_acc, err_acc = 0.0, 0.0, 0.0
-        for i in range(eval_data.n):
-            x = eval_data.inputs[i]
-            stream_i = rng.derive(i)
-            cands = np.concatenate(
-                [make_candidates(sched, s, x, stream_i.derive(m)) for m in range(M)]
-            )
-            preds = np.asarray(model.predict(cands), dtype=np.float64)
-            ens_means = preds.reshape((M, N) + preds.shape[1:]).mean(axis=1)
-            grand = ens_means.mean(axis=0)
-            y = targets[i]
-            bias_acc += float(np.mean((grand - y) ** 2))
-            var_acc += float(np.mean((ens_means - grand) ** 2))
-            err_acc += float(np.mean((ens_means - y) ** 2))
+        means = run_gtta(model, s, sched, X, streams).mean_prediction
+        ens_means = means.reshape((n, M) + means.shape[1:])
+        grand = ens_means.mean(axis=1, keepdims=True)
+        y = targets.reshape(grand.shape)
         rows.append({
             "strategy": strategy,
             "sigma": float(sigma),
-            "bias2": bias_acc / eval_data.n,
-            "variance": var_acc / eval_data.n,
-            "error": err_acc / eval_data.n,
+            "bias2": float(np.mean((grand - y) ** 2)),
+            "variance": float(np.mean((ens_means - grand) ** 2)),
+            "error": float(np.mean((ens_means - y) ** 2)),
         })
     return BiasVarianceReport(rows=rows, ensemble_size=N, repeats=M)
 
@@ -114,17 +113,11 @@ class SpectrumReport:
         }
 
 
-def _averaged_spectrum(latent_fn, n_inputs: int, n_u: int) -> np.ndarray:
-    # Per-input sample covariances are averaged as matrices before the
-    # eigendecomposition; averaging sorted per-input eigenvalues instead
-    # would inflate the spread through the sorting bias.
-    acc = np.zeros((n_u, n_u))
-    for i in range(n_inputs):
-        latents = latent_fn(i)
-        if np.all(latents == latents[0]):
-            continue  # identical rows contribute exactly zero covariance
-        acc += np.atleast_2d(np.cov(latents, rowvar=False, ddof=1))
-    return np.sort(np.linalg.eigvalsh(acc / n_inputs))[::-1]
+def _global_jitter(X: np.ndarray, streams, N: int, jitter_scale: tuple) -> np.ndarray:
+    """N brightness/contrast jitters (1 + a z_a) x + b z_b of each row, [B, N, d]."""
+    z = standard_normal(streams, range(1, N + 1), 2)
+    sa, sb = jitter_scale
+    return (1.0 + sa * z[..., :1]) * X[:, None, :] + sb * z[..., 1:]
 
 
 def covariance_spectrum_experiment(s: Subspace, sched: NoiseSchedule,
@@ -145,40 +138,26 @@ def covariance_spectrum_experiment(s: Subspace, sched: NoiseSchedule,
         raise ParamError(f"unknown baseline {baseline!r}")
     sched = NoiseSchedule(sched.strategy, sched.sigma, N,
                           var_floor=sched.var_floor, sigma_cap=sched.sigma_cap)
+    X, n = inputs.inputs, inputs.n
 
-    def gtta_latents(i: int) -> np.ndarray:
-        x = inputs.inputs[i]
-        stream = rng.derive(1).derive(i)
-        if equal_sigma is None:
-            return latent_candidates(sched, s, x, stream)
-        base = project(s, x)
-        out = np.empty((N, s.n_u))
-        for j in range(1, N + 1):
-            noise = equal_sigma * stream.derive(j).generator().standard_normal(s.n_u)
-            out[j - 1] = base + noise
-        return out
-
-    eigenvalues = _averaged_spectrum(gtta_latents, inputs.n, s.n_u)
+    streams = rng.derive(1).rows(n)
+    if equal_sigma is None:
+        latents = latent_candidates(per_component_sigma(sched, s), s, X, streams)
+    else:
+        noise = equal_sigma * standard_normal(streams, range(1, N + 1), s.n_u)
+        latents = project(s, X)[:, None, :] + noise
+    eigenvalues = latent_sample_covariance(latents)[1]
 
     baseline_eigs = None
     if baseline == "global_jitter":
-        sa, sb = jitter_scale
-
-        def jitter_latents(i: int) -> np.ndarray:
-            x = inputs.inputs[i]
-            stream = rng.derive(2).derive(i)
-            out = np.empty((N, s.n_u))
-            for j in range(1, N + 1):
-                za, zb = stream.derive(j).generator().standard_normal(2)
-                out[j - 1] = project(s, (1.0 + sa * za) * x + sb * zb)
-            return out
-
-        baseline_eigs = _averaged_spectrum(jitter_latents, inputs.n, s.n_u)
+        jittered = _global_jitter(X, rng.derive(2).rows(n), N, jitter_scale)
+        baseline_eigs = latent_sample_covariance(
+            project(s, jittered.reshape(-1, s.d)).reshape(n, N, s.n_u))[1]
 
     return SpectrumReport(
         eigenvalues=eigenvalues,
         baseline_eigenvalues=baseline_eigs,
-        n_inputs=inputs.n,
+        n_inputs=n,
         ensemble_size=N,
     )
 
@@ -214,13 +193,9 @@ def std_error_correlation(model, s: Subspace, sched: NoiseSchedule,
     if not model.output_kind.is_probabilistic:
         raise UnsupportedTaskError("spread/error correlation needs probability outputs")
     targets = _target_rows(eval_data)
-    stds, errs = [], []
-    for i in range(eval_data.n):
-        result = run_gtta(model, s, sched, eval_data.inputs[i], rng.derive(i))
-        stds.append(result.std_map.ravel())
-        errs.append(np.abs(result.mean_prediction - targets[i]).ravel())
-    std = np.concatenate(stds)
-    err = np.concatenate(errs)
+    result = run_gtta(model, s, sched, eval_data.inputs, rng.rows(eval_data.n))
+    std = result.std_map.ravel()
+    err = np.abs(result.mean_prediction - targets).ravel()
 
     lo, hi = float(std.min()), float(std.max())
     degenerate = hi - lo < 1e-12
@@ -259,14 +234,15 @@ class StructuredNoiseReport:
         }
 
 
-def _pattern_correlation(residuals: np.ndarray, pattern: np.ndarray) -> float:
+def _pattern_correlation(residuals: np.ndarray, pattern: np.ndarray) -> np.ndarray:
+    """Mean |cos(residual, pattern)| over the candidates of each row of [B, N, d]."""
     pnorm = np.linalg.norm(pattern)
     if pnorm == 0:
-        return 0.0
-    rnorm = np.linalg.norm(residuals, axis=1)
+        return np.zeros(residuals.shape[0])
+    rnorm = np.linalg.norm(residuals, axis=-1)
     safe = np.where(rnorm == 0, 1.0, rnorm)
     cos = np.abs(residuals @ pattern) / (safe * pnorm)
-    return float(np.where(rnorm == 0, 0.0, cos).mean())
+    return np.where(rnorm == 0, 0.0, cos).mean(axis=-1)
 
 
 def structured_noise_removal(carrier: Dataset, pattern: np.ndarray,
@@ -302,28 +278,18 @@ def structured_noise_removal(carrier: Dataset, pattern: np.ndarray,
     fit_rows[:n_inject] += pattern
     s = fit(fit_rows, retain)
 
-    sa, sb = jitter_scale
-    per_row = []
-    gtta_vals, base_vals = [], []
-    for i in range(test_count):
-        x_clean = test_rows[i]
-        x_pat = x_clean + pattern
-        cands = make_candidates(sched, s, x_pat, rng.derive(2).derive(i))
-        gtta_corr = _pattern_correlation(cands - x_clean, pattern)
-
-        stream = rng.derive(3).derive(i)
-        jittered = np.empty((sched.ensemble_size, carrier.d))
-        for j in range(1, sched.ensemble_size + 1):
-            za, zb = stream.derive(j).generator().standard_normal(2)
-            jittered[j - 1] = (1.0 + sa * za) * x_pat + sb * zb
-        base_corr = _pattern_correlation(jittered - x_clean, pattern)
-
-        gtta_vals.append(gtta_corr)
-        base_vals.append(base_corr)
-        per_row.append({"latent_noise": gtta_corr, "global_jitter": base_corr})
+    x_pat = test_rows + pattern
+    clean = test_rows[:, None, :]
+    sig = per_component_sigma(sched, s)
+    cands = make_candidates(sig, s, x_pat, rng.derive(2).rows(test_count))
+    jittered = _global_jitter(x_pat, rng.derive(3).rows(test_count), sched.ensemble_size,
+                              jitter_scale)
+    gtta_corr = _pattern_correlation(cands - clean, pattern)
+    base_corr = _pattern_correlation(jittered - clean, pattern)
 
     return StructuredNoiseReport(
-        correlation=float(np.mean(gtta_vals)),
-        baseline_correlation=float(np.mean(base_vals)),
-        per_row=per_row,
+        correlation=float(np.mean(gtta_corr)),
+        baseline_correlation=float(np.mean(base_corr)),
+        per_row=[{"latent_noise": float(g), "global_jitter": float(b)}
+                 for g, b in zip(gtta_corr, base_corr)],
     )

@@ -14,7 +14,6 @@ import argparse
 import json
 import shlex
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -67,6 +66,9 @@ def main(argv=None) -> int:
         if not hasattr(args, "handler"):
             parser.print_usage(sys.stderr)
             return 2
+        if config.get("command", args.command) != args.command:
+            raise ParamError(f"--config {args.config} is from a {config['command']} run, "
+                             f"not {args.command}")
         args.handler(args)
     except GttaError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
@@ -148,13 +150,6 @@ def _write_csv(path, header, rows):
             fh.write(",".join("" if v is None else repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
 
 
-def _parallel_map(fn, items, threads):
-    if threads and threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 # --------------------------------------------------------------------------
 # shared argument groups
 
@@ -162,8 +157,7 @@ def _parallel_map(fn, items, threads):
 def _add_common(sub):
     sub.add_argument("--config", help="JSON file of defaults; flags override")
     sub.add_argument("--threads", type=int, default=1,
-                     help="worker threads, one input row each; pays off only with "
-                          "--model-cmd, whose child processes then run in parallel")
+                     help="accepted so that older provenance files replay; no effect")
     sub.add_argument("--seed", type=int, default=0)
 
 
@@ -339,27 +333,16 @@ def _cmd_train(args):
                       args.out)
 
 
-def _predict_rows(args, rows, runner):
-    """Ordered per-row ensemble execution with derived streams."""
-    def one(i):
-        return runner(rows[i], RngStream(args.seed, 0).derive(i))
-    return _parallel_map(one, range(rows.shape[0]), args.threads)
-
-
 def _cmd_predict(args):
     model, model_files = _load_predictor(args)
     s = load_subspace(args.subspace)
     rows = np.atleast_2d(load_tensor(args.input))
     sched = _schedule(args, _default_ensemble_size(args, model))
-    clamp = _parse_clamp(args.clamp)
-
-    def runner(x, stream):
-        return run_gtta(model, s, sched, x, stream, clamp=clamp)
-
-    results = _predict_rows(args, rows, runner)
+    result = run_gtta(model, s, sched, rows, RngStream(args.seed, 0).rows(len(rows)),
+                      clamp=_parse_clamp(args.clamp))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    outputs = _emit_ensemble_outputs(results, out)
+    outputs = _emit_ensemble_outputs(result, args.strategy, sched.ensemble_size, out)
     _write_provenance("predict", args,
                       [args.input, args.subspace] + model_files, outputs, out)
 
@@ -376,36 +359,24 @@ def _cmd_auto_sigma(args):
         sigma_cap=args.sigma_cap,
         clamp=_parse_clamp(args.clamp),
     )
-
-    def runner(x, stream):
-        _, result = select_sigma(model, s, args.strategy, x, cfg, stream)
-        return result
-
-    results = _predict_rows(args, rows, runner)
+    _, result = select_sigma(model, s, args.strategy, rows, cfg,
+                             RngStream(args.seed, 0).rows(len(rows)))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    outputs = _emit_ensemble_outputs(results, out)
+    outputs = _emit_ensemble_outputs(result, args.strategy, cfg.ensemble_size, out)
     _write_provenance("auto-sigma", args,
                       [args.input, args.subspace] + model_files, outputs, out)
 
 
-def _emit_ensemble_outputs(results, out: Path):
-    means = np.stack([r.mean_prediction for r in results])
-    stds = np.stack([r.std_map for r in results])
-    save_tensor(means, out / "mean.gtt")
-    save_tensor(stds, out / "std.gtt")
-    records = []
-    for i, r in enumerate(results):
-        records.append({
-            "row": i,
-            "mean_prediction": "mean.gtt",
-            "std_min": float(r.std_map.min()),
-            "std_mean": float(r.std_map.mean()),
-            "std_max": float(r.std_map.max()),
-            "chosen_sigma": r.chosen_sigma,
-            "ensemble_size": r.schedule.ensemble_size,
-            "strategy": r.schedule.strategy,
-        })
+def _emit_ensemble_outputs(result, strategy: str, ensemble_size: int, out: Path):
+    save_tensor(result.mean_prediction, out / "mean.gtt")
+    save_tensor(result.std_map, out / "std.gtt")
+    records = [
+        {"row": i, "mean_prediction": "mean.gtt", "std_min": float(std.min()),
+         "std_mean": float(std.mean()), "std_max": float(std.max()),
+         "chosen_sigma": float(sigma), "ensemble_size": ensemble_size, "strategy": strategy}
+        for i, (std, sigma) in enumerate(zip(result.std_map, result.chosen_sigma))
+    ]
     _write_json(records, out / "results.json")
     return [out / "mean.gtt", out / "std.gtt", out / "results.json"]
 

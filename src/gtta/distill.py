@@ -45,13 +45,9 @@ class PseudoLabelSet:
 
 def generate_pseudolabels(model, s: Subspace, sched: NoiseSchedule,
                           unlabeled: Dataset, rng: RngStream) -> PseudoLabelSet:
-    """Run one ensemble per unlabeled row; input i uses stream ``rng.derive(i)``."""
-    targets = []
-    weights = []
-    for i in range(unlabeled.n):
-        result = run_gtta(model, s, sched, unlabeled.inputs[i], rng.derive(i))
-        targets.append(result.mean_prediction)
-        weights.append(uncertainty_weights(result, model.output_kind))
+    """Run the ensemble on every unlabeled row; input i uses stream ``rng.derive(i)``."""
+    result = run_gtta(model, s, sched, unlabeled.inputs, rng.rows(unlabeled.n))
+    weights = uncertainty_weights(result, model.output_kind)
     provenance = {
         "strategy": sched.strategy,
         "sigma": sched.sigma,
@@ -64,8 +60,8 @@ def generate_pseudolabels(model, s: Subspace, sched: NoiseSchedule,
     }
     return PseudoLabelSet(
         inputs=unlabeled.inputs.copy(),
-        teacher_targets=np.stack(targets),
-        weights=np.stack(weights),
+        teacher_targets=result.mean_prediction,
+        weights=weights,
         provenance=provenance,
     )
 

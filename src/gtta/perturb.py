@@ -10,7 +10,8 @@ the explained-variance ratio:
 
 for candidate j of N. Variance ratios are floored so trailing components
 cannot blow the noise up, and components flagged near-zero-variance get no
-noise at all.
+noise at all. Candidates are made for a block of input rows [B, d] at once,
+with one random stream per row.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError, ParamError
-from .rng import RngStream
+from .rng import standard_normal
 from .subspace import Subspace, project, reconstruct
 
 CONSTANT = "constant"
@@ -48,68 +49,72 @@ class NoiseSchedule:
             raise ParamError(f"sigma_cap must be positive, got {self.sigma_cap}")
 
 
-def per_component_sigma(sched: NoiseSchedule, s: Subspace, j: int) -> np.ndarray:
-    """Noise std per component for candidate ``j`` (1-based)."""
-    if not 1 <= j <= sched.ensemble_size:
-        raise ParamError(f"candidate index {j} outside [1, {sched.ensemble_size}]")
+def per_component_sigma(sched: NoiseSchedule, s: Subspace) -> np.ndarray:
+    """Noise std per candidate and component, shape [N, n_u].
+
+    Row j - 1 holds the stds of candidate j. A row of zeros marks a candidate
+    that gets no noise; this matrix is the one place that decides so.
+    """
     var = np.maximum(s.variance_ratios, sched.var_floor)
-    out = s.ranges * sched.sigma / var
+    out = np.tile(s.ranges * sched.sigma / var, (sched.ensemble_size, 1))
     if sched.strategy == INCREMENTAL:
-        out = out * (j - 1) / sched.ensemble_size
+        out = out * np.arange(sched.ensemble_size)[:, None] / sched.ensemble_size
     if sched.sigma_cap is not None:
         out = np.minimum(out, sched.sigma_cap * s.ranges)
-    out[s.dead] = 0.0
+    out[:, s.dead] = 0.0
     return out
 
 
-def latent_candidates(sched: NoiseSchedule, s: Subspace, x: np.ndarray,
-                      rng: RngStream) -> np.ndarray:
-    """The N perturbed latent vectors for input ``x``, shape [N, n_u].
+def latent_candidates(sig: np.ndarray, s: Subspace, X: np.ndarray,
+                      streams) -> np.ndarray:
+    """The perturbed latent vectors of the rows of ``X``, shape [B, N, n_u].
 
-    Candidate j draws its noise from the derived stream ``rng.derive(j)``,
-    so any partition of candidates over workers reproduces the serial result.
+    ``sig`` is the [N, n_u] matrix of :func:`per_component_sigma`. Candidate
+    j of row b draws its noise from ``streams[b].derive(j)``, so a row's
+    latents never depend on the rows it is blocked with; candidates without
+    noise draw nothing.
     """
-    p = project(s, x)
-    out = np.empty((sched.ensemble_size, s.n_u))
-    for j in range(1, sched.ensemble_size + 1):
-        sig = per_component_sigma(sched, s, j)
-        if np.any(sig > 0):
-            noise = sig * rng.derive(j).generator().standard_normal(s.n_u)
-        else:
-            noise = 0.0
-        out[j - 1] = p + noise
-    return out
+    noisy = np.flatnonzero(sig.any(axis=1))
+    z = np.zeros((len(streams), sig.shape[0], s.n_u))
+    z[:, noisy] = standard_normal(streams, noisy + 1, s.n_u)
+    return project(s, X)[:, None, :] + sig * z
 
 
-def make_candidates(sched: NoiseSchedule, s: Subspace, x: np.ndarray,
-                    rng: RngStream) -> np.ndarray:
-    """The N reconstructed input-space candidates for ``x``, shape [N, d].
+def make_candidates(sig: np.ndarray, s: Subspace, X: np.ndarray,
+                    streams) -> np.ndarray:
+    """The reconstructed input-space candidates of the rows of ``X``, shape [B, N, d].
 
-    A candidate whose noise vector is identically zero short-circuits to the
-    input itself when the subspace is full rank, so a zero-noise ensemble
-    reproduces the unmodified input bit for bit.
+    A candidate whose row of ``sig`` is zero is the input itself when the
+    subspace is full rank, else ``reconstruct(project(x))``, so a zero-noise
+    ensemble reproduces the unperturbed input bit for bit.
     """
-    x = np.asarray(x, dtype=np.float64)
-    latents = latent_candidates(sched, s, x, rng)
-    out = s.mean + latents @ s.components
-    base = project(s, x)
-    unperturbed = np.all(latents == base, axis=1)
-    if unperturbed.any():
-        # Zero-noise candidates take the single-vector path so they equal
-        # reconstruct(project(x)) bit for bit, or the input itself at full rank.
-        out[unperturbed] = x if s.full_rank else reconstruct(s, base)
+    X = np.asarray(X, dtype=np.float64)
+    quiet = ~sig.any(axis=1)
+    out = np.empty((X.shape[0], sig.shape[0], s.d))
+    if not quiet.all():
+        latents = latent_candidates(sig, s, X, streams).reshape(-1, s.n_u)
+        out[:] = (s.mean + latents @ s.components).reshape(out.shape)
+    if quiet.any():
+        base = X if s.full_rank else np.stack([reconstruct(s, p) for p in project(s, X)])
+        out[:, quiet] = base[:, None]
     return out
 
 
 def latent_sample_covariance(latents: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unbiased sample covariance of latent rows and its eigenvalues (descending)."""
+    """Unbiased sample covariance of latent rows [N, n_u] and its eigenvalues (descending).
+
+    A stack [B, N, n_u] gives the mean of its B covariances, averaged as
+    matrices before the eigendecomposition: averaging sorted eigenvalues
+    instead would inflate the spread through the sorting bias. N identical
+    rows contribute exactly zero, with no mean wobble.
+    """
     latents = np.asarray(latents, dtype=np.float64)
-    if latents.ndim != 2 or latents.shape[0] < 2:
+    stack = latents[None] if latents.ndim == 2 else latents
+    if stack.ndim != 3 or stack.shape[1] < 2:
         raise DataError(f"need a [N, n_u] matrix with N >= 2, got shape {latents.shape}")
-    k = latents.shape[1]
-    if np.all(latents == latents[0]):
-        # identical rows have exactly zero covariance, with no mean wobble
-        return np.zeros((k, k)), np.zeros(k)
-    cov = np.atleast_2d(np.cov(latents, rowvar=False, ddof=1))
-    eigs = np.sort(np.linalg.eigvalsh(cov))[::-1]
-    return cov, eigs
+    cov = np.zeros((stack.shape[2], stack.shape[2]))
+    for rows in stack:
+        if not np.all(rows == rows[0]):
+            cov += np.atleast_2d(np.cov(rows, rowvar=False, ddof=1))
+    cov /= stack.shape[0]
+    return cov, np.sort(np.linalg.eigvalsh(cov))[::-1]

@@ -153,12 +153,8 @@ def _softmax(z):
 
 
 def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    # tanh saturates where exp(-z) would overflow, so no branch on the sign of z.
+    return 0.5 * (1.0 + np.tanh(0.5 * z))
 
 
 class MlpModel:

@@ -33,8 +33,26 @@ class RngStream:
         mixed = _splitmix64((self.stream_id ^ _splitmix64(key & _MASK)) & _MASK)
         return RngStream(self.master_seed, mixed)
 
+    def rows(self, n: int) -> list:
+        """One child stream per input row: ``derive(0)`` to ``derive(n - 1)``."""
+        return [self.derive(i) for i in range(n)]
+
     def generator(self) -> np.random.Generator:
         # Counter-based bit generator keyed on both fields; construction is cheap,
         # so callers create a fresh generator per draw site instead of sharing one.
         key = ((self.master_seed & _MASK) << 64) | (self.stream_id & _MASK)
         return np.random.Generator(np.random.Philox(key=key))
+
+
+def standard_normal(streams, keys, size: int) -> np.ndarray:
+    """Standard normal draws, shape [len(streams), len(keys), size].
+
+    Entry (b, k) is drawn from ``streams[b].derive(keys[k])``, so a draw is
+    named by its (row stream, key) pair and never depends on which other rows
+    or keys are drawn alongside it.
+    """
+    out = np.empty((len(streams), len(keys), size))
+    for b, stream in enumerate(streams):
+        for k, key in enumerate(keys):
+            out[b, k] = stream.derive(int(key)).generator().standard_normal(size)
+    return out

@@ -153,11 +153,18 @@ def _resolve_retain(retain, ratios, computable: int, n_alive: int) -> int:
 
 
 def project(s: Subspace, x: np.ndarray) -> np.ndarray:
-    """Centered coordinates of ``x`` along the components: p_i = (x - mean) . u_i."""
+    """Centered coordinates of ``x`` along the components: p_i = (x - mean) . u_i.
+
+    ``x`` is one input [d] or a block of inputs [B, d]. Each row is its own
+    matrix-vector product, so a row's coordinates never depend on the rows
+    it is blocked with.
+    """
     x = np.asarray(x, dtype=np.float64)
-    if x.shape != (s.d,):
-        raise ShapeError(f"expected input of shape ({s.d},), got {x.shape}")
-    return s.components @ (x - s.mean)
+    if x.ndim not in (1, 2) or x.shape[-1] != s.d:
+        raise ShapeError(f"expected input of shape ({s.d},) or (B, {s.d}), got {x.shape}")
+    if x.ndim == 1:
+        return s.components @ (x - s.mean)
+    return np.array([s.components @ (row - s.mean) for row in x]).reshape(len(x), s.n_u)
 
 
 def reconstruct(s: Subspace, p: np.ndarray) -> np.ndarray:
@@ -196,6 +203,14 @@ def load_subspace(path) -> Subspace:
     missing = {"mean", "components", "variance_ratios", "ranges"} - sections.keys()
     if missing:
         raise FormatError(f"subspace file missing sections: {sorted(missing)}")
+    mean, components = sections["mean"], sections["components"]
+    ratios = sections["variance_ratios"].reshape(-1)
+    ranges = sections["ranges"].reshape(-1)
+    if (mean.ndim != 1 or components.shape[1:] != mean.shape
+            or ratios.shape != components.shape[:1] or ranges.shape != ratios.shape):
+        raise FormatError(f"subspace {path}: mean {mean.shape}, components {components.shape}, "
+                          f"ratios {ratios.shape} and ranges {ranges.shape} are not "
+                          "[d], [n_u, d], [n_u] and [n_u]")
     meta = {}
     try:
         with open(str(path) + ".json") as fh:
@@ -203,10 +218,10 @@ def load_subspace(path) -> Subspace:
     except (OSError, json.JSONDecodeError):
         pass  # sidecar is optional on load
     return Subspace(
-        mean=sections["mean"],
-        components=sections["components"],
-        variance_ratios=sections["variance_ratios"].reshape(-1),
-        ranges=sections["ranges"].reshape(-1),
+        mean=mean,
+        components=components,
+        variance_ratios=ratios,
+        ranges=ranges,
         fit_fingerprint=meta.get("fit_fingerprint"),
         range_source=meta.get("range_source", "fit_set"),
     )

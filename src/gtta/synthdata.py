@@ -150,6 +150,10 @@ class BlobImagesSpec:
             raise ParamError("need 1 <= radius_min <= radius_max")
         if not 1 <= self.blobs_min <= self.blobs_max:
             raise ParamError("need 1 <= blobs_min <= blobs_max")
+        if min(self.height, self.width) < 2 * self.radius_max + 3:
+            raise ParamError(f"{self.height}x{self.width} images cannot hold a blob of "
+                             f"radius {self.radius_max}; need height and width "
+                             f">= 2 * radius_max + 3")
 
 
 @dataclass(frozen=True)

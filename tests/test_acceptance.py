@@ -111,9 +111,10 @@ def test_c02_latent_decorrelation():
         X = gen.standard_normal((25, 5))
         s = fit(X, "all")
         sched = NoiseSchedule("constant", 0.05, N)
-        latents = latent_candidates(sched, s, X[0], RngStream(1900 + k))
+        target = per_component_sigma(sched, s)
+        latents = latent_candidates(target, s, X[0][None], [RngStream(1900 + k)])[0]
         cov, _ = latent_sample_covariance(latents)
-        target = per_component_sigma(sched, s, 1)
+        target = target[0]
         for i in range(s.n_u):
             for j in range(i + 1, s.n_u):
                 se = target[i] * target[j] / np.sqrt(N - 1)
@@ -139,11 +140,10 @@ def test_c03_ensemble_variance_decay():
 
     const_var = []
     for N in sizes:
-        sched = NoiseSchedule("constant", 0.05, N)
-        cands = np.concatenate(
-            [make_candidates(sched, s, x, RngStream(5002).derive(N).derive(m))
-             for m in range(M)]
-        )
+        sig = per_component_sigma(NoiseSchedule("constant", 0.05, N), s)
+        cands = make_candidates(sig, s, np.tile(x, (M, 1)),
+                                [RngStream(5002).derive(N).derive(m) for m in range(M)])
+        cands = cands.reshape(M * N, -1)
         preds = model.predict(cands).reshape(M, N, 3)
         const_var.append(float(preds.mean(axis=1).var(axis=0, ddof=1).mean()))
     slope = np.polyfit(np.log(sizes), np.log(const_var), 1)[0]
@@ -151,11 +151,10 @@ def test_c03_ensemble_variance_decay():
     inc_ok = True
     detail_margin = np.inf
     for N in sizes:
-        sched = NoiseSchedule("incremental", 0.05, N)
-        cands = np.concatenate(
-            [make_candidates(sched, s, x, RngStream(5003).derive(N).derive(m))
-             for m in range(M)]
-        )
+        sig = per_component_sigma(NoiseSchedule("incremental", 0.05, N), s)
+        cands = make_candidates(sig, s, np.tile(x, (M, 1)),
+                                [RngStream(5003).derive(N).derive(m) for m in range(M)])
+        cands = cands.reshape(M * N, -1)
         preds = model.predict(cands).reshape(M, N, 3)
         means = preds.mean(axis=1)
         v_mean = float(means.var(axis=0, ddof=1).mean())
@@ -252,9 +251,9 @@ def test_c05_zero_noise_bit_exact():
         (OutputKind.per_pixel(2, 2), [6, 8, 4]),
     ):
         model = MlpModel(sizes, kind, RngStream(7001))
-        result = run_gtta(model, s, NoiseSchedule("constant", 0.0, 7), x, RngStream(7002))
+        result = run_gtta(model, s, NoiseSchedule("constant", 0.0, 7), x[None], [RngStream(7002)])
         base = model.predict(x[None])[0]
-        exact = exact and np.array_equal(result.mean_prediction, base)
+        exact = exact and np.array_equal(result.mean_prediction[0], base)
         exact = exact and not result.std_map.any()
     _verdict(5, exact, "zero-noise full-rank ensembles equal the bare model bitwise")
 

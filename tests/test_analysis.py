@@ -12,7 +12,7 @@ from gtta.errors import ParamError
 from gtta.perturb import NoiseSchedule
 from gtta.predictor import MlpModel, batch_from_dataset, mlp_train
 from gtta.rng import RngStream
-from gtta.subspace import fit
+from gtta.subspace import Subspace, fit
 from gtta.synthdata import (
     BlobImagesSpec,
     FrameSequenceSpec,
@@ -22,28 +22,30 @@ from gtta.synthdata import (
 
 
 class NoisyOracle:
-    """Emits target + Gaussian noise, ignoring the input entirely."""
+    """Emits target + Gaussian noise; the input's first coordinate names the target."""
 
     def __init__(self, targets, noise_std, seed):
         self.targets = np.asarray(targets, dtype=np.float64)
         self.noise_std = noise_std
         self.gen = RngStream(seed).generator()
-        self.row = 0
         self.output_kind = OutputKind.real_values()
 
     def predict(self, batch):
-        b = np.atleast_2d(batch).shape[0]
-        y = self.targets[self.row % len(self.targets)]
-        self.row += 1
-        return y + self.noise_std * self.gen.standard_normal(b)
+        batch = np.atleast_2d(batch)
+        y = self.targets[batch[:, 0].astype(int)]
+        return y + self.noise_std * self.gen.standard_normal(batch.shape[0])
 
 
 def test_unbiased_oracle_decomposition():
     n_inputs, N, M, v = 6, 10, 200, 0.2
     gen = RngStream(0).generator()
     X = gen.standard_normal((n_inputs, 4))
+    X[:, 0] = np.arange(n_inputs)
     y = gen.standard_normal(n_inputs)
-    s = fit(X, "all")
+    # Axis-aligned components; the first has zero range, so it gets no noise
+    # and every candidate keeps its input's index for the oracle.
+    s = Subspace(mean=np.zeros(4), components=np.eye(4),
+                 variance_ratios=np.full(4, 0.25), ranges=np.array([0.0, 1.0, 1.0, 1.0]))
     data = Dataset(X, y, OutputKind.real_values())
     model = NoisyOracle(y, v, seed=1)
     report = bias_variance_sweep(model, s, "constant", [0.1], N, data, M,
@@ -141,7 +143,7 @@ def test_schedule_driven_spectrum_uses_component_noise():
     report = covariance_spectrum_experiment(s, sched, data, 2000, RngStream(14))
     from gtta.perturb import per_component_sigma
 
-    target = np.sort(per_component_sigma(sched, s, 1) ** 2)[::-1]
+    target = np.sort(per_component_sigma(sched, s)[0] ** 2)[::-1]
     assert np.all(np.abs(report.eigenvalues - target) / target < 0.1)
 
 

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -325,9 +326,11 @@ def test_analyze_std_error_reads_kind_from_model(pipeline, tmp_path):
      "--task", "classification"],
     ["train", "--data", "{root}/train_x.gtt", "--targets", "{tmp}/flat_y.gtt",
      "--task", "segmentation"],
+    ["synth", "images", "--spec", "{tmp}/tiny.json"],
 ])
 def test_bad_values_end_in_error_line(pipeline, tmp_path, argv):
     save_tensor(np.zeros(24), tmp_path / "flat_y.gtt")
+    (tmp_path / "tiny.json").write_text(json.dumps({"height": 8, "width": 8}))
     if argv[0] in ("predict", "auto-sigma"):
         argv = argv + ["--subspace", "{root}/subspace.gtt", "--input", "{root}/test_x.gtt"]
     argv = [a.format(root=pipeline, tmp=tmp_path) for a in argv]
@@ -337,6 +340,66 @@ def test_bad_values_end_in_error_line(pipeline, tmp_path, argv):
     assert proc.returncode in (1, 2)
     assert proc.stderr.strip().splitlines()[-1].startswith("error:")
     assert "Traceback" not in proc.stderr
+
+
+def test_subspace_shape_mismatch_is_format_error(pipeline, tmp_path, capsys):
+    from gtta.subspace import load_subspace, save_subspace
+
+    s = load_subspace(pipeline / "subspace.gtt")
+    bad = tmp_path / "narrow.gtt"
+    save_subspace(dataclasses.replace(s, components=s.components[:, :-4]), bad)
+    assert run("predict", "--model", str(pipeline / "model.gtt"), "--subspace", str(bad),
+               "--input", str(pipeline / "test_x.gtt"), "--out", str(tmp_path / "o")) == 1
+    assert capsys.readouterr().err.startswith("error: FormatError:")
+
+
+def test_config_from_another_command_is_rejected(pipeline, tmp_path, capsys):
+    assert run("count", "--config", str(pipeline / "pred" / "provenance.json"),
+               "--input", str(pipeline / "pred" / "mean.gtt"),
+               "--out", str(tmp_path / "c")) == 1
+    assert capsys.readouterr().err.startswith("error: ParamError:")
+    assert not (tmp_path / "c").exists()
+
+
+BENCH = SRC.parent / "bench"
+
+TRACED = """import sys
+sys.path[:0] = [{bench!r}, {src!r}]
+import gtta.cli, spans, workloads
+tracer = spans.Tracer()
+spans.install(tracer)
+failed = False
+for name, argv in {commands!r}:
+    del tracer.spans[:]
+    assert gtta.cli.main(argv) == 0, name
+    missing = spans.missing_spans(spans.summarize(tracer.spans), workloads.WORKLOADS[name].spans)
+    if missing:
+        print(name, "spans never fired:", ", ".join(missing), file=sys.stderr)
+        failed = True
+sys.exit(failed)
+"""
+
+
+def test_bench_trace_sites_fire(pipeline, tmp_path):
+    # The benchmark traces layers by wrapping named call sites; a renamed or
+    # inlined site must fail here, not only in a traced benchmark run.
+    common = ["--subspace", str(pipeline / "subspace.gtt"), "--input", str(pipeline / "test_x.gtt"),
+              "--n", "4", "--seed", "1"]
+    child = f"{sys.executable} {BENCH / 'model_child.py'} 12x12"
+    commands = [
+        ("predict", ["predict", "--model", str(pipeline / "model.gtt"), "--sigma", "0.1",
+                     *common, "--out", str(tmp_path / "p")]),
+        ("auto_sigma", ["auto-sigma", "--model", str(pipeline / "model.gtt"), "--grid", "0,0.1",
+                        *common, "--out", str(tmp_path / "a")]),
+        ("external_model", ["predict", "--model-cmd", child, "--output-kind", "per-pixel:12x12",
+                            "--sigma", "0.1", *common, "--out", str(tmp_path / "e")]),
+        ("count", ["count", "--input", str(pipeline / "pred" / "mean.gtt"),
+                   "--out", str(tmp_path / "c")]),
+    ]
+    code = TRACED.format(bench=str(BENCH), src=str(SRC), commands=commands)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 CHILD = """import sys

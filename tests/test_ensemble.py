@@ -8,7 +8,7 @@ from gtta.ensemble import (
     select_sigma,
     uncertainty_weights,
 )
-from gtta.errors import ParamError, UnsupportedTaskError
+from gtta.errors import ParamError, ShapeError, UnsupportedTaskError
 from gtta.perturb import NoiseSchedule
 from gtta.predictor import MlpModel, batch_from_dataset, mlp_train
 from gtta.rng import RngStream
@@ -56,20 +56,19 @@ def test_zero_noise_reproduces_model_bit_for_bit():
     ]
     for kind, sizes in specs:
         model = MlpModel(sizes, kind, RngStream(2))
-        result = run_gtta(model, s, NoiseSchedule("constant", 0.0, 5), x, RngStream(3))
+        result = run_gtta(model, s, NoiseSchedule("constant", 0.0, 5), x[None], [RngStream(3)])
         base = model.predict(x[None])[0]
-        assert np.array_equal(result.mean_prediction, base)
+        assert np.array_equal(result.mean_prediction[0], base)
         assert not result.std_map.any()
-        assert result.candidates.shape[0] == 5
 
 
 def test_two_candidate_aggregation():
     s = full_rank_subspace(seed=4)
     model = FixedOutputs([[0.4, 0.6], [0.6, 0.4]], OutputKind.probabilities(2))
     sched = NoiseSchedule("constant", 0.2, 2)
-    result = run_gtta(model, s, sched, np.zeros(6) + s.mean, RngStream(5))
-    assert np.allclose(result.mean_prediction, [0.5, 0.5], atol=1e-12)
-    assert np.allclose(result.std_map, [0.1, 0.1], atol=1e-12)
+    result = run_gtta(model, s, sched, (np.zeros(6) + s.mean)[None], [RngStream(5)])
+    assert np.allclose(result.mean_prediction[0], [0.5, 0.5], atol=1e-12)
+    assert np.allclose(result.std_map[0], [0.1, 0.1], atol=1e-12)
 
 
 def test_mean_matches_independent_summation():
@@ -77,11 +76,11 @@ def test_mean_matches_independent_summation():
     gen = RngStream(7).generator()
     rows = gen.random((9, 4))
     model = FixedOutputs(rows, OutputKind.probabilities(4))
-    result = run_gtta(model, s, NoiseSchedule("constant", 0.3, 9), s.mean, RngStream(8))
+    result = run_gtta(model, s, NoiseSchedule("constant", 0.3, 9), s.mean[None], [RngStream(8)])
     slow = np.zeros(4)
-    for row in result.candidates:
+    for row in rows:  # the model's outputs for the 9 candidates
         slow = slow + row
-    assert np.abs(result.mean_prediction - slow / 9).max() < 1e-12
+    assert np.abs(result.mean_prediction[0] - slow / 9).max() < 1e-12
 
 
 def test_single_point_grid_returns_base():
@@ -89,17 +88,17 @@ def test_single_point_grid_returns_base():
     model = MlpModel([6, 8, 2], OutputKind.probabilities(2), RngStream(10))
     x = RngStream(11).generator().standard_normal(6)
     cfg = SigmaSearchConfig(grid=(0.0,), ensemble_size=4)
-    sigma, result = select_sigma(model, s, "constant", x, cfg, RngStream(12))
-    assert sigma == 0.0
-    assert np.array_equal(result.mean_prediction, model.predict(x[None])[0])
+    sigma, result = select_sigma(model, s, "constant", x[None], cfg, [RngStream(12)])
+    assert sigma[0] == 0.0
+    assert np.array_equal(result.mean_prediction[0], model.predict(x[None])[0])
 
 
 def test_ties_break_toward_smaller_sigma():
     s = full_rank_subspace(seed=13)
     model = FixedOutputs(np.tile([0.7, 0.3], (8, 1)), OutputKind.probabilities(2))
     cfg = SigmaSearchConfig(grid=(0.0, 0.1, 0.2), ensemble_size=8)
-    sigma, _ = select_sigma(model, s, "constant", s.mean, cfg, RngStream(14))
-    assert sigma == 0.0
+    sigma, _ = select_sigma(model, s, "constant", s.mean[None], cfg, [RngStream(14)])
+    assert sigma[0] == 0.0
 
 
 def test_selection_matches_brute_force_oracle():
@@ -108,12 +107,13 @@ def test_selection_matches_brute_force_oracle():
     model = RadialConfidence(target_sq=float((x**2).sum()) + 10.0, width=6.0)
     cfg = SigmaSearchConfig(grid=(0.0, 0.05, 0.1, 0.15, 0.2), ensemble_size=25)
     rng = RngStream(16)
-    sigma, _ = select_sigma(model, s, "constant", x, cfg, rng)
+    sigma, _ = select_sigma(model, s, "constant", x[None], cfg, [rng])
+    sigma = sigma[0]
 
     scores = []
     for g in cfg.grid:
         sched = NoiseSchedule("constant", float(g), 25)
-        result = run_gtta(model, s, sched, x, rng)
+        result = run_gtta(model, s, sched, x[None], [rng])
         scores.append(float(result.mean_prediction.max()))
     best = min(
         (i for i in range(len(scores))),
@@ -150,9 +150,9 @@ def test_segmentation_confidence_counts_both_sides():
             return rows[: np.atleast_2d(batch).shape[0]].copy()
 
     cfg = SigmaSearchConfig(grid=(0.0,), ensemble_size=2, confidence_threshold=0.8)
-    _, result = select_sigma(TwoMaps(), s, "constant", s.mean, cfg, RngStream(21))
+    _, result = select_sigma(TwoMaps(), s, "constant", s.mean[None], cfg, [RngStream(21)])
     # mean map is flat 0.5: nothing confident; the call still succeeds
-    assert result.mean_prediction.shape == (2, 2)
+    assert result.mean_prediction[0].shape == (2, 2)
 
 
 def test_default_thresholds_by_strategy():
@@ -166,8 +166,8 @@ def test_uncertainty_weights():
     s = full_rank_subspace(seed=22)
     kind = OutputKind.per_pixel(1, 2)
     model = FixedOutputs(np.array([[[0.0, 0.6]], [[1.0, 0.8]]]), kind)
-    result = run_gtta(model, s, NoiseSchedule("constant", 0.2, 2), s.mean, RngStream(23))
-    w = uncertainty_weights(result, kind)
+    result = run_gtta(model, s, NoiseSchedule("constant", 0.2, 2), s.mean[None], [RngStream(23)])
+    w = uncertainty_weights(result, kind)[0]
     assert w[0, 0] == pytest.approx(0.5)   # maximal binary spread
     assert w[0, 1] == pytest.approx(0.9)   # std 0.1
     assert np.all((w >= 0) & (w <= 1))
@@ -177,15 +177,15 @@ def test_uncertainty_weights_zero_spread():
     s = full_rank_subspace(seed=24)
     kind = OutputKind.probabilities(2)
     model = MlpModel([6, 4, 2], kind, RngStream(25))
-    result = run_gtta(model, s, NoiseSchedule("constant", 0.0, 3), s.mean, RngStream(26))
-    assert np.array_equal(uncertainty_weights(result, kind), np.ones(2))
+    result = run_gtta(model, s, NoiseSchedule("constant", 0.0, 3), s.mean[None], [RngStream(26)])
+    assert np.array_equal(uncertainty_weights(result, kind)[0], np.ones(2))
 
 
 def test_uncertainty_weights_need_probabilities():
     s = full_rank_subspace(seed=27)
     kind = OutputKind.real_values()
     model = MlpModel([6, 4, 1], kind, RngStream(28))
-    result = run_gtta(model, s, NoiseSchedule("constant", 0.1, 3), s.mean, RngStream(29))
+    result = run_gtta(model, s, NoiseSchedule("constant", 0.1, 3), s.mean[None], [RngStream(29)])
     with pytest.raises(UnsupportedTaskError):
         uncertainty_weights(result, kind)
 
@@ -215,12 +215,30 @@ def test_distractor_task_mean_accuracy_over_seeds():
         s = fit(train.data.inputs, "all")
         sched = NoiseSchedule("constant", 0.01, 15)
         base = model.predict(eval_ds.inputs).argmax(axis=1)
-        ens = np.array([
-            run_gtta(model, s, sched, eval_ds.inputs[i],
-                     RngStream(seed, 53).derive(i)).mean_prediction.argmax()
-            for i in range(eval_ds.n)
-        ])
+        streams = [RngStream(seed, 53).derive(i) for i in range(eval_ds.n)]
+        ens = run_gtta(model, s, sched, eval_ds.inputs, streams).mean_prediction.argmax(axis=1)
         y = eval_ds.targets.astype(int)
         accs_base.append(np.mean(base == y))
         accs_gtta.append(np.mean(ens == y))
     assert np.mean(accs_gtta) >= np.mean(accs_base)
+
+
+def test_block_rows_match_one_row_ensembles():
+    # 19 rows span three engine blocks; each row's noise is named by its own
+    # stream, so only the block GEMMs can move its last bits.
+    from gtta.ensemble import BLOCK_ROWS
+
+    X = RngStream(30).generator().standard_normal((19, 6))
+    s = fit(X, 4)
+    model = MlpModel([6, 8, 3], OutputKind.probabilities(3), RngStream(31))
+    streams = RngStream(32).rows(len(X))
+    assert len(X) > 2 * BLOCK_ROWS
+    for sigma in (0.0, 0.2):
+        sched = NoiseSchedule("incremental", sigma, 5)
+        block = run_gtta(model, s, sched, X, streams)
+        for i in range(len(X)):
+            one = run_gtta(model, s, sched, X[i:i + 1], streams[i:i + 1])
+            assert np.allclose(block.mean_prediction[i], one.mean_prediction[0], rtol=0, atol=1e-12)
+            assert np.allclose(block.std_map[i], one.std_map[0], rtol=0, atol=1e-12)
+    with pytest.raises(ShapeError):
+        run_gtta(model, s, sched, X, streams[:-1])

@@ -3,7 +3,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
-from gtta.errors import DataError, ParamError
+from gtta.errors import DataError, ParamError, ShapeError
 from gtta.perturb import (
     NoiseSchedule,
     latent_candidates,
@@ -28,43 +28,40 @@ def toy_subspace(ranges, ratios):
 def test_constant_formula():
     s = toy_subspace([2.0, 2.0], [0.5, 0.5])
     sched = NoiseSchedule("constant", 0.1, 4)
-    sig = per_component_sigma(sched, s, 1)
-    assert sig[0] == pytest.approx(0.4)
-    assert np.array_equal(sig, per_component_sigma(sched, s, 4))
+    sig = per_component_sigma(sched, s)
+    assert sig[0, 0] == pytest.approx(0.4)
+    assert np.array_equal(sig[0], sig[3])
 
 
 def test_incremental_formula():
     s = toy_subspace([1.0, 1.0], [0.5, 0.5])
     sched = NoiseSchedule("incremental", 0.2, 4)
-    assert np.array_equal(per_component_sigma(sched, s, 1), np.zeros(2))
-    assert per_component_sigma(sched, s, 3)[0] == pytest.approx(0.2)
+    assert np.array_equal(per_component_sigma(sched, s)[0], np.zeros(2))
+    assert per_component_sigma(sched, s)[2, 0] == pytest.approx(0.2)
 
 
-def test_candidate_index_bounds():
-    s = toy_subspace([1.0], [1.0])
-    sched = NoiseSchedule("constant", 0.1, 3)
-    with pytest.raises(ParamError):
-        per_component_sigma(sched, s, 0)
-    with pytest.raises(ParamError):
-        per_component_sigma(sched, s, 4)
+def test_one_sigma_row_per_candidate():
+    s = toy_subspace([1.0, 2.0], [0.5, 0.5])
+    assert per_component_sigma(NoiseSchedule("constant", 0.1, 3), s).shape == (3, 2)
+    assert per_component_sigma(NoiseSchedule("incremental", 0.1, 5), s).shape == (5, 2)
 
 
 def test_variance_floor_caps_noise():
     s = toy_subspace([1.0, 1.0], [1.0, 1e-9])
     sched = NoiseSchedule("constant", 0.1, 2, var_floor=1e-6)
-    assert per_component_sigma(sched, s, 1)[1] == pytest.approx(0.1 / 1e-6)
+    assert per_component_sigma(sched, s)[0, 1] == pytest.approx(0.1 / 1e-6)
 
 
 def test_dead_components_get_no_noise():
     s = toy_subspace([1.0, 1.0], [1.0, 1e-15])
     sched = NoiseSchedule("constant", 0.1, 2)
-    assert per_component_sigma(sched, s, 1)[1] == 0.0
+    assert per_component_sigma(sched, s)[0, 1] == 0.0
 
 
 def test_sigma_cap():
     s = toy_subspace([2.0], [0.01])
     sched = NoiseSchedule("constant", 0.5, 2, sigma_cap=1.0)
-    assert per_component_sigma(sched, s, 1)[0] == pytest.approx(2.0)  # cap * range
+    assert per_component_sigma(sched, s)[0, 0] == pytest.approx(2.0)  # cap * range
 
 
 def test_schedule_validation():
@@ -80,7 +77,8 @@ def test_zero_sigma_full_rank_returns_input_exactly():
     X = RngStream(1).generator().standard_normal((12, 5))
     s = fit(X, "all")
     x = X[3]
-    cands = make_candidates(NoiseSchedule("constant", 0.0, 4), s, x, RngStream(2))
+    sig = per_component_sigma(NoiseSchedule("constant", 0.0, 4), s)
+    cands = make_candidates(sig, s, x[None], [RngStream(2)])[0]
     for j in range(4):
         assert np.array_equal(cands[j], x)
 
@@ -90,7 +88,8 @@ def test_zero_sigma_truncated_is_projection_round_trip():
     s = fit(X, 3)
     x = X[0]
     expected = reconstruct(s, project(s, x))
-    cands = make_candidates(NoiseSchedule("constant", 0.0, 3), s, x, RngStream(4))
+    sig = per_component_sigma(NoiseSchedule("constant", 0.0, 3), s)
+    cands = make_candidates(sig, s, x[None], [RngStream(4)])[0]
     for j in range(3):
         assert np.array_equal(cands[j], expected)
 
@@ -99,7 +98,8 @@ def test_incremental_first_candidate_is_noiseless():
     X = RngStream(5).generator().standard_normal((10, 4))
     s = fit(X, 3)
     x = X[1]
-    cands = make_candidates(NoiseSchedule("incremental", 0.3, 5), s, x, RngStream(6))
+    sig = per_component_sigma(NoiseSchedule("incremental", 0.3, 5), s)
+    cands = make_candidates(sig, s, x[None], [RngStream(6)])[0]
     assert np.array_equal(cands[0], reconstruct(s, project(s, x)))
     assert not np.array_equal(cands[1], cands[0])
 
@@ -109,8 +109,9 @@ def test_latent_noise_std_matches_formula():
     X = RngStream(7).generator().standard_normal((40, 6))
     s = fit(X, "all")
     sched = NoiseSchedule("constant", 0.1, 10_000)
-    latents = latent_candidates(sched, s, X[0], RngStream(8))
-    target = per_component_sigma(sched, s, 1)
+    target = per_component_sigma(sched, s)
+    latents = latent_candidates(target, s, X[0][None], [RngStream(8)])[0]
+    target = target[0]
     sample_std = latents.std(axis=0, ddof=1)
     assert np.all(np.abs(sample_std - target) / target < 0.03)
 
@@ -120,12 +121,12 @@ def test_candidates_match_any_execution_order():
     s = fit(X, "all")
     sched = NoiseSchedule("incremental", 0.2, 8)
     rng = RngStream(10, 3)
-    serial_latents = latent_candidates(sched, s, X[2], rng)
-    serial = make_candidates(sched, s, X[2], rng)
+    sig = per_component_sigma(sched, s)
+    serial_latents = latent_candidates(sig, s, X[2][None], [rng])[0]
+    serial = make_candidates(sig, s, X[2][None], [rng])[0]
 
     def one(j):
-        sig = per_component_sigma(sched, s, j)
-        noise = sig * rng.derive(j).generator().standard_normal(s.n_u)
+        noise = sig[j - 1] * rng.derive(j).generator().standard_normal(s.n_u)
         return project(s, X[2]) + noise
 
     with ThreadPoolExecutor(max_workers=4) as pool:
@@ -141,12 +142,10 @@ def test_incremental_distance_nondecreasing():
     s = fit(X, "all")
     sched = NoiseSchedule("incremental", 0.2, 6)
     base = X[0]
-    dist = np.zeros(6)
     reps = 300
-    for r in range(reps):
-        cands = make_candidates(sched, s, base, RngStream(12).derive(r))
-        dist += np.linalg.norm(cands - base, axis=1)
-    dist /= reps
+    cands = make_candidates(per_component_sigma(sched, s), s, np.tile(base, (reps, 1)),
+                            [RngStream(12).derive(r) for r in range(reps)])
+    dist = np.linalg.norm(cands - base, axis=2).mean(axis=0)
     assert all(b >= a - 1e-9 for a, b in zip(dist, dist[1:]))
 
 
@@ -174,7 +173,8 @@ def test_equal_noise_gives_diagonal_covariance():
     )
     # ranges chosen so every per-component std equals s_level at sigma=0.3
     sched = NoiseSchedule("constant", 0.3, n)
-    latents = latent_candidates(sched, flat, X[0], RngStream(14))
+    latents = latent_candidates(per_component_sigma(sched, flat), flat, X[0][None],
+                                [RngStream(14)])[0]
     cov, eigs = latent_sample_covariance(latents)
     se = s_level**2 / np.sqrt(n - 1)
     off = cov[~np.eye(n_u, dtype=bool)]
@@ -194,8 +194,9 @@ def test_two_component_eigenvalues():
     )
     # constant rule gives std (a, b) at sigma = 1.0 with var ratios 0.5
     sched = NoiseSchedule("constant", 1.0, n)
-    assert np.allclose(per_component_sigma(sched, s, 1), [a, b])
-    latents = latent_candidates(sched, s, np.zeros(2), RngStream(15))
+    sig = per_component_sigma(sched, s)
+    assert np.allclose(sig[0], [a, b])
+    latents = latent_candidates(sig, s, np.zeros((1, 2)), [RngStream(15)])[0]
     _, eigs = latent_sample_covariance(latents)
     assert abs(eigs[0] - a**2) < 0.05 * a**2
     assert abs(eigs[1] - b**2) < 0.05 * b**2
@@ -208,10 +209,36 @@ def test_decorrelation_on_random_subspaces():
         X = gen.standard_normal((25, 5))
         s = fit(X, "all")
         sched = NoiseSchedule("constant", 0.05, n)
-        latents = latent_candidates(sched, s, X[0], RngStream(1900 + seed))
+        target = per_component_sigma(sched, s)
+        latents = latent_candidates(target, s, X[0][None], [RngStream(1900 + seed)])[0]
         cov, _ = latent_sample_covariance(latents)
-        target = per_component_sigma(sched, s, 1)
+        target = target[0]
         for i in range(s.n_u):
             for j in range(i + 1, s.n_u):
                 se = target[i] * target[j] / np.sqrt(n - 1)
                 assert abs(cov[i, j]) < 3 * se
+
+
+def test_block_latents_equal_one_row_latents_bit_for_bit():
+    X = RngStream(16).generator().standard_normal((37, 7))
+    s = fit(X, 5)
+    streams = [RngStream(17).derive(i) for i in range(len(X))]
+    for sched in (NoiseSchedule("constant", 0.2, 6), NoiseSchedule("incremental", 0.2, 6)):
+        sig = per_component_sigma(sched, s)
+        block = latent_candidates(sig, s, X, streams)
+        cands = make_candidates(sig, s, X, streams)
+        for i in range(len(X)):
+            assert np.array_equal(block[i], latent_candidates(sig, s, X[i:i + 1], streams[i:i + 1])[0])
+            # reconstruction is one GEMM per block, so only its bits may move
+            one = make_candidates(sig, s, X[i:i + 1], streams[i:i + 1])[0]
+            assert np.allclose(cands[i], one, rtol=0, atol=1e-12)
+
+
+def test_project_takes_one_row_or_a_block():
+    X = RngStream(18).generator().standard_normal((9, 4))
+    s = fit(X, 3)
+    block = project(s, X)
+    for i in range(len(X)):
+        assert np.array_equal(block[i], project(s, X[i]))
+    with pytest.raises(ShapeError):
+        project(s, X[:, :3])

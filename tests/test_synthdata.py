@@ -147,6 +147,10 @@ def test_blob_images_validation():
         BlobImagesSpec(radius_min=0.5)
     with pytest.raises(ParamError):
         BlobImagesSpec(blobs_min=3, blobs_max=2)
+    with pytest.raises(ParamError):
+        BlobImagesSpec(height=8, width=8)  # radius_max 4.5 needs 12 pixels
+    # the smallest image that fits a blob of radius_max still generates
+    assert gen_blob_images(BlobImagesSpec(n_images=2, height=12, width=12)).data.n == 2
 
 
 def test_frame_sequence_shares_scene():
