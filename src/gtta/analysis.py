@@ -18,6 +18,7 @@ from .errors import ParamError, UnsupportedTaskError
 from .metrics import pearson_r
 from .perturb import (
     NoiseSchedule,
+    draw_latents,
     latent_candidates,
     latent_sample_covariance,
     make_candidates,
@@ -142,10 +143,10 @@ def covariance_spectrum_experiment(s: Subspace, sched: NoiseSchedule,
 
     streams = rng.derive(1).rows(n)
     if equal_sigma is None:
-        latents = latent_candidates(per_component_sigma(sched, s), s, X, streams)
+        sig = per_component_sigma(sched, s)
     else:
-        noise = equal_sigma * standard_normal(streams, range(1, N + 1), s.n_u)
-        latents = project(s, X)[:, None, :] + noise
+        sig = np.full((N, s.n_u), float(equal_sigma))
+    latents = latent_candidates(sig, draw_latents(sig, s, X, streams))
     eigenvalues = latent_sample_covariance(latents)[1]
 
     baseline_eigs = None
@@ -281,7 +282,7 @@ def structured_noise_removal(carrier: Dataset, pattern: np.ndarray,
     x_pat = test_rows + pattern
     clean = test_rows[:, None, :]
     sig = per_component_sigma(sched, s)
-    cands = make_candidates(sig, s, x_pat, rng.derive(2).rows(test_count))
+    cands = make_candidates(sig, s, draw_latents(sig, s, x_pat, rng.derive(2).rows(test_count)))
     jittered = _global_jitter(x_pat, rng.derive(3).rows(test_count), sched.ensemble_size,
                               jitter_scale)
     gtta_corr = _pattern_correlation(cands - clean, pattern)

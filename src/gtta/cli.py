@@ -41,7 +41,7 @@ from .predictor import (
 from .rng import RngStream
 from .segcount import StructuringElement, count as count_components, evaluate_counting
 from .subspace import fit, load_subspace, save_subspace
-from .tensorio import content_hash, load_tensor, save_tensor
+from .tensorio import content_hash, load_tensor, save_bytes, save_json, save_tensor
 
 # Task-level defaults: retained variance, ensemble sizes per task family.
 DEFAULT_RETAIN = 0.99
@@ -129,25 +129,22 @@ def _write_provenance(command: str, args, input_paths, output_paths, where):
     where = Path(where)
     path = where / "provenance.json" if where.is_dir() else Path(str(where) + ".provenance.json")
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(record, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    save_json(record, path)
     return path
 
 
 def _write_json(obj, path):
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        json.dump(obj, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    save_json(obj, path)
 
 
 def _write_csv(path, header, rows):
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join("" if v is None else repr(v) if isinstance(v, float) else str(v) for v in row) + "\n")
+    lines = [",".join(header)] + [
+        ",".join("" if v is None else repr(v) if isinstance(v, float) else str(v) for v in row)
+        for row in rows
+    ]
+    save_bytes("".join(line + "\n" for line in lines).encode(), path)
 
 
 # --------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from .predictor import (
 )
 from .rng import RngStream
 from .subspace import Subspace
-from .tensorio import load_container, save_container
+from .tensorio import load_container, save_container, save_json
 
 
 @dataclass(frozen=True)
@@ -159,9 +159,7 @@ def save_pseudolabels(p: PseudoLabelSet, path) -> None:
         },
         path,
     )
-    with open(str(path) + ".json", "w") as fh:
-        json.dump(p.provenance, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    save_json(p.provenance, str(path) + ".json")
 
 
 def load_pseudolabels(path) -> PseudoLabelSet:

@@ -3,7 +3,8 @@
 The ensemble mean is the final prediction and the per-element population
 standard deviation of the candidate outputs is its uncertainty. The engine,
 :func:`run_gtta`, takes a block of input rows with one random stream per row
-and keeps no candidate outputs once they are aggregated. For
+and one noise schedule, or a grid of them for sigma selection, and keeps no
+candidate outputs once they are aggregated. For
 probability-valued outputs the std never exceeds 0.5, so the consensus
 weight 1 - std stays in [0.5, 1].
 """
@@ -52,38 +53,66 @@ def _aggregate(outputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, std
 
 
-def run_gtta(model, s: Subspace, sched: NoiseSchedule, X: np.ndarray,
-             streams, clamp: tuple | None = None) -> EnsembleResult:
+def run_gtta(model, s: Subspace, sched, X: np.ndarray, streams,
+             clamp: tuple | None = None, score=None) -> EnsembleResult:
     """Perturb every row of ``X`` N times, predict every candidate, aggregate.
 
-    Row i draws its noise from ``streams[i]``. Rows run BLOCK_ROWS at a time,
-    one model call per block. ``clamp=(lo, hi)`` clips reconstructed
-    candidates into the valid input range before prediction; off by default.
-    When no candidate gets noise the N candidates coincide, so each row is
-    predicted once, alone, and the result equals the plain model output bit
-    for bit.
+    ``sched`` is one :class:`NoiseSchedule` or a grid of schedules with one
+    ensemble size. On a grid, ``score`` maps the [b, *out] ensemble means of
+    b rows to one score per row, and each row keeps its best-scoring
+    ensemble; ties go to the earlier schedule. Row i draws its noise from
+    ``streams[i]`` on every schedule, so each row is projected and its
+    standard normals are drawn once, and the schedules only rescale them.
+
+    Rows run BLOCK_ROWS at a time, one model call per block and schedule.
+    ``clamp=(lo, hi)`` clips reconstructed candidates into the valid input
+    range before prediction; off by default. When no candidate of a
+    schedule gets noise the N candidates coincide, so each row is predicted
+    once, alone, and the result equals the plain model output bit for bit.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0 or len(streams) != X.shape[0]:
         raise ShapeError(f"need a non-empty [B, d] block and one stream per row, "
                          f"got shape {X.shape} and {len(streams)} streams")
-    sig = perturb.per_component_sigma(sched, s)
+    scheds = [sched] if isinstance(sched, NoiseSchedule) else list(sched)
+    if len({sc.ensemble_size for sc in scheds}) != 1 or (len(scheds) > 1 and score is None):
+        raise ParamError("a schedule grid needs one ensemble size and a score")
+    sigs = np.stack([perturb.per_component_sigma(sc, s) for sc in scheds])
+    parts = [_best_ensembles(model, s, sigs, X[lo:lo + BLOCK_ROWS],
+                             streams[lo:lo + BLOCK_ROWS], clamp, score)
+             for lo in range(0, X.shape[0], BLOCK_ROWS)]
+    mean, std, pick = (np.concatenate(p) for p in zip(*parts))
+    return EnsembleResult(mean, std, np.array([sc.sigma for sc in scheds])[pick])
+
+
+def _best_ensembles(model, s, sigs, X, streams, clamp, score):
+    """Mean, std and the winning schedule's index for each row of one block."""
+    draws = perturb.draw_latents(sigs, s, X, streams)
+    for g, sig in enumerate(sigs):
+        mean, std = _ensemble(model, s, sig, draws, clamp)
+        if g == 0:
+            best_mean, best_std, pick = mean, std, np.zeros(len(X), dtype=np.intp)
+            best_score = score(mean) if score is not None else None
+            continue
+        new_score = score(mean)
+        better = new_score > best_score
+        best_score = np.where(better, new_score, best_score)
+        best_mean[better], best_std[better], pick[better] = mean[better], std[better], g
+    return best_mean, best_std, pick
+
+
+def _ensemble(model, s, sig, draws, clamp):
+    """Mean and std of the ensembles of one noise matrix over one block."""
     quiet = not sig.any()
+    cands = make_candidates(sig[:1] if quiet else sig, s, draws)
+    if clamp is not None:
+        cands = np.clip(cands, clamp[0], clamp[1])
     if quiet:
-        sig = sig[:1]
-    parts = []
-    for lo in range(0, X.shape[0], BLOCK_ROWS):
-        cands = make_candidates(sig, s, X[lo:lo + BLOCK_ROWS], streams[lo:lo + BLOCK_ROWS])
-        if clamp is not None:
-            cands = np.clip(cands, clamp[0], clamp[1])
-        if quiet:
-            out = np.stack([model.predict(c) for c in cands])
-        else:
-            out = np.asarray(model.predict(cands.reshape(-1, s.d)))
-            out = out.reshape(cands.shape[:2] + out.shape[1:])
-        parts.append(_aggregate(out))
-    mean, std = (np.concatenate(p) for p in zip(*parts))
-    return EnsembleResult(mean, std, np.full(X.shape[0], sched.sigma))
+        out = np.stack([model.predict(c) for c in cands])
+    else:
+        out = np.asarray(model.predict(cands.reshape(-1, s.d)))
+        out = out.reshape(cands.shape[:2] + out.shape[1:])
+    return _aggregate(out)
 
 
 @dataclass(frozen=True)
@@ -126,30 +155,22 @@ def select_sigma(model, s: Subspace, strategy: str, X: np.ndarray,
     Classification maximizes the top-class probability of the mean
     prediction; segmentation maximizes the number of pixels whose mean
     foreground probability clears the confidence threshold on either side.
-    Ties go to the smaller sigma. Every grid point is evaluated with the
-    same streams, so candidates differ only in noise scale. Returns the
-    chosen sigma per row and the ensembles that won.
+    Ties go to the smaller sigma. The whole grid is one engine call on the
+    same streams, so candidates differ only in noise scale, and a row's
+    winner equals its plain ensemble at the chosen sigma bit for bit.
+    Returns the chosen sigma per row and the ensembles that won.
     """
     if not model.output_kind.is_probabilistic:
         raise UnsupportedTaskError(
             f"no uncertainty rule for output kind {model.output_kind.kind!r}"
         )
     threshold = cfg.threshold_for(strategy)
-    best = best_score = None
-    for sigma in cfg.grid:
-        sched = NoiseSchedule(strategy, float(sigma), cfg.ensemble_size,
-                              var_floor=cfg.var_floor, sigma_cap=cfg.sigma_cap)
-        result = run_gtta(model, s, sched, X, streams, clamp=cfg.clamp)
-        score = _confidence(result.mean_prediction, model.output_kind, threshold)
-        if best is None:
-            best, best_score = result, score
-            continue
-        better = score > best_score
-        best_score = np.where(better, score, best_score)
-        best.mean_prediction[better] = result.mean_prediction[better]
-        best.std_map[better] = result.std_map[better]
-        best.chosen_sigma[better] = sigma
-    return best.chosen_sigma, best
+    scheds = [NoiseSchedule(strategy, float(sigma), cfg.ensemble_size,
+                            var_floor=cfg.var_floor, sigma_cap=cfg.sigma_cap)
+              for sigma in cfg.grid]
+    result = run_gtta(model, s, scheds, X, streams, clamp=cfg.clamp,
+                      score=lambda mean: _confidence(mean, model.output_kind, threshold))
+    return result.chosen_sigma, result
 
 
 def uncertainty_weights(result: EnsembleResult, output_kind) -> np.ndarray:

@@ -11,7 +11,8 @@ the explained-variance ratio:
 for candidate j of N. Variance ratios are floored so trailing components
 cannot blow the noise up, and components flagged near-zero-variance get no
 noise at all. Candidates are made for a block of input rows [B, d] at once,
-with one random stream per row.
+with one random stream per row; the rows are projected and their standard
+normals drawn once, and each noise scale only rescales those draws.
 """
 
 from __future__ import annotations
@@ -65,37 +66,59 @@ def per_component_sigma(sched: NoiseSchedule, s: Subspace) -> np.ndarray:
     return out
 
 
-def latent_candidates(sig: np.ndarray, s: Subspace, X: np.ndarray,
-                      streams) -> np.ndarray:
-    """The perturbed latent vectors of the rows of ``X``, shape [B, N, n_u].
+@dataclass(frozen=True)
+class LatentDraws:
+    """A block of input rows with their projections and standard-normal draws.
 
-    ``sig`` is the [N, n_u] matrix of :func:`per_component_sigma`. Candidate
-    j of row b draws its noise from ``streams[b].derive(j)``, so a row's
-    latents never depend on the rows it is blocked with; candidates without
-    noise draw nothing.
+    Only the noise scale depends on sigma, so one set of draws serves every
+    point of a sigma grid.
     """
-    noisy = np.flatnonzero(sig.any(axis=1))
-    z = np.zeros((len(streams), sig.shape[0], s.n_u))
+
+    X: np.ndarray     # [B, d]
+    base: np.ndarray  # [B, n_u], project(s, X)
+    z: np.ndarray     # [B, N, n_u], zero for candidates that get no noise
+
+
+def draw_latents(sig: np.ndarray, s: Subspace, X: np.ndarray, streams) -> LatentDraws:
+    """Project the rows of ``X`` and draw their standard normals, once.
+
+    ``sig`` is one [N, n_u] matrix of :func:`per_component_sigma` or a stack
+    [G, N, n_u] of them. Candidate j of row b draws from
+    ``streams[b].derive(j)`` when any matrix gives it noise, so a row's draws
+    never depend on the rows it is blocked with or on the other noise scales;
+    other candidates draw nothing.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    sig = np.asarray(sig)
+    noisy = np.flatnonzero(sig.reshape(-1, *sig.shape[-2:]).any(axis=(0, 2)))
+    z = np.zeros((len(streams), sig.shape[-2], s.n_u))
     z[:, noisy] = standard_normal(streams, noisy + 1, s.n_u)
-    return project(s, X)[:, None, :] + sig * z
+    return LatentDraws(X, project(s, X), z)
 
 
-def make_candidates(sig: np.ndarray, s: Subspace, X: np.ndarray,
-                    streams) -> np.ndarray:
-    """The reconstructed input-space candidates of the rows of ``X``, shape [B, N, d].
+def latent_candidates(sig: np.ndarray, draws: LatentDraws) -> np.ndarray:
+    """The perturbed latent vectors of the drawn rows, shape [B, N, n_u].
+
+    ``sig`` is the [N, n_u] matrix of :func:`per_component_sigma` that scales
+    the draws.
+    """
+    return draws.base[:, None, :] + sig * draws.z
+
+
+def make_candidates(sig: np.ndarray, s: Subspace, draws: LatentDraws) -> np.ndarray:
+    """The reconstructed input-space candidates of the drawn rows, shape [B, N, d].
 
     A candidate whose row of ``sig`` is zero is the input itself when the
     subspace is full rank, else ``reconstruct(project(x))``, so a zero-noise
     ensemble reproduces the unperturbed input bit for bit.
     """
-    X = np.asarray(X, dtype=np.float64)
     quiet = ~sig.any(axis=1)
-    out = np.empty((X.shape[0], sig.shape[0], s.d))
+    out = np.empty((len(draws.X), sig.shape[0], s.d))
     if not quiet.all():
-        latents = latent_candidates(sig, s, X, streams).reshape(-1, s.n_u)
+        latents = latent_candidates(sig, draws).reshape(-1, s.n_u)
         out[:] = (s.mean + latents @ s.components).reshape(out.shape)
     if quiet.any():
-        base = X if s.full_rank else np.stack([reconstruct(s, p) for p in project(s, X)])
+        base = draws.X if s.full_rank else np.stack([reconstruct(s, p) for p in draws.base])
         out[:, quiet] = base[:, None]
     return out
 

@@ -27,7 +27,7 @@ from .errors import (
     TrainingDivergedError,
 )
 from .rng import RngStream
-from .tensorio import dumps_tensor, load_container, loads_tensor, save_container
+from .tensorio import dumps_tensor, load_container, loads_tensor, save_container, save_json
 
 PROB_EPS = 1e-12
 
@@ -396,9 +396,7 @@ def save_model(model: MlpModel, path) -> None:
         "num_classes": kind.num_classes,
         "image_shape": list(kind.image_shape) if kind.image_shape else None,
     }
-    with open(str(path) + ".json", "w") as fh:
-        json.dump(meta, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    save_json(meta, str(path) + ".json")
 
 
 def load_model(path) -> MlpModel:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .data import Dataset
 from .errors import DataError, FormatError, ParamError, ShapeError
-from .tensorio import load_container, save_container
+from .tensorio import load_container, save_container, save_json
 
 # Components explaining less than this fraction of variance are numerically
 # unreliable; they are kept only under retain="all" and get zero noise later.
@@ -193,9 +193,25 @@ def save_subspace(s: Subspace, path) -> None:
         "fit_fingerprint": s.fit_fingerprint,
         "range_source": s.range_source,
     }
-    with open(str(path) + ".json", "w") as fh:
-        json.dump(meta, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+    save_json(meta, str(path) + ".json")
+
+
+def _load_sidecar(path) -> dict:
+    """The metadata sidecar as a dict; a missing sidecar is allowed and gives {}."""
+    try:
+        with open(path, "rb") as fh:
+            meta = json.loads(fh.read())
+    except FileNotFoundError:
+        return {}
+    except ValueError as exc:
+        raise FormatError(f"subspace sidecar {path} is not JSON: {exc}") from None
+    if not isinstance(meta, dict):
+        raise FormatError(f"subspace sidecar {path} is not a JSON object")
+    if not isinstance(meta.get("fit_fingerprint"), (str, type(None))):
+        raise FormatError(f"subspace sidecar {path}: fit_fingerprint must be a string or null")
+    if meta.get("range_source", "fit_set") not in ("fit_set", "external"):
+        raise FormatError(f"subspace sidecar {path}: range_source must be fit_set or external")
+    return meta
 
 
 def load_subspace(path) -> Subspace:
@@ -211,12 +227,7 @@ def load_subspace(path) -> Subspace:
         raise FormatError(f"subspace {path}: mean {mean.shape}, components {components.shape}, "
                           f"ratios {ratios.shape} and ranges {ranges.shape} are not "
                           "[d], [n_u, d], [n_u] and [n_u]")
-    meta = {}
-    try:
-        with open(str(path) + ".json") as fh:
-            meta = json.load(fh)
-    except (OSError, json.JSONDecodeError):
-        pass  # sidecar is optional on load
+    meta = _load_sidecar(str(path) + ".json")
     return Subspace(
         mean=mean,
         components=components,

@@ -12,11 +12,18 @@ Multi-tensor container::
 CSV files are comma-separated decimal floats, one row per sample, no header
 unless the caller skips one. All tensors are float64; integer-valued data
 (labels, instance ids) is stored as float64 and converted back by the caller.
+
+Every writer goes through :func:`save_bytes`, which writes a temporary file
+next to the target and renames it into place, so an interrupted or failed
+write never leaves a truncated artifact.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import json
+import os
 import struct
 
 import numpy as np
@@ -82,13 +89,32 @@ def loads_tensor(blob: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
     return arr, payload_end
 
 
-def save_tensor(t, path) -> None:
-    blob = dumps_tensor(t)
+def save_bytes(data: bytes, path) -> None:
+    """Write ``data`` to ``path`` through a temporary file and an atomic rename.
+
+    The temporary file sits in the target's directory, so the rename never
+    crosses file systems. A failed write leaves any earlier file at ``path``
+    whole and removes the temporary file.
+    """
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
-        with open(path, "wb") as fh:
-            fh.write(blob)
+        with open(tmp, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc}") from exc
+    finally:
+        with contextlib.suppress(OSError):
+            os.unlink(tmp)
+
+
+def save_json(obj, path) -> None:
+    """Write ``obj`` as sorted, indented JSON with a final newline."""
+    save_bytes((json.dumps(obj, sort_keys=True, indent=2) + "\n").encode(), path)
+
+
+def save_tensor(t, path) -> None:
+    save_bytes(dumps_tensor(t), path)
 
 
 def load_tensor(path, header: bool = False) -> np.ndarray:
@@ -148,11 +174,7 @@ def save_container(sections: dict[str, np.ndarray], path) -> None:
         parts.append(struct.pack("<H", len(encoded)))
         parts.append(encoded)
         parts.append(dumps_tensor(tensor))
-    try:
-        with open(path, "wb") as fh:
-            fh.write(b"".join(parts))
-    except OSError as exc:
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    save_bytes(b"".join(parts), path)
 
 
 def load_container(path) -> dict[str, np.ndarray]:

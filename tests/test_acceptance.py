@@ -24,6 +24,7 @@ from gtta.ensemble import run_gtta
 from gtta.metrics import binary_f_score
 from gtta.perturb import (
     NoiseSchedule,
+    draw_latents,
     latent_candidates,
     latent_sample_covariance,
     per_component_sigma,
@@ -112,7 +113,8 @@ def test_c02_latent_decorrelation():
         s = fit(X, "all")
         sched = NoiseSchedule("constant", 0.05, N)
         target = per_component_sigma(sched, s)
-        latents = latent_candidates(target, s, X[0][None], [RngStream(1900 + k)])[0]
+        draws = draw_latents(target, s, X[0][None], [RngStream(1900 + k)])
+        latents = latent_candidates(target, draws)[0]
         cov, _ = latent_sample_covariance(latents)
         target = target[0]
         for i in range(s.n_u):
@@ -141,8 +143,9 @@ def test_c03_ensemble_variance_decay():
     const_var = []
     for N in sizes:
         sig = per_component_sigma(NoiseSchedule("constant", 0.05, N), s)
-        cands = make_candidates(sig, s, np.tile(x, (M, 1)),
-                                [RngStream(5002).derive(N).derive(m) for m in range(M)])
+        draws = draw_latents(sig, s, np.tile(x, (M, 1)),
+                             [RngStream(5002).derive(N).derive(m) for m in range(M)])
+        cands = make_candidates(sig, s, draws)
         cands = cands.reshape(M * N, -1)
         preds = model.predict(cands).reshape(M, N, 3)
         const_var.append(float(preds.mean(axis=1).var(axis=0, ddof=1).mean()))
@@ -152,8 +155,9 @@ def test_c03_ensemble_variance_decay():
     detail_margin = np.inf
     for N in sizes:
         sig = per_component_sigma(NoiseSchedule("incremental", 0.05, N), s)
-        cands = make_candidates(sig, s, np.tile(x, (M, 1)),
-                                [RngStream(5003).derive(N).derive(m) for m in range(M)])
+        draws = draw_latents(sig, s, np.tile(x, (M, 1)),
+                             [RngStream(5003).derive(N).derive(m) for m in range(M)])
+        cands = make_candidates(sig, s, draws)
         cands = cands.reshape(M * N, -1)
         preds = model.predict(cands).reshape(M, N, 3)
         means = preds.mean(axis=1)

@@ -353,6 +353,31 @@ def test_subspace_shape_mismatch_is_format_error(pipeline, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: FormatError:")
 
 
+@pytest.mark.parametrize("sidecar", [
+    "[1]",                                            # not an object
+    '{"fit_fingerprint": [1], "range_source": 5}',    # fields of the wrong type
+    '{"range_source": "elsewhere"}',                  # unknown range source
+    '{"fit_fingerprint": "ab"',                       # not valid JSON
+])
+def test_bad_subspace_sidecar_is_format_error(pipeline, tmp_path, capsys, sidecar):
+    sub = tmp_path / "subspace.gtt"
+    sub.write_bytes((pipeline / "subspace.gtt").read_bytes())
+    (tmp_path / "subspace.gtt.json").write_text(sidecar)
+    assert run("predict", "--model", str(pipeline / "model.gtt"), "--subspace", str(sub),
+               "--input", str(pipeline / "test_x.gtt"), "--out", str(tmp_path / "o")) == 1
+    assert capsys.readouterr().err.startswith("error: FormatError:")
+
+
+def test_missing_subspace_sidecar_is_allowed(pipeline, tmp_path):
+    from gtta.subspace import load_subspace
+
+    sub = tmp_path / "subspace.gtt"
+    sub.write_bytes((pipeline / "subspace.gtt").read_bytes())
+    assert load_subspace(sub).fit_fingerprint is None
+    assert run("predict", "--model", str(pipeline / "model.gtt"), "--subspace", str(sub),
+               "--input", str(pipeline / "test_x.gtt"), "--out", str(tmp_path / "o")) == 0
+
+
 def test_config_from_another_command_is_rejected(pipeline, tmp_path, capsys):
     assert run("count", "--config", str(pipeline / "pred" / "provenance.json"),
                "--input", str(pipeline / "pred" / "mean.gtt"),

@@ -9,7 +9,7 @@ from gtta.ensemble import (
     uncertainty_weights,
 )
 from gtta.errors import ParamError, ShapeError, UnsupportedTaskError
-from gtta.perturb import NoiseSchedule
+from gtta.perturb import NoiseSchedule, per_component_sigma
 from gtta.predictor import MlpModel, batch_from_dataset, mlp_train
 from gtta.rng import RngStream
 from gtta.subspace import fit
@@ -242,3 +242,47 @@ def test_block_rows_match_one_row_ensembles():
             assert np.allclose(block.std_map[i], one.std_map[0], rtol=0, atol=1e-12)
     with pytest.raises(ShapeError):
         run_gtta(model, s, sched, X, streams[:-1])
+
+
+@pytest.mark.parametrize("strategy", ["constant", "incremental"])
+def test_sigma_grid_draws_once_and_keeps_plain_ensembles(strategy, monkeypatch):
+    # 19 rows span three blocks. Every grid point rescales the same draws, so
+    # one select_sigma makes one generator per row and noisy candidate, not
+    # one per grid point, and each row's winner is the plain ensemble at the
+    # chosen sigma, bit for bit.
+    X = RngStream(40).generator().standard_normal((19, 6))
+    s = fit(X, 4)
+    model = MlpModel([6, 8, 3], OutputKind.probabilities(3), RngStream(41))
+    streams = RngStream(42).rows(len(X))
+    cfg = SigmaSearchConfig(grid=(0.0, 0.1, 0.2, 0.4), ensemble_size=5,
+                            sigma_cap=0.3, clamp=(-1.0, 1.0))
+    noisy = int(per_component_sigma(NoiseSchedule(strategy, 0.1, 5), s).any(axis=1).sum())
+    calls = []
+    generator = RngStream.generator
+
+    def counted(self, reuse=None):
+        calls.append(self)
+        return generator(self, reuse)
+
+    monkeypatch.setattr(RngStream, "generator", counted)
+    chosen, result = select_sigma(model, s, strategy, X, cfg, streams)
+    monkeypatch.setattr(RngStream, "generator", generator)
+    assert len(calls) == len(X) * noisy
+    assert len(set(chosen)) > 1
+    for sigma in cfg.grid:
+        sched = NoiseSchedule(strategy, sigma, 5, sigma_cap=cfg.sigma_cap)
+        plain = run_gtta(model, s, sched, X, streams, clamp=cfg.clamp)
+        won = chosen == sigma
+        assert np.array_equal(result.mean_prediction[won], plain.mean_prediction[won])
+        assert np.array_equal(result.std_map[won], plain.std_map[won])
+
+
+def test_schedule_grid_needs_one_size_and_a_score():
+    s = full_rank_subspace()
+    model = RadialConfidence(1.0)
+    grid = [NoiseSchedule("constant", 0.1, 4), NoiseSchedule("constant", 0.2, 4)]
+    with pytest.raises(ParamError):
+        run_gtta(model, s, grid, s.mean[None], [RngStream(43)])
+    with pytest.raises(ParamError):
+        run_gtta(model, s, [grid[0], NoiseSchedule("constant", 0.2, 5)], s.mean[None],
+                 [RngStream(43)], score=lambda mean: mean.max(axis=1))

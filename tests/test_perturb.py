@@ -6,6 +6,7 @@ import pytest
 from gtta.errors import DataError, ParamError, ShapeError
 from gtta.perturb import (
     NoiseSchedule,
+    draw_latents,
     latent_candidates,
     latent_sample_covariance,
     make_candidates,
@@ -78,7 +79,7 @@ def test_zero_sigma_full_rank_returns_input_exactly():
     s = fit(X, "all")
     x = X[3]
     sig = per_component_sigma(NoiseSchedule("constant", 0.0, 4), s)
-    cands = make_candidates(sig, s, x[None], [RngStream(2)])[0]
+    cands = make_candidates(sig, s, draw_latents(sig, s, x[None], [RngStream(2)]))[0]
     for j in range(4):
         assert np.array_equal(cands[j], x)
 
@@ -89,7 +90,7 @@ def test_zero_sigma_truncated_is_projection_round_trip():
     x = X[0]
     expected = reconstruct(s, project(s, x))
     sig = per_component_sigma(NoiseSchedule("constant", 0.0, 3), s)
-    cands = make_candidates(sig, s, x[None], [RngStream(4)])[0]
+    cands = make_candidates(sig, s, draw_latents(sig, s, x[None], [RngStream(4)]))[0]
     for j in range(3):
         assert np.array_equal(cands[j], expected)
 
@@ -99,7 +100,7 @@ def test_incremental_first_candidate_is_noiseless():
     s = fit(X, 3)
     x = X[1]
     sig = per_component_sigma(NoiseSchedule("incremental", 0.3, 5), s)
-    cands = make_candidates(sig, s, x[None], [RngStream(6)])[0]
+    cands = make_candidates(sig, s, draw_latents(sig, s, x[None], [RngStream(6)]))[0]
     assert np.array_equal(cands[0], reconstruct(s, project(s, x)))
     assert not np.array_equal(cands[1], cands[0])
 
@@ -110,7 +111,7 @@ def test_latent_noise_std_matches_formula():
     s = fit(X, "all")
     sched = NoiseSchedule("constant", 0.1, 10_000)
     target = per_component_sigma(sched, s)
-    latents = latent_candidates(target, s, X[0][None], [RngStream(8)])[0]
+    latents = latent_candidates(target, draw_latents(target, s, X[0][None], [RngStream(8)]))[0]
     target = target[0]
     sample_std = latents.std(axis=0, ddof=1)
     assert np.all(np.abs(sample_std - target) / target < 0.03)
@@ -122,8 +123,8 @@ def test_candidates_match_any_execution_order():
     sched = NoiseSchedule("incremental", 0.2, 8)
     rng = RngStream(10, 3)
     sig = per_component_sigma(sched, s)
-    serial_latents = latent_candidates(sig, s, X[2][None], [rng])[0]
-    serial = make_candidates(sig, s, X[2][None], [rng])[0]
+    serial_latents = latent_candidates(sig, draw_latents(sig, s, X[2][None], [rng]))[0]
+    serial = make_candidates(sig, s, draw_latents(sig, s, X[2][None], [rng]))[0]
 
     def one(j):
         noise = sig[j - 1] * rng.derive(j).generator().standard_normal(s.n_u)
@@ -143,8 +144,9 @@ def test_incremental_distance_nondecreasing():
     sched = NoiseSchedule("incremental", 0.2, 6)
     base = X[0]
     reps = 300
-    cands = make_candidates(per_component_sigma(sched, s), s, np.tile(base, (reps, 1)),
-                            [RngStream(12).derive(r) for r in range(reps)])
+    sig = per_component_sigma(sched, s)
+    draws = draw_latents(sig, s, np.tile(base, (reps, 1)), [RngStream(12).derive(r) for r in range(reps)])
+    cands = make_candidates(sig, s, draws)
     dist = np.linalg.norm(cands - base, axis=2).mean(axis=0)
     assert all(b >= a - 1e-9 for a, b in zip(dist, dist[1:]))
 
@@ -173,8 +175,8 @@ def test_equal_noise_gives_diagonal_covariance():
     )
     # ranges chosen so every per-component std equals s_level at sigma=0.3
     sched = NoiseSchedule("constant", 0.3, n)
-    latents = latent_candidates(per_component_sigma(sched, flat), flat, X[0][None],
-                                [RngStream(14)])[0]
+    sig = per_component_sigma(sched, flat)
+    latents = latent_candidates(sig, draw_latents(sig, flat, X[0][None], [RngStream(14)]))[0]
     cov, eigs = latent_sample_covariance(latents)
     se = s_level**2 / np.sqrt(n - 1)
     off = cov[~np.eye(n_u, dtype=bool)]
@@ -196,7 +198,7 @@ def test_two_component_eigenvalues():
     sched = NoiseSchedule("constant", 1.0, n)
     sig = per_component_sigma(sched, s)
     assert np.allclose(sig[0], [a, b])
-    latents = latent_candidates(sig, s, np.zeros((1, 2)), [RngStream(15)])[0]
+    latents = latent_candidates(sig, draw_latents(sig, s, np.zeros((1, 2)), [RngStream(15)]))[0]
     _, eigs = latent_sample_covariance(latents)
     assert abs(eigs[0] - a**2) < 0.05 * a**2
     assert abs(eigs[1] - b**2) < 0.05 * b**2
@@ -210,7 +212,8 @@ def test_decorrelation_on_random_subspaces():
         s = fit(X, "all")
         sched = NoiseSchedule("constant", 0.05, n)
         target = per_component_sigma(sched, s)
-        latents = latent_candidates(target, s, X[0][None], [RngStream(1900 + seed)])[0]
+        draws = draw_latents(target, s, X[0][None], [RngStream(1900 + seed)])
+        latents = latent_candidates(target, draws)[0]
         cov, _ = latent_sample_covariance(latents)
         target = target[0]
         for i in range(s.n_u):
@@ -225,12 +228,13 @@ def test_block_latents_equal_one_row_latents_bit_for_bit():
     streams = [RngStream(17).derive(i) for i in range(len(X))]
     for sched in (NoiseSchedule("constant", 0.2, 6), NoiseSchedule("incremental", 0.2, 6)):
         sig = per_component_sigma(sched, s)
-        block = latent_candidates(sig, s, X, streams)
-        cands = make_candidates(sig, s, X, streams)
+        draws = draw_latents(sig, s, X, streams)
+        block, cands = latent_candidates(sig, draws), make_candidates(sig, s, draws)
         for i in range(len(X)):
-            assert np.array_equal(block[i], latent_candidates(sig, s, X[i:i + 1], streams[i:i + 1])[0])
+            one_row = draw_latents(sig, s, X[i:i + 1], streams[i:i + 1])
+            assert np.array_equal(block[i], latent_candidates(sig, one_row)[0])
             # reconstruction is one GEMM per block, so only its bits may move
-            one = make_candidates(sig, s, X[i:i + 1], streams[i:i + 1])[0]
+            one = make_candidates(sig, s, one_row)[0]
             assert np.allclose(cands[i], one, rtol=0, atol=1e-12)
 
 

@@ -2,7 +2,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gtta.rng import RngStream
+from gtta.rng import RngStream, standard_normal
 
 
 def normals(rng, n):
@@ -51,3 +51,26 @@ def test_moments_converge_at_five_sigma():
 def test_reproducible_for_any_ids(seed, stream):
     rng = RngStream(seed, stream)
     assert np.array_equal(normals(rng, 8), normals(rng, 8))
+
+
+def test_rekeyed_generator_draws_like_a_new_one():
+    # Re-keying after earlier draws, including a half-used 64-bit word, must
+    # leave no buffered state behind.
+    streams = [RngStream(2**63 + 11, 2**64 - 1), RngStream(2**64 - 1, 0), RngStream(5, 2**63)]
+    gen = RngStream(1, 2).generator()
+    gen.standard_normal(3)
+    gen.integers(0, 2**32, dtype=np.uint32)
+    for stream in streams:
+        assert stream.generator(gen) is gen
+        assert np.array_equal(gen.standard_normal(7), stream.generator().standard_normal(7))
+        assert stream.generator(gen).integers(0, 2**32, dtype=np.uint32) == \
+            stream.generator().integers(0, 2**32, dtype=np.uint32)
+        assert np.array_equal(stream.generator(gen).random(5), stream.generator().random(5))
+
+
+def test_standard_normal_is_named_by_row_stream_and_key():
+    streams = [RngStream(2**63 + 1, 2**64 - 1), RngStream(9, 4)]
+    draws = standard_normal(streams, [3, 1], 6)
+    for b, stream in enumerate(streams):
+        for k, key in enumerate([3, 1]):
+            assert np.array_equal(draws[b, k], stream.derive(key).generator().standard_normal(6))

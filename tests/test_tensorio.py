@@ -5,13 +5,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gtta.errors import DataError, FormatError
+from gtta import tensorio
+from gtta.errors import DataError, FormatError, IoError
 from gtta.tensorio import (
     dumps_tensor,
     load_container,
     load_tensor,
     loads_tensor,
     save_container,
+    save_json,
     save_tensor,
 )
 
@@ -136,3 +138,47 @@ def test_container_truncation(tmp_path):
     broken.write_bytes(path.read_bytes()[:-4])
     with pytest.raises(FormatError):
         load_container(broken)
+
+
+class _FullDisk:
+    """A file that takes a few bytes and then fails like a full disk."""
+
+    def __init__(self, path, mode):
+        self.fh = open(path, mode)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[:5])
+        raise OSError(28, "No space left on device")
+
+
+def _failing_replace(src, dst):
+    raise OSError(13, "Permission denied")
+
+
+@pytest.mark.parametrize("write", [
+    lambda path: save_tensor(np.zeros(3), path),
+    lambda path: save_container({"a": np.zeros(3)}, path),
+    lambda path: save_json({"a": 0}, path),
+])
+@pytest.mark.parametrize("fault", ["write", "rename"])
+def test_failed_write_keeps_the_earlier_file(tmp_path, monkeypatch, write, fault):
+    path = tmp_path / "artifact"
+    path.write_bytes(b"earlier")
+    if fault == "write":
+        monkeypatch.setattr(tensorio, "open", _FullDisk, raising=False)
+    else:
+        monkeypatch.setattr(tensorio.os, "replace", _failing_replace)
+    with pytest.raises(IoError):
+        write(path)
+    monkeypatch.undo()
+    assert path.read_bytes() == b"earlier"
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+    write(path)
+    assert path.read_bytes() != b"earlier"
+    assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
