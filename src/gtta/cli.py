@@ -11,6 +11,7 @@ Exit codes: 0 success, 1 runtime error, 2 usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import shlex
 import sys
@@ -195,15 +196,24 @@ def _parse_output_kind(text: str) -> OutputKind:
                      "use probabilities:C, real, or per-pixel:HxW")
 
 
+@contextlib.contextmanager
 def _load_predictor(args):
+    """The model and the files it was read from, for the length of a ``with`` block.
+
+    An external model's child is closed, with its last checks, when the
+    block ends, so callers write artifacts after the block; if the block
+    raises, the child is killed.
+    """
     if args.model:
-        return load_model(args.model), [args.model, args.model + ".json"]
-    if args.model_cmd:
+        yield load_model(args.model), [args.model, args.model + ".json"]
+    elif args.model_cmd:
         if not args.output_kind:
             raise ParamError("--model-cmd requires --output-kind")
         kind = _parse_output_kind(args.output_kind)
-        return SubprocessPredictor(shlex.split(args.model_cmd), kind), []
-    raise ParamError("need --model or --model-cmd")
+        with SubprocessPredictor(shlex.split(args.model_cmd), kind) as model:
+            yield model, []
+    else:
+        raise ParamError("need --model or --model-cmd")
 
 
 def _default_ensemble_size(args, model) -> int:
@@ -331,12 +341,12 @@ def _cmd_train(args):
 
 
 def _cmd_predict(args):
-    model, model_files = _load_predictor(args)
-    s = load_subspace(args.subspace)
-    rows = np.atleast_2d(load_tensor(args.input))
-    sched = _schedule(args, _default_ensemble_size(args, model))
-    result = run_gtta(model, s, sched, rows, RngStream(args.seed, 0).rows(len(rows)),
-                      clamp=_parse_clamp(args.clamp))
+    with _load_predictor(args) as (model, model_files):
+        s = load_subspace(args.subspace)
+        rows = np.atleast_2d(load_tensor(args.input))
+        sched = _schedule(args, _default_ensemble_size(args, model))
+        result = run_gtta(model, s, sched, rows, RngStream(args.seed, 0).rows(len(rows)),
+                          clamp=_parse_clamp(args.clamp))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     outputs = _emit_ensemble_outputs(result, args.strategy, sched.ensemble_size, out)
@@ -345,19 +355,19 @@ def _cmd_predict(args):
 
 
 def _cmd_auto_sigma(args):
-    model, model_files = _load_predictor(args)
-    s = load_subspace(args.subspace)
-    rows = np.atleast_2d(load_tensor(args.input))
-    cfg = SigmaSearchConfig(
-        grid=_parse_floats(args.grid, "--grid"),
-        ensemble_size=_default_ensemble_size(args, model),
-        confidence_threshold=args.threshold,
-        var_floor=args.var_floor,
-        sigma_cap=args.sigma_cap,
-        clamp=_parse_clamp(args.clamp),
-    )
-    _, result = select_sigma(model, s, args.strategy, rows, cfg,
-                             RngStream(args.seed, 0).rows(len(rows)))
+    with _load_predictor(args) as (model, model_files):
+        s = load_subspace(args.subspace)
+        rows = np.atleast_2d(load_tensor(args.input))
+        cfg = SigmaSearchConfig(
+            grid=_parse_floats(args.grid, "--grid"),
+            ensemble_size=_default_ensemble_size(args, model),
+            confidence_threshold=args.threshold,
+            var_floor=args.var_floor,
+            sigma_cap=args.sigma_cap,
+            clamp=_parse_clamp(args.clamp),
+        )
+        _, result = select_sigma(model, s, args.strategy, rows, cfg,
+                                 RngStream(args.seed, 0).rows(len(rows)))
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     outputs = _emit_ensemble_outputs(result, args.strategy, cfg.ensemble_size, out)
@@ -452,15 +462,15 @@ def _load_eval_data(args, model) -> Dataset:
 
 
 def _analyze_bias_variance(args, out: Path):
-    model, model_files = _load_predictor(args)
-    s = load_subspace(args.subspace)
-    data = _load_eval_data(args, model)
-    grid = _parse_floats(args.grid, "--grid")
-    n = _default_ensemble_size(args, model)
-    report = analysis.bias_variance_sweep(
-        model, s, args.strategy, grid, n, data, args.repeats,
-        RngStream(args.seed, 11), var_floor=args.var_floor,
-    )
+    with _load_predictor(args) as (model, model_files):
+        s = load_subspace(args.subspace)
+        data = _load_eval_data(args, model)
+        grid = _parse_floats(args.grid, "--grid")
+        n = _default_ensemble_size(args, model)
+        report = analysis.bias_variance_sweep(
+            model, s, args.strategy, grid, n, data, args.repeats,
+            RngStream(args.seed, 11), var_floor=args.var_floor,
+        )
     rows = [(r["strategy"], r["sigma"], r["bias2"], r["variance"], r["error"])
             for r in report.rows]
     _write_csv(out / "bias_variance.csv",
@@ -487,13 +497,13 @@ def _analyze_spectrum(args, out: Path):
 
 
 def _analyze_std_error(args, out: Path):
-    model, model_files = _load_predictor(args)
-    s = load_subspace(args.subspace)
-    data = _load_eval_data(args, model)
-    sched = _schedule(args, _default_ensemble_size(args, model))
-    report = analysis.std_error_correlation(
-        model, s, sched, data, RngStream(args.seed, 13), bins=args.bins
-    )
+    with _load_predictor(args) as (model, model_files):
+        s = load_subspace(args.subspace)
+        data = _load_eval_data(args, model)
+        sched = _schedule(args, _default_ensemble_size(args, model))
+        report = analysis.std_error_correlation(
+            model, s, sched, data, RngStream(args.seed, 13), bins=args.bins
+        )
     rows = [
         (float(report.bin_edges[b]), float(report.bin_edges[b + 1]),
          int(report.bin_counts[b]), report.bin_mae[b])

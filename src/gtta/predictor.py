@@ -12,7 +12,12 @@ binary per-pixel targets and a weighted squared error for regression.
 from __future__ import annotations
 
 import json
+import os
+import selectors
+import signal
 import subprocess
+import tempfile
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,15 +26,26 @@ from .data import PER_PIXEL, PROBABILITIES, REAL_VALUES, Dataset, OutputKind
 from .errors import (
     DataError,
     DegenerateWeightError,
+    GttaError,
     ParamError,
     PredictorError,
     ShapeError,
     TrainingDivergedError,
 )
 from .rng import RngStream
-from .tensorio import dumps_tensor, load_container, loads_tensor, save_container, save_json
+from .tensorio import dumps_tensor, load_container, read_tensor, save_container, save_json
 
 PROB_EPS = 1e-12
+
+# Seconds an external model may take to answer one request, or to exit once
+# its stdin is closed, before it is killed.
+REQUEST_TIMEOUT_S = 120.0
+
+# Largest single read from or write to an external model's pipes.
+_IO_CHUNK = 1 << 16
+
+# Bytes of an external model's stderr quoted in an error.
+_STDERR_TAIL = 2000
 
 
 # --------------------------------------------------------------------------
@@ -419,12 +435,19 @@ def load_model(path) -> MlpModel:
 
 
 class SubprocessPredictor:
-    """Runs an external command per batch: tensor on stdin, tensor on stdout.
+    """Runs an external command as one child process: tensors in, tensors out.
 
-    The child receives one binary tensor of shape [b, d] and must write one
-    binary tensor of ``b`` outputs that follow ``output_kind``, and nothing
-    after it. A nonzero exit status or any other output raises
-    :class:`PredictorError`, with the child's stderr attached on failure.
+    The child starts on the first :meth:`predict`. Each call writes one
+    binary tensor of shape [b, d] to the child's stdin and reads exactly one
+    binary tensor of ``b`` outputs that follow ``output_kind`` back from its
+    stdout, so the child must answer each tensor as it arrives and read until
+    EOF. :meth:`close` closes stdin and requires EOF on stdout with nothing
+    left and exit status 0. A reply that is malformed, late by more than
+    ``REQUEST_TIMEOUT_S`` seconds, or followed by stray bytes kills the child
+    and raises :class:`PredictorError`, quoting the tail of its stderr.
+
+    Used as a context manager, the child is closed when the block ends, or
+    killed if the block raises.
     """
 
     def __init__(self, argv: list[str], output_kind: OutputKind):
@@ -432,28 +455,148 @@ class SubprocessPredictor:
             raise ParamError("empty command")
         self.argv = list(argv)
         self.output_kind = output_kind
+        self._proc = None
+        self._request = memoryview(b"")
+        self._deadline = 0.0
+
+    def __enter__(self) -> "SubprocessPredictor":
+        return self
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is None:
+            self.close()
+        else:
+            self._kill()
 
     def predict(self, batch) -> np.ndarray:
         batch = np.atleast_2d(np.asarray(batch, dtype=np.float64))
-        blob = dumps_tensor(batch)
+        request = dumps_tensor(batch)
+        if self._proc is None:
+            self._start()
+        self._deadline = time.monotonic() + REQUEST_TIMEOUT_S
         try:
-            proc = subprocess.run(
-                self.argv, input=blob, stdout=subprocess.PIPE,
-                stderr=subprocess.PIPE, check=False,
-            )
-        except OSError as exc:
-            raise PredictorError(f"cannot spawn {self.argv[0]}: {exc}") from exc
-        if proc.returncode != 0:
-            raise PredictorError(
-                f"{self.argv[0]} exited {proc.returncode}: "
-                f"{proc.stderr.decode(errors='replace').strip()}"
-            )
-        out, end = loads_tensor(proc.stdout)
-        if end != len(proc.stdout):
-            raise PredictorError(
-                f"{self.argv[0]} wrote {len(proc.stdout) - end} bytes after its tensor"
-            )
-        if self.output_kind.kind == REAL_VALUES and out.ndim == 2 and out.shape[1] == 1:
-            out = out[:, 0]
-        self.output_kind.check_outputs(out, batch.shape[0])
+            if self._selector.select(0):  # the child must have nothing more to say
+                self._refuse_stray_output()
+            self._request = memoryview(request)
+            self._selector.register(self._proc.stdin, selectors.EVENT_WRITE)
+            out = read_tensor(self._read)
+            while self._request:  # the child answered before it read all of the request
+                if self._pump():
+                    self._refuse_stray_output()
+            if self.output_kind.kind == REAL_VALUES and out.ndim == 2 and out.shape[1] == 1:
+                out = out[:, 0]
+            self.output_kind.check_outputs(out, batch.shape[0])
+        except GttaError as exc:
+            raise self._fail(str(exc)) from None
         return out
+
+    def close(self) -> None:
+        """End the child: close its stdin, then require EOF, no stray bytes and exit 0."""
+        if self._proc is None:
+            return
+        self._deadline = time.monotonic() + REQUEST_TIMEOUT_S
+        try:
+            self._proc.stdin.close()
+            stray = 0
+            while chunk := self._read_some(_IO_CHUNK):
+                stray += len(chunk)
+            if stray:
+                raise PredictorError(f"wrote {stray} bytes after its last reply")
+            code = self._proc.wait(max(self._deadline - time.monotonic(), 0.0))
+        except subprocess.TimeoutExpired:
+            raise self._fail(f"did not exit within {REQUEST_TIMEOUT_S:g} s of EOF") from None
+        except PredictorError as exc:
+            raise self._fail(str(exc)) from None
+        if code != 0:
+            raise self._fail("failed at EOF")
+        self._release()
+
+    # -- the child ---------------------------------------------------------
+
+    def _start(self) -> None:
+        stderr = tempfile.TemporaryFile()
+        try:
+            proc = subprocess.Popen(self.argv, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                    stderr=stderr, bufsize=0)
+        except OSError as exc:
+            stderr.close()
+            raise PredictorError(f"cannot spawn {self.argv[0]}: {exc}") from exc
+        # Writes take what the pipe holds and return; see _pump.
+        os.set_blocking(proc.stdin.fileno(), False)
+        self._proc, self._stderr = proc, stderr
+        self._selector = selectors.DefaultSelector()
+        self._selector.register(proc.stdout, selectors.EVENT_READ)
+
+    def _refuse_stray_output(self) -> None:
+        """The child's stdout is readable between replies, which is always an error."""
+        if os.read(self._proc.stdout.fileno(), 1):
+            raise PredictorError("wrote bytes after its reply")
+        raise PredictorError("closed its stdout between requests")
+
+    def _read(self, n: int) -> bytes:
+        """Exactly ``n`` bytes of the reply, taken as they arrive."""
+        chunks, got = [], 0
+        while got < n:
+            chunk = self._read_some(min(n - got, _IO_CHUNK))
+            if not chunk:
+                raise PredictorError(f"closed its stdout {got} bytes into a {n}-byte read")
+            chunks.append(chunk)
+            got += len(chunk)
+        return b"".join(chunks)
+
+    def _read_some(self, n: int) -> bytes:
+        """Up to ``n`` bytes from the child's stdout, b"" at EOF."""
+        while not self._pump():
+            pass
+        return os.read(self._proc.stdout.fileno(), n)
+
+    def _pump(self) -> bool:
+        """Wait for the child once, writing what its stdin takes; True if stdout is readable.
+
+        Writing only what the pipe takes, between reads, means a child that
+        answers before it has read the whole request cannot deadlock with us.
+        """
+        left = self._deadline - time.monotonic()
+        if left <= 0:
+            raise PredictorError(f"no answer within {REQUEST_TIMEOUT_S:g} s")
+        readable = False
+        for key, _ in self._selector.select(left):
+            if key.fileobj is self._proc.stdin:
+                self._write_some()
+            else:
+                readable = True
+        return readable
+
+    def _write_some(self) -> None:
+        try:
+            sent = os.write(self._proc.stdin.fileno(), self._request[:_IO_CHUNK])
+        except BrokenPipeError:
+            raise PredictorError("closed its stdin mid-request") from None
+        self._request = self._request[sent:]
+        if not self._request:
+            self._selector.unregister(self._proc.stdin)
+
+    def _fail(self, message: str) -> PredictorError:
+        """Kill the child and describe the failure, with the tail of its stderr."""
+        code, tail = self._kill()
+        if code is not None and code != -signal.SIGKILL:
+            message += f" (it exited {code})"
+        return PredictorError(f"{self.argv[0]}: {message}" + (f"; stderr: {tail}" if tail else ""))
+
+    def _kill(self) -> tuple[int | None, str]:
+        """Kill and reap the child; return its exit status and the tail of its stderr."""
+        if self._proc is None:
+            return None, ""
+        self._proc.kill()
+        code = self._proc.wait()
+        size = self._stderr.seek(0, os.SEEK_END)
+        self._stderr.seek(max(size - _STDERR_TAIL, 0))
+        tail = self._stderr.read().decode(errors="replace").strip()
+        self._release()
+        return code, tail
+
+    def _release(self) -> None:
+        self._selector.close()
+        for f in (self._proc.stdin, self._proc.stdout, self._stderr):
+            f.close()
+        self._proc = None

@@ -228,7 +228,7 @@ def load_subspace(path) -> Subspace:
                           f"ratios {ratios.shape} and ranges {ranges.shape} are not "
                           "[d], [n_u, d], [n_u] and [n_u]")
     meta = _load_sidecar(str(path) + ".json")
-    return Subspace(
+    s = Subspace(
         mean=mean,
         components=components,
         variance_ratios=ratios,
@@ -236,3 +236,9 @@ def load_subspace(path) -> Subspace:
         fit_fingerprint=meta.get("fit_fingerprint"),
         range_source=meta.get("range_source", "fit_set"),
     )
+    # The sizes a sidecar records must be the tensors' own, or it belongs to another fit.
+    for name, actual in (("d", s.d), ("n_u", s.n_u), ("dead_components", int(s.dead.sum()))):
+        if name in meta and (type(meta[name]) is not int or meta[name] != actual):
+            raise FormatError(f"subspace sidecar {path}.json gives {name} = {meta[name]!r}, "
+                              f"but the tensors give {actual}")
+    return s

@@ -58,27 +58,37 @@ def dumps_tensor(t) -> bytes:
     return header + dims + payload
 
 
-def loads_tensor(blob: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
-    """Parse one tensor starting at ``offset``; return (tensor, next offset)."""
-    if blob[offset : offset + 4] != _MAGIC:
+def _header_rank(head: bytes) -> int:
+    """The rank named by a 6-byte tensor header, after checking magic and dtype."""
+    if head[:4] != _MAGIC:
         raise FormatError("bad magic, not a GTT tensor")
-    if len(blob) < offset + 6:
+    if len(head) < 6:
         raise FormatError("truncated header")
-    dtype_code, rank = struct.unpack_from("<BB", blob, offset + 4)
+    dtype_code, rank = head[4], head[5]
     if dtype_code != _DTYPE_F64:
         raise FormatError(f"unsupported dtype code {dtype_code}")
     if rank == 0:
         raise FormatError("rank 0 is not allowed")
-    dims_end = offset + 6 + 8 * rank
-    if len(blob) < dims_end:
-        raise FormatError("truncated dimension list")
-    shape = struct.unpack_from(f"<{rank}Q", blob, offset + 6)
+    return rank
+
+
+def _payload_size(shape) -> int:
     if any(s == 0 for s in shape):
         raise FormatError(f"zero-element dimension in shape {shape}")
     count = 1
     for s in shape:
         count *= s
-    payload_end = dims_end + 8 * count
+    return 8 * count
+
+
+def loads_tensor(blob: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
+    """Parse one tensor starting at ``offset``; return (tensor, next offset)."""
+    rank = _header_rank(blob[offset : offset + 6])
+    dims_end = offset + 6 + 8 * rank
+    if len(blob) < dims_end:
+        raise FormatError("truncated dimension list")
+    shape = struct.unpack_from(f"<{rank}Q", blob, offset + 6)
+    payload_end = dims_end + _payload_size(shape)
     if len(blob) < payload_end:
         raise FormatError("truncated payload")
     arr = np.frombuffer(blob[dims_end:payload_end], dtype="<f8").astype(
@@ -87,6 +97,21 @@ def loads_tensor(blob: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
     if not np.all(np.isfinite(arr)):
         raise DataError("tensor payload contains NaN or Inf")
     return arr, payload_end
+
+
+def read_tensor(read) -> np.ndarray:
+    """Read one tensor through ``read(n)``, which returns exactly ``n`` bytes.
+
+    The header, the dimensions and the payload are asked for one after the
+    other, each only once the part before it has been checked, so ``read``
+    can take a stream's bytes as they arrive instead of trusting a size the
+    header names.
+    """
+    head = read(6)
+    rank = _header_rank(head)
+    dims = read(8 * rank)
+    payload = read(_payload_size(struct.unpack(f"<{rank}Q", dims)))
+    return loads_tensor(head + dims + payload)[0]
 
 
 def save_bytes(data: bytes, path) -> None:
@@ -197,7 +222,10 @@ def load_container(path) -> dict[str, np.ndarray]:
         offset += 2
         if len(blob) < offset + name_len:
             raise FormatError("truncated section name")
-        name = blob[offset : offset + name_len].decode("utf-8")
+        try:
+            name = blob[offset : offset + name_len].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"section name is not UTF-8: {exc}") from None
         offset += name_len
         tensor, offset = loads_tensor(blob, offset)
         sections[name] = tensor

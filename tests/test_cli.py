@@ -3,14 +3,17 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import gtta
+from gtta import predictor
 from gtta.cli import main
-from gtta.tensorio import content_hash, load_tensor, save_tensor
+from gtta.ensemble import BLOCK_ROWS
+from gtta.tensorio import content_hash, dumps_tensor, load_tensor, save_tensor
 
 SRC = Path(gtta.__file__).resolve().parents[1]
 
@@ -211,10 +214,8 @@ def test_commands_do_not_mutate_inputs(pipeline, tmp_path):
     assert {p: content_hash(p) for p in before} == before
 
 
-def test_subprocess_predictor_through_cli(pipeline, tmp_path):
-    import sys
-
-    echo = f"{sys.executable} -c \"import sys; sys.stdout.buffer.write(sys.stdin.buffer.read())\""
+def test_subprocess_predictor_through_cli(pipeline, tmp_path, model_child):
+    echo = model_child().cmd
     out = tmp_path / "echo"
     assert run("predict", "--model-cmd", echo, "--output-kind", "real",
                "--subspace", str(pipeline / "subspace.gtt"),
@@ -358,6 +359,11 @@ def test_subspace_shape_mismatch_is_format_error(pipeline, tmp_path, capsys):
     '{"fit_fingerprint": [1], "range_source": 5}',    # fields of the wrong type
     '{"range_source": "elsewhere"}',                  # unknown range source
     '{"fit_fingerprint": "ab"',                       # not valid JSON
+    '{"d": 7, "n_u": 1, "dead_components": 99}',      # sizes of another fit (d=144)
+    '{"d": 145}',
+    '{"n_u": 1}',
+    '{"dead_components": 1}',
+    '{"n_u": "3"}',                                   # a size that is not an integer
 ])
 def test_bad_subspace_sidecar_is_format_error(pipeline, tmp_path, capsys, sidecar):
     sub = tmp_path / "subspace.gtt"
@@ -376,6 +382,17 @@ def test_missing_subspace_sidecar_is_allowed(pipeline, tmp_path):
     assert load_subspace(sub).fit_fingerprint is None
     assert run("predict", "--model", str(pipeline / "model.gtt"), "--subspace", str(sub),
                "--input", str(pipeline / "test_x.gtt"), "--out", str(tmp_path / "o")) == 0
+
+
+def test_container_with_a_non_utf8_name_is_format_error(pipeline, tmp_path, capsys):
+    blob = bytearray((pipeline / "model.gtt").read_bytes())
+    blob[10] = 0xFF  # first byte of the first section name, after magic, count and length
+    model = tmp_path / "model.gtt"
+    model.write_bytes(bytes(blob))
+    (tmp_path / "model.gtt.json").write_bytes((pipeline / "model.gtt.json").read_bytes())
+    assert run("predict", "--model", str(model), "--subspace", str(pipeline / "subspace.gtt"),
+               "--input", str(pipeline / "test_x.gtt"), "--out", str(tmp_path / "o")) == 1
+    assert capsys.readouterr().err.startswith("error: FormatError:")
 
 
 def test_config_from_another_command_is_rejected(pipeline, tmp_path, capsys):
@@ -427,24 +444,14 @@ def test_bench_trace_sites_fire(pipeline, tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-CHILD = """import sys
-sys.path.insert(0, {src!r})
-import numpy as np
-from gtta.tensorio import dumps_tensor, loads_tensor
-x, _ = loads_tensor(sys.stdin.buffer.read())
-sys.stdout.buffer.write({reply})
-"""
-
-
 @pytest.mark.parametrize("reply", [
     "dumps_tensor(np.clip(x, 0, 1))",                                 # [b, H*W], not [b, H, W]
     "dumps_tensor(3 * x.reshape(-1, 12, 12) - 1)",                    # outside [0, 1]
     "dumps_tensor(np.clip(x, 0, 1).reshape(-1, 12, 12)) + b'extra'",  # bytes after the tensor
 ])
-def test_model_cmd_output_is_checked_against_output_kind(pipeline, tmp_path, capsys, reply):
-    child = tmp_path / "child.py"
-    child.write_text(CHILD.format(src=str(SRC), reply=reply))
-    code = run("predict", "--model-cmd", f"{sys.executable} {child}",
+def test_model_cmd_output_is_checked_against_output_kind(pipeline, tmp_path, capsys, reply,
+                                                         model_child):
+    code = run("predict", "--model-cmd", model_child(reply).cmd,
                "--output-kind", "per-pixel:12x12",
                "--subspace", str(pipeline / "subspace.gtt"),
                "--input", str(pipeline / "test_x.gtt"),
@@ -452,3 +459,94 @@ def test_model_cmd_output_is_checked_against_output_kind(pipeline, tmp_path, cap
     assert code == 1
     assert "error: PredictorError" in capsys.readouterr().err
     assert not (tmp_path / "o" / "std.gtt").exists()
+
+
+# A per-pixel model for the 12x12 pipeline: a steep logistic threshold at 0.5.
+LOGISTIC = "dumps_tensor((0.5 + 0.5 * np.tanh(5 * (x - 0.5))).reshape(-1, 12, 12))"
+
+
+# A per-pixel model whose confidence can rise with noise, so both grid points win rows.
+WAVY = "dumps_tensor((0.5 + 0.5 * np.sin(6 * x)).reshape(-1, 12, 12))"
+
+
+def _alive(pid: int) -> bool:
+    return Path(f"/proc/{pid}").exists()
+
+
+def test_model_cmd_auto_sigma_runs_one_child(pipeline, tmp_path, model_child):
+    # Zero-noise rows are predicted alone, one request each, and the noisy grid
+    # point makes one request per block; every request goes to one child.
+    rows = load_tensor(pipeline / "train_x.gtt")[:13]
+    save_tensor(rows, tmp_path / "x.gtt")
+    child = model_child(WAVY)
+    common = ["--model-cmd", child.cmd, "--output-kind", "per-pixel:12x12",
+              "--subspace", str(pipeline / "subspace.gtt"), "--input", str(tmp_path / "x.gtt"),
+              "--n", "4", "--seed", "3"]
+    assert run("auto-sigma", *common, "--grid", "0,0.1", "--out", str(tmp_path / "a")) == 0
+    pids = child.requests()
+    assert child.started() == pids[:1] and set(pids) == set(pids[:1])
+    assert len(pids) == len(rows) + -(-len(rows) // BLOCK_ROWS)
+    assert not _alive(pids[0])
+
+    # One process per model call gave each row its plain ensemble at the
+    # chosen sigma; the bytes must not depend on how the child is run.
+    chosen = [r["chosen_sigma"] for r in read_json(tmp_path / "a" / "results.json")]
+    plain = {}
+    for sigma in (0.0, 0.1):
+        out = tmp_path / f"plain{sigma}"
+        assert run("predict", *common, "--sigma", str(sigma), "--out", str(out)) == 0
+        plain[sigma] = load_tensor(out / "mean.gtt")
+    assert set(chosen) == {0.0, 0.1}
+    expected = np.stack([plain[sigma][i] for i, sigma in enumerate(chosen)])
+    assert (tmp_path / "a" / "mean.gtt").read_bytes() == dumps_tensor(expected)
+
+
+@pytest.mark.parametrize("hooks, message", [
+    ({"on_request": "time.sleep(600) if k == 2 else None"}, "no answer within"),
+    ({"after_reply": "sys.exit('child quits after one reply') if k == 1 else None"},
+     "child quits after one reply"),
+    ({"reply": f"(b'GTTX' if k == 2 else b'GTT1') + {LOGISTIC}[4:]"}, "bad magic"),
+    ({"at_eof": "sys.exit(3)"}, "exited 3"),
+], ids=["hangs", "quits-early", "bad-header", "exit-status"])
+def test_model_cmd_failure_kills_the_child(pipeline, tmp_path, capsys, monkeypatch, model_child,
+                                           hooks, message):
+    monkeypatch.setattr(predictor, "REQUEST_TIMEOUT_S", 5.0)
+    child = model_child(**({"reply": LOGISTIC} | hooks))
+    out = tmp_path / "o"
+    start = time.monotonic()
+    code = run("auto-sigma", "--model-cmd", child.cmd, "--output-kind", "per-pixel:12x12",
+               "--subspace", str(pipeline / "subspace.gtt"),
+               "--input", str(pipeline / "test_x.gtt"),
+               "--grid", "0,0.1", "--n", "4", "--out", str(out))
+    assert time.monotonic() - start < 30
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "error: PredictorError" in err and message in err
+    assert not (out / "std.gtt").exists()
+    assert child.started() and not any(_alive(pid) for pid in child.started())
+
+
+@pytest.mark.parametrize("argv", [
+    ["predict", "--input", "{root}/test_x.gtt", "--sigma", "0.1"],
+    ["auto-sigma", "--input", "{root}/test_x.gtt", "--grid", "0,0.1"],
+    ["analyze", "bias-variance", "--data", "{root}/test_x.gtt", "--targets", "{root}/test_y.gtt",
+     "--grid", "0,0.1", "--repeats", "2"],
+    ["analyze", "std-error", "--data", "{root}/test_x.gtt", "--targets", "{root}/test_y.gtt",
+     "--sigma", "0.1"],
+], ids=["predict", "auto-sigma", "bias-variance", "std-error"])
+@pytest.mark.parametrize("status", [0, 3])
+def test_model_commands_end_the_child_before_writing(pipeline, tmp_path, capsys, model_child,
+                                                     argv, status):
+    # The child is closed, and its exit status checked, before the first artifact.
+    child = model_child(LOGISTIC, at_eof=f"sys.exit({status})")
+    out = tmp_path / "o"
+    code = run(*[a.format(root=pipeline) for a in argv], "--model-cmd", child.cmd,
+               "--output-kind", "per-pixel:12x12", "--subspace", str(pipeline / "subspace.gtt"),
+               "--n", "4", "--out", str(out))
+    written = sorted(p.name for p in out.iterdir()) if out.exists() else []
+    if status:
+        assert code == 1 and "error: PredictorError" in capsys.readouterr().err
+        assert written == []
+    else:
+        assert code == 0 and "provenance.json" in written
+    assert len(child.started()) == 1 and not _alive(child.started()[0])

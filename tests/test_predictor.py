@@ -1,5 +1,7 @@
 import math
 import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -266,16 +268,11 @@ def test_checkpoint_round_trip(tmp_path):
 # subprocess predictor
 
 
-ECHO = (
-    "import sys; data = sys.stdin.buffer.read(); sys.stdout.buffer.write(data)"
-)
-
-
-def test_subprocess_echo_round_trip():
-    pred = SubprocessPredictor([sys.executable, "-c", ECHO], OutputKind.real_values())
-    batch = RngStream(35).generator().standard_normal((3, 4))
-    out = pred.predict(batch)
-    assert np.array_equal(out, batch)
+def test_subprocess_echo_round_trip(model_child):
+    with SubprocessPredictor(model_child().argv, OutputKind.real_values()) as pred:
+        batch = RngStream(35).generator().standard_normal((3, 4))
+        out = pred.predict(batch)
+        assert np.array_equal(out, batch)
 
 
 def test_subprocess_failure_raises():
@@ -292,3 +289,60 @@ def test_subprocess_garbage_output_raises():
     )
     with pytest.raises(Exception):
         pred.predict(np.ones((2, 2)))
+
+
+def test_subprocess_child_serves_every_request_until_close(model_child):
+    child = model_child()
+    pred = SubprocessPredictor(child.argv, OutputKind.real_values())
+    gen = RngStream(36).generator()
+    for b in (1, 5, 2, 7):
+        batch = gen.standard_normal((b, 3))
+        assert np.array_equal(pred.predict(batch), batch)
+    pred.close()
+    pred.close()
+    assert child.started() == child.requests()[:1] and len(child.requests()) == 4
+    assert not Path(f"/proc/{child.started()[0]}").exists()
+
+
+# Reads only the header of its request, writes a reply larger than a pipe
+# holds, and only then reads the payload: both sides must write at once.
+EARLY_REPLY = """import struct, sys
+import numpy as np
+stdin, stdout = sys.stdin.buffer, sys.stdout.buffer
+head = stdin.read(6)
+b, d = struct.unpack("<2Q", stdin.read(16))
+out = np.full((b, 20000), 0.5)
+stdout.write(b"GTT1" + struct.pack("<BB2Q", 0, 2, *out.shape) + out.tobytes())
+stdout.flush()
+stdin.read(8 * b * d)
+sys.exit(stdin.read() != b"")
+"""
+
+
+def test_subprocess_child_may_answer_before_it_reads_the_request():
+    pred = SubprocessPredictor([sys.executable, "-c", EARLY_REPLY], OutputKind.real_values())
+    replies = []
+    # A deadlock blocks in a system call, so watch it from a thread with a timeout.
+    worker = threading.Thread(target=lambda: replies.append(pred.predict(np.ones((4, 20000)))),
+                              daemon=True)
+    worker.start()
+    worker.join(60)
+    assert not worker.is_alive()
+    pred.close()
+    assert replies[0].shape == (4, 20000) and np.all(replies[0] == 0.5)
+
+
+@pytest.mark.parametrize("reply, after_reply, message", [
+    ("dumps_tensor(x)[:-8] + bytes(6) + bytes([0xF8, 0x7F])", "pass", "NaN"),
+    ("b'GTT1' + bytes([0, 1]) + (1 << 60).to_bytes(8, 'little')", "sys.exit(0)",
+     "closed its stdout"),
+    ("dumps_tensor(x) + b'!'", "pass", "wrote bytes after its reply"),
+], ids=["non-finite", "claims-2**60-values", "stray-byte"])
+def test_subprocess_bad_reply_kills_the_child(model_child, reply, after_reply, message):
+    child = model_child(reply, after_reply=after_reply)
+    pred = SubprocessPredictor(child.argv, OutputKind.real_values())
+    with pytest.raises(PredictorError, match=message):
+        for _ in range(2):
+            pred.predict(np.ones((2, 3)))
+    assert not Path(f"/proc/{child.started()[0]}").exists()
+    pred.close()  # nothing left to close

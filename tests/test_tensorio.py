@@ -1,3 +1,4 @@
+import io
 import struct
 
 import numpy as np
@@ -12,6 +13,7 @@ from gtta.tensorio import (
     load_container,
     load_tensor,
     loads_tensor,
+    read_tensor,
     save_container,
     save_json,
     save_tensor,
@@ -182,3 +184,58 @@ def test_failed_write_keeps_the_earlier_file(tmp_path, monkeypatch, write, fault
     write(path)
     assert path.read_bytes() != b"earlier"
     assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
+
+
+def _exact_reader(blob):
+    stream = io.BytesIO(blob)
+
+    def read(n):
+        data = stream.read(min(n, len(blob) + 1))
+        if len(data) < n:
+            raise FormatError("short read")
+        return data
+
+    return read
+
+
+_TENSOR_BLOB = dumps_tensor(np.arange(6.0).reshape(2, 3))
+_CONTAINER_BLOB = (
+    b"GTTC" + struct.pack("<I", 2)
+    + struct.pack("<H", 4) + b"mean" + dumps_tensor(np.ones(3))
+    + struct.pack("<H", 2) + b"w0" + dumps_tensor(np.eye(2))
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(
+    container=st.booleans(),
+    edits=st.lists(st.tuples(st.integers(0, 1 << 16), st.integers(0, 255)), max_size=4),
+    cut=st.one_of(st.none(), st.integers(0, 1 << 16)),
+)
+def test_mutated_blobs_raise_only_format_or_data_errors(tmp_path_factory, container, edits, cut):
+    blob = bytearray(_CONTAINER_BLOB if container else _TENSOR_BLOB)
+    for pos, byte in edits:
+        blob[pos % len(blob)] = byte
+    if cut is not None:
+        blob = blob[: cut % (len(blob) + 1)]
+    path = tmp_path_factory.getbasetemp() / "fuzzed.gtt"
+    path.write_bytes(bytes(blob))
+    if container:
+        readers = [lambda: load_container(path)]
+    else:
+        readers = [lambda: loads_tensor(bytes(blob)), lambda: load_tensor(path),
+                   lambda: read_tensor(_exact_reader(bytes(blob)))]
+    for read in readers:
+        try:
+            read()
+        except (FormatError, DataError):
+            pass
+
+
+def test_read_tensor_takes_the_parts_in_order():
+    sizes = []
+    read = _exact_reader(_TENSOR_BLOB)
+    tensor = read_tensor(lambda n: sizes.append(n) or read(n))
+    assert sizes == [6, 16, 48]
+    assert np.array_equal(tensor, np.arange(6.0).reshape(2, 3))
+
