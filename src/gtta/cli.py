@@ -29,7 +29,7 @@ from .ensemble import (
     run_gtta,
     select_sigma,
 )
-from .errors import GttaError, ParamError
+from .errors import DataError, GttaError, ParamError
 from .perturb import NoiseSchedule
 from .predictor import (
     MlpModel,
@@ -418,6 +418,8 @@ def _cmd_distill(args):
 
 def _cmd_count(args):
     prob = load_tensor(args.input)
+    if prob.ndim not in (2, 3):
+        raise DataError(f"--input must be an [H,W] or [n,H,W] tensor, got shape {prob.shape}")
     if prob.ndim == 2:
         prob = prob[None]
     element = StructuringElement.square(args.elem, args.iters)
@@ -441,8 +443,7 @@ def _cmd_count(args):
 
 
 def _cmd_analyze(args):
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    out = Path(args.out)  # the writers make it, after the experiment
     handler = {
         "bias-variance": _analyze_bias_variance,
         "spectrum": _analyze_spectrum,

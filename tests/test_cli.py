@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -13,6 +14,7 @@ import gtta
 from gtta import predictor
 from gtta.cli import main
 from gtta.ensemble import BLOCK_ROWS
+from gtta.segcount import StructuringElement, count as count_components, erode, label_components
 from gtta.tensorio import content_hash, dumps_tensor, load_tensor, save_tensor
 
 SRC = Path(gtta.__file__).resolve().parents[1]
@@ -237,6 +239,75 @@ def test_count_with_truth_reports_mae(pipeline, tmp_path):
                "--threshold", "0.5", "--min-area", "2", "--truth", str(truth),
                "--out", str(out)) == 0
     assert read_json(out / "counts.json")["mae"] == 0.0
+
+
+# Small maps with many blobs that overlap and have noisy boundaries: erosion
+# splits and removes blobs, and the min-area filter drops the specks it leaves.
+GOLDEN_MAP_SPEC = {"n_images": 6, "height": 40, "width": 48, "blobs_min": 8, "blobs_max": 14,
+                   "radius_min": 1.5, "radius_max": 5.0, "gap": 1.0, "overlap": 0.4,
+                   "boundary_noise": 0.25, "seed": 7}
+GOLDEN_COUNTS_SHA256 = {
+    8: "3b55551d2f7534c0216808341f1d443001684c164efc334ff09849c29d1592da",
+    4: "347d1d5276574388861b66bd14960a5a664b9f54d94fe145b7f872cfc9124a2a",
+}
+
+
+@pytest.fixture(scope="module")
+def golden_maps(tmp_path_factory):
+    root = tmp_path_factory.mktemp("golden")
+    (root / "spec.json").write_text(json.dumps(GOLDEN_MAP_SPEC))
+    assert run("synth", "images", "--spec", str(root / "spec.json"), "--out", str(root)) == 0
+    return root
+
+
+def test_golden_maps_exercise_erosion_and_min_area(golden_maps):
+    element = StructuringElement.square(3)
+    vanished = dropped = 0
+    for prob in load_tensor(golden_maps / "targets.gtt"):
+        blobs, k = label_components(prob > 0.5)
+        eroded = erode(prob > 0.5, element)
+        vanished += k - np.unique(blobs[eroded]).size  # blobs with no pixel left
+        dropped += label_components(eroded)[1] - count_components(prob, 0.5, element).count
+    assert vanished > 0 and dropped > 0
+
+
+@pytest.mark.parametrize("connectivity", [8, 4])
+def test_count_output_is_pinned(golden_maps, tmp_path, connectivity):
+    # The areas are listed in label order, so this pins the component numbering too.
+    out = tmp_path / "c"
+    assert run("count", "--input", str(golden_maps / "targets.gtt"),
+               "--truth", str(golden_maps / "counts.gtt"),
+               "--connectivity", str(connectivity), "--out", str(out)) == 0
+    digest = hashlib.sha256((out / "counts.json").read_bytes()).hexdigest()
+    assert digest == GOLDEN_COUNTS_SHA256[connectivity]
+
+
+@pytest.mark.parametrize("shape", [(5,), (2, 3, 4, 4)], ids=["1-D", "4-D"])
+def test_count_rejects_input_that_is_not_maps(tmp_path, capsys, shape):
+    save_tensor(np.zeros(shape), tmp_path / "x.gtt")
+    assert run("count", "--input", str(tmp_path / "x.gtt"), "--out", str(tmp_path / "o")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: DataError") and err.count("\n") == 1
+    assert "[H,W] or [n,H,W]" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("option, value", [("--elem", "2"), ("--elem", "-3"), ("--elem", "0"),
+                                           ("--min-area", "-3")])
+def test_count_rejects_bad_parameters(pipeline, tmp_path, capsys, option, value):
+    assert run("count", "--input", str(pipeline / "pred" / "mean.gtt"), option, value,
+               "--out", str(tmp_path / "o")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ParamError") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_count_accepts_zero_min_area(pipeline, tmp_path):
+    assert run("count", "--input", str(pipeline / "pred" / "mean.gtt"), "--min-area", "0",
+               "--out", str(tmp_path / "o")) == 0
+    relaxed = read_json(tmp_path / "o" / "counts.json")["counts"]
+    strict = read_json(pipeline / "counts" / "counts.json")["counts"]  # --min-area 2
+    assert [[x for x in r["areas"] if x >= 2] for r in relaxed] == [r["areas"] for r in strict]
 
 
 def test_unknown_flag_exits_2(capsys):
@@ -546,7 +617,7 @@ def test_model_commands_end_the_child_before_writing(pipeline, tmp_path, capsys,
     written = sorted(p.name for p in out.iterdir()) if out.exists() else []
     if status:
         assert code == 1 and "error: PredictorError" in capsys.readouterr().err
-        assert written == []
+        assert not out.exists()
     else:
         assert code == 0 and "provenance.json" in written
     assert len(child.started()) == 1 and not _alive(child.started()[0])

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -45,11 +45,15 @@ def erosion_oracle(mask, element):
     return out
 
 
-def flood_fill_oracle(mask, connectivity):
-    """Stack-based flood fill, independent of the two-pass labeling."""
+def flood_fill_labels(mask, connectivity):
+    """Stack-based flood fill, independent of the run-based labeling.
+
+    Seeds are taken in raster order, so components are numbered 1..K in
+    raster order of their first pixel.
+    """
     mask = np.asarray(mask).astype(bool)
     h, w = mask.shape
-    seen = np.zeros((h, w), dtype=bool)
+    labels = np.zeros((h, w), dtype=np.int64)
     if connectivity == 4:
         neigh = [(-1, 0), (1, 0), (0, -1), (0, 1)]
     else:
@@ -57,19 +61,24 @@ def flood_fill_oracle(mask, connectivity):
     comps = 0
     for i in range(h):
         for j in range(w):
-            if not mask[i, j] or seen[i, j]:
+            if not mask[i, j] or labels[i, j]:
                 continue
             comps += 1
             stack = [(i, j)]
-            seen[i, j] = True
+            labels[i, j] = comps
             while stack:
                 ci, cj = stack.pop()
                 for di, dj in neigh:
                     ni, nj = ci + di, cj + dj
-                    if 0 <= ni < h and 0 <= nj < w and mask[ni, nj] and not seen[ni, nj]:
-                        seen[ni, nj] = True
+                    if 0 <= ni < h and 0 <= nj < w and mask[ni, nj] and not labels[ni, nj]:
+                        labels[ni, nj] = comps
                         stack.append((ni, nj))
-    return comps
+    return labels
+
+
+def flood_fill_oracle(mask, connectivity):
+    """Number of components found by the flood fill."""
+    return int(flood_fill_labels(mask, connectivity).max(initial=0))
 
 
 FULL3 = StructuringElement.square(3)
@@ -145,6 +154,54 @@ def test_labeling_matches_flood_fill(connectivity):
         mask = gen.random((h, w)) > 0.6
         _, k = label_components(mask, connectivity=connectivity)
         assert k == flood_fill_oracle(mask, connectivity)
+
+
+@st.composite
+def label_cases(draw):
+    """A 0/1 grid, drawn random or from a fixed pattern, stored in some dtype and layout."""
+    h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    pattern = draw(st.sampled_from(["random", "ones", "zeros", "checker"]))
+    if pattern == "random":
+        grid = draw(arrays(bool, (h, w), elements=st.booleans()))
+    elif pattern == "checker":  # every component touches the next one only diagonally
+        grid = (np.add.outer(np.arange(h), np.arange(w)) % 2).astype(bool)
+    else:
+        grid = np.full((h, w), pattern == "ones")
+    dtype = draw(st.sampled_from([bool, np.int32, np.float64]))
+    layout = draw(st.sampled_from(["C", "F", "strided"]))
+    return grid, _stored(grid.astype(dtype), layout), draw(st.sampled_from([4, 8]))
+
+
+def _stored(grid, layout):
+    if layout == "F":
+        return np.asfortranarray(grid)
+    if layout == "C":
+        return np.ascontiguousarray(grid)
+    h, w = grid.shape
+    base = np.full((2 * h, 2 * w), 7, dtype=grid.dtype)  # junk between the viewed cells
+    base[::2, ::-2] = grid
+    return base[::2, ::-2]
+
+
+CHECKER = np.array([[1, 0, 1], [0, 1, 0]], dtype=bool)
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=label_cases())
+@example(case=(np.ones((1, 9), bool), np.ones((1, 9), np.int32), 4))
+@example(case=(np.zeros((7, 1), bool), np.zeros((7, 1), np.float64), 8))
+@example(case=(np.ones((5, 6), bool), np.ones((5, 6), np.float64, order="F"), 8))
+@example(case=(np.zeros((4, 5), bool), _stored(np.zeros((4, 5), np.int32), "strided"), 4))
+@example(case=(CHECKER, _stored(CHECKER.astype(np.float64), "strided"), 4))
+@example(case=(CHECKER, np.asfortranarray(CHECKER.astype(np.int32)), 8))
+def test_label_grid_matches_flood_fill_numbering(case):
+    grid, stored, connectivity = case
+    assert np.array_equal(stored, grid)
+    labels, k = label_components(stored, connectivity=connectivity)
+    expected = flood_fill_labels(grid, connectivity)
+    assert labels.shape == grid.shape
+    assert np.array_equal(labels, expected)
+    assert k == int(expected.max(initial=0))
 
 
 def test_labels_are_contiguous_ids():
