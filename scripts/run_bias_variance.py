@@ -18,6 +18,23 @@ from gtta.subspace import fit
 from gtta.synthdata import BlobsSpec, gen_blobs
 
 
+def setup(seed):
+    """The trained classifier, its full-rank subspace and the distractor-carrying eval rows."""
+    train_spec = BlobsSpec(
+        n=300, dim=16, class_sep=3.0, cluster_std=1.0,
+        distractor_amplitude=2.5, distractor_fractions=(0.9, 0.1),
+        pattern_seed=seed, seed=seed,
+    )
+    eval_spec = dataclasses.replace(
+        train_spec, n=160, seed=seed + 1000, distractor_fractions=(0.5, 0.5)
+    )
+    train, ev = gen_blobs(train_spec), gen_blobs(eval_spec)
+    model = MlpModel([16, 32, 2], OutputKind.probabilities(2), RngStream(seed, 50))
+    mlp_train(model, batch_from_dataset(train.data), epochs=120, lr=0.1,
+              rng=RngStream(seed, 51))
+    return model, fit(train.data.inputs, "all"), ev.data.subset(ev.injected)
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seed", type=int, default=0)
@@ -28,22 +45,7 @@ def main():
     args = ap.parse_args()
 
     seed = args.seed
-    train_spec = BlobsSpec(
-        n=300, dim=16, class_sep=3.0, cluster_std=1.0,
-        distractor_amplitude=2.5, distractor_fractions=(0.9, 0.1),
-        pattern_seed=seed, seed=seed,
-    )
-    eval_spec = dataclasses.replace(
-        train_spec, n=160, seed=seed + 1000, distractor_fractions=(0.5, 0.5)
-    )
-    train, ev = gen_blobs(train_spec), gen_blobs(eval_spec)
-    eval_ds = ev.data.subset(ev.injected)
-
-    model = MlpModel([16, 32, 2], OutputKind.probabilities(2), RngStream(seed, 50))
-    mlp_train(model, batch_from_dataset(train.data), epochs=120, lr=0.1,
-              rng=RngStream(seed, 51))
-    s = fit(train.data.inputs, "all")
-
+    model, s, eval_ds = setup(seed)
     grid = tuple(float(tok) for tok in args.grid.split(","))
     rows = []
     for strategy in ("constant", "incremental"):

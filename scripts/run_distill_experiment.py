@@ -27,6 +27,38 @@ def fscore(model, holdout):
     return float(np.mean([binary_f_score(p, t) for p, t in zip(preds, holdout.targets)]))
 
 
+def run_seed(seed, sigma, mixing):
+    """Distill one seed's student with consensus and with flat weights.
+
+    Returns the row of held-out F-scores, the weighted student and the
+    held-out images.
+    """
+    bundle = gen_blob_images(BlobImagesSpec(
+        n_images=80, height=16, width=16, boundary_noise=0.30,
+        input_noise=0.05, seed=seed,
+    ))
+    labeled = Dataset(bundle.data.inputs[:40], bundle.data.targets[:40],
+                      OutputKind.per_pixel(16, 16))
+    unlabeled = Dataset(bundle.data.inputs[40:64], None, OutputKind.per_pixel(16, 16))
+    holdout = Dataset(bundle.data.inputs[64:], bundle.clean_targets[64:],
+                      OutputKind.per_pixel(16, 16))
+    student = MlpModel([256, 48, 256], OutputKind.per_pixel(16, 16), RngStream(seed, 70))
+    mlp_train(student, batch_from_dataset(labeled), epochs=150, lr=0.5,
+              rng=RngStream(seed, 71))
+    s = fit(labeled.inputs, 0.99)
+    pseudo = generate_pseudolabels(
+        student, s, NoiseSchedule("constant", sigma, 15), unlabeled, RngStream(seed, 72),
+    )
+    flat = PseudoLabelSet(pseudo.inputs, pseudo.teacher_targets,
+                          np.ones_like(pseudo.weights), pseudo.provenance)
+    kwargs = dict(mixing=mixing, epochs=60, lr=0.5, rng=RngStream(seed, 73))
+    model_w, _ = distill(student, labeled, pseudo, **kwargs)
+    model_u, _ = distill(student, labeled, flat, **kwargs)
+    row = {"seed": seed, "weighted": fscore(model_w, holdout),
+           "unweighted": fscore(model_u, holdout), "base": fscore(student, holdout)}
+    return row, model_w, holdout
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seeds", type=int, default=20)
@@ -37,33 +69,10 @@ def main():
 
     rows = []
     for seed in range(args.seeds):
-        bundle = gen_blob_images(BlobImagesSpec(
-            n_images=80, height=16, width=16, boundary_noise=0.30,
-            input_noise=0.05, seed=seed,
-        ))
-        labeled = Dataset(bundle.data.inputs[:40], bundle.data.targets[:40],
-                          OutputKind.per_pixel(16, 16))
-        unlabeled = Dataset(bundle.data.inputs[40:64], None, OutputKind.per_pixel(16, 16))
-        holdout = Dataset(bundle.data.inputs[64:], bundle.clean_targets[64:],
-                          OutputKind.per_pixel(16, 16))
-        student = MlpModel([256, 48, 256], OutputKind.per_pixel(16, 16),
-                           RngStream(seed, 70))
-        mlp_train(student, batch_from_dataset(labeled), epochs=150, lr=0.5,
-                  rng=RngStream(seed, 71))
-        s = fit(labeled.inputs, 0.99)
-        pseudo = generate_pseudolabels(
-            student, s, NoiseSchedule("constant", args.sigma, 15), unlabeled,
-            RngStream(seed, 72),
-        )
-        flat = PseudoLabelSet(pseudo.inputs, pseudo.teacher_targets,
-                              np.ones_like(pseudo.weights), pseudo.provenance)
-        kwargs = dict(mixing=args.mixing, epochs=60, lr=0.5, rng=RngStream(seed, 73))
-        model_w, _ = distill(student, labeled, pseudo, **kwargs)
-        model_u, _ = distill(student, labeled, flat, **kwargs)
-        fw, fu = fscore(model_w, holdout), fscore(model_u, holdout)
-        rows.append({"seed": seed, "weighted": fw, "unweighted": fu,
-                     "base": fscore(student, holdout)})
-        print(f"seed {seed:2d}: base {rows[-1]['base']:.4f}  "
+        row = run_seed(seed, args.sigma, args.mixing)[0]
+        rows.append(row)
+        fw, fu = row["weighted"], row["unweighted"]
+        print(f"seed {seed:2d}: base {row['base']:.4f}  "
               f"weighted {fw:.4f}  unweighted {fu:.4f}  delta {fw - fu:+.4f}")
 
     mean_w = float(np.mean([r["weighted"] for r in rows]))

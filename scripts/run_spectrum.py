@@ -16,6 +16,19 @@ from gtta.subspace import fit
 from gtta.synthdata import FrameSequenceSpec, gen_frame_sequence
 
 
+def spectrum_report(seed, stream, components, n, equal_sigma):
+    """Equal-std latent noise and global jitter on the last 30 of 60 frames."""
+    frames = gen_frame_sequence(FrameSequenceSpec(
+        n_frames=60, height=16, width=16, frame_noise=0.05, seed=seed
+    )).frames.inputs
+    s = fit(frames[:30], components)
+    data = Dataset(frames[30:], None, OutputKind.real_values())
+    return covariance_spectrum_experiment(
+        s, NoiseSchedule("constant", 0.1, n), data, n, RngStream(stream),
+        baseline="global_jitter", equal_sigma=equal_sigma,
+    )
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seed", type=int, default=901)
@@ -26,16 +39,7 @@ def main():
     ap.add_argument("--out", default="spectrum_report.json")
     args = ap.parse_args()
 
-    frames = gen_frame_sequence(FrameSequenceSpec(
-        n_frames=60, height=16, width=16, frame_noise=0.05, seed=args.seed
-    )).frames.inputs
-    s = fit(frames[:30], args.components)
-    data = Dataset(frames[30:], None, OutputKind.real_values())
-    report = covariance_spectrum_experiment(
-        s, NoiseSchedule("constant", 0.1, args.n), data, args.n,
-        RngStream(args.stream), baseline="global_jitter",
-        equal_sigma=args.equal_sigma,
-    )
+    report = spectrum_report(args.seed, args.stream, args.components, args.n, args.equal_sigma)
     print("latent-noise eigenvalues :", [f"{v:.5f}" for v in report.eigenvalues])
     print("global-jitter eigenvalues:", [f"{v:.5f}" for v in report.baseline_eigenvalues])
     e = report.eigenvalues

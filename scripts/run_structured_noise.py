@@ -19,6 +19,19 @@ from gtta.rng import RngStream
 from gtta.synthdata import BlobImagesSpec, gen_blob_images, gen_circle_pattern
 
 
+def seed_report(seed, sigma, n, amplitude):
+    """Scrub the ring from 8 held-out images of seed ``seed``'s 40."""
+    bundle = gen_blob_images(BlobImagesSpec(
+        n_images=40, height=16, width=16, input_noise=0.05, seed=100 + seed
+    ))
+    carrier = Dataset(bundle.data.inputs, None, OutputKind.real_values())
+    pattern = gen_circle_pattern(16, 16, radius=5.0, thickness=1.5, amplitude=amplitude)
+    return structured_noise_removal(
+        carrier, pattern, NoiseSchedule("constant", sigma, n), RngStream(seed),
+        inject_fraction=0.5, retain="all", test_count=8,
+    )
+
+
 def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seeds", type=int, default=20)
@@ -30,16 +43,7 @@ def main():
 
     rows = []
     for seed in range(args.seeds):
-        bundle = gen_blob_images(BlobImagesSpec(
-            n_images=40, height=16, width=16, input_noise=0.05, seed=100 + seed
-        ))
-        carrier = Dataset(bundle.data.inputs, None, OutputKind.real_values())
-        pattern = gen_circle_pattern(16, 16, radius=5.0, thickness=1.5,
-                                     amplitude=args.amplitude)
-        report = structured_noise_removal(
-            carrier, pattern, NoiseSchedule("constant", args.sigma, args.n),
-            RngStream(seed), inject_fraction=0.5, retain="all", test_count=8,
-        )
+        report = seed_report(seed, args.sigma, args.n, args.amplitude)
         rows.append({
             "seed": seed,
             "latent_noise": report.correlation,

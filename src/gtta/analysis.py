@@ -28,6 +28,9 @@ from .predictor import one_hot
 from .rng import RngStream, standard_normal
 from .subspace import Subspace, fit, project
 
+# Scales (a, b) of the brightness/contrast baseline (1 + a z_a) x + b z_b.
+JITTER_SCALE = (0.1, 0.1)
+
 
 def _target_rows(eval_data: Dataset) -> np.ndarray:
     if eval_data.targets is None:
@@ -114,18 +117,17 @@ class SpectrumReport:
         }
 
 
-def _global_jitter(X: np.ndarray, streams, N: int, jitter_scale: tuple) -> np.ndarray:
+def _global_jitter(X: np.ndarray, streams, N: int) -> np.ndarray:
     """N brightness/contrast jitters (1 + a z_a) x + b z_b of each row, [B, N, d]."""
     z = standard_normal(streams, range(1, N + 1), 2)
-    sa, sb = jitter_scale
+    sa, sb = JITTER_SCALE
     return (1.0 + sa * z[..., :1]) * X[:, None, :] + sb * z[..., 1:]
 
 
 def covariance_spectrum_experiment(s: Subspace, sched: NoiseSchedule,
                                    inputs: Dataset, N: int, rng: RngStream, *,
                                    baseline: str = "none",
-                                   equal_sigma: float | None = None,
-                                   jitter_scale: tuple = (0.1, 0.1)) -> SpectrumReport:
+                                   equal_sigma: float | None = None) -> SpectrumReport:
     """Eigenvalues of the averaged latent sample covariance over the inputs.
 
     ``equal_sigma`` overrides the schedule with one shared noise std on
@@ -151,7 +153,7 @@ def covariance_spectrum_experiment(s: Subspace, sched: NoiseSchedule,
 
     baseline_eigs = None
     if baseline == "global_jitter":
-        jittered = _global_jitter(X, rng.derive(2).rows(n), N, jitter_scale)
+        jittered = _global_jitter(X, rng.derive(2).rows(n), N)
         baseline_eigs = latent_sample_covariance(
             project(s, jittered.reshape(-1, s.d)).reshape(n, N, s.n_u))[1]
 
@@ -250,8 +252,7 @@ def structured_noise_removal(carrier: Dataset, pattern: np.ndarray,
                              sched: NoiseSchedule, rng: RngStream, *,
                              inject_fraction: float = 0.5,
                              retain="all",
-                             test_count: int | None = None,
-                             jitter_scale: tuple = (0.1, 0.1)) -> StructuredNoiseReport:
+                             test_count: int | None = None) -> StructuredNoiseReport:
     """How much of a fixed additive pattern survives noisy reconstruction.
 
     The pattern is injected into ``inject_fraction`` of the fit rows, the
@@ -283,8 +284,7 @@ def structured_noise_removal(carrier: Dataset, pattern: np.ndarray,
     clean = test_rows[:, None, :]
     sig = per_component_sigma(sched, s)
     cands = make_candidates(sig, s, draw_latents(sig, s, x_pat, rng.derive(2).rows(test_count)))
-    jittered = _global_jitter(x_pat, rng.derive(3).rows(test_count), sched.ensemble_size,
-                              jitter_scale)
+    jittered = _global_jitter(x_pat, rng.derive(3).rows(test_count), sched.ensemble_size)
     gtta_corr = _pattern_correlation(cands - clean, pattern)
     base_corr = _pattern_correlation(jittered - clean, pattern)
 

@@ -23,12 +23,7 @@ from . import analysis, synthdata
 from .distill import distill as run_distill
 from .distill import generate_pseudolabels, save_pseudolabels
 from .data import REAL_VALUES, Dataset, OutputKind, load_dataset
-from .ensemble import (
-    DEFAULT_SIGMA_GRID,
-    SigmaSearchConfig,
-    run_gtta,
-    select_sigma,
-)
+from .ensemble import DEFAULT_SIGMA_GRID, run_gtta, select_sigma
 from .errors import DataError, GttaError, ParamError
 from .perturb import NoiseSchedule
 from .predictor import (
@@ -224,8 +219,8 @@ def _default_ensemble_size(args, model) -> int:
     return DEFAULT_ENSEMBLE
 
 
-def _schedule(args, n: int) -> NoiseSchedule:
-    return NoiseSchedule(args.strategy, args.sigma, n,
+def _schedule(args, n: int, sigma: float | None = None) -> NoiseSchedule:
+    return NoiseSchedule(args.strategy, args.sigma if sigma is None else sigma, n,
                          var_floor=args.var_floor, sigma_cap=args.sigma_cap)
 
 
@@ -358,19 +353,13 @@ def _cmd_auto_sigma(args):
     with _load_predictor(args) as (model, model_files):
         s = load_subspace(args.subspace)
         rows = np.atleast_2d(load_tensor(args.input))
-        cfg = SigmaSearchConfig(
-            grid=_parse_floats(args.grid, "--grid"),
-            ensemble_size=_default_ensemble_size(args, model),
-            confidence_threshold=args.threshold,
-            var_floor=args.var_floor,
-            sigma_cap=args.sigma_cap,
-            clamp=_parse_clamp(args.clamp),
-        )
-        _, result = select_sigma(model, s, args.strategy, rows, cfg,
-                                 RngStream(args.seed, 0).rows(len(rows)))
+        n = _default_ensemble_size(args, model)
+        scheds = [_schedule(args, n, sigma) for sigma in _parse_floats(args.grid, "--grid")]
+        _, result = select_sigma(model, s, scheds, rows, RngStream(args.seed, 0).rows(len(rows)),
+                                 clamp=_parse_clamp(args.clamp), threshold=args.threshold)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    outputs = _emit_ensemble_outputs(result, args.strategy, cfg.ensemble_size, out)
+    outputs = _emit_ensemble_outputs(result, args.strategy, n, out)
     _write_provenance("auto-sigma", args,
                       [args.input, args.subspace] + model_files, outputs, out)
 
@@ -420,6 +409,9 @@ def _cmd_count(args):
     prob = load_tensor(args.input)
     if prob.ndim not in (2, 3):
         raise DataError(f"--input must be an [H,W] or [n,H,W] tensor, got shape {prob.shape}")
+    lo, hi = prob.min(), prob.max()  # the loader has refused NaN and empty tensors
+    if lo < 0 or hi > 1:
+        raise DataError(f"--input must hold probabilities in [0, 1], got values in [{lo}, {hi}]")
     if prob.ndim == 2:
         prob = prob[None]
     element = StructuringElement.square(args.elem, args.iters)

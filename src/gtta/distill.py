@@ -9,14 +9,13 @@ the ensemble's behavior.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import PROBABILITIES, Dataset
 from .ensemble import run_gtta, uncertainty_weights
-from .errors import DataError, ParamError, TrainingDivergedError
+from .errors import ParamError, TrainingDivergedError
 from .perturb import NoiseSchedule
 from .predictor import (
     MlpModel,
@@ -26,7 +25,7 @@ from .predictor import (
 )
 from .rng import RngStream
 from .subspace import Subspace
-from .tensorio import load_container, save_container, save_json
+from .tensorio import save_container, save_json
 
 
 @dataclass(frozen=True)
@@ -68,9 +67,8 @@ def generate_pseudolabels(model, s: Subspace, sched: NoiseSchedule,
 
 def distill(student: MlpModel, labeled: Dataset, pseudo: PseudoLabelSet, *,
             mixing: float, epochs: int, lr: float, rng: RngStream,
-            batch_size: int = 32, holdout: Dataset | None = None,
-            hard_labels: bool = False, restart: bool = False,
-            eval_fn=None) -> tuple[MlpModel, dict]:
+            batch_size: int = 32, hard_labels: bool = False,
+            restart: bool = False) -> tuple[MlpModel, dict]:
     """Train the student on mixing * supervised + (1 - mixing) * pseudo loss.
 
     ``mixing`` = 1 reproduces continued supervised training exactly. A pseudo
@@ -78,7 +76,7 @@ def distill(student: MlpModel, labeled: Dataset, pseudo: PseudoLabelSet, *,
     dropped and training degenerates to the supervised loss at full weight.
     The supervised half shuffles with ``rng.derive(1)`` and the pseudo half
     with ``rng.derive(2)``, so the two halves never perturb each other's
-    order. ``eval_fn(model, holdout) -> float`` is scored once per epoch.
+    order.
     """
     if not 0 <= mixing <= 1:
         raise ParamError(f"mixing must lie in [0, 1], got {mixing}")
@@ -120,10 +118,7 @@ def distill(student: MlpModel, labeled: Dataset, pseudo: PseudoLabelSet, *,
                 model.biases[i] -= lr * (mixing * gbs + (1 - mixing) * gbp)
             losses.append(loss)
             step += 1
-        entry = {"epoch": epoch, "train_loss": float(np.mean(losses))}
-        if holdout is not None and eval_fn is not None:
-            entry["holdout_score"] = float(eval_fn(model, holdout))
-        history.append(entry)
+        history.append({"epoch": epoch, "train_loss": float(np.mean(losses))})
     report = {"mixing": mixing, "epochs": epochs, "lr": lr, "history": history}
     return model, report
 
@@ -161,17 +156,3 @@ def save_pseudolabels(p: PseudoLabelSet, path) -> None:
     )
     save_json(p.provenance, str(path) + ".json")
 
-
-def load_pseudolabels(path) -> PseudoLabelSet:
-    sections = load_container(path)
-    try:
-        with open(str(path) + ".json") as fh:
-            provenance = json.load(fh)
-    except OSError as exc:
-        raise DataError(f"missing provenance sidecar for {path}: {exc}") from exc
-    return PseudoLabelSet(
-        inputs=sections["inputs"],
-        teacher_targets=sections["teacher_targets"],
-        weights=sections["weights"],
-        provenance=provenance,
-    )

@@ -115,28 +115,6 @@ def _ensemble(model, s, sig, draws, clamp):
     return _aggregate(out)
 
 
-@dataclass(frozen=True)
-class SigmaSearchConfig:
-    grid: tuple = DEFAULT_SIGMA_GRID
-    ensemble_size: int = 15
-    confidence_threshold: float | None = None  # default depends on strategy
-    var_floor: float = 1e-6
-    sigma_cap: float | None = None
-    clamp: tuple | None = None
-
-    def __post_init__(self):
-        if len(self.grid) == 0:
-            raise ParamError("sigma grid is empty")
-        g = list(self.grid)
-        if any(v < 0 for v in g) or g != sorted(g):
-            raise ParamError("sigma grid must be sorted and nonnegative")
-
-    def threshold_for(self, strategy: str) -> float:
-        if self.confidence_threshold is not None:
-            return self.confidence_threshold
-        return CONFIDENCE_THRESHOLDS[strategy]
-
-
 def _confidence(mean: np.ndarray, output_kind, threshold: float) -> np.ndarray:
     """Per-row confidence of [B, *out] mean predictions, shape [B]."""
     if output_kind.kind == PROBABILITIES:
@@ -148,27 +126,31 @@ def _confidence(mean: np.ndarray, output_kind, threshold: float) -> np.ndarray:
     raise UnsupportedTaskError("sigma selection needs probability-valued outputs")
 
 
-def select_sigma(model, s: Subspace, strategy: str, X: np.ndarray,
-                 cfg: SigmaSearchConfig, streams) -> tuple[np.ndarray, EnsembleResult]:
-    """Pick, per row of ``X``, the grid noise level whose ensemble is most confident.
+def select_sigma(model, s: Subspace, scheds, X: np.ndarray, streams, *,
+                 clamp: tuple | None = None,
+                 threshold: float | None = None) -> tuple[np.ndarray, EnsembleResult]:
+    """Pick, per row of ``X``, the grid schedule whose ensemble is most confident.
 
-    Classification maximizes the top-class probability of the mean
-    prediction; segmentation maximizes the number of pixels whose mean
-    foreground probability clears the confidence threshold on either side.
-    Ties go to the smaller sigma. The whole grid is one engine call on the
-    same streams, so candidates differ only in noise scale, and a row's
-    winner equals its plain ensemble at the chosen sigma bit for bit.
-    Returns the chosen sigma per row and the ensembles that won.
+    ``scheds`` is the grid: a non-empty list of schedules of one strategy,
+    sorted by sigma. Classification maximizes the top-class probability of
+    the mean prediction; segmentation maximizes the number of pixels whose
+    mean foreground probability clears ``threshold`` on either side, by
+    default the strategy's entry in ``CONFIDENCE_THRESHOLDS``. Ties go to the
+    smaller sigma. The whole grid is one engine call on the same streams, so
+    candidates differ only in noise scale, and a row's winner equals its
+    plain ensemble at the chosen sigma bit for bit. Returns the chosen sigma
+    per row and the ensembles that won.
     """
+    sigmas = [sc.sigma for sc in scheds]
+    if not sigmas or sigmas != sorted(sigmas) or len({sc.strategy for sc in scheds}) != 1:
+        raise ParamError("a sigma grid must be non-empty, sorted by sigma and of one strategy")
     if not model.output_kind.is_probabilistic:
         raise UnsupportedTaskError(
             f"no uncertainty rule for output kind {model.output_kind.kind!r}"
         )
-    threshold = cfg.threshold_for(strategy)
-    scheds = [NoiseSchedule(strategy, float(sigma), cfg.ensemble_size,
-                            var_floor=cfg.var_floor, sigma_cap=cfg.sigma_cap)
-              for sigma in cfg.grid]
-    result = run_gtta(model, s, scheds, X, streams, clamp=cfg.clamp,
+    if threshold is None:
+        threshold = CONFIDENCE_THRESHOLDS[scheds[0].strategy]
+    result = run_gtta(model, s, scheds, X, streams, clamp=clamp,
                       score=lambda mean: _confidence(mean, model.output_kind, threshold))
     return result.chosen_sigma, result
 

@@ -5,12 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 
-def accuracy(pred_labels, true_labels) -> float:
-    pred_labels = np.asarray(pred_labels)
-    true_labels = np.asarray(true_labels)
-    return float(np.mean(pred_labels == true_labels))
-
-
 def binary_f_score(prob_map, truth, threshold: float = 0.5) -> float:
     """F-measure of a thresholded probability map against a binary mask."""
     pred = np.asarray(prob_map) > threshold

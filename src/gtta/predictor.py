@@ -83,9 +83,8 @@ def weighted_cross_entropy(p, y, w, *, binary: bool = False) -> float:
         terms = y * np.log(np.clip(p, PROB_EPS, None)) + (1 - y) * np.log(
             np.clip(1 - p, PROB_EPS, None)
         )
-    else:
-        terms = y * np.log(np.clip(p, PROB_EPS, None))
-    return float(-(wb * terms).sum() / wsum)
+        return float(-(wb * terms).sum() / wsum)
+    return float(-(wb * y * np.log(np.clip(p, PROB_EPS, None))).sum() / wsum)
 
 
 def weighted_squared_error(pred, y, w) -> float:
@@ -263,18 +262,15 @@ class MlpModel:
         kind = self.output_kind.kind
         if kind == PROBABILITIES:
             p = _softmax(z)
-            loss = -(w * y * np.log(np.clip(p, PROB_EPS, None))).sum() / wsum
+            loss = weighted_cross_entropy(p, y, w)
             wy = w * y
             delta = (p * wy.sum(axis=1, keepdims=True) - wy) / wsum
         elif kind == PER_PIXEL:
             p = _sigmoid(z)
-            terms = y * np.log(np.clip(p, PROB_EPS, None)) + (1 - y) * np.log(
-                np.clip(1 - p, PROB_EPS, None)
-            )
-            loss = -(w * terms).sum() / wsum
+            loss = weighted_cross_entropy(p, y, w, binary=True)
             delta = w * (p - y) / wsum
         else:
-            loss = (w * (z - y) ** 2).sum() / wsum
+            loss = weighted_squared_error(z, y, w)
             delta = 2.0 * w * (z - y) / wsum
 
         grads = [None] * len(self.weights)
@@ -282,12 +278,7 @@ class MlpModel:
             grads[i] = (acts[i].T @ delta, delta.sum(axis=0))
             if i > 0:
                 delta = (delta @ self.weights[i].T) * (acts[i] > 0)
-        return float(loss), grads
-
-    def parameters(self):
-        for i in range(len(self.weights)):
-            yield self.weights[i]
-            yield self.biases[i]
+        return loss, grads
 
     @classmethod
     def from_parameters(cls, layer_sizes, output_kind, weights, biases) -> "MlpModel":
@@ -354,45 +345,6 @@ def _apply_update(model, grads, velocity, lr, momentum):
             vw, vb = gw, gb
         model.weights[i] -= lr * vw
         model.biases[i] -= lr * vb
-
-
-def gradient_check(model: MlpModel, batch: WeightedBatch, *, samples: int = 60,
-                   rng: RngStream | None = None, h: float = 1e-5) -> float:
-    """Max relative disagreement between analytic and central-difference gradients.
-
-    Checks a random subset of parameters; intended for small models.
-    """
-    _, grads = model.loss_and_gradients(batch)
-    flat_analytic = np.concatenate([np.r_[gw.ravel(), gb.ravel()] for gw, gb in grads])
-    arrays = []
-    for w, b in zip(model.weights, model.biases):
-        arrays.extend([w, b])
-    total = flat_analytic.size
-    gen = (rng or RngStream(0)).generator()
-    picks = gen.choice(total, size=min(samples, total), replace=False)
-
-    worst = 0.0
-    for flat_index in picks:
-        arr, offset = _locate(arrays, int(flat_index))
-        orig = arr.flat[offset]
-        arr.flat[offset] = orig + h
-        up, _ = model.loss_and_gradients(batch)
-        arr.flat[offset] = orig - h
-        down, _ = model.loss_and_gradients(batch)
-        arr.flat[offset] = orig
-        fd = (up - down) / (2 * h)
-        a = flat_analytic[flat_index]
-        err = abs(a - fd) / max(abs(a), abs(fd), 1e-6)
-        worst = max(worst, err)
-    return worst
-
-
-def _locate(arrays, flat_index):
-    for arr in arrays:
-        if flat_index < arr.size:
-            return arr, flat_index
-        flat_index -= arr.size
-    raise IndexError(flat_index)
 
 
 # --------------------------------------------------------------------------

@@ -43,13 +43,21 @@ class StructuringElement:
 
 
 def erode(mask, element: StructuringElement) -> np.ndarray:
-    """Morphological erosion with zero padding, repeated ``iterations`` times."""
+    """Morphological erosion with zero padding, repeated ``iterations`` times.
+
+    Stops at the first pass that changes nothing; with zero padding that
+    comes within max(H, W) + 1 passes.
+    """
     out = np.asarray(mask).astype(bool)
     eh, ew = element.mask.shape
     ch, cw = eh // 2, ew // 2
     offsets = [(di - ch, dj - cw) for di, dj in zip(*np.nonzero(element.mask))]
     h, w = out.shape
+    last = None
     for _ in range(element.iterations):
+        if last is not None and np.array_equal(last, out):
+            break
+        last = out
         padded = np.zeros((h + 2 * ch, w + 2 * cw), dtype=bool)
         padded[ch : ch + h, cw : cw + w] = out
         acc = np.ones((h, w), dtype=bool)

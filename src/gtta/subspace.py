@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset
 from .errors import DataError, FormatError, ParamError, ShapeError
 from .tensorio import load_container, save_container, save_json
 
@@ -52,8 +51,6 @@ class Subspace:
 
 
 def _as_matrix(reference) -> np.ndarray:
-    if isinstance(reference, Dataset):
-        return reference.inputs
     arr = np.asarray(reference, dtype=np.float64)
     if arr.ndim != 2:
         raise DataError(f"reference must be [n, d], got shape {arr.shape}")

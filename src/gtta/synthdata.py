@@ -88,14 +88,6 @@ class BlobsData:
     spec: BlobsSpec
 
 
-def bayes_accuracy(spec: BlobsSpec) -> float:
-    """Closed-form accuracy of the optimal rule on the clean generator."""
-    from math import erf, sqrt
-
-    z = spec.class_sep / (2.0 * spec.cluster_std)
-    return 0.5 * (1.0 + erf(z / sqrt(2.0)))
-
-
 def gen_blobs(spec: BlobsSpec) -> BlobsData:
     root = RngStream(spec.seed)
     half = spec.n // 2

@@ -4,24 +4,20 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the PASS/FAIL line
 per criterion alongside the measured margins.
 """
 
-import dataclasses
 import json
 import math
 import time
 
 import numpy as np
 
-from gtta.analysis import (
-    bias_variance_sweep,
-    covariance_spectrum_experiment,
-    std_error_correlation,
-    structured_noise_removal,
-)
+import run_bias_variance
+import run_distill_experiment
+import run_spectrum
+import run_structured_noise
+from gtta.analysis import bias_variance_sweep, std_error_correlation
 from gtta.cli import main as cli_main
 from gtta.data import Dataset, OutputKind
-from gtta.distill import PseudoLabelSet, distill, generate_pseudolabels
 from gtta.ensemble import run_gtta
-from gtta.metrics import binary_f_score
 from gtta.perturb import (
     NoiseSchedule,
     draw_latents,
@@ -34,7 +30,6 @@ from gtta.predictor import (
     MlpModel,
     WeightedBatch,
     batch_from_dataset,
-    gradient_check,
     mlp_train,
     one_hot,
     weighted_cross_entropy,
@@ -42,16 +37,9 @@ from gtta.predictor import (
 from gtta.rng import RngStream
 from gtta.segcount import StructuringElement, count, erode, evaluate_counting, label_components
 from gtta.subspace import fit, project, reconstruct
-from gtta.synthdata import (
-    BlobImagesSpec,
-    BlobsSpec,
-    FrameSequenceSpec,
-    gen_blob_images,
-    gen_blobs,
-    gen_circle_pattern,
-    gen_frame_sequence,
-)
+from gtta.synthdata import BlobImagesSpec, gen_blob_images
 from gtta.tensorio import content_hash, load_tensor, save_tensor
+from test_predictor import gradient_check
 
 FULL3 = StructuringElement.square(3)
 
@@ -264,15 +252,8 @@ def test_c05_zero_noise_bit_exact():
 
 def test_c06_spectrum_flat_vs_lowrank_jitter():
     start = time.time()
-    frames = gen_frame_sequence(
-        FrameSequenceSpec(n_frames=60, height=16, width=16, frame_noise=0.05, seed=901)
-    ).frames.inputs
-    s = fit(frames[:30], 3)
-    data = Dataset(frames[30:], None, OutputKind.real_values())
-    report = covariance_spectrum_experiment(
-        s, NoiseSchedule("constant", 0.1, 100), data, 100, RngStream(57),
-        baseline="global_jitter", equal_sigma=0.3,
-    )
+    report = run_spectrum.spectrum_report(seed=901, stream=57, components=3, n=100,
+                                          equal_sigma=0.3)
     e = report.eigenvalues
     spread = float(e.max() / e.min())
     ratio = float(report.baseline_eigenvalues[2] / report.baseline_eigenvalues[0])
@@ -306,15 +287,7 @@ def test_c08_pattern_scrubbing_beats_jitter():
     wins = 0
     margins = []
     for seed in range(20):
-        bundle = gen_blob_images(BlobImagesSpec(
-            n_images=40, height=16, width=16, input_noise=0.05, seed=100 + seed
-        ))
-        carrier = Dataset(bundle.data.inputs, None, OutputKind.real_values())
-        pattern = gen_circle_pattern(16, 16, radius=5.0, thickness=1.5, amplitude=0.8)
-        report = structured_noise_removal(
-            carrier, pattern, NoiseSchedule("constant", 0.1, 15), RngStream(seed),
-            inject_fraction=0.5, retain="all", test_count=8,
-        )
+        report = run_structured_noise.seed_report(seed, sigma=0.1, n=15, amplitude=0.8)
         wins += report.correlation < report.baseline_correlation
         margins.append(report.baseline_correlation - report.correlation)
     ok = wins >= 18
@@ -327,20 +300,7 @@ def test_c09_noise_reduces_bias():
     wins = 0
     identity_dev = 0.0
     for seed in range(20):
-        train_spec = BlobsSpec(
-            n=300, dim=16, class_sep=3.0, cluster_std=1.0,
-            distractor_amplitude=2.5, distractor_fractions=(0.9, 0.1),
-            pattern_seed=seed, seed=seed,
-        )
-        eval_spec = dataclasses.replace(
-            train_spec, n=160, seed=seed + 1000, distractor_fractions=(0.5, 0.5)
-        )
-        train, ev = gen_blobs(train_spec), gen_blobs(eval_spec)
-        eval_ds = ev.data.subset(ev.injected)
-        model = MlpModel([16, 32, 2], OutputKind.probabilities(2), RngStream(seed, 50))
-        mlp_train(model, batch_from_dataset(train.data), epochs=120, lr=0.1,
-                  rng=RngStream(seed, 51))
-        s = fit(train.data.inputs, "all")
+        model, s, eval_ds = run_bias_variance.setup(seed)
         report = bias_variance_sweep(
             model, s, "constant", grid, 10, eval_ds, 8, RngStream(seed, 52)
         )
@@ -357,35 +317,11 @@ def test_c09_noise_reduces_bias():
 
 
 def test_c10_weighted_distillation():
-    def fscore(model, holdout):
-        preds = model.predict(holdout.inputs)
-        return np.mean([binary_f_score(p, t) for p, t in zip(preds, holdout.targets)])
-
     weighted_scores, unweighted_scores = [], []
     for seed in range(20):
-        bundle = gen_blob_images(BlobImagesSpec(
-            n_images=80, height=16, width=16, boundary_noise=0.30, input_noise=0.05,
-            seed=seed,
-        ))
-        labeled = Dataset(bundle.data.inputs[:40], bundle.data.targets[:40],
-                          OutputKind.per_pixel(16, 16))
-        unlabeled = Dataset(bundle.data.inputs[40:64], None, OutputKind.per_pixel(16, 16))
-        holdout = Dataset(bundle.data.inputs[64:], bundle.clean_targets[64:],
-                          OutputKind.per_pixel(16, 16))
-        student = MlpModel([256, 48, 256], OutputKind.per_pixel(16, 16), RngStream(seed, 70))
-        mlp_train(student, batch_from_dataset(labeled), epochs=150, lr=0.5,
-                  rng=RngStream(seed, 71))
-        s = fit(labeled.inputs, 0.99)
-        pseudo = generate_pseudolabels(
-            student, s, NoiseSchedule("constant", 0.01, 15), unlabeled, RngStream(seed, 72)
-        )
-        flat = PseudoLabelSet(pseudo.inputs, pseudo.teacher_targets,
-                              np.ones_like(pseudo.weights), pseudo.provenance)
-        kwargs = dict(mixing=0.2, epochs=60, lr=0.5, rng=RngStream(seed, 73))
-        model_w, _ = distill(student, labeled, pseudo, **kwargs)
-        model_u, _ = distill(student, labeled, flat, **kwargs)
-        weighted_scores.append(fscore(model_w, holdout))
-        unweighted_scores.append(fscore(model_u, holdout))
+        row, model_w, holdout = run_distill_experiment.run_seed(seed, sigma=0.01, mixing=0.2)
+        weighted_scores.append(row["weighted"])
+        unweighted_scores.append(row["unweighted"])
 
     # the distilled student must cost one forward pass per input
     calls = []

@@ -310,6 +310,28 @@ def test_count_accepts_zero_min_area(pipeline, tmp_path):
     assert [[x for x in r["areas"] if x >= 2] for r in relaxed] == [r["areas"] for r in strict]
 
 
+def test_count_huge_iteration_count_ends(golden_maps, tmp_path):
+    # Erosion stops at its fixed point, at most max(H, W) + 1 = 49 passes here.
+    common = ["count", "--input", str(golden_maps / "targets.gtt"), "--elem", "3"]
+    assert run(*common, "--iters", "49", "--out", str(tmp_path / "a")) == 0
+    start = time.perf_counter()
+    assert run(*common, "--iters", "1000000000", "--out", str(tmp_path / "b")) == 0
+    assert time.perf_counter() - start < 10.0
+    assert content_hash(tmp_path / "a" / "counts.json") == content_hash(tmp_path / "b" / "counts.json")
+
+
+@pytest.mark.parametrize("value", [7.0, -3.0])
+def test_count_rejects_values_outside_unit_range(tmp_path, capsys, value):
+    maps = np.zeros((2, 20, 20))
+    maps[1, 5:15, 5:15] = value
+    save_tensor(maps, tmp_path / "x.gtt")
+    assert run("count", "--input", str(tmp_path / "x.gtt"), "--out", str(tmp_path / "o")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: DataError") and err.count("\n") == 1
+    assert "[0, 1]" in err
+    assert not (tmp_path / "o").exists()
+
+
 def test_unknown_flag_exits_2(capsys):
     with pytest.raises(SystemExit) as info:
         run("predict", "--bogus-flag", "x")

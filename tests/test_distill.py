@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from gtta.distill import (
     PseudoLabelSet,
     distill,
     generate_pseudolabels,
-    load_pseudolabels,
     save_pseudolabels,
 )
 from gtta.errors import ParamError
@@ -20,6 +21,7 @@ from gtta.predictor import (
 from gtta.rng import RngStream
 from gtta.subspace import fit
 from gtta.synthdata import BlobsSpec, gen_blobs
+from gtta.tensorio import load_container
 
 
 def make_setup(seed=0, n=24, d=6):
@@ -82,11 +84,11 @@ def test_pseudolabel_persistence(tmp_path):
                                    unlabeled, RngStream(7))
     path = tmp_path / "pl.gtt"
     save_pseudolabels(pseudo, path)
-    back = load_pseudolabels(path)
-    assert np.array_equal(back.inputs, pseudo.inputs)
-    assert np.array_equal(back.teacher_targets, pseudo.teacher_targets)
-    assert np.array_equal(back.weights, pseudo.weights)
-    assert back.provenance == pseudo.provenance
+    back = load_container(path)
+    assert np.array_equal(back["inputs"], pseudo.inputs)
+    assert np.array_equal(back["teacher_targets"], pseudo.teacher_targets)
+    assert np.array_equal(back["weights"], pseudo.weights)
+    assert json.loads((tmp_path / "pl.gtt.json").read_text()) == pseudo.provenance
 
 
 def _labeled_and_pseudo(seed):

@@ -1,23 +1,22 @@
 import numpy as np
 import pytest
 
+import run_bias_variance
 from gtta.data import OutputKind
-from gtta.ensemble import (
-    SigmaSearchConfig,
-    run_gtta,
-    select_sigma,
-    uncertainty_weights,
-)
+from gtta.ensemble import DEFAULT_SIGMA_GRID, run_gtta, select_sigma, uncertainty_weights
 from gtta.errors import ParamError, ShapeError, UnsupportedTaskError
 from gtta.perturb import NoiseSchedule, per_component_sigma
-from gtta.predictor import MlpModel, batch_from_dataset, mlp_train
+from gtta.predictor import MlpModel
 from gtta.rng import RngStream
 from gtta.subspace import fit
-from gtta.synthdata import BlobsSpec, gen_blobs
 
 
 def full_rank_subspace(seed=0, n=20, d=6):
     return fit(RngStream(seed).generator().standard_normal((n, d)), "all")
+
+
+def sigma_grid(sigmas, n, strategy="constant", **kw):
+    return [NoiseSchedule(strategy, float(sigma), n, **kw) for sigma in sigmas]
 
 
 class FixedOutputs:
@@ -87,8 +86,7 @@ def test_single_point_grid_returns_base():
     s = full_rank_subspace(seed=9)
     model = MlpModel([6, 8, 2], OutputKind.probabilities(2), RngStream(10))
     x = RngStream(11).generator().standard_normal(6)
-    cfg = SigmaSearchConfig(grid=(0.0,), ensemble_size=4)
-    sigma, result = select_sigma(model, s, "constant", x[None], cfg, [RngStream(12)])
+    sigma, result = select_sigma(model, s, sigma_grid((0.0,), 4), x[None], [RngStream(12)])
     assert sigma[0] == 0.0
     assert np.array_equal(result.mean_prediction[0], model.predict(x[None])[0])
 
@@ -96,8 +94,8 @@ def test_single_point_grid_returns_base():
 def test_ties_break_toward_smaller_sigma():
     s = full_rank_subspace(seed=13)
     model = FixedOutputs(np.tile([0.7, 0.3], (8, 1)), OutputKind.probabilities(2))
-    cfg = SigmaSearchConfig(grid=(0.0, 0.1, 0.2), ensemble_size=8)
-    sigma, _ = select_sigma(model, s, "constant", s.mean[None], cfg, [RngStream(14)])
+    sigma, _ = select_sigma(model, s, sigma_grid((0.0, 0.1, 0.2), 8), s.mean[None],
+                            [RngStream(14)])
     assert sigma[0] == 0.0
 
 
@@ -105,21 +103,21 @@ def test_selection_matches_brute_force_oracle():
     s = full_rank_subspace(seed=15, n=30, d=6)
     x = s.mean + 0.1 * s.components[0]
     model = RadialConfidence(target_sq=float((x**2).sum()) + 10.0, width=6.0)
-    cfg = SigmaSearchConfig(grid=(0.0, 0.05, 0.1, 0.15, 0.2), ensemble_size=25)
+    grid = (0.0, 0.05, 0.1, 0.15, 0.2)
     rng = RngStream(16)
-    sigma, _ = select_sigma(model, s, "constant", x[None], cfg, [rng])
+    sigma, _ = select_sigma(model, s, sigma_grid(grid, 25), x[None], [rng])
     sigma = sigma[0]
 
     scores = []
-    for g in cfg.grid:
+    for g in grid:
         sched = NoiseSchedule("constant", float(g), 25)
         result = run_gtta(model, s, sched, x[None], [rng])
         scores.append(float(result.mean_prediction.max()))
     best = min(
         (i for i in range(len(scores))),
-        key=lambda i: (-scores[i], cfg.grid[i]),
+        key=lambda i: (-scores[i], grid[i]),
     )
-    assert sigma == cfg.grid[best]
+    assert sigma == grid[best]
     assert sigma > 0.0  # the planted optimum needs real perturbation
 
 
@@ -127,14 +125,17 @@ def test_regression_selection_unsupported():
     s = full_rank_subspace(seed=17)
     model = MlpModel([6, 4, 1], OutputKind.real_values(), RngStream(18))
     with pytest.raises(UnsupportedTaskError):
-        select_sigma(model, s, "constant", s.mean, SigmaSearchConfig(), RngStream(19))
+        select_sigma(model, s, sigma_grid(DEFAULT_SIGMA_GRID, 15), s.mean, RngStream(19))
 
 
-def test_empty_grid_rejected():
-    with pytest.raises(ParamError):
-        SigmaSearchConfig(grid=())
-    with pytest.raises(ParamError):
-        SigmaSearchConfig(grid=(0.2, 0.1))
+def test_bad_grids_rejected():
+    s = full_rank_subspace()
+    model = MlpModel([6, 4, 2], OutputKind.probabilities(2), RngStream(19))
+    empty, unsorted = [], sigma_grid((0.2, 0.1), 4)
+    mixed = sigma_grid((0.0,), 4) + sigma_grid((0.1,), 4, strategy="incremental")
+    for grid in (empty, unsorted, mixed):
+        with pytest.raises(ParamError):
+            select_sigma(model, s, grid, s.mean[None], [RngStream(20)])
 
 
 def test_segmentation_confidence_counts_both_sides():
@@ -149,17 +150,35 @@ def test_segmentation_confidence_counts_both_sides():
         def predict(self, batch):
             return rows[: np.atleast_2d(batch).shape[0]].copy()
 
-    cfg = SigmaSearchConfig(grid=(0.0,), ensemble_size=2, confidence_threshold=0.8)
-    _, result = select_sigma(TwoMaps(), s, "constant", s.mean[None], cfg, [RngStream(21)])
+    _, result = select_sigma(TwoMaps(), s, sigma_grid((0.0,), 2), s.mean[None], [RngStream(21)],
+                             threshold=0.8)
     # mean map is flat 0.5: nothing confident; the call still succeeds
     assert result.mean_prediction[0].shape == (2, 2)
 
 
 def test_default_thresholds_by_strategy():
-    cfg = SigmaSearchConfig()
-    assert cfg.threshold_for("constant") == 0.8
-    assert cfg.threshold_for("incremental") == 0.75
-    assert SigmaSearchConfig(confidence_threshold=0.6).threshold_for("constant") == 0.6
+    # Off the mean every pixel reads 0.78: confident at a 0.75 cutoff, not at
+    # 0.8. At sigma 0 every candidate sits on the mean and reads 0.5. Under
+    # incremental the first of the 20 candidates gets no noise, so the noisy
+    # ensemble's mean is 0.766, still above 0.75.
+    s = full_rank_subspace(seed=22)
+
+    class OffMean:
+        output_kind = OutputKind.per_pixel(1, 2)
+
+        def predict(self, batch):
+            off = np.abs(np.atleast_2d(batch) - s.mean).max(axis=1) > 1e-9
+            return np.repeat(np.where(off, 0.78, 0.5)[:, None, None], 2, axis=2)
+
+    def chosen(strategy, threshold=None):
+        sigma, _ = select_sigma(OffMean(), s, sigma_grid((0.0, 0.3), 20, strategy),
+                                s.mean[None], [RngStream(23)], threshold=threshold)
+        return sigma[0]
+
+    assert chosen("constant") == 0.0        # default 0.8
+    assert chosen("constant", 0.75) == 0.3
+    assert chosen("incremental") == 0.3     # default 0.75
+    assert chosen("incremental", 0.8) == 0.0
 
 
 def test_uncertainty_weights():
@@ -195,24 +214,9 @@ def test_uncertainty_weights_need_probabilities():
 
 
 def test_distractor_task_mean_accuracy_over_seeds():
-    import dataclasses
-
     accs_base, accs_gtta = [], []
     for seed in range(20):
-        train_spec = BlobsSpec(
-            n=300, dim=16, class_sep=3.0, cluster_std=1.0,
-            distractor_amplitude=2.5, distractor_fractions=(0.9, 0.1),
-            pattern_seed=seed, seed=seed,
-        )
-        eval_spec = dataclasses.replace(
-            train_spec, n=160, seed=seed + 1000, distractor_fractions=(0.5, 0.5)
-        )
-        train, ev = gen_blobs(train_spec), gen_blobs(eval_spec)
-        eval_ds = ev.data.subset(ev.injected)
-        model = MlpModel([16, 32, 2], OutputKind.probabilities(2), RngStream(seed, 50))
-        mlp_train(model, batch_from_dataset(train.data), epochs=120, lr=0.1,
-                  rng=RngStream(seed, 51))
-        s = fit(train.data.inputs, "all")
+        model, s, eval_ds = run_bias_variance.setup(seed)  # c09's classifier and eval rows
         sched = NoiseSchedule("constant", 0.01, 15)
         base = model.predict(eval_ds.inputs).argmax(axis=1)
         streams = [RngStream(seed, 53).derive(i) for i in range(eval_ds.n)]
@@ -254,8 +258,7 @@ def test_sigma_grid_draws_once_and_keeps_plain_ensembles(strategy, monkeypatch):
     s = fit(X, 4)
     model = MlpModel([6, 8, 3], OutputKind.probabilities(3), RngStream(41))
     streams = RngStream(42).rows(len(X))
-    cfg = SigmaSearchConfig(grid=(0.0, 0.1, 0.2, 0.4), ensemble_size=5,
-                            sigma_cap=0.3, clamp=(-1.0, 1.0))
+    grid, clamp = (0.0, 0.1, 0.2, 0.4), (-1.0, 1.0)
     noisy = int(per_component_sigma(NoiseSchedule(strategy, 0.1, 5), s).any(axis=1).sum())
     calls = []
     generator = RngStream.generator
@@ -265,13 +268,14 @@ def test_sigma_grid_draws_once_and_keeps_plain_ensembles(strategy, monkeypatch):
         return generator(self, reuse)
 
     monkeypatch.setattr(RngStream, "generator", counted)
-    chosen, result = select_sigma(model, s, strategy, X, cfg, streams)
+    chosen, result = select_sigma(model, s, sigma_grid(grid, 5, strategy, sigma_cap=0.3), X,
+                                  streams, clamp=clamp)
     monkeypatch.setattr(RngStream, "generator", generator)
     assert len(calls) == len(X) * noisy
     assert len(set(chosen)) > 1
-    for sigma in cfg.grid:
-        sched = NoiseSchedule(strategy, sigma, 5, sigma_cap=cfg.sigma_cap)
-        plain = run_gtta(model, s, sched, X, streams, clamp=cfg.clamp)
+    for sigma in grid:
+        sched = NoiseSchedule(strategy, sigma, 5, sigma_cap=0.3)
+        plain = run_gtta(model, s, sched, X, streams, clamp=clamp)
         won = chosen == sigma
         assert np.array_equal(result.mean_prediction[won], plain.mean_prediction[won])
         assert np.array_equal(result.std_map[won], plain.std_map[won])

@@ -21,7 +21,6 @@ from gtta.predictor import (
     SubprocessPredictor,
     WeightedBatch,
     batch_from_dataset,
-    gradient_check,
     load_model,
     mlp_train,
     one_hot,
@@ -95,6 +94,45 @@ def test_shape_mismatch_rejected():
 
 # --------------------------------------------------------------------------
 # gradients
+
+
+def gradient_check(model: MlpModel, batch: WeightedBatch, *, samples: int = 60,
+                   rng: RngStream | None = None, h: float = 1e-5) -> float:
+    """Max relative disagreement between analytic and central-difference gradients.
+
+    Checks a random subset of parameters; intended for small models.
+    """
+    _, grads = model.loss_and_gradients(batch)
+    flat_analytic = np.concatenate([np.r_[gw.ravel(), gb.ravel()] for gw, gb in grads])
+    arrays = []
+    for w, b in zip(model.weights, model.biases):
+        arrays.extend([w, b])
+    total = flat_analytic.size
+    gen = (rng or RngStream(0)).generator()
+    picks = gen.choice(total, size=min(samples, total), replace=False)
+
+    worst = 0.0
+    for flat_index in picks:
+        arr, offset = _locate(arrays, int(flat_index))
+        orig = arr.flat[offset]
+        arr.flat[offset] = orig + h
+        up, _ = model.loss_and_gradients(batch)
+        arr.flat[offset] = orig - h
+        down, _ = model.loss_and_gradients(batch)
+        arr.flat[offset] = orig
+        fd = (up - down) / (2 * h)
+        a = flat_analytic[flat_index]
+        err = abs(a - fd) / max(abs(a), abs(fd), 1e-6)
+        worst = max(worst, err)
+    return worst
+
+
+def _locate(arrays, flat_index):
+    for arr in arrays:
+        if flat_index < arr.size:
+            return arr, flat_index
+        flat_index -= arr.size
+    raise IndexError(flat_index)
 
 
 def _random_batch(kind, rng, b=6, d=5):

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -121,6 +123,20 @@ def test_element_validation():
         StructuringElement(np.zeros((3, 3), dtype=bool))
     with pytest.raises(ParamError):
         StructuringElement(np.ones((3, 3), dtype=bool), iterations=0)
+
+
+@pytest.mark.parametrize("element", [
+    np.ones((1, 1), dtype=bool),
+    np.ones((3, 3), dtype=bool),
+    np.array([[0, 0, 1], [0, 0, 0], [0, 0, 0]], dtype=bool),  # one cell, off center
+], ids=["side-1", "side-3", "off-center"])
+def test_erosion_stops_once_nothing_changes(element):
+    mask = RngStream(12).generator().random((11, 17)) > 0.15
+    bound = StructuringElement(element, iterations=max(mask.shape) + 1)
+    start = time.perf_counter()
+    out = erode(mask, StructuringElement(element, iterations=10**9))
+    assert time.perf_counter() - start < 5.0
+    assert np.array_equal(out, erosion_oracle(mask, bound))
 
 
 @settings(max_examples=40, deadline=None)

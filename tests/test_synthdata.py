@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from gtta.synthdata import (
     BlobsSpec,
     FrameSequenceSpec,
     TabularSpec,
-    bayes_accuracy,
     gen_blob_images,
     gen_blobs,
     gen_circle_pattern,
@@ -88,6 +88,12 @@ def test_blobs_shared_pattern_across_row_seeds():
     b = gen_blobs(BlobsSpec(n=44, distractor_amplitude=1.0, pattern_seed=9, seed=11))
     assert np.array_equal(a.pattern, b.pattern)
     assert not np.array_equal(a.data.inputs[0], b.data.inputs[0])
+
+
+def bayes_accuracy(spec: BlobsSpec) -> float:
+    """Closed-form accuracy of the optimal rule on the clean generator."""
+    z = spec.class_sep / (2.0 * spec.cluster_std)
+    return 0.5 * (1.0 + math.erf(z / math.sqrt(2.0)))
 
 
 def test_bayes_accuracy_closed_form_oracle():
