@@ -12,6 +12,7 @@ import json
 
 from gtta.analysis import bias_variance_sweep
 from gtta.data import OutputKind
+from gtta.perturb import NoiseSchedule
 from gtta.predictor import MlpModel, batch_from_dataset, mlp_train
 from gtta.rng import RngStream
 from gtta.subspace import fit
@@ -49,8 +50,9 @@ def main():
     grid = tuple(float(tok) for tok in args.grid.split(","))
     rows = []
     for strategy in ("constant", "incremental"):
-        report = bias_variance_sweep(model, s, strategy, grid, args.n, eval_ds,
-                                     args.repeats, RngStream(seed, 52))
+        scheds = [NoiseSchedule(strategy, sigma, args.n) for sigma in grid]
+        report = bias_variance_sweep(model, s, scheds, eval_ds, args.repeats,
+                                     RngStream(seed, 52))
         rows.extend(report.rows)
         for row in report.rows:
             print(f"{strategy:11s} sigma={row['sigma']:<6g} "

@@ -8,7 +8,7 @@ two-parameter manifold across inputs. Prints the eigenvalue curves.
 import argparse
 import json
 
-from gtta.analysis import covariance_spectrum_experiment
+from gtta.analysis import covariance_spectrum_experiment, report_dict
 from gtta.data import Dataset, OutputKind
 from gtta.perturb import NoiseSchedule
 from gtta.rng import RngStream
@@ -24,7 +24,7 @@ def spectrum_report(seed, stream, components, n, equal_sigma):
     s = fit(frames[:30], components)
     data = Dataset(frames[30:], None, OutputKind.real_values())
     return covariance_spectrum_experiment(
-        s, NoiseSchedule("constant", 0.1, n), data, n, RngStream(stream),
+        s, NoiseSchedule("constant", 0.1, n), data, RngStream(stream),
         baseline="global_jitter", equal_sigma=equal_sigma,
     )
 
@@ -47,7 +47,7 @@ def main():
     print(f"noise spread max/min = {e.max() / e.min():.4f}; "
           f"jitter l3/l1 = {b[2] / b[0]:.2e}")
     with open(args.out, "w") as fh:
-        json.dump(report.to_dict(), fh, sort_keys=True, indent=2)
+        json.dump(report_dict(report), fh, sort_keys=True, indent=2)
     print(f"-> {args.out}")
 
 

@@ -8,6 +8,7 @@ latent noise scrubs a fixed structured distractor from the input.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +41,12 @@ def _target_rows(eval_data: Dataset) -> np.ndarray:
     return np.asarray(eval_data.targets, dtype=np.float64)
 
 
+def report_dict(report) -> dict:
+    """The fields of an experiment report as JSON values; arrays become lists."""
+    return {f.name: v.tolist() if isinstance(v := getattr(report, f.name), np.ndarray) else v
+            for f in dataclasses.fields(report)}
+
+
 # --------------------------------------------------------------------------
 # bias / variance / error across noise levels
 
@@ -50,17 +57,13 @@ class BiasVarianceReport:
     ensemble_size: int
     repeats: int
 
-    def to_dict(self) -> dict:
-        return {"rows": self.rows, "ensemble_size": self.ensemble_size,
-                "repeats": self.repeats}
 
+def bias_variance_sweep(model, s: Subspace, scheds, eval_data: Dataset, M: int,
+                        rng: RngStream) -> BiasVarianceReport:
+    """Monte Carlo decomposition of the ensemble error per noise schedule.
 
-def bias_variance_sweep(model, s: Subspace, strategy: str, sigma_grid, N: int,
-                        eval_data: Dataset, M: int, rng: RngStream,
-                        var_floor: float = 1e-6) -> BiasVarianceReport:
-    """Monte Carlo decomposition of the ensemble error per noise level.
-
-    For each sigma, each evaluation input gets M independent N-candidate
+    ``scheds`` is the grid: a non-empty list of schedules of one ensemble
+    size N. For each, each evaluation input gets M independent N-candidate
     ensembles. With grand = mean of the M ensemble means:
 
       bias2    = (grand - target)^2
@@ -69,8 +72,10 @@ def bias_variance_sweep(model, s: Subspace, strategy: str, sigma_grid, N: int,
 
     so error == bias2 + variance identically, all averaged over inputs and
     output elements. Repeat m of input i draws from rng.derive(i).derive(m)
-    for every sigma, so noise levels share their underlying draws.
+    for every schedule, so noise levels share their underlying draws.
     """
+    if len({sched.ensemble_size for sched in scheds}) != 1:
+        raise ParamError("a sigma grid must be non-empty and of one ensemble size")
     if M < 2:
         raise ParamError(f"need at least 2 repeats, got {M}")
     targets = _target_rows(eval_data)
@@ -78,20 +83,19 @@ def bias_variance_sweep(model, s: Subspace, strategy: str, sigma_grid, N: int,
     X = np.repeat(eval_data.inputs, M, axis=0)
     streams = [stream for row in rng.rows(n) for stream in row.rows(M)]
     rows = []
-    for sigma in sigma_grid:
-        sched = NoiseSchedule(strategy, float(sigma), N, var_floor=var_floor)
+    for sched in scheds:
         means = run_gtta(model, s, sched, X, streams).mean_prediction
         ens_means = means.reshape((n, M) + means.shape[1:])
         grand = ens_means.mean(axis=1, keepdims=True)
         y = targets.reshape(grand.shape)
         rows.append({
-            "strategy": strategy,
-            "sigma": float(sigma),
+            "strategy": sched.strategy,
+            "sigma": float(sched.sigma),
             "bias2": float(np.mean((grand - y) ** 2)),
             "variance": float(np.mean((ens_means - grand) ** 2)),
             "error": float(np.mean((ens_means - y) ** 2)),
         })
-    return BiasVarianceReport(rows=rows, ensemble_size=N, repeats=M)
+    return BiasVarianceReport(rows=rows, ensemble_size=scheds[0].ensemble_size, repeats=M)
 
 
 # --------------------------------------------------------------------------
@@ -105,17 +109,6 @@ class SpectrumReport:
     n_inputs: int
     ensemble_size: int
 
-    def to_dict(self) -> dict:
-        return {
-            "eigenvalues": self.eigenvalues.tolist(),
-            "baseline_eigenvalues": (
-                None if self.baseline_eigenvalues is None
-                else self.baseline_eigenvalues.tolist()
-            ),
-            "n_inputs": self.n_inputs,
-            "ensemble_size": self.ensemble_size,
-        }
-
 
 def _global_jitter(X: np.ndarray, streams, N: int) -> np.ndarray:
     """N brightness/contrast jitters (1 + a z_a) x + b z_b of each row, [B, N, d]."""
@@ -125,22 +118,22 @@ def _global_jitter(X: np.ndarray, streams, N: int) -> np.ndarray:
 
 
 def covariance_spectrum_experiment(s: Subspace, sched: NoiseSchedule,
-                                   inputs: Dataset, N: int, rng: RngStream, *,
+                                   inputs: Dataset, rng: RngStream, *,
                                    baseline: str = "none",
                                    equal_sigma: float | None = None) -> SpectrumReport:
     """Eigenvalues of the averaged latent sample covariance over the inputs.
 
+    Each input gets an ensemble of ``sched.ensemble_size`` latent candidates.
     ``equal_sigma`` overrides the schedule with one shared noise std on
     every component. ``baseline="global_jitter"`` also reports the spectrum
     of a two-parameter brightness/contrast transform projected into the
     same latent space.
     """
+    N = sched.ensemble_size
     if N < 2:
         raise ParamError(f"need N >= 2, got {N}")
     if baseline not in ("none", "global_jitter"):
         raise ParamError(f"unknown baseline {baseline!r}")
-    sched = NoiseSchedule(sched.strategy, sched.sigma, N,
-                          var_floor=sched.var_floor, sigma_cap=sched.sigma_cap)
     X, n = inputs.inputs, inputs.n
 
     streams = rng.derive(1).rows(n)
@@ -177,16 +170,6 @@ class CorrelationReport:
     pearson: float | None
     degenerate: bool
     n_elements: int
-
-    def to_dict(self) -> dict:
-        return {
-            "bin_edges": self.bin_edges.tolist(),
-            "bin_mae": self.bin_mae,
-            "bin_counts": self.bin_counts.tolist(),
-            "pearson": self.pearson,
-            "degenerate": self.degenerate,
-            "n_elements": self.n_elements,
-        }
 
 
 def std_error_correlation(model, s: Subspace, sched: NoiseSchedule,
@@ -228,13 +211,6 @@ class StructuredNoiseReport:
     correlation: float             # mean |cos(residual, pattern)| under latent noise
     baseline_correlation: float    # same statistic for the global jitter
     per_row: list = field(repr=False, default_factory=list)
-
-    def to_dict(self) -> dict:
-        return {
-            "correlation": self.correlation,
-            "baseline_correlation": self.baseline_correlation,
-            "per_row": self.per_row,
-        }
 
 
 def _pattern_correlation(residuals: np.ndarray, pattern: np.ndarray) -> np.ndarray:

@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Every run writes its artifacts plus a ``provenance.json`` recording the
-resolved configuration and the content hash of every input and output file.
+resolved configuration and the content hash of every file the command read
+or wrote, as :func:`gtta.tensorio.recording` saw them.
 Re-running a command with ``--config <provenance.json>`` reproduces the
 artifacts byte for byte; explicit flags override config values.
 
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
+import functools
 import shlex
 import sys
 from pathlib import Path
@@ -24,7 +25,7 @@ from .distill import distill as run_distill
 from .distill import generate_pseudolabels, save_pseudolabels
 from .data import REAL_VALUES, Dataset, OutputKind, load_dataset
 from .ensemble import DEFAULT_SIGMA_GRID, run_gtta, select_sigma
-from .errors import DataError, GttaError, ParamError
+from .errors import DataError, FormatError, GttaError, ParamError
 from .perturb import NoiseSchedule
 from .predictor import (
     MlpModel,
@@ -37,7 +38,9 @@ from .predictor import (
 from .rng import RngStream
 from .segcount import StructuringElement, count as count_components, evaluate_counting
 from .subspace import fit, load_subspace, save_subspace
-from .tensorio import content_hash, load_tensor, save_bytes, save_json, save_tensor
+from .tensorio import (
+    content_hash, load_json, load_tensor, recording, save_bytes, save_json, save_tensor,
+)
 
 # Task-level defaults: retained variance, ensemble sizes per task family.
 DEFAULT_RETAIN = 0.99
@@ -47,17 +50,9 @@ DEFAULT_ENSEMBLE_REGRESSION = 100
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
     try:
         config = _load_config(argv)
-        for sub in _all_subparsers(parser):
-            # Only a subcommand's own options are taken from the config; the
-            # provenance of another command or an older version names others.
-            own = {a.dest: config[a.dest] for a in sub._actions if a.dest in config}
-            sub.set_defaults(**own)
-            for action in sub._actions:
-                if action.required and action.dest in own:
-                    action.required = False
+        parser = _build_parser(config)
         args = parser.parse_args(argv)
         if not hasattr(args, "handler"):
             parser.print_usage(sys.stderr)
@@ -65,7 +60,9 @@ def main(argv=None) -> int:
         if config.get("command", args.command) != args.command:
             raise ParamError(f"--config {args.config} is from a {config['command']} run, "
                              f"not {args.command}")
-        args.handler(args)
+        with recording() as record:
+            args.handler(args)
+        _write_provenance(args, record)
     except GttaError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
@@ -76,66 +73,58 @@ def main(argv=None) -> int:
 
 
 def _load_config(argv) -> dict:
-    path = None
-    for i, tok in enumerate(argv):
-        if tok == "--config" and i + 1 < len(argv):
-            path = argv[i + 1]
-        elif tok.startswith("--config="):
-            path = tok.split("=", 1)[1]
+    """The option values a ``--config`` file holds; a provenance record keeps them under "config"."""
+    finder = argparse.ArgumentParser(prog="gtta", add_help=False)
+    finder.add_argument("--config")
+    path = finder.parse_known_args(argv)[0].config
     if path is None:
         return {}
-    with open(path) as fh:
-        try:
-            loaded = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParamError(f"--config {path} is not JSON: {exc}") from None
-    # Provenance files carry the resolved config under "config".
-    return loaded.get("config", loaded) if isinstance(loaded, dict) else {}
+    config = load_json(path)
+    config = config.get("config", config)
+    if not isinstance(config, dict):
+        raise FormatError(f"--config {path}: \"config\" is not a JSON object")
+    return config
 
 
-def _all_subparsers(parser):
-    for action in parser._actions:
-        if isinstance(action, argparse._SubParsersAction):
-            for sub in action.choices.values():
-                yield sub
-                yield from _all_subparsers(sub)
+class _ConfigParser(argparse.ArgumentParser):
+    """A subcommand parser whose options default to the values of a ``--config`` file.
+
+    Only the options a subcommand declares are taken from the config; the
+    provenance of another command or an older version names others.
+    """
+
+    def __init__(self, *args, config, **kwargs):
+        self.config = config
+        super().__init__(*args, **kwargs)
+
+    def add_argument(self, *names, **kwargs):
+        dest = kwargs.get("dest", names[0].lstrip("-").replace("-", "_"))
+        if names[0].startswith("-") and dest in self.config:
+            kwargs.update(default=self.config[dest], required=False)
+        return super().add_argument(*names, **kwargs)
 
 
 # --------------------------------------------------------------------------
 # provenance
 
 
-def _write_provenance(command: str, args, input_paths, output_paths, where):
-    """Record the resolved config and content hashes of inputs and outputs.
+def _write_provenance(args, record) -> None:
+    """Record the resolved config and the content hashes of the files a command read and wrote.
 
-    ``where`` is either a directory (gets a provenance.json inside) or a
-    primary output file (gets a .provenance.json sibling).
+    A directory ``--out`` gets a provenance.json inside; an output file gets
+    a .provenance.json sibling.
     """
-    skip = {"handler", "config"}
-    config = {
-        k: v for k, v in sorted(vars(args).items())
-        if k not in skip and not callable(v)
-    }
-    record = {
-        "command": command,
-        "config": config,
-        "inputs": {str(p): content_hash(p) for p in input_paths if p},
-        "outputs": {str(p): content_hash(p) for p in output_paths},
-    }
-    where = Path(where)
-    path = where / "provenance.json" if where.is_dir() else Path(str(where) + ".provenance.json")
-    path.parent.mkdir(parents=True, exist_ok=True)
-    save_json(record, path)
-    return path
-
-
-def _write_json(obj, path):
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    save_json(obj, path)
+    subject = [getattr(args, k) for k in ("kind", "experiment") if hasattr(args, k)]
+    out = Path(args.out)
+    save_json({
+        "command": " ".join([args.command] + subject),
+        "config": {k: v for k, v in sorted(vars(args).items()) if k not in ("handler", "config")},
+        "inputs": {p: content_hash(p) for p in record["inputs"]},
+        "outputs": {p: content_hash(p) for p in record["outputs"]},
+    }, out / "provenance.json" if out.is_dir() else f"{out}.provenance.json")
 
 
 def _write_csv(path, header, rows):
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
     lines = [",".join(header)] + [
         ",".join("" if v is None else repr(v) if isinstance(v, float) else str(v) for v in row)
         for row in rows
@@ -159,8 +148,6 @@ def _add_schedule(sub, with_grid=False):
     sub.add_argument("--n", type=int, default=None, help="ensemble size")
     sub.add_argument("--var-floor", type=float, default=1e-6)
     sub.add_argument("--sigma-cap", type=float, default=None)
-    sub.add_argument("--clamp", default=None, metavar="LO,HI",
-                     help="clamp reconstructed candidates into [LO, HI]")
     if with_grid:
         sub.add_argument("--grid", default=",".join(str(v) for v in DEFAULT_SIGMA_GRID))
         sub.add_argument("--threshold", type=float, default=None,
@@ -193,20 +180,20 @@ def _parse_output_kind(text: str) -> OutputKind:
 
 @contextlib.contextmanager
 def _load_predictor(args):
-    """The model and the files it was read from, for the length of a ``with`` block.
+    """The model, for the length of a ``with`` block.
 
     An external model's child is closed, with its last checks, when the
     block ends, so callers write artifacts after the block; if the block
     raises, the child is killed.
     """
     if args.model:
-        yield load_model(args.model), [args.model, args.model + ".json"]
+        yield load_model(args.model)
     elif args.model_cmd:
         if not args.output_kind:
             raise ParamError("--model-cmd requires --output-kind")
         kind = _parse_output_kind(args.output_kind)
         with SubprocessPredictor(shlex.split(args.model_cmd), kind) as model:
-            yield model, []
+            yield model
     else:
         raise ParamError("need --model or --model-cmd")
 
@@ -257,38 +244,28 @@ def _parse_retain(text):
 
 def _cmd_synth(args):
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    with open(args.spec) as fh:
-        params = json.load(fh)
+    params = load_json(args.spec)
     if args.seed is not None and "seed" not in params:
         params["seed"] = args.seed
     spec = synthdata.spec_from_dict(args.kind, params)
-    outputs = []
     if args.kind == "tabular":
         bundle = synthdata.gen_tabular(spec)
         for name, split in (("train", bundle.train), ("val", bundle.val), ("test", bundle.test)):
             save_tensor(split.inputs, out / f"{name}_inputs.gtt")
             save_tensor(split.targets, out / f"{name}_targets.gtt")
-            outputs += [out / f"{name}_inputs.gtt", out / f"{name}_targets.gtt"]
     elif args.kind == "blobs":
         bundle = synthdata.gen_blobs(spec)
         save_tensor(bundle.data.inputs, out / "inputs.gtt")
         save_tensor(bundle.data.targets.astype(np.float64), out / "targets.gtt")
-        outputs += [out / "inputs.gtt", out / "targets.gtt"]
         if bundle.spec.distractor_amplitude != 0:
             save_tensor(bundle.pattern, out / "pattern.gtt")
-            outputs.append(out / "pattern.gtt")
     else:
         bundle = synthdata.gen_blob_images(spec)
         save_tensor(bundle.data.inputs, out / "inputs.gtt")
         save_tensor(bundle.data.targets, out / "targets.gtt")
         save_tensor(np.stack(bundle.instance_maps).astype(np.float64), out / "instances.gtt")
         save_tensor(bundle.counts.astype(np.float64)[:, None], out / "counts.gtt")
-        outputs += [out / p for p in
-                    ("inputs.gtt", "targets.gtt", "instances.gtt", "counts.gtt")]
-    _write_json(params | {"kind": args.kind}, out / "spec.json")
-    outputs.append(out / "spec.json")
-    _write_provenance(f"synth {args.kind}", args, [args.spec], outputs, out)
+    save_json(params | {"kind": args.kind}, out / "spec.json")
 
 
 def _cmd_fit(args):
@@ -298,8 +275,6 @@ def _cmd_fit(args):
     range_ref = load_tensor(args.range_data) if args.range_data else None
     s = fit(data, _parse_retain(args.retain), range_reference=range_ref)
     save_subspace(s, args.out)
-    inputs = [args.data] + ([args.range_data] if args.range_data else [])
-    _write_provenance("fit", args, inputs, [args.out, args.out + ".json"], args.out)
 
 
 def _train_kind(args, targets) -> OutputKind:
@@ -328,40 +303,28 @@ def _cmd_train(args):
         batch_size=args.batch_size, momentum=args.momentum,
     )
     save_model(model, args.out)
-    _write_json({"loss_curve": curve}, args.out + ".losses.json")
-    inputs = [args.data] + ([args.targets] if args.targets else [])
-    _write_provenance("train", args, inputs,
-                      [args.out, args.out + ".json", args.out + ".losses.json"],
-                      args.out)
+    save_json({"loss_curve": curve}, args.out + ".losses.json")
 
 
 def _cmd_predict(args):
-    with _load_predictor(args) as (model, model_files):
+    with _load_predictor(args) as model:
         s = load_subspace(args.subspace)
         rows = np.atleast_2d(load_tensor(args.input))
         sched = _schedule(args, _default_ensemble_size(args, model))
         result = run_gtta(model, s, sched, rows, RngStream(args.seed, 0).rows(len(rows)),
                           clamp=_parse_clamp(args.clamp))
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    outputs = _emit_ensemble_outputs(result, args.strategy, sched.ensemble_size, out)
-    _write_provenance("predict", args,
-                      [args.input, args.subspace] + model_files, outputs, out)
+    _emit_ensemble_outputs(result, args.strategy, sched.ensemble_size, Path(args.out))
 
 
 def _cmd_auto_sigma(args):
-    with _load_predictor(args) as (model, model_files):
+    with _load_predictor(args) as model:
         s = load_subspace(args.subspace)
         rows = np.atleast_2d(load_tensor(args.input))
         n = _default_ensemble_size(args, model)
         scheds = [_schedule(args, n, sigma) for sigma in _parse_floats(args.grid, "--grid")]
         _, result = select_sigma(model, s, scheds, rows, RngStream(args.seed, 0).rows(len(rows)),
                                  clamp=_parse_clamp(args.clamp), threshold=args.threshold)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    outputs = _emit_ensemble_outputs(result, args.strategy, n, out)
-    _write_provenance("auto-sigma", args,
-                      [args.input, args.subspace] + model_files, outputs, out)
+    _emit_ensemble_outputs(result, args.strategy, n, Path(args.out))
 
 
 def _emit_ensemble_outputs(result, strategy: str, ensemble_size: int, out: Path):
@@ -373,8 +336,7 @@ def _emit_ensemble_outputs(result, strategy: str, ensemble_size: int, out: Path)
          "chosen_sigma": float(sigma), "ensemble_size": ensemble_size, "strategy": strategy}
         for i, (std, sigma) in enumerate(zip(result.std_map, result.chosen_sigma))
     ]
-    _write_json(records, out / "results.json")
-    return [out / "mean.gtt", out / "std.gtt", out / "results.json"]
+    save_json(records, out / "results.json")
 
 
 def _cmd_distill(args):
@@ -388,7 +350,6 @@ def _cmd_distill(args):
         student, s, sched, unlabeled, RngStream(args.seed, 7)
     )
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     save_pseudolabels(pseudo, out / "pseudolabels.gtt")
     distilled, report = run_distill(
         student, labeled, pseudo,
@@ -397,12 +358,7 @@ def _cmd_distill(args):
         hard_labels=args.hard_labels, restart=args.restart,
     )
     save_model(distilled, out / "distilled.gtt")
-    _write_json(report, out / "report.json")
-    outputs = [out / "pseudolabels.gtt", out / "pseudolabels.gtt.json",
-               out / "distilled.gtt", out / "distilled.gtt.json", out / "report.json"]
-    inputs = [args.student, args.student + ".json", args.subspace,
-              args.labeled, args.labeled_targets, args.unlabeled]
-    _write_provenance("distill", args, inputs, outputs, out)
+    save_json(report, out / "report.json")
 
 
 def _cmd_count(args):
@@ -423,29 +379,21 @@ def _cmd_count(args):
         )
         records.append({"row": i, "count": result.count, "areas": result.areas})
     report = {"counts": records}
-    inputs = [args.input]
     if args.truth:
         truth = load_tensor(args.truth).reshape(-1)
         report["mae"] = evaluate_counting([r["count"] for r in records], truth)
-        inputs.append(args.truth)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(report, out / "counts.json")
-    _write_provenance("count", args, inputs, [out / "counts.json"], out)
+    save_json(report, Path(args.out) / "counts.json")
 
 
 def _cmd_analyze(args):
-    out = Path(args.out)  # the writers make it, after the experiment
+    out = Path(args.out)
     handler = {
         "bias-variance": _analyze_bias_variance,
         "spectrum": _analyze_spectrum,
         "std-error": _analyze_std_error,
         "structured-noise": _analyze_structured_noise,
     }[args.experiment]
-    report, csv_paths, inputs = handler(args, out)
-    _write_json(report, out / "report.json")
-    _write_provenance(f"analyze {args.experiment}", args, inputs,
-                      csv_paths + [out / "report.json"], out)
+    save_json(analysis.report_dict(handler(args, out)), out / "report.json")
 
 
 def _load_eval_data(args, model) -> Dataset:
@@ -455,21 +403,18 @@ def _load_eval_data(args, model) -> Dataset:
 
 
 def _analyze_bias_variance(args, out: Path):
-    with _load_predictor(args) as (model, model_files):
+    with _load_predictor(args) as model:
         s = load_subspace(args.subspace)
         data = _load_eval_data(args, model)
-        grid = _parse_floats(args.grid, "--grid")
         n = _default_ensemble_size(args, model)
-        report = analysis.bias_variance_sweep(
-            model, s, args.strategy, grid, n, data, args.repeats,
-            RngStream(args.seed, 11), var_floor=args.var_floor,
-        )
+        scheds = [_schedule(args, n, sigma) for sigma in _parse_floats(args.grid, "--grid")]
+        report = analysis.bias_variance_sweep(model, s, scheds, data, args.repeats,
+                                              RngStream(args.seed, 11))
     rows = [(r["strategy"], r["sigma"], r["bias2"], r["variance"], r["error"])
             for r in report.rows]
     _write_csv(out / "bias_variance.csv",
                ["strategy", "sigma", "bias2", "variance", "error"], rows)
-    inputs = [args.data, args.targets, args.subspace] + model_files
-    return report.to_dict(), [out / "bias_variance.csv"], inputs
+    return report
 
 
 def _analyze_spectrum(args, out: Path):
@@ -477,7 +422,7 @@ def _analyze_spectrum(args, out: Path):
     data = Dataset(np.atleast_2d(load_tensor(args.data)), None, OutputKind.real_values())
     sched = _schedule(args, max(args.n or DEFAULT_ENSEMBLE, 2))
     report = analysis.covariance_spectrum_experiment(
-        s, sched, data, sched.ensemble_size, RngStream(args.seed, 12),
+        s, sched, data, RngStream(args.seed, 12),
         baseline=args.baseline, equal_sigma=args.equal_sigma,
     )
     base = report.baseline_eigenvalues
@@ -486,11 +431,11 @@ def _analyze_spectrum(args, out: Path):
         for i, v in enumerate(report.eigenvalues)
     ]
     _write_csv(out / "spectrum.csv", ["index", "eigenvalue", "baseline_eigenvalue"], rows)
-    return report.to_dict(), [out / "spectrum.csv"], [args.data, args.subspace]
+    return report
 
 
 def _analyze_std_error(args, out: Path):
-    with _load_predictor(args) as (model, model_files):
+    with _load_predictor(args) as model:
         s = load_subspace(args.subspace)
         data = _load_eval_data(args, model)
         sched = _schedule(args, _default_ensemble_size(args, model))
@@ -503,8 +448,7 @@ def _analyze_std_error(args, out: Path):
         for b in range(len(report.bin_counts))
     ]
     _write_csv(out / "std_error.csv", ["bin_lo", "bin_hi", "count", "mae"], rows)
-    inputs = [args.data, args.targets, args.subspace] + model_files
-    return report.to_dict(), [out / "std_error.csv"], inputs
+    return report
 
 
 def _analyze_structured_noise(args, out: Path):
@@ -518,19 +462,21 @@ def _analyze_structured_noise(args, out: Path):
             for i, r in enumerate(report.per_row)]
     _write_csv(out / "structured_noise.csv",
                ["row", "latent_noise", "global_jitter"], rows)
-    return report.to_dict(), [out / "structured_noise.csv"], [args.data, args.pattern]
+    return report
 
 
 # --------------------------------------------------------------------------
 # parser
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser(config: dict) -> argparse.ArgumentParser:
+    """The command-line parser; ``config`` gives the defaults of the options it names."""
     parser = argparse.ArgumentParser(
         prog="gtta",
         description="Latent-subspace test-time ensembles, distillation, counting.",
     )
-    subs = parser.add_subparsers(dest="command")
+    subs = parser.add_subparsers(dest="command",
+                                 parser_class=functools.partial(_ConfigParser, config=config))
 
     p = subs.add_parser("synth", help="generate a deterministic fixture")
     p.add_argument("kind", choices=["tabular", "blobs", "images"])
@@ -575,6 +521,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subspace", required=True)
     p.add_argument("--input", required=True)
     _add_schedule(p)
+    p.add_argument("--clamp", default=None, metavar="LO,HI",
+                   help="clamp reconstructed candidates into [LO, HI]")
     p.add_argument("--out", required=True)
     _add_common(p)
     p.set_defaults(handler=_cmd_predict)
@@ -584,6 +532,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--subspace", required=True)
     p.add_argument("--input", required=True)
     _add_schedule(p, with_grid=True)
+    p.add_argument("--clamp", default=None, metavar="LO,HI",
+                   help="clamp reconstructed candidates into [LO, HI]")
     p.add_argument("--out", required=True)
     _add_common(p)
     p.set_defaults(handler=_cmd_auto_sigma)

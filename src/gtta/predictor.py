@@ -11,7 +11,6 @@ binary per-pixel targets and a weighted squared error for regression.
 
 from __future__ import annotations
 
-import json
 import os
 import selectors
 import signal
@@ -26,6 +25,7 @@ from .data import PER_PIXEL, PROBABILITIES, REAL_VALUES, Dataset, OutputKind
 from .errors import (
     DataError,
     DegenerateWeightError,
+    FormatError,
     GttaError,
     ParamError,
     PredictorError,
@@ -33,7 +33,9 @@ from .errors import (
     TrainingDivergedError,
 )
 from .rng import RngStream
-from .tensorio import dumps_tensor, load_container, read_tensor, save_container, save_json
+from .tensorio import (
+    dumps_tensor, load_container, load_json, read_tensor, save_container, save_json,
+)
 
 PROB_EPS = 1e-12
 
@@ -368,18 +370,30 @@ def save_model(model: MlpModel, path) -> None:
 
 
 def load_model(path) -> MlpModel:
+    """Read a checkpoint; the layer sizes come from its ``w{i}``/``b{i}`` tensors,
+    and the sidecar's sizes and output kind must agree with them."""
     sections = load_container(path)
-    with open(str(path) + ".json") as fh:
-        meta = json.load(fh)
-    kind = OutputKind(
-        meta["kind"],
-        num_classes=meta["num_classes"],
-        image_shape=tuple(meta["image_shape"]) if meta["image_shape"] else None,
-    )
-    n_layers = len(meta["layer_sizes"]) - 1
+    meta = load_json(str(path) + ".json")
+    n_layers = len(sections) // 2
+    if n_layers < 1 or set(sections) != {f"{p}{i}" for i in range(n_layers) for p in "wb"}:
+        raise FormatError(f"model {path} needs sections w0, b0, ..., got {list(sections)}")
     weights = [sections[f"w{i}"] for i in range(n_layers)]
     biases = [sections[f"b{i}"].reshape(-1) for i in range(n_layers)]
-    return MlpModel.from_parameters(meta["layer_sizes"], kind, weights, biases)
+    sizes = [weights[0].shape[0]] + [w.shape[-1] for w in weights]
+    if any(w.shape != (a, b) or bias.shape != (b,)
+           for w, bias, a, b in zip(weights, biases, sizes, sizes[1:])):
+        raise FormatError(f"model {path}: weights {[w.shape for w in weights]} and biases "
+                          f"{[b.shape for b in biases]} do not chain into layers")
+    try:
+        shape = meta.get("image_shape")
+        kind = OutputKind(meta.get("kind"), num_classes=meta.get("num_classes"),
+                          image_shape=tuple(shape) if shape else None)
+    except (ParamError, TypeError) as exc:
+        raise FormatError(f"model sidecar {path}.json: {exc}") from None
+    if meta.get("layer_sizes") != sizes or (kind.head_width or sizes[-1]) != sizes[-1]:
+        raise FormatError(f"model sidecar {path}.json gives layer sizes {meta.get('layer_sizes')} "
+                          f"and {kind}, but the tensors give layer sizes {sizes}")
+    return MlpModel.from_parameters(sizes, kind, weights, biases)
 
 
 # --------------------------------------------------------------------------

@@ -10,13 +10,13 @@ full-rank round trip is the identity.
 from __future__ import annotations
 
 import hashlib
-import json
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DataError, FormatError, ParamError, ShapeError
-from .tensorio import load_container, save_container, save_json
+from .tensorio import load_container, load_json, save_container, save_json
 
 # Components explaining less than this fraction of variance are numerically
 # unreliable; they are kept only under retain="all" and get zero noise later.
@@ -195,15 +195,9 @@ def save_subspace(s: Subspace, path) -> None:
 
 def _load_sidecar(path) -> dict:
     """The metadata sidecar as a dict; a missing sidecar is allowed and gives {}."""
-    try:
-        with open(path, "rb") as fh:
-            meta = json.loads(fh.read())
-    except FileNotFoundError:
+    if not os.path.exists(path):
         return {}
-    except ValueError as exc:
-        raise FormatError(f"subspace sidecar {path} is not JSON: {exc}") from None
-    if not isinstance(meta, dict):
-        raise FormatError(f"subspace sidecar {path} is not a JSON object")
+    meta = load_json(path)
     if not isinstance(meta.get("fit_fingerprint"), (str, type(None))):
         raise FormatError(f"subspace sidecar {path}: fit_fingerprint must be a string or null")
     if meta.get("range_source", "fit_set") not in ("fit_set", "external"):

@@ -13,14 +13,19 @@ CSV files are comma-separated decimal floats, one row per sample, no header
 unless the caller skips one. All tensors are float64; integer-valued data
 (labels, instance ids) is stored as float64 and converted back by the caller.
 
-Every writer goes through :func:`save_bytes`, which writes a temporary file
-next to the target and renames it into place, so an interrupted or failed
-write never leaves a truncated artifact.
+Every writer goes through :func:`save_bytes`, which makes the target's
+directory, writes a temporary file next to the target and renames it into
+place, so an interrupted or failed write never leaves a truncated artifact.
+
+While a :func:`recording` is open, every file read through a loader here and
+every file written through :func:`save_bytes` is noted, so a command's
+provenance names exactly the files it touched.
 """
 
 from __future__ import annotations
 
 import contextlib
+import contextvars
 import hashlib
 import json
 import os
@@ -33,6 +38,30 @@ from .errors import DataError, FormatError, IoError
 _MAGIC = b"GTT1"
 _CONTAINER_MAGIC = b"GTTC"
 _DTYPE_F64 = 0
+
+# {"inputs": {path: None}, "outputs": {path: None}} of the open recording, if any
+_record: contextvars.ContextVar[dict | None] = contextvars.ContextVar("record", default=None)
+
+
+@contextlib.contextmanager
+def recording():
+    """Note, for the length of a ``with`` block, the paths of the files read and written.
+
+    Yields ``{"inputs": ..., "outputs": ...}``, two dicts whose keys are the
+    paths as strings, in the order first touched.
+    """
+    record = {"inputs": {}, "outputs": {}}
+    token = _record.set(record)
+    try:
+        yield record
+    finally:
+        _record.reset(token)
+
+
+def _note(role: str, path) -> None:
+    record = _record.get()
+    if record is not None:
+        record[role][os.fspath(path)] = None
 
 
 def as_tensor(data) -> np.ndarray:
@@ -123,6 +152,7 @@ def save_bytes(data: bytes, path) -> None:
     """
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
+        os.makedirs(os.path.dirname(tmp) or ".", exist_ok=True)
         with open(tmp, "wb") as fh:
             fh.write(data)
         os.replace(tmp, path)
@@ -131,11 +161,33 @@ def save_bytes(data: bytes, path) -> None:
     finally:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
+    _note("outputs", path)
 
 
 def save_json(obj, path) -> None:
     """Write ``obj`` as sorted, indented JSON with a final newline."""
     save_bytes((json.dumps(obj, sort_keys=True, indent=2) + "\n").encode(), path)
+
+
+def _read(path) -> bytes:
+    try:
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+    _note("inputs", path)
+    return blob
+
+
+def load_json(path) -> dict:
+    """Read a file that must hold one JSON object."""
+    try:
+        obj = json.loads(_read(path))
+    except ValueError as exc:
+        raise FormatError(f"{path} is not JSON: {exc}") from None
+    if not isinstance(obj, dict):
+        raise FormatError(f"{path} does not hold a JSON object")
+    return obj
 
 
 def save_tensor(t, path) -> None:
@@ -148,11 +200,7 @@ def load_tensor(path, header: bool = False) -> np.ndarray:
     The format is sniffed from the first four bytes. ``header`` skips one
     CSV header line and is ignored for binary files.
     """
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
+    blob = _read(path)
     if blob[:4] == _MAGIC:
         tensor, end = loads_tensor(blob)
         if end != len(blob):
@@ -203,11 +251,7 @@ def save_container(sections: dict[str, np.ndarray], path) -> None:
 
 
 def load_container(path) -> dict[str, np.ndarray]:
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
+    blob = _read(path)
     if blob[:4] != _CONTAINER_MAGIC:
         raise FormatError("bad magic, not a GTT container")
     if len(blob) < 8:

@@ -302,7 +302,8 @@ def test_c09_noise_reduces_bias():
     for seed in range(20):
         model, s, eval_ds = run_bias_variance.setup(seed)
         report = bias_variance_sweep(
-            model, s, "constant", grid, 10, eval_ds, 8, RngStream(seed, 52)
+            model, s, [NoiseSchedule("constant", sigma, 10) for sigma in grid], eval_ds, 8,
+            RngStream(seed, 52),
         )
         bias = [row["bias2"] for row in report.rows]
         identity_dev = max(

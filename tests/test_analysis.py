@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -48,7 +50,7 @@ def test_unbiased_oracle_decomposition():
                  variance_ratios=np.full(4, 0.25), ranges=np.array([0.0, 1.0, 1.0, 1.0]))
     data = Dataset(X, y, OutputKind.real_values())
     model = NoisyOracle(y, v, seed=1)
-    report = bias_variance_sweep(model, s, "constant", [0.1], N, data, M,
+    report = bias_variance_sweep(model, s, [NoiseSchedule("constant", 0.1, N)], data, M,
                                  RngStream(2))
     row = report.rows[0]
     expected_var = v**2 / N
@@ -64,7 +66,8 @@ def test_zero_noise_deterministic_model():
     data = Dataset(X, y, OutputKind.probabilities(2))
     s = fit(X, "all")
     model = MlpModel([5, 6, 2], OutputKind.probabilities(2), RngStream(4))
-    report = bias_variance_sweep(model, s, "constant", [0.0], 5, data, 4, RngStream(5))
+    report = bias_variance_sweep(model, s, [NoiseSchedule("constant", 0.0, 5)], data, 4,
+                                 RngStream(5))
     row = report.rows[0]
     assert row["variance"] == 0.0
     assert row["error"] == pytest.approx(row["bias2"], abs=1e-15)
@@ -77,8 +80,8 @@ def test_identity_holds_on_every_row():
     data = Dataset(X, y, OutputKind.probabilities(2))
     s = fit(X, "all")
     model = MlpModel([4, 6, 2], OutputKind.probabilities(2), RngStream(7))
-    report = bias_variance_sweep(model, s, "incremental", [0.0, 0.05, 0.2], 6,
-                                 data, 5, RngStream(8))
+    scheds = [NoiseSchedule("incremental", sigma, 6) for sigma in (0.0, 0.05, 0.2)]
+    report = bias_variance_sweep(model, s, scheds, data, 5, RngStream(8))
     for row in report.rows:
         assert row["error"] == pytest.approx(row["bias2"] + row["variance"], abs=1e-9)
 
@@ -88,7 +91,7 @@ def test_sweep_needs_repeats():
     data = Dataset(X, np.zeros(6), OutputKind.real_values())
     model = NoisyOracle(np.zeros(6), 0.1, seed=10)
     with pytest.raises(ParamError):
-        bias_variance_sweep(model, fit(X, "all"), "constant", [0.1], 3, data, 1,
+        bias_variance_sweep(model, fit(X, "all"), [NoiseSchedule("constant", 0.1, 3)], data, 1,
                             RngStream(11))
 
 
@@ -108,7 +111,7 @@ def _frame_fixture(seed=901, noise_seed=7001):
 def test_zero_noise_spectrum_is_zero():
     s, data = _frame_fixture()
     sched = NoiseSchedule("constant", 0.0, 20)
-    report = covariance_spectrum_experiment(s, sched, data, 20, RngStream(12))
+    report = covariance_spectrum_experiment(s, sched, data, RngStream(12))
     assert np.array_equal(report.eigenvalues, np.zeros(3))
 
 
@@ -116,7 +119,7 @@ def test_equal_noise_flattens_spectrum():
     s, data = _frame_fixture()
     sched = NoiseSchedule("constant", 0.1, 100)
     report = covariance_spectrum_experiment(
-        s, sched, data, 100, RngStream(57), baseline="global_jitter",
+        s, sched, data, RngStream(57), baseline="global_jitter",
         equal_sigma=0.3,
     )
     e = report.eigenvalues
@@ -128,10 +131,9 @@ def test_equal_noise_flattens_spectrum():
 def test_spectrum_converges_to_noise_variance():
     s, data = _frame_fixture()
     sched = NoiseSchedule("constant", 0.1, 100)
-    small = covariance_spectrum_experiment(s, sched, data, 100, RngStream(13),
-                                           equal_sigma=0.25)
-    big = covariance_spectrum_experiment(s, sched, data, 10_000, RngStream(13),
-                                         equal_sigma=0.25)
+    small = covariance_spectrum_experiment(s, sched, data, RngStream(13), equal_sigma=0.25)
+    big = covariance_spectrum_experiment(s, dataclasses.replace(sched, ensemble_size=10_000),
+                                         data, RngStream(13), equal_sigma=0.25)
     target = 0.25**2
     assert np.abs(big.eigenvalues - target).max() < np.abs(small.eigenvalues - target).max()
     assert np.abs(big.eigenvalues - target).max() < 0.01 * target * 5
@@ -140,7 +142,7 @@ def test_spectrum_converges_to_noise_variance():
 def test_schedule_driven_spectrum_uses_component_noise():
     s, data = _frame_fixture()
     sched = NoiseSchedule("constant", 0.05, 2000)
-    report = covariance_spectrum_experiment(s, sched, data, 2000, RngStream(14))
+    report = covariance_spectrum_experiment(s, sched, data, RngStream(14))
     from gtta.perturb import per_component_sigma
 
     target = np.sort(per_component_sigma(sched, s)[0] ** 2)[::-1]

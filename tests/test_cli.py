@@ -29,6 +29,15 @@ def read_json(path):
         return json.load(fh)
 
 
+# Commands on the pipeline's files, with {root} its directory and {tmp} the
+# test's, which holds a copy of the model.
+PREDICT = ["predict", "--model", "{tmp}/model.gtt", "--subspace", "{root}/subspace.gtt",
+           "--input", "{root}/test_x.gtt"]
+DISTILL = ["distill", "--student", "{tmp}/model.gtt", "--subspace", "{root}/subspace.gtt",
+           "--labeled", "{root}/train_x.gtt", "--labeled-targets", "{root}/train_y.gtt",
+           "--unlabeled", "{root}/unlabeled_x.gtt", "--epochs", "1", "--restart"]
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
     """synth -> fit -> train -> predict -> distill -> count, all through the CLI."""
@@ -108,6 +117,33 @@ def test_provenance_hash_chain(pipeline):
     distill_prov = read_json(pipeline / "distilled" / "provenance.json")
     model_path = str(pipeline / "model.gtt")
     assert train_prov["outputs"][model_path] == distill_prov["inputs"][model_path]
+
+
+def test_provenance_lists_every_file_read_and_written(pipeline):
+    pred = read_json(pipeline / "pred" / "provenance.json")
+    assert set(pred["inputs"]) == {str(pipeline / name) for name in (
+        "test_x.gtt", "subspace.gtt", "subspace.gtt.json", "model.gtt", "model.gtt.json")}
+    for stage in ("pred", "distilled", "counts"):
+        prov = read_json(pipeline / stage / "provenance.json")
+        written = {str(p) for p in (pipeline / stage).iterdir() if p.name != "provenance.json"}
+        assert set(prov["outputs"]) == written, stage
+
+
+def test_subspace_sidecar_edit_changes_distill_provenance(pipeline, tmp_path):
+    # The sidecar's fit_fingerprint reaches the pseudo-label sidecar, so a
+    # rerun from provenance must see an edited sidecar as a different input.
+    sub = tmp_path / "subspace.gtt"
+    sub.write_bytes((pipeline / "subspace.gtt").read_bytes())
+    meta = read_json(pipeline / "subspace.gtt.json")
+    provs = []
+    for fingerprint in (meta["fit_fingerprint"], "edited"):
+        (tmp_path / "subspace.gtt.json").write_text(json.dumps(meta | {"fit_fingerprint": fingerprint}))
+        out = tmp_path / fingerprint
+        assert run("distill", "--config", str(pipeline / "distilled" / "provenance.json"),
+                   "--subspace", str(sub), "--out", str(out)) == 0
+        provs.append(read_json(out / "provenance.json"))
+    assert provs[0]["inputs"] != provs[1]["inputs"]
+    assert read_json(tmp_path / "edited" / "pseudolabels.gtt.json")["subspace_fingerprint"] == "edited"
 
 
 def test_predict_record_fields(pipeline):
@@ -339,6 +375,34 @@ def test_unknown_flag_exits_2(capsys):
     assert "usage" in capsys.readouterr().err.lower()
 
 
+@pytest.mark.parametrize("argv", [
+    [*DISTILL, "--clamp", "nonsense"],
+    ["analyze", "spectrum", "--subspace", "{root}/subspace.gtt", "--data", "{root}/test_x.gtt",
+     "--clamp", "0,1"],
+], ids=["distill", "analyze"])
+def test_clamp_is_a_usage_error_where_nothing_reads_it(pipeline, tmp_path, capsys, argv):
+    (tmp_path / "model.gtt").write_bytes((pipeline / "model.gtt").read_bytes())
+    (tmp_path / "model.gtt.json").write_bytes((pipeline / "model.gtt.json").read_bytes())
+    with pytest.raises(SystemExit) as info:
+        run(*[a.format(root=pipeline, tmp=tmp_path) for a in argv], "--out", str(tmp_path / "o"))
+    assert info.value.code == 2
+    assert "unrecognized arguments: --clamp" in capsys.readouterr().err
+
+
+def test_bias_variance_honours_sigma_cap(pipeline, tmp_path):
+    argv = ["analyze", "bias-variance", "--model", str(pipeline / "model.gtt"),
+            "--subspace", str(pipeline / "subspace.gtt"), "--data", str(pipeline / "test_x.gtt"),
+            "--targets", str(pipeline / "test_y.gtt"), "--grid", "0,0.1", "--n", "4",
+            "--repeats", "2"]
+    assert run(*argv, "--out", str(tmp_path / "free")) == 0
+    assert run(*argv, "--sigma-cap", "1e-9", "--out", str(tmp_path / "capped")) == 0
+    free, capped = (read_json(tmp_path / d / "report.json")["rows"] for d in ("free", "capped"))
+    assert free[0] == capped[0]  # sigma 0 draws no noise either way
+    assert capped[1]["variance"] < 1e-6 * free[1]["variance"]
+    assert (tmp_path / "free" / "bias_variance.csv").read_bytes() != (
+        tmp_path / "capped" / "bias_variance.csv").read_bytes()
+
+
 def test_missing_model_is_runtime_error(pipeline, tmp_path, capsys):
     code = run("predict", "--model", str(tmp_path / "nope.gtt"),
                "--subspace", str(pipeline / "subspace.gtt"),
@@ -477,6 +541,31 @@ def test_missing_subspace_sidecar_is_allowed(pipeline, tmp_path):
                "--input", str(pipeline / "test_x.gtt"), "--out", str(tmp_path / "o")) == 0
 
 
+@pytest.mark.parametrize("name, content, argv", [
+    ("model.gtt.json", "{bad", PREDICT),
+    ("model.gtt.json", "{}", PREDICT),
+    ("model.gtt.json", {"image_shape": [10, 10]}, PREDICT),        # the head is 144 wide
+    ("model.gtt.json", {"kind": "probabilities", "num_classes": 3}, PREDICT),
+    ("model.gtt.json", {"layer_sizes": [144, 32, 144, 2]}, PREDICT),  # names a third layer
+    ("model.gtt.json", {"layer_sizes": [144, 9, 144]}, DISTILL),      # weights are 144x32
+    ("spec.json", "{bad", ["synth", "images", "--spec", "{tmp}/spec.json"]),
+    ("spec.json", "[1]", ["synth", "images", "--spec", "{tmp}/spec.json"]),
+    ("config.json", "[1]", PREDICT + ["--config", "{tmp}/config.json"]),
+], ids=["model-not-json", "model-empty", "model-image-shape", "model-num-classes",
+        "model-third-layer", "model-hidden-width", "spec-not-json", "spec-list", "config-list"])
+def test_bad_json_files_end_in_one_error_line(pipeline, tmp_path, capsys, name, content, argv):
+    (tmp_path / "model.gtt").write_bytes((pipeline / "model.gtt").read_bytes())
+    (tmp_path / "model.gtt.json").write_bytes((pipeline / "model.gtt.json").read_bytes())
+    if isinstance(content, dict):
+        content = json.dumps(read_json(pipeline / "model.gtt.json") | content)
+    (tmp_path / name).write_text(content)
+    out = tmp_path / "o"
+    assert run(*[a.format(root=pipeline, tmp=tmp_path) for a in argv], "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: FormatError:") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_container_with_a_non_utf8_name_is_format_error(pipeline, tmp_path, capsys):
     blob = bytearray((pipeline / "model.gtt").read_bytes())
     blob[10] = 0xFF  # first byte of the first section name, after magic, count and length
@@ -503,11 +592,20 @@ sys.path[:0] = [{bench!r}, {src!r}]
 import gtta.cli, spans, workloads
 tracer = spans.Tracer()
 spans.install(tracer)
+
+def traced(argv):
+    del tracer.spans[:]
+    assert gtta.cli.main(argv) == 0, argv[0]
+    return spans.summarize(tracer.spans)
+
+setup = {{}}
+for argv in {setup!r}:
+    setup.update(traced(argv))
 failed = False
 for name, argv in {commands!r}:
-    del tracer.spans[:]
-    assert gtta.cli.main(argv) == 0, name
-    missing = spans.missing_spans(spans.summarize(tracer.spans), workloads.WORKLOADS[name].spans)
+    w = workloads.WORKLOADS[name]
+    missing = (spans.missing_spans(traced(argv), w.spans)
+               + spans.missing_spans(setup, w.setup_spans))
     if missing:
         print(name, "spans never fired:", ", ".join(missing), file=sys.stderr)
         failed = True
@@ -517,7 +615,13 @@ sys.exit(failed)
 
 def test_bench_trace_sites_fire(pipeline, tmp_path):
     # The benchmark traces layers by wrapping named call sites; a renamed or
-    # inlined site must fail here, not only in a traced benchmark run.
+    # inlined site must fail here, not only in a traced benchmark run. Its
+    # fixture build, fit and train, must fire each workload's set-up spans.
+    setup = [
+        ["fit", "--data", str(pipeline / "train_x.gtt"), "--out", str(tmp_path / "s.gtt")],
+        ["train", "--data", str(pipeline / "train_x.gtt"), "--targets", str(pipeline / "train_y.gtt"),
+         "--task", "segmentation", "--hidden", "4", "--epochs", "1", "--out", str(tmp_path / "m.gtt")],
+    ]
     common = ["--subspace", str(pipeline / "subspace.gtt"), "--input", str(pipeline / "test_x.gtt"),
               "--n", "4", "--seed", "1"]
     child = f"{sys.executable} {BENCH / 'model_child.py'} 12x12"
@@ -531,7 +635,7 @@ def test_bench_trace_sites_fire(pipeline, tmp_path):
         ("count", ["count", "--input", str(pipeline / "pred" / "mean.gtt"),
                    "--out", str(tmp_path / "c")]),
     ]
-    code = TRACED.format(bench=str(BENCH), src=str(SRC), commands=commands)
+    code = TRACED.format(bench=str(BENCH), src=str(SRC), setup=setup, commands=commands)
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -186,6 +186,28 @@ def test_failed_write_keeps_the_earlier_file(tmp_path, monkeypatch, write, fault
     assert [p.name for p in tmp_path.iterdir()] == ["artifact"]
 
 
+def test_recording_notes_the_files_read_and_written(tmp_path):
+    tensor, meta = tmp_path / "new" / "dir" / "t.gtt", tmp_path / "meta.json"
+    with tensorio.recording() as record:
+        save_tensor(np.ones(3), tensor)  # makes the missing directories
+        save_json({"a": 1}, meta)
+        load_tensor(tensor)
+        assert tensorio.load_json(meta) == {"a": 1}
+        with pytest.raises(IoError):
+            load_tensor(tmp_path / "missing.gtt")
+    assert list(record["outputs"]) == [str(tensor), str(meta)]
+    assert list(record["inputs"]) == [str(tensor), str(meta)]
+    load_tensor(tensor)  # nothing is noted outside a recording
+    assert len(record["inputs"]) == 2
+
+
+@pytest.mark.parametrize("blob", [b"{bad", b"[1]", b"\xff{}"])
+def test_load_json_needs_an_object(tmp_path, blob):
+    (tmp_path / "x.json").write_bytes(blob)
+    with pytest.raises(FormatError):
+        tensorio.load_json(tmp_path / "x.json")
+
+
 def _exact_reader(blob):
     stream = io.BytesIO(blob)
 
