@@ -50,7 +50,7 @@ def run_seed(seed, sigma, mixing):
         student, s, NoiseSchedule("constant", sigma, 15), unlabeled, RngStream(seed, 72),
     )
     flat = PseudoLabelSet(pseudo.inputs, pseudo.teacher_targets,
-                          np.ones_like(pseudo.weights), pseudo.provenance)
+                          np.ones_like(pseudo.weights))
     kwargs = dict(mixing=mixing, epochs=60, lr=0.5, rng=RngStream(seed, 73))
     model_w, _ = distill(student, labeled, pseudo, **kwargs)
     model_u, _ = distill(student, labeled, flat, **kwargs)

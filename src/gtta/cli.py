@@ -22,7 +22,7 @@ import numpy as np
 
 from . import analysis, synthdata
 from .distill import distill as run_distill
-from .distill import generate_pseudolabels, save_pseudolabels
+from .distill import generate_pseudolabels
 from .data import REAL_VALUES, Dataset, OutputKind, load_dataset
 from .ensemble import DEFAULT_SIGMA_GRID, run_gtta, select_sigma
 from .errors import DataError, FormatError, GttaError, ParamError
@@ -39,7 +39,8 @@ from .rng import RngStream
 from .segcount import StructuringElement, count as count_components, evaluate_counting
 from .subspace import fit, load_subspace, save_subspace
 from .tensorio import (
-    content_hash, load_json, load_tensor, recording, save_bytes, save_json, save_tensor,
+    content_hash, load_json, load_tensor, recording, save_bytes, save_container, save_json,
+    save_tensor,
 )
 
 # Task-level defaults: retained variance, ensemble sizes per task family.
@@ -350,7 +351,8 @@ def _cmd_distill(args):
         student, s, sched, unlabeled, RngStream(args.seed, 7)
     )
     out = Path(args.out)
-    save_pseudolabels(pseudo, out / "pseudolabels.gtt")
+    save_container({"inputs": pseudo.inputs, "teacher_targets": pseudo.teacher_targets,
+                    "weights": pseudo.weights}, out / "pseudolabels.gtt")
     distilled, report = run_distill(
         student, labeled, pseudo,
         mixing=getattr(args, "lambda"), epochs=args.epochs, lr=args.lr,

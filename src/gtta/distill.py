@@ -25,17 +25,15 @@ from .predictor import (
 )
 from .rng import RngStream
 from .subspace import Subspace
-from .tensorio import save_container, save_json
 
 
 @dataclass(frozen=True)
 class PseudoLabelSet:
-    """Teacher outputs for unlabeled inputs, with regeneration provenance."""
+    """Teacher outputs for unlabeled inputs."""
 
     inputs: np.ndarray           # [m, d]
     teacher_targets: np.ndarray  # ensemble mean predictions
     weights: np.ndarray          # 1 - ensemble std, in [0, 1]
-    provenance: dict
 
     @property
     def n(self) -> int:
@@ -46,22 +44,10 @@ def generate_pseudolabels(model, s: Subspace, sched: NoiseSchedule,
                           unlabeled: Dataset, rng: RngStream) -> PseudoLabelSet:
     """Run the ensemble on every unlabeled row; input i uses stream ``rng.derive(i)``."""
     result = run_gtta(model, s, sched, unlabeled.inputs, rng.rows(unlabeled.n))
-    weights = uncertainty_weights(result, model.output_kind)
-    provenance = {
-        "strategy": sched.strategy,
-        "sigma": sched.sigma,
-        "ensemble_size": sched.ensemble_size,
-        "var_floor": sched.var_floor,
-        "sigma_cap": sched.sigma_cap,
-        "master_seed": rng.master_seed,
-        "stream_id": rng.stream_id,
-        "subspace_fingerprint": s.fit_fingerprint,
-    }
     return PseudoLabelSet(
         inputs=unlabeled.inputs.copy(),
         teacher_targets=result.mean_prediction,
-        weights=weights,
-        provenance=provenance,
+        weights=uncertainty_weights(result, model.output_kind),
     )
 
 
@@ -143,16 +129,3 @@ def _cycled_batches(n, batch_size, stream, count):
         batches.extend(epoch_batches(n, batch_size, stream.derive(round_)))
         round_ += 1
     return batches[:count]
-
-
-def save_pseudolabels(p: PseudoLabelSet, path) -> None:
-    save_container(
-        {
-            "inputs": p.inputs,
-            "teacher_targets": p.teacher_targets,
-            "weights": p.weights,
-        },
-        path,
-    )
-    save_json(p.provenance, str(path) + ".json")
-

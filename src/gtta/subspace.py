@@ -9,14 +9,12 @@ full-rank round trip is the identity.
 
 from __future__ import annotations
 
-import hashlib
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DataError, FormatError, ParamError, ShapeError
-from .tensorio import load_container, load_json, save_container, save_json
+from .tensorio import load_container, save_container
 
 # Components explaining less than this fraction of variance are numerically
 # unreliable; they are kept only under retain="all" and get zero noise later.
@@ -30,8 +28,6 @@ class Subspace:
     variance_ratios: np.ndarray  # [n_u], non-increasing, each in [0, 1]
     ranges: np.ndarray           # [n_u], nonnegative
     dead: np.ndarray = field(default=None)  # [n_u] bool, near-zero variance
-    fit_fingerprint: str | None = None
-    range_source: str = "fit_set"
 
     def __post_init__(self):
         if self.dead is None:
@@ -62,15 +58,17 @@ def _decompose(centered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n, d = centered.shape
     if d > 4 * n:
         # Gram path: eigendecompose the small n x n matrix instead of
-        # running an SVD on a very wide matrix.
+        # running an SVD on a very wide matrix. A dead component's singular
+        # value is rounding noise, so dividing by it would blow the row up;
+        # it gets a zero row instead.
         gram = centered @ centered.T
         evals, evecs = np.linalg.eigh(gram)
         order = np.argsort(evals)[::-1]
         evals = np.clip(evals[order], 0.0, None)
         svals = np.sqrt(evals)
         comps = np.zeros((len(svals), d))
-        nonzero = svals > 0
-        comps[nonzero] = (centered.T @ evecs[:, order][:, nonzero]).T / svals[nonzero, None]
+        alive = evals >= DEAD_RATIO * np.trace(gram)
+        comps[alive] = (centered.T @ evecs[:, order][:, alive]).T / svals[alive, None]
         return svals, comps
     _, svals, vt = np.linalg.svd(centered, full_matrices=False)
     return svals, vt
@@ -120,16 +118,7 @@ def fit(reference, retain, range_reference=None) -> Subspace:
         raise ShapeError(f"range reference has d={ref.shape[1]}, fit set has d={d}")
     proj = (ref - mean) @ comps.T
     ranges = proj.max(axis=0) - proj.min(axis=0)
-
-    fingerprint = hashlib.sha256(np.ascontiguousarray(X).tobytes()).hexdigest()
-    return Subspace(
-        mean=mean,
-        components=comps,
-        variance_ratios=ratios,
-        ranges=ranges,
-        fit_fingerprint=fingerprint,
-        range_source="external" if range_reference is not None else "fit_set",
-    )
+    return Subspace(mean=mean, components=comps, variance_ratios=ratios, ranges=ranges)
 
 
 def _resolve_retain(retain, ratios, computable: int, n_alive: int) -> int:
@@ -173,7 +162,6 @@ def reconstruct(s: Subspace, p: np.ndarray) -> np.ndarray:
 
 
 def save_subspace(s: Subspace, path) -> None:
-    """Write the subspace and a JSON metadata sidecar next to it."""
     save_container(
         {
             "mean": s.mean,
@@ -183,29 +171,12 @@ def save_subspace(s: Subspace, path) -> None:
         },
         path,
     )
-    meta = {
-        "d": s.d,
-        "n_u": s.n_u,
-        "dead_components": int(s.dead.sum()),
-        "fit_fingerprint": s.fit_fingerprint,
-        "range_source": s.range_source,
-    }
-    save_json(meta, str(path) + ".json")
-
-
-def _load_sidecar(path) -> dict:
-    """The metadata sidecar as a dict; a missing sidecar is allowed and gives {}."""
-    if not os.path.exists(path):
-        return {}
-    meta = load_json(path)
-    if not isinstance(meta.get("fit_fingerprint"), (str, type(None))):
-        raise FormatError(f"subspace sidecar {path}: fit_fingerprint must be a string or null")
-    if meta.get("range_source", "fit_set") not in ("fit_set", "external"):
-        raise FormatError(f"subspace sidecar {path}: range_source must be fit_set or external")
-    return meta
 
 
 def load_subspace(path) -> Subspace:
+    """Read a subspace whose ratios lie in [0, 1] and do not increase, whose
+    ranges are not negative, and whose component rows are orthonormal (a dead
+    component's row may be zero instead: the Gram path of :func:`fit` writes it so)."""
     sections = load_container(path)
     missing = {"mean", "components", "variance_ratios", "ranges"} - sections.keys()
     if missing:
@@ -218,18 +189,16 @@ def load_subspace(path) -> Subspace:
         raise FormatError(f"subspace {path}: mean {mean.shape}, components {components.shape}, "
                           f"ratios {ratios.shape} and ranges {ranges.shape} are not "
                           "[d], [n_u, d], [n_u] and [n_u]")
-    meta = _load_sidecar(str(path) + ".json")
-    s = Subspace(
-        mean=mean,
-        components=components,
-        variance_ratios=ratios,
-        ranges=ranges,
-        fit_fingerprint=meta.get("fit_fingerprint"),
-        range_source=meta.get("range_source", "fit_set"),
-    )
-    # The sizes a sidecar records must be the tensors' own, or it belongs to another fit.
-    for name, actual in (("d", s.d), ("n_u", s.n_u), ("dead_components", int(s.dead.sum()))):
-        if name in meta and (type(meta[name]) is not int or meta[name] != actual):
-            raise FormatError(f"subspace sidecar {path}.json gives {name} = {meta[name]!r}, "
-                              f"but the tensors give {actual}")
+    # A rank-1 fit's one ratio may round to 1 + 7e-16.
+    if not np.all((ratios >= 0) & (ratios <= 1 + 1e-9)) or np.any(np.diff(ratios) > 0):
+        raise FormatError(f"subspace {path}: variance ratios must lie in [0, 1] and not increase")
+    if np.any(ranges < 0):
+        raise FormatError(f"subspace {path}: coordinate ranges must not be negative")
+    s = Subspace(mean=mean, components=components, variance_ratios=ratios, ranges=ranges)
+    gram = components @ components.T
+    norms = np.diag(gram)
+    if (np.any((np.abs(norms - 1) > 1e-6) & ~(s.dead & (norms <= 1e-6)))
+            or np.abs(gram - np.diag(norms)).max() > 1e-6):
+        raise FormatError(f"subspace {path}: component rows are not orthonormal "
+                          "(only a dead component's row may be zero)")
     return s

@@ -19,7 +19,8 @@ place, so an interrupted or failed write never leaves a truncated artifact.
 
 While a :func:`recording` is open, every file read through a loader here and
 every file written through :func:`save_bytes` is noted, so a command's
-provenance names exactly the files it touched.
+provenance names exactly the files it touched, and a file read in it may not
+be overwritten.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import struct
 
 import numpy as np
 
-from .errors import DataError, FormatError, IoError
+from .errors import DataError, FormatError, IoError, ParamError
 
 _MAGIC = b"GTT1"
 _CONTAINER_MAGIC = b"GTTC"
@@ -148,8 +149,12 @@ def save_bytes(data: bytes, path) -> None:
 
     The temporary file sits in the target's directory, so the rename never
     crosses file systems. A failed write leaves any earlier file at ``path``
-    whole and removes the temporary file.
+    whole and removes the temporary file. Inside a :func:`recording`, a
+    ``path`` that names a file read so far is refused with a ``ParamError``.
     """
+    record = _record.get()
+    if record is not None and os.path.realpath(path) in map(os.path.realpath, record["inputs"]):
+        raise ParamError(f"{path} was read by this command and may not be overwritten")
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
         os.makedirs(os.path.dirname(tmp) or ".", exist_ok=True)

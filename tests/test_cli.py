@@ -1,21 +1,28 @@
+import contextlib
 import dataclasses
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import gtta
 from gtta import predictor
 from gtta.cli import main
 from gtta.ensemble import BLOCK_ROWS
 from gtta.segcount import StructuringElement, count as count_components, erode, label_components
-from gtta.tensorio import content_hash, dumps_tensor, load_tensor, save_tensor
+from gtta.tensorio import (
+    content_hash, dumps_tensor, load_container, load_tensor, save_container, save_tensor,
+)
 
 SRC = Path(gtta.__file__).resolve().parents[1]
 
@@ -112,38 +119,25 @@ def test_provenance_hash_chain(pipeline):
     fit_prov = read_json(pipeline / "subspace.gtt.provenance.json")
     sub_path = str(pipeline / "subspace.gtt")
     assert fit_prov["outputs"][sub_path] == pred_prov["inputs"][sub_path]
+    # which was fitted to the rows the distill stage took as labeled
+    train_x = str(pipeline / "train_x.gtt")
+    assert fit_prov["inputs"] == {train_x: content_hash(train_x)}
     # the distill stage consumed the model the train stage wrote
     train_prov = read_json(pipeline / "model.gtt.provenance.json")
     distill_prov = read_json(pipeline / "distilled" / "provenance.json")
     model_path = str(pipeline / "model.gtt")
     assert train_prov["outputs"][model_path] == distill_prov["inputs"][model_path]
+    assert distill_prov["inputs"][train_x] == fit_prov["inputs"][train_x]
 
 
 def test_provenance_lists_every_file_read_and_written(pipeline):
     pred = read_json(pipeline / "pred" / "provenance.json")
     assert set(pred["inputs"]) == {str(pipeline / name) for name in (
-        "test_x.gtt", "subspace.gtt", "subspace.gtt.json", "model.gtt", "model.gtt.json")}
+        "test_x.gtt", "subspace.gtt", "model.gtt", "model.gtt.json")}
     for stage in ("pred", "distilled", "counts"):
         prov = read_json(pipeline / stage / "provenance.json")
         written = {str(p) for p in (pipeline / stage).iterdir() if p.name != "provenance.json"}
         assert set(prov["outputs"]) == written, stage
-
-
-def test_subspace_sidecar_edit_changes_distill_provenance(pipeline, tmp_path):
-    # The sidecar's fit_fingerprint reaches the pseudo-label sidecar, so a
-    # rerun from provenance must see an edited sidecar as a different input.
-    sub = tmp_path / "subspace.gtt"
-    sub.write_bytes((pipeline / "subspace.gtt").read_bytes())
-    meta = read_json(pipeline / "subspace.gtt.json")
-    provs = []
-    for fingerprint in (meta["fit_fingerprint"], "edited"):
-        (tmp_path / "subspace.gtt.json").write_text(json.dumps(meta | {"fit_fingerprint": fingerprint}))
-        out = tmp_path / fingerprint
-        assert run("distill", "--config", str(pipeline / "distilled" / "provenance.json"),
-                   "--subspace", str(sub), "--out", str(out)) == 0
-        provs.append(read_json(out / "provenance.json"))
-    assert provs[0]["inputs"] != provs[1]["inputs"]
-    assert read_json(tmp_path / "edited" / "pseudolabels.gtt.json")["subspace_fingerprint"] == "edited"
 
 
 def test_predict_record_fields(pipeline):
@@ -201,6 +195,24 @@ def test_zero_sigma_single_candidate_matches_model(tmp_path):
     for i in range(6):
         assert np.array_equal(mean[i], model.predict(X[i : i + 1])[0])
     assert not load_tensor(out / "std.gtt").any()
+
+
+def test_predict_through_rank_one_gram_fit_stays_at_data_scale(tmp_path, model_child):
+    # Six rank-1 rows with d = 40 > 4n: fit takes the Gram path and "all" keeps
+    # four dead components, whose rows must not blow the reconstruction up.
+    X = np.ones((6, 40))
+    X[:3] += np.arange(40)
+    x = np.random.default_rng(0).standard_normal((4, 40))
+    save_tensor(X, tmp_path / "fit.gtt")
+    save_tensor(x, tmp_path / "x.gtt")
+    assert run("fit", "--data", str(tmp_path / "fit.gtt"), "--retain", "all",
+               "--out", str(tmp_path / "s.gtt")) == 0
+    assert run("predict", "--model-cmd", model_child().cmd, "--output-kind", "real",
+               "--subspace", str(tmp_path / "s.gtt"), "--input", str(tmp_path / "x.gtt"),
+               "--sigma", "0", "--n", "1", "--out", str(tmp_path / "o")) == 0
+    center = X.mean(axis=0)
+    mean = load_tensor(tmp_path / "o" / "mean.gtt")  # the echo model returns each candidate
+    assert np.all(np.linalg.norm(mean - center, axis=1) <= np.linalg.norm(x - center, axis=1))
 
 
 def test_auto_sigma_runs(pipeline, tmp_path):
@@ -291,8 +303,8 @@ GOLDEN_COUNTS_SHA256 = {
 @pytest.fixture(scope="module")
 def golden_maps(tmp_path_factory):
     root = tmp_path_factory.mktemp("golden")
-    (root / "spec.json").write_text(json.dumps(GOLDEN_MAP_SPEC))
-    assert run("synth", "images", "--spec", str(root / "spec.json"), "--out", str(root)) == 0
+    (root / "golden.json").write_text(json.dumps(GOLDEN_MAP_SPEC))  # synth writes its own spec.json
+    assert run("synth", "images", "--spec", str(root / "golden.json"), "--out", str(root)) == 0
     return root
 
 
@@ -437,7 +449,7 @@ def test_fit_csv_with_header(tmp_path):
     out = tmp_path / "s.gtt"
     assert run("fit", "--data", str(csv), "--header", "--retain", "all",
                "--out", str(out)) == 0
-    assert (tmp_path / "s.gtt.json").exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.csv", "s.gtt", "s.gtt.provenance.json"]
 
 
 def test_fit_drops_target_column(tmp_path):
@@ -511,34 +523,95 @@ def test_subspace_shape_mismatch_is_format_error(pipeline, tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: FormatError:")
 
 
-@pytest.mark.parametrize("sidecar", [
-    "[1]",                                            # not an object
-    '{"fit_fingerprint": [1], "range_source": 5}',    # fields of the wrong type
-    '{"range_source": "elsewhere"}',                  # unknown range source
-    '{"fit_fingerprint": "ab"',                       # not valid JSON
-    '{"d": 7, "n_u": 1, "dead_components": 99}',      # sizes of another fit (d=144)
-    '{"d": 145}',
-    '{"n_u": 1}',
-    '{"dead_components": 1}',
-    '{"n_u": "3"}',                                   # a size that is not an integer
-])
-def test_bad_subspace_sidecar_is_format_error(pipeline, tmp_path, capsys, sidecar):
+def _predict_on(pipeline, sub, out) -> tuple[int, str]:
+    """Exit code and stderr of a small ``predict`` through the subspace ``sub``."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = run("predict", "--model", str(pipeline / "model.gtt"), "--subspace", str(sub),
+                   "--input", str(pipeline / "test_x.gtt"), "--n", "2", "--out", str(out))
+    return code, err.getvalue()
+
+
+@pytest.mark.parametrize("edit", [
+    lambda t: {"variance_ratios": np.r_[7.0, t["variance_ratios"][1:]]},
+    lambda t: {"components": 3 * t["components"]},
+    lambda t: {"ranges": -t["ranges"]},
+    lambda t: {"variance_ratios": t["variance_ratios"][::-1].copy()},
+    lambda t: {"components": np.r_[np.zeros((1, t["components"].shape[1])), t["components"][1:]]},
+], ids=["ratio-7", "components-x3", "ranges-negated", "ratios-increase", "live-row-zero"])
+def test_subspace_breaking_its_invariants_is_format_error(pipeline, tmp_path, edit):
+    sections = load_container(pipeline / "subspace.gtt")
+    save_container(sections | edit(sections), tmp_path / "s.gtt")
+    code, err = _predict_on(pipeline, tmp_path / "s.gtt", tmp_path / "o")
+    assert code == 1
+    assert err.startswith("error: FormatError:") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_stale_subspace_sidecar_is_ignored(pipeline, tmp_path):
+    # Older versions wrote <subspace>.json beside the subspace; it is neither read nor recorded.
     sub = tmp_path / "subspace.gtt"
     sub.write_bytes((pipeline / "subspace.gtt").read_bytes())
-    (tmp_path / "subspace.gtt.json").write_text(sidecar)
-    assert run("predict", "--model", str(pipeline / "model.gtt"), "--subspace", str(sub),
-               "--input", str(pipeline / "test_x.gtt"), "--out", str(tmp_path / "o")) == 1
-    assert capsys.readouterr().err.startswith("error: FormatError:")
+    (tmp_path / "subspace.gtt.json").write_text('{"d": 7, "n_u": 1, "fit_fingerprint": [1]}')
+    assert run("predict", "--config", str(pipeline / "pred" / "provenance.json"),
+               "--subspace", str(sub), "--out", str(tmp_path / "o")) == 0
+    assert set(read_json(tmp_path / "o" / "provenance.json")["inputs"]) == {
+        str(sub), *(str(pipeline / name) for name in ("test_x.gtt", "model.gtt", "model.gtt.json"))}
+    for name in ("mean.gtt", "std.gtt", "results.json"):
+        assert content_hash(tmp_path / "o" / name) == content_hash(pipeline / "pred" / name), name
 
 
-def test_missing_subspace_sidecar_is_allowed(pipeline, tmp_path):
-    from gtta.subspace import load_subspace
+# Edits of a fitted subspace file that keep (True) or break (False) one invariant each.
+SUBSPACE_EDITS = {
+    "ratios": {True: [None, ("first", 1 + 1e-12), ("last", 0.0)],
+               False: [("first", 7.0), ("first", 1 + 1e-6), ("last", -1e-9), ("reverse", None)]},
+    "ranges": {True: [None, 0.0, 5.0], False: [-1e-12, -1.0]},
+    "scale": {True: [1.0, 1 + 1e-8], False: [1 + 1e-5, 0.5, 3.0, 0.0]},  # of every component row
+    "shear": {True: [0.0, 1e-8], False: [1e-3]},  # share of row 0 added to row 1
+}
 
-    sub = tmp_path / "subspace.gtt"
-    sub.write_bytes((pipeline / "subspace.gtt").read_bytes())
-    assert load_subspace(sub).fit_fingerprint is None
-    assert run("predict", "--model", str(pipeline / "model.gtt"), "--subspace", str(sub),
-               "--input", str(pipeline / "test_x.gtt"), "--out", str(tmp_path / "o")) == 0
+
+@settings(max_examples=50, deadline=5000)
+@given(data=st.data())
+def test_predict_accepts_exactly_the_subspaces_that_keep_the_invariants(pipeline, data):
+    broken = data.draw(st.sets(st.sampled_from(sorted(SUBSPACE_EDITS))), label="broken")
+    edit = {name: data.draw(st.sampled_from(choices[name not in broken]), label=name)
+            for name, choices in SUBSPACE_EDITS.items()}
+    t = load_container(pipeline / "subspace.gtt")
+    ratios, ranges, comps = t["variance_ratios"].copy(), t["ranges"].copy(), t["components"].copy()
+    if edit["ratios"] is not None:
+        where, value = edit["ratios"]
+        if where == "reverse":
+            ratios = ratios[::-1].copy()
+        else:
+            ratios[0 if where == "first" else -1] = value
+    if edit["ranges"] is not None:
+        ranges[data.draw(st.integers(0, len(ranges) - 1), label="range_at")] = edit["ranges"]
+    comps[1] += edit["shear"] * comps[0]
+    comps *= edit["scale"]
+    with tempfile.TemporaryDirectory() as tmp:
+        save_container(t | {"variance_ratios": ratios, "ranges": ranges, "components": comps},
+                       Path(tmp) / "s.gtt")
+        code, err = _predict_on(pipeline, Path(tmp) / "s.gtt", Path(tmp) / "o")
+    if broken:
+        assert code == 1 and err.startswith("error: FormatError:") and err.count("\n") == 1, err
+    else:
+        assert code == 0, err
+
+
+@pytest.mark.parametrize("prefix", ["", "./"])
+def test_command_may_not_overwrite_a_file_it_read(pipeline, tmp_path, monkeypatch, capsys, prefix):
+    monkeypatch.chdir(tmp_path)
+    loop = tmp_path / "loop"
+    loop.mkdir()
+    (loop / "mean.gtt").write_bytes((pipeline / "test_x.gtt").read_bytes())
+    assert run("predict", "--model", str(pipeline / "model.gtt"),
+               "--subspace", str(pipeline / "subspace.gtt"), "--input", f"{prefix}loop/mean.gtt",
+               "--n", "2", "--out", "loop") == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ParamError: loop/mean.gtt was read") and err.count("\n") == 1
+    assert sorted(p.name for p in loop.iterdir()) == ["mean.gtt"]
+    assert (loop / "mean.gtt").read_bytes() == (pipeline / "test_x.gtt").read_bytes()
 
 
 @pytest.mark.parametrize("name, content, argv", [

@@ -1,27 +1,22 @@
-import json
-
 import numpy as np
 import pytest
 
+from gtta.cli import main
 from gtta.data import Dataset, OutputKind
-from gtta.distill import (
-    PseudoLabelSet,
-    distill,
-    generate_pseudolabels,
-    save_pseudolabels,
-)
+from gtta.distill import PseudoLabelSet, distill, generate_pseudolabels
 from gtta.errors import ParamError
 from gtta.perturb import NoiseSchedule
 from gtta.predictor import (
     MlpModel,
     batch_from_dataset,
     mlp_train,
+    save_model,
     weighted_cross_entropy,
 )
 from gtta.rng import RngStream
-from gtta.subspace import fit
+from gtta.subspace import fit, save_subspace
 from gtta.synthdata import BlobsSpec, gen_blobs
-from gtta.tensorio import load_container
+from gtta.tensorio import load_container, save_tensor
 
 
 def make_setup(seed=0, n=24, d=6):
@@ -65,30 +60,34 @@ def test_regeneration_is_bit_identical():
     sched = NoiseSchedule("incremental", 0.3, 5)
     rng = RngStream(11, 4)
     first = generate_pseudolabels(model, s, sched, unlabeled, rng)
-    prov = first.provenance
-    again = generate_pseudolabels(
-        model,
-        s,
-        NoiseSchedule(prov["strategy"], prov["sigma"], prov["ensemble_size"],
-                      var_floor=prov["var_floor"], sigma_cap=prov["sigma_cap"]),
-        unlabeled,
-        RngStream(prov["master_seed"], prov["stream_id"]),
-    )
+    again = generate_pseudolabels(model, s, NoiseSchedule("incremental", 0.3, 5), unlabeled,
+                                  RngStream(11, 4))
     assert np.array_equal(first.teacher_targets, again.teacher_targets)
     assert np.array_equal(first.weights, again.weights)
 
 
 def test_pseudolabel_persistence(tmp_path):
+    # distill writes the teacher's output, bit for bit, and nothing beside it.
     model, s, unlabeled = make_setup(seed=6)
+    save_model(model, tmp_path / "m.gtt")
+    save_subspace(s, tmp_path / "s.gtt")
+    save_tensor(unlabeled.inputs, tmp_path / "x.gtt")
+    save_tensor(np.zeros(unlabeled.n), tmp_path / "y.gtt")
+    out = tmp_path / "out"
+    assert main(["distill", "--student", str(tmp_path / "m.gtt"), "--subspace", str(tmp_path / "s.gtt"),
+                 "--labeled", str(tmp_path / "x.gtt"), "--labeled-targets", str(tmp_path / "y.gtt"),
+                 "--unlabeled", str(tmp_path / "x.gtt"), "--sigma", "0.1", "--n", "4",
+                 "--seed", "7", "--epochs", "1", "--out", str(out)]) == 0
+    # distill draws the teacher's noise from stream 7 of --seed
     pseudo = generate_pseudolabels(model, s, NoiseSchedule("constant", 0.1, 4),
-                                   unlabeled, RngStream(7))
-    path = tmp_path / "pl.gtt"
-    save_pseudolabels(pseudo, path)
-    back = load_container(path)
+                                   unlabeled, RngStream(7, 7))
+    back = load_container(out / "pseudolabels.gtt")
+    assert list(back) == ["inputs", "teacher_targets", "weights"]
     assert np.array_equal(back["inputs"], pseudo.inputs)
     assert np.array_equal(back["teacher_targets"], pseudo.teacher_targets)
     assert np.array_equal(back["weights"], pseudo.weights)
-    assert json.loads((tmp_path / "pl.gtt.json").read_text()) == pseudo.provenance
+    assert sorted(p.name for p in out.iterdir()) == [
+        "distilled.gtt", "distilled.gtt.json", "provenance.json", "pseudolabels.gtt", "report.json"]
 
 
 def _labeled_and_pseudo(seed):
@@ -118,7 +117,7 @@ def test_full_mixing_equals_supervised_training():
 def test_zero_weight_pseudo_matches_full_mixing():
     model, labeled, pseudo = _labeled_and_pseudo(seed=10)
     dead = PseudoLabelSet(pseudo.inputs, pseudo.teacher_targets,
-                          np.zeros_like(pseudo.weights), pseudo.provenance)
+                          np.zeros_like(pseudo.weights))
     rng = RngStream(11)
     a, _ = distill(model, labeled, dead, mixing=0.5, epochs=4, lr=0.1, rng=rng)
     b, _ = distill(model, labeled, pseudo, mixing=1.0, epochs=4, lr=0.1, rng=rng)
@@ -185,4 +184,4 @@ def test_distilled_student_runs_single_pass():
 def test_pseudolabels_carry_no_ground_truth():
     _, _, pseudo = _labeled_and_pseudo(seed=22)
     assert not hasattr(pseudo, "targets")
-    assert set(vars(pseudo)) == {"inputs", "teacher_targets", "weights", "provenance"}
+    assert set(vars(pseudo)) == {"inputs", "teacher_targets", "weights"}
