@@ -32,6 +32,9 @@ from .subspace import Subspace, fit, project
 # Scales (a, b) of the brightness/contrast baseline (1 + a z_a) x + b z_b.
 JITTER_SCALE = (0.1, 0.1)
 
+# Equal-width ensemble-std bins of the spread/error experiment.
+STD_ERROR_BINS = 10
+
 
 def _target_rows(eval_data: Dataset) -> np.ndarray:
     if eval_data.targets is None:
@@ -173,8 +176,7 @@ class CorrelationReport:
 
 
 def std_error_correlation(model, s: Subspace, sched: NoiseSchedule,
-                          eval_data: Dataset, rng: RngStream,
-                          bins: int = 10) -> CorrelationReport:
+                          eval_data: Dataset, rng: RngStream) -> CorrelationReport:
     """Pool per-element (ensemble std, absolute error) pairs over the inputs."""
     if not model.output_kind.is_probabilistic:
         raise UnsupportedTaskError("spread/error correlation needs probability outputs")
@@ -185,6 +187,7 @@ def std_error_correlation(model, s: Subspace, sched: NoiseSchedule,
 
     lo, hi = float(std.min()), float(std.max())
     degenerate = hi - lo < 1e-12
+    bins = STD_ERROR_BINS
     edges = np.linspace(lo, hi if not degenerate else lo + 1.0, bins + 1)
     idx = np.clip(((std - edges[0]) / (edges[-1] - edges[0]) * bins).astype(int), 0, bins - 1)
     counts = np.bincount(idx, minlength=bins)

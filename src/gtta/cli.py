@@ -26,7 +26,7 @@ from .distill import generate_pseudolabels
 from .data import REAL_VALUES, Dataset, OutputKind, load_dataset
 from .ensemble import DEFAULT_SIGMA_GRID, run_gtta, select_sigma
 from .errors import DataError, FormatError, GttaError, ParamError
-from .perturb import NoiseSchedule
+from .perturb import VAR_FLOOR, NoiseSchedule
 from .predictor import (
     MlpModel,
     SubprocessPredictor,
@@ -47,6 +47,11 @@ from .tensorio import (
 DEFAULT_RETAIN = 0.99
 DEFAULT_ENSEMBLE = 15
 DEFAULT_ENSEMBLE_REGRESSION = 100
+
+# Options of earlier versions, each at the one value the code now always uses.
+# A config that names another value asks for a computation that no longer exists.
+_RETIRED = {"var_floor": VAR_FLOOR, "range_data": None, "hard_labels": False,
+            "restart": False, "bins": analysis.STD_ERROR_BINS}
 
 
 def main(argv=None) -> int:
@@ -84,6 +89,10 @@ def _load_config(argv) -> dict:
     config = config.get("config", config)
     if not isinstance(config, dict):
         raise FormatError(f"--config {path}: \"config\" is not a JSON object")
+    for key, fixed in _RETIRED.items():
+        if config.get(key, fixed) != fixed:
+            raise ParamError(f"--config {path} sets {key} to {config[key]!r}; "
+                             f"that option is gone and is always {fixed!r}")
     return config
 
 
@@ -147,7 +156,6 @@ def _add_common(sub):
 def _add_schedule(sub, with_grid=False):
     sub.add_argument("--strategy", choices=["constant", "incremental"], default="constant")
     sub.add_argument("--n", type=int, default=None, help="ensemble size")
-    sub.add_argument("--var-floor", type=float, default=1e-6)
     sub.add_argument("--sigma-cap", type=float, default=None)
     if with_grid:
         sub.add_argument("--grid", default=",".join(str(v) for v in DEFAULT_SIGMA_GRID))
@@ -199,17 +207,14 @@ def _load_predictor(args):
         raise ParamError("need --model or --model-cmd")
 
 
-def _default_ensemble_size(args, model) -> int:
-    if args.n is not None:
-        return args.n
-    if model is not None and model.output_kind.kind == REAL_VALUES:
-        return DEFAULT_ENSEMBLE_REGRESSION
-    return DEFAULT_ENSEMBLE
-
-
-def _schedule(args, n: int, sigma: float | None = None) -> NoiseSchedule:
+def _schedule(args, model, sigma: float | None = None) -> NoiseSchedule:
+    """The schedule at ``sigma``, else ``--sigma``; ``--n`` defaults by the model's output kind."""
+    n = args.n
+    if n is None:
+        regression = model is not None and model.output_kind.kind == REAL_VALUES
+        n = DEFAULT_ENSEMBLE_REGRESSION if regression else DEFAULT_ENSEMBLE
     return NoiseSchedule(args.strategy, args.sigma if sigma is None else sigma, n,
-                         var_floor=args.var_floor, sigma_cap=args.sigma_cap)
+                         sigma_cap=args.sigma_cap)
 
 
 def _parse_floats(text, flag: str) -> tuple:
@@ -273,9 +278,7 @@ def _cmd_fit(args):
     data = load_tensor(args.data, header=args.header)
     if args.target_col == "last":
         data = np.ascontiguousarray(data[:, :-1])
-    range_ref = load_tensor(args.range_data) if args.range_data else None
-    s = fit(data, _parse_retain(args.retain), range_reference=range_ref)
-    save_subspace(s, args.out)
+    save_subspace(fit(data, _parse_retain(args.retain)), args.out)
 
 
 def _train_kind(args, targets) -> OutputKind:
@@ -311,30 +314,30 @@ def _cmd_predict(args):
     with _load_predictor(args) as model:
         s = load_subspace(args.subspace)
         rows = np.atleast_2d(load_tensor(args.input))
-        sched = _schedule(args, _default_ensemble_size(args, model))
+        sched = _schedule(args, model)
         result = run_gtta(model, s, sched, rows, RngStream(args.seed, 0).rows(len(rows)),
                           clamp=_parse_clamp(args.clamp))
-    _emit_ensemble_outputs(result, args.strategy, sched.ensemble_size, Path(args.out))
+    _emit_ensemble_outputs(result, sched, Path(args.out))
 
 
 def _cmd_auto_sigma(args):
     with _load_predictor(args) as model:
         s = load_subspace(args.subspace)
         rows = np.atleast_2d(load_tensor(args.input))
-        n = _default_ensemble_size(args, model)
-        scheds = [_schedule(args, n, sigma) for sigma in _parse_floats(args.grid, "--grid")]
-        _, result = select_sigma(model, s, scheds, rows, RngStream(args.seed, 0).rows(len(rows)),
-                                 clamp=_parse_clamp(args.clamp), threshold=args.threshold)
-    _emit_ensemble_outputs(result, args.strategy, n, Path(args.out))
+        scheds = [_schedule(args, model, sigma) for sigma in _parse_floats(args.grid, "--grid")]
+        result = select_sigma(model, s, scheds, rows, RngStream(args.seed, 0).rows(len(rows)),
+                              clamp=_parse_clamp(args.clamp), threshold=args.threshold)
+    _emit_ensemble_outputs(result, scheds[0], Path(args.out))
 
 
-def _emit_ensemble_outputs(result, strategy: str, ensemble_size: int, out: Path):
+def _emit_ensemble_outputs(result, sched: NoiseSchedule, out: Path):
     save_tensor(result.mean_prediction, out / "mean.gtt")
     save_tensor(result.std_map, out / "std.gtt")
     records = [
         {"row": i, "mean_prediction": "mean.gtt", "std_min": float(std.min()),
          "std_mean": float(std.mean()), "std_max": float(std.max()),
-         "chosen_sigma": float(sigma), "ensemble_size": ensemble_size, "strategy": strategy}
+         "chosen_sigma": float(sigma), "ensemble_size": sched.ensemble_size,
+         "strategy": sched.strategy}
         for i, (std, sigma) in enumerate(zip(result.std_map, result.chosen_sigma))
     ]
     save_json(records, out / "results.json")
@@ -346,9 +349,8 @@ def _cmd_distill(args):
     kind = student.output_kind
     labeled = load_dataset(args.labeled, kind, load_tensor(args.labeled_targets))
     unlabeled = Dataset(np.atleast_2d(load_tensor(args.unlabeled)), None, kind)
-    sched = _schedule(args, _default_ensemble_size(args, student))
     pseudo = generate_pseudolabels(
-        student, s, sched, unlabeled, RngStream(args.seed, 7)
+        student, s, _schedule(args, student), unlabeled, RngStream(args.seed, 7)
     )
     out = Path(args.out)
     save_container({"inputs": pseudo.inputs, "teacher_targets": pseudo.teacher_targets,
@@ -357,7 +359,6 @@ def _cmd_distill(args):
         student, labeled, pseudo,
         mixing=getattr(args, "lambda"), epochs=args.epochs, lr=args.lr,
         rng=RngStream(args.seed, 8), batch_size=args.batch_size,
-        hard_labels=args.hard_labels, restart=args.restart,
     )
     save_model(distilled, out / "distilled.gtt")
     save_json(report, out / "report.json")
@@ -408,8 +409,7 @@ def _analyze_bias_variance(args, out: Path):
     with _load_predictor(args) as model:
         s = load_subspace(args.subspace)
         data = _load_eval_data(args, model)
-        n = _default_ensemble_size(args, model)
-        scheds = [_schedule(args, n, sigma) for sigma in _parse_floats(args.grid, "--grid")]
+        scheds = [_schedule(args, model, sigma) for sigma in _parse_floats(args.grid, "--grid")]
         report = analysis.bias_variance_sweep(model, s, scheds, data, args.repeats,
                                               RngStream(args.seed, 11))
     rows = [(r["strategy"], r["sigma"], r["bias2"], r["variance"], r["error"])
@@ -422,9 +422,8 @@ def _analyze_bias_variance(args, out: Path):
 def _analyze_spectrum(args, out: Path):
     s = load_subspace(args.subspace)
     data = Dataset(np.atleast_2d(load_tensor(args.data)), None, OutputKind.real_values())
-    sched = _schedule(args, max(args.n or DEFAULT_ENSEMBLE, 2))
     report = analysis.covariance_spectrum_experiment(
-        s, sched, data, RngStream(args.seed, 12),
+        s, _schedule(args, None), data, RngStream(args.seed, 12),
         baseline=args.baseline, equal_sigma=args.equal_sigma,
     )
     base = report.baseline_eigenvalues
@@ -440,9 +439,8 @@ def _analyze_std_error(args, out: Path):
     with _load_predictor(args) as model:
         s = load_subspace(args.subspace)
         data = _load_eval_data(args, model)
-        sched = _schedule(args, _default_ensemble_size(args, model))
         report = analysis.std_error_correlation(
-            model, s, sched, data, RngStream(args.seed, 13), bins=args.bins
+            model, s, _schedule(args, model), data, RngStream(args.seed, 13)
         )
     rows = [
         (float(report.bin_edges[b]), float(report.bin_edges[b + 1]),
@@ -457,7 +455,7 @@ def _analyze_structured_noise(args, out: Path):
     carrier = Dataset(np.atleast_2d(load_tensor(args.data)), None, OutputKind.real_values())
     pattern = load_tensor(args.pattern).reshape(-1)
     report = analysis.structured_noise_removal(
-        carrier, pattern, _schedule(args, args.n or DEFAULT_ENSEMBLE), RngStream(args.seed, 14),
+        carrier, pattern, _schedule(args, None), RngStream(args.seed, 14),
         inject_fraction=args.inject_fraction, retain=_parse_retain(args.retain),
     )
     rows = [(i, r["latent_noise"], r["global_jitter"])
@@ -491,8 +489,6 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--retain", default=str(DEFAULT_RETAIN),
                    help="variance fraction in (0,1], integer count, or 'all'")
-    p.add_argument("--range-data", default=None,
-                   help="measure coordinate ranges on this set instead of the fit set")
     p.add_argument("--header", action="store_true", help="skip one CSV header line")
     p.add_argument("--target-col", choices=["last"], default=None,
                    help="drop the final CSV column (it is a target, not an input)")
@@ -552,10 +548,6 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=50)
     p.add_argument("--lr", type=float, default=0.02)
     p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--hard-labels", action="store_true",
-                   help="threshold teacher targets instead of using them soft")
-    p.add_argument("--restart", action="store_true",
-                   help="reinitialize the student instead of fine-tuning")
     p.add_argument("--out", required=True)
     _add_common(p)
     p.set_defaults(handler=_cmd_distill)
@@ -582,7 +574,6 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
     _add_schedule(p)
     p.add_argument("--grid", default=",".join(str(v) for v in DEFAULT_SIGMA_GRID))
     p.add_argument("--repeats", type=int, default=20, help="ensembles per input and sigma")
-    p.add_argument("--bins", type=int, default=10)
     p.add_argument("--baseline", choices=["none", "global_jitter"], default="none")
     p.add_argument("--equal-sigma", type=float, default=None,
                    help="share one noise std across all components")

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import PROBABILITIES, Dataset
+from .data import Dataset
 from .ensemble import run_gtta, uncertainty_weights
 from .errors import ParamError, TrainingDivergedError
 from .perturb import NoiseSchedule
@@ -53,9 +53,8 @@ def generate_pseudolabels(model, s: Subspace, sched: NoiseSchedule,
 
 def distill(student: MlpModel, labeled: Dataset, pseudo: PseudoLabelSet, *,
             mixing: float, epochs: int, lr: float, rng: RngStream,
-            batch_size: int = 32, hard_labels: bool = False,
-            restart: bool = False) -> tuple[MlpModel, dict]:
-    """Train the student on mixing * supervised + (1 - mixing) * pseudo loss.
+            batch_size: int = 32) -> tuple[MlpModel, dict]:
+    """Fine-tune the student on mixing * supervised + (1 - mixing) * pseudo loss.
 
     ``mixing`` = 1 reproduces continued supervised training exactly. A pseudo
     set whose weights are all zero carries no usable labels, so its term is
@@ -71,17 +70,8 @@ def distill(student: MlpModel, labeled: Dataset, pseudo: PseudoLabelSet, *,
     if not np.any(pseudo.weights):
         mixing = 1.0
     model = student.copy()
-    if restart:
-        fresh = MlpModel(model.layer_sizes, model.output_kind, rng.derive(99))
-        model.weights = fresh.weights
-        model.biases = fresh.biases
-
     sup = batch_from_dataset(labeled)
-    pseudo_batch = WeightedBatch(
-        pseudo.inputs,
-        _pseudo_targets(pseudo, model, hard_labels),
-        pseudo.weights,
-    )
+    pseudo_batch = WeightedBatch(pseudo.inputs, pseudo.teacher_targets, pseudo.weights)
 
     sup_root = rng.derive(1)
     pseudo_root = rng.derive(2)
@@ -107,18 +97,6 @@ def distill(student: MlpModel, labeled: Dataset, pseudo: PseudoLabelSet, *,
         history.append({"epoch": epoch, "train_loss": float(np.mean(losses))})
     report = {"mixing": mixing, "epochs": epochs, "lr": lr, "history": history}
     return model, report
-
-
-def _pseudo_targets(pseudo: PseudoLabelSet, model: MlpModel, hard: bool) -> np.ndarray:
-    targets = pseudo.teacher_targets
-    if not hard:
-        return targets
-    if model.output_kind.kind == PROBABILITIES:
-        labels = targets.argmax(axis=1)
-        out = np.zeros_like(targets)
-        out[np.arange(len(labels)), labels] = 1.0
-        return out
-    return (targets > 0.5).astype(np.float64)
 
 
 def _cycled_batches(n, batch_size, stream, count):

@@ -128,7 +128,7 @@ def _confidence(mean: np.ndarray, output_kind, threshold: float) -> np.ndarray:
 
 def select_sigma(model, s: Subspace, scheds, X: np.ndarray, streams, *,
                  clamp: tuple | None = None,
-                 threshold: float | None = None) -> tuple[np.ndarray, EnsembleResult]:
+                 threshold: float | None = None) -> EnsembleResult:
     """Pick, per row of ``X``, the grid schedule whose ensemble is most confident.
 
     ``scheds`` is the grid: a non-empty list of schedules of one strategy,
@@ -138,8 +138,8 @@ def select_sigma(model, s: Subspace, scheds, X: np.ndarray, streams, *,
     default the strategy's entry in ``CONFIDENCE_THRESHOLDS``. Ties go to the
     smaller sigma. The whole grid is one engine call on the same streams, so
     candidates differ only in noise scale, and a row's winner equals its
-    plain ensemble at the chosen sigma bit for bit. Returns the chosen sigma
-    per row and the ensembles that won.
+    plain ensemble at the chosen sigma bit for bit. Returns the ensembles
+    that won; ``chosen_sigma`` holds each row's sigma.
     """
     sigmas = [sc.sigma for sc in scheds]
     if not sigmas or sigmas != sorted(sigmas) or len({sc.strategy for sc in scheds}) != 1:
@@ -150,9 +150,8 @@ def select_sigma(model, s: Subspace, scheds, X: np.ndarray, streams, *,
         )
     if threshold is None:
         threshold = CONFIDENCE_THRESHOLDS[scheds[0].strategy]
-    result = run_gtta(model, s, scheds, X, streams, clamp=clamp,
-                      score=lambda mean: _confidence(mean, model.output_kind, threshold))
-    return result.chosen_sigma, result
+    return run_gtta(model, s, scheds, X, streams, clamp=clamp,
+                    score=lambda mean: _confidence(mean, model.output_kind, threshold))
 
 
 def uncertainty_weights(result: EnsembleResult, output_kind) -> np.ndarray:

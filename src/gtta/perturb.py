@@ -8,11 +8,12 @@ the explained-variance ratio:
 * constant policy:     sigma_i = range_i * sigma / var_i
 * incremental policy:  sigma_i = (j - 1) * range_i * sigma / (N * var_i)
 
-for candidate j of N. Variance ratios are floored so trailing components
-cannot blow the noise up, and components flagged near-zero-variance get no
-noise at all. Candidates are made for a block of input rows [B, d] at once,
-with one random stream per row; the rows are projected and their standard
-normals drawn once, and each noise scale only rescales those draws.
+for candidate j of N. Variance ratios are floored at VAR_FLOOR so trailing
+components cannot blow the noise up, and components flagged
+near-zero-variance get no noise at all. Candidates are made for a block of
+input rows [B, d] at once, with one random stream per row; the rows are
+projected and their standard normals drawn once, and each noise scale only
+rescales those draws.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from .subspace import Subspace, project, reconstruct
 
 CONSTANT = "constant"
 INCREMENTAL = "incremental"
+VAR_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -34,7 +36,6 @@ class NoiseSchedule:
     strategy: str
     sigma: float
     ensemble_size: int
-    var_floor: float = 1e-6
     sigma_cap: float | None = None
 
     def __post_init__(self):
@@ -44,8 +45,6 @@ class NoiseSchedule:
             raise ParamError(f"sigma must be nonnegative, got {self.sigma}")
         if self.ensemble_size < 1:
             raise ParamError(f"ensemble size must be >= 1, got {self.ensemble_size}")
-        if self.var_floor <= 0:
-            raise ParamError(f"var_floor must be positive, got {self.var_floor}")
         if self.sigma_cap is not None and self.sigma_cap <= 0:
             raise ParamError(f"sigma_cap must be positive, got {self.sigma_cap}")
 
@@ -56,7 +55,7 @@ def per_component_sigma(sched: NoiseSchedule, s: Subspace) -> np.ndarray:
     Row j - 1 holds the stds of candidate j. A row of zeros marks a candidate
     that gets no noise; this matrix is the one place that decides so.
     """
-    var = np.maximum(s.variance_ratios, sched.var_floor)
+    var = np.maximum(s.variance_ratios, VAR_FLOOR)
     out = np.tile(s.ranges * sched.sigma / var, (sched.ensemble_size, 1))
     if sched.strategy == INCREMENTAL:
         out = out * np.arange(sched.ensemble_size)[:, None] / sched.ensemble_size

@@ -2,7 +2,7 @@
 
 A fitted :class:`Subspace` holds the mean, orthonormal component rows, the
 fraction of total variance each component explains, and the range (max minus
-min) of the reference set's coordinates along each component. Projection
+min) of the fit set's coordinates along each component. Projection
 always centers by the mean and reconstruction always adds it back, so the
 full-rank round trip is the identity.
 """
@@ -46,13 +46,6 @@ class Subspace:
         return self.n_u == self.d
 
 
-def _as_matrix(reference) -> np.ndarray:
-    arr = np.asarray(reference, dtype=np.float64)
-    if arr.ndim != 2:
-        raise DataError(f"reference must be [n, d], got shape {arr.shape}")
-    return arr
-
-
 def _decompose(centered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Return (singular values, component rows) of the centered data matrix."""
     n, d = centered.shape
@@ -67,14 +60,20 @@ def _decompose(centered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         evals = np.clip(evals[order], 0.0, None)
         svals = np.sqrt(evals)
         comps = np.zeros((len(svals), d))
-        alive = evals >= DEAD_RATIO * np.trace(gram)
+        total = np.trace(gram)
+        alive = evals >= DEAD_RATIO * total
         comps[alive] = (centered.T @ evecs[:, order][:, alive]).T / svals[alive, None]
+        # Cᵀv / s drifts off unit norm and off the rows above by about
+        # 1e-16 / ratio, so rows of ratio below 1e-6 are re-orthonormalised.
+        for i in np.flatnonzero(alive & (evals < 1e-6 * total)):
+            comps[i] -= comps[:i].T @ (comps[:i] @ comps[i])
+            comps[i] /= np.linalg.norm(comps[i])
         return svals, comps
     _, svals, vt = np.linalg.svd(centered, full_matrices=False)
     return svals, vt
 
 
-def fit(reference, retain, range_reference=None) -> Subspace:
+def fit(reference, retain) -> Subspace:
     """Fit the principal subspace of ``reference``.
 
     ``retain`` selects how many components to keep:
@@ -84,10 +83,11 @@ def fit(reference, retain, range_reference=None) -> Subspace:
     * an int: exactly that many components;
     * ``"all"``: every computable component, i.e. min(n - 1, d).
 
-    Coordinate ranges are measured over ``range_reference`` when given, else
-    over the fit set itself.
+    Coordinate ranges are measured over the fit set itself.
     """
-    X = _as_matrix(reference)
+    X = np.asarray(reference, dtype=np.float64)
+    if X.ndim != 2:
+        raise DataError(f"reference must be [n, d], got shape {X.shape}")
     n, d = X.shape
     if n < 2:
         raise DataError(f"need at least 2 reference rows, got {n}")
@@ -113,10 +113,7 @@ def fit(reference, retain, range_reference=None) -> Subspace:
     flip = comps[np.arange(n_u), np.argmax(np.abs(comps), axis=1)] < 0
     comps = np.where(flip[:, None], -comps, comps)
 
-    ref = _as_matrix(range_reference) if range_reference is not None else X
-    if ref.shape[1] != d:
-        raise ShapeError(f"range reference has d={ref.shape[1]}, fit set has d={d}")
-    proj = (ref - mean) @ comps.T
+    proj = centered @ comps.T
     ranges = proj.max(axis=0) - proj.min(axis=0)
     return Subspace(mean=mean, components=comps, variance_ratios=ratios, ranges=ranges)
 

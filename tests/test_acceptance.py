@@ -274,7 +274,7 @@ def test_c07_spread_tracks_error():
     mlp_train(model, batch_from_dataset(train), epochs=150, lr=0.5, rng=RngStream(1, 61))
     s = fit(train.inputs, 0.99)
     report = std_error_correlation(
-        model, s, NoiseSchedule("constant", 0.02, 15), ev, RngStream(1, 62), bins=10
+        model, s, NoiseSchedule("constant", 0.02, 15), ev, RngStream(1, 62)
     )
     mae = [m for m, c in zip(report.bin_mae, report.bin_counts) if c > 0]
     rising = sum(1 for a, b in zip(mae, mae[1:]) if b >= a) / (len(mae) - 1)

@@ -178,7 +178,7 @@ def test_boundary_noise_task_correlates():
     mlp_train(model, batch_from_dataset(train), epochs=120, lr=0.5, rng=RngStream(1, 61))
     s = fit(train.inputs, 0.99)
     report = std_error_correlation(model, s, NoiseSchedule("constant", 0.02, 15),
-                                   ev, RngStream(1, 62), bins=10)
+                                   ev, RngStream(1, 62))
     assert report.pearson is not None and report.pearson > 0.3
     assert report.bin_counts.sum() == report.n_elements
     mae = [m for m, c in zip(report.bin_mae, report.bin_counts) if c > 0]

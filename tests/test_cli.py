@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import dataclasses
 import hashlib
@@ -17,7 +18,7 @@ from hypothesis import strategies as st
 
 import gtta
 from gtta import predictor
-from gtta.cli import main
+from gtta.cli import _build_parser, main
 from gtta.ensemble import BLOCK_ROWS
 from gtta.segcount import StructuringElement, count as count_components, erode, label_components
 from gtta.tensorio import (
@@ -42,7 +43,7 @@ PREDICT = ["predict", "--model", "{tmp}/model.gtt", "--subspace", "{root}/subspa
            "--input", "{root}/test_x.gtt"]
 DISTILL = ["distill", "--student", "{tmp}/model.gtt", "--subspace", "{root}/subspace.gtt",
            "--labeled", "{root}/train_x.gtt", "--labeled-targets", "{root}/train_y.gtt",
-           "--unlabeled", "{root}/unlabeled_x.gtt", "--epochs", "1", "--restart"]
+           "--unlabeled", "{root}/unlabeled_x.gtt", "--epochs", "1"]
 
 
 @pytest.fixture(scope="module")
@@ -213,6 +214,24 @@ def test_predict_through_rank_one_gram_fit_stays_at_data_scale(tmp_path, model_c
     center = X.mean(axis=0)
     mean = load_tensor(tmp_path / "o" / "mean.gtt")  # the echo model returns each candidate
     assert np.all(np.linalg.norm(mean - center, axis=1) <= np.linalg.norm(x - center, axis=1))
+
+
+def test_gram_fit_of_tiny_ratios_loads(tmp_path):
+    # 8 rows of rank 3 plus 1e-5 noise with d = 100 > 4n: "all" keeps four
+    # components of ratio about 5e-12, whose rows C^T v / s come out 1e-5 off
+    # unit norm unless the fit re-orthonormalises them.
+    from gtta.data import OutputKind
+    from gtta.predictor import MlpModel, save_model
+    from gtta.rng import RngStream
+
+    gen = np.random.default_rng(0)
+    X = gen.standard_normal((8, 3)) @ gen.standard_normal((3, 100))
+    save_tensor(X + 1e-5 * gen.standard_normal((8, 100)), tmp_path / "x.gtt")
+    save_model(MlpModel([100, 4, 1], OutputKind.real_values(), RngStream(1)), tmp_path / "m.gtt")
+    assert run("fit", "--data", str(tmp_path / "x.gtt"), "--retain", "all",
+               "--out", str(tmp_path / "s.gtt")) == 0
+    assert run("predict", "--model", str(tmp_path / "m.gtt"), "--subspace", str(tmp_path / "s.gtt"),
+               "--input", str(tmp_path / "x.gtt"), "--n", "2", "--out", str(tmp_path / "o")) == 0
 
 
 def test_auto_sigma_runs(pipeline, tmp_path):
@@ -399,6 +418,88 @@ def test_clamp_is_a_usage_error_where_nothing_reads_it(pipeline, tmp_path, capsy
         run(*[a.format(root=pipeline, tmp=tmp_path) for a in argv], "--out", str(tmp_path / "o"))
     assert info.value.code == 2
     assert "unrecognized arguments: --clamp" in capsys.readouterr().err
+
+
+# Every option of every subcommand, in declaration order: a new knob is a visible diff here.
+OPTIONS = {
+    "synth": "spec out config threads seed",
+    "fit": "data retain header target_col out config threads seed",
+    "train": "data targets target_col header task classes hidden epochs lr batch_size momentum "
+             "out config threads seed",
+    "predict": "model model_cmd output_kind subspace input strategy n sigma_cap sigma clamp "
+               "out config threads seed",
+    "auto-sigma": "model model_cmd output_kind subspace input strategy n sigma_cap grid threshold "
+                  "clamp out config threads seed",
+    "distill": "student subspace labeled labeled_targets unlabeled strategy n sigma_cap sigma "
+               "lambda epochs lr batch_size out config threads seed",
+    "count": "input threshold elem iters min_area connectivity truth out config threads seed",
+    "analyze": "model model_cmd output_kind subspace data targets strategy n sigma_cap sigma grid "
+               "repeats baseline equal_sigma pattern inject_fraction retain out config threads "
+               "seed",
+}
+
+
+def test_option_surface_is_pinned():
+    subs = next(a for a in _build_parser({})._actions if isinstance(a, argparse._SubParsersAction))
+    assert {name: " ".join(a.dest for a in p._actions if a.option_strings and a.dest != "help")
+            for name, p in subs.choices.items()} == OPTIONS
+
+
+@pytest.mark.parametrize("argv, flag", [
+    ([*PREDICT, "--var-floor", "1e-6"], "--var-floor"),
+    (["fit", "--data", "{root}/train_x.gtt", "--range-data", "x"], "--range-data"),
+    ([*DISTILL, "--hard-labels"], "--hard-labels"),
+    ([*DISTILL, "--restart"], "--restart"),
+    (["analyze", "std-error", "--model", "{tmp}/model.gtt", "--subspace", "{root}/subspace.gtt",
+      "--data", "{root}/test_x.gtt", "--targets", "{root}/test_y.gtt", "--bins", "10"], "--bins"),
+], ids=["var-floor", "range-data", "hard-labels", "restart", "bins"])
+def test_retired_options_are_usage_errors(pipeline, tmp_path, capsys, argv, flag):
+    (tmp_path / "model.gtt").write_bytes((pipeline / "model.gtt").read_bytes())
+    (tmp_path / "model.gtt.json").write_bytes((pipeline / "model.gtt.json").read_bytes())
+    with pytest.raises(SystemExit) as info:
+        run(*[a.format(root=pipeline, tmp=tmp_path) for a in argv], "--out", str(tmp_path / "o"))
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("var_floor", 0.01), ("range_data", "x.gtt"), ("hard_labels", True), ("restart", True),
+    ("bins", 5),
+])
+def test_config_setting_a_retired_option_is_refused(pipeline, tmp_path, capsys, key, value):
+    prov = read_json(pipeline / "pred" / "provenance.json")
+    prov["config"][key] = value
+    (tmp_path / "old.json").write_text(json.dumps(prov))
+    out = tmp_path / "o"
+    assert run("predict", "--config", str(tmp_path / "old.json"), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ParamError:") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_config_with_a_retired_option_at_its_fixed_value_replays(pipeline, tmp_path):
+    prov = read_json(pipeline / "pred" / "provenance.json")
+    prov["config"]["var_floor"] = 1e-6
+    (tmp_path / "old.json").write_text(json.dumps(prov))
+    assert run("predict", "--config", str(tmp_path / "old.json"), "--out", str(tmp_path / "o")) == 0
+    for name in ("mean.gtt", "std.gtt", "results.json"):
+        assert content_hash(pipeline / "pred" / name) == content_hash(tmp_path / "o" / name), name
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", "structured-noise", "--data", "{root}/train_x.gtt", "--pattern", "{tmp}/p.gtt",
+     "--n", "0"],
+    ["analyze", "spectrum", "--subspace", "{root}/subspace.gtt", "--data", "{root}/test_x.gtt",
+     "--n", "1"],
+    ["analyze", "spectrum", "--subspace", "{root}/subspace.gtt", "--data", "{root}/test_x.gtt",
+     "--n", "0"],
+], ids=["structured-noise-0", "spectrum-1", "spectrum-0"])
+def test_ensemble_size_is_never_rewritten(pipeline, tmp_path, capsys, argv):
+    save_tensor(np.ones(144), tmp_path / "p.gtt")
+    out = tmp_path / "o"
+    assert run(*[a.format(root=pipeline, tmp=tmp_path) for a in argv], "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ParamError:") and err.count("\n") == 1
 
 
 def test_bias_variance_honours_sigma_cap(pipeline, tmp_path):

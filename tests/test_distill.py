@@ -147,24 +147,6 @@ def test_self_training_initial_loss_matches_independent_pass():
     assert report["history"][0]["train_loss"] == pytest.approx(expected, abs=1e-12)
 
 
-def test_hard_labels_threshold_targets():
-    model, labeled, pseudo = _labeled_and_pseudo(seed=16)
-    soft, _ = distill(model, labeled, pseudo, mixing=0.5, epochs=2, lr=0.1,
-                      rng=RngStream(17))
-    hard, _ = distill(model, labeled, pseudo, mixing=0.5, epochs=2, lr=0.1,
-                      rng=RngStream(17), hard_labels=True)
-    assert any(
-        not np.array_equal(a, b) for a, b in zip(soft.weights, hard.weights)
-    )
-
-
-def test_restart_reinitializes():
-    model, labeled, pseudo = _labeled_and_pseudo(seed=18)
-    fresh, _ = distill(model, labeled, pseudo, mixing=0.5, epochs=0, lr=0.1,
-                       rng=RngStream(19), restart=True)
-    assert not np.array_equal(fresh.weights[0], model.weights[0])
-
-
 def test_distilled_student_runs_single_pass():
     model, labeled, pseudo = _labeled_and_pseudo(seed=20)
     distilled, _ = distill(model, labeled, pseudo, mixing=0.5, epochs=2, lr=0.1,

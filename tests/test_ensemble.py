@@ -86,17 +86,17 @@ def test_single_point_grid_returns_base():
     s = full_rank_subspace(seed=9)
     model = MlpModel([6, 8, 2], OutputKind.probabilities(2), RngStream(10))
     x = RngStream(11).generator().standard_normal(6)
-    sigma, result = select_sigma(model, s, sigma_grid((0.0,), 4), x[None], [RngStream(12)])
-    assert sigma[0] == 0.0
+    result = select_sigma(model, s, sigma_grid((0.0,), 4), x[None], [RngStream(12)])
+    assert result.chosen_sigma[0] == 0.0
     assert np.array_equal(result.mean_prediction[0], model.predict(x[None])[0])
 
 
 def test_ties_break_toward_smaller_sigma():
     s = full_rank_subspace(seed=13)
     model = FixedOutputs(np.tile([0.7, 0.3], (8, 1)), OutputKind.probabilities(2))
-    sigma, _ = select_sigma(model, s, sigma_grid((0.0, 0.1, 0.2), 8), s.mean[None],
-                            [RngStream(14)])
-    assert sigma[0] == 0.0
+    result = select_sigma(model, s, sigma_grid((0.0, 0.1, 0.2), 8), s.mean[None],
+                          [RngStream(14)])
+    assert result.chosen_sigma[0] == 0.0
 
 
 def test_selection_matches_brute_force_oracle():
@@ -105,8 +105,7 @@ def test_selection_matches_brute_force_oracle():
     model = RadialConfidence(target_sq=float((x**2).sum()) + 10.0, width=6.0)
     grid = (0.0, 0.05, 0.1, 0.15, 0.2)
     rng = RngStream(16)
-    sigma, _ = select_sigma(model, s, sigma_grid(grid, 25), x[None], [rng])
-    sigma = sigma[0]
+    sigma = select_sigma(model, s, sigma_grid(grid, 25), x[None], [rng]).chosen_sigma[0]
 
     scores = []
     for g in grid:
@@ -150,8 +149,8 @@ def test_segmentation_confidence_counts_both_sides():
         def predict(self, batch):
             return rows[: np.atleast_2d(batch).shape[0]].copy()
 
-    _, result = select_sigma(TwoMaps(), s, sigma_grid((0.0,), 2), s.mean[None], [RngStream(21)],
-                             threshold=0.8)
+    result = select_sigma(TwoMaps(), s, sigma_grid((0.0,), 2), s.mean[None], [RngStream(21)],
+                          threshold=0.8)
     # mean map is flat 0.5: nothing confident; the call still succeeds
     assert result.mean_prediction[0].shape == (2, 2)
 
@@ -171,9 +170,9 @@ def test_default_thresholds_by_strategy():
             return np.repeat(np.where(off, 0.78, 0.5)[:, None, None], 2, axis=2)
 
     def chosen(strategy, threshold=None):
-        sigma, _ = select_sigma(OffMean(), s, sigma_grid((0.0, 0.3), 20, strategy),
-                                s.mean[None], [RngStream(23)], threshold=threshold)
-        return sigma[0]
+        result = select_sigma(OffMean(), s, sigma_grid((0.0, 0.3), 20, strategy),
+                              s.mean[None], [RngStream(23)], threshold=threshold)
+        return result.chosen_sigma[0]
 
     assert chosen("constant") == 0.0        # default 0.8
     assert chosen("constant", 0.75) == 0.3
@@ -268,15 +267,15 @@ def test_sigma_grid_draws_once_and_keeps_plain_ensembles(strategy, monkeypatch):
         return generator(self, reuse)
 
     monkeypatch.setattr(RngStream, "generator", counted)
-    chosen, result = select_sigma(model, s, sigma_grid(grid, 5, strategy, sigma_cap=0.3), X,
-                                  streams, clamp=clamp)
+    result = select_sigma(model, s, sigma_grid(grid, 5, strategy, sigma_cap=0.3), X,
+                          streams, clamp=clamp)
     monkeypatch.setattr(RngStream, "generator", generator)
     assert len(calls) == len(X) * noisy
-    assert len(set(chosen)) > 1
+    assert len(set(result.chosen_sigma)) > 1
     for sigma in grid:
         sched = NoiseSchedule(strategy, sigma, 5, sigma_cap=0.3)
         plain = run_gtta(model, s, sched, X, streams, clamp=clamp)
-        won = chosen == sigma
+        won = result.chosen_sigma == sigma
         assert np.array_equal(result.mean_prediction[won], plain.mean_prediction[won])
         assert np.array_equal(result.std_map[won], plain.std_map[won])
 

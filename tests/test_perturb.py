@@ -49,7 +49,7 @@ def test_one_sigma_row_per_candidate():
 
 def test_variance_floor_caps_noise():
     s = toy_subspace([1.0, 1.0], [1.0, 1e-9])
-    sched = NoiseSchedule("constant", 0.1, 2, var_floor=1e-6)
+    sched = NoiseSchedule("constant", 0.1, 2)
     assert per_component_sigma(sched, s)[0, 1] == pytest.approx(0.1 / 1e-6)
 
 

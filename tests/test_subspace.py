@@ -169,7 +169,7 @@ def test_shape_errors():
 
 def test_save_load_round_trip(tmp_path):
     X = RngStream(12).generator().standard_normal((10, 5))
-    s = fit(X, "all", range_reference=X[:4])
+    s = fit(X, "all")
     path = tmp_path / "sub.gtt"
     save_subspace(s, path)
     back = load_subspace(path)
@@ -190,13 +190,6 @@ def test_load_corrupted_header(tmp_path):
     path.write_bytes(bytes(blob))
     with pytest.raises(FormatError):
         load_subspace(path)
-
-
-def test_ranges_use_range_reference():
-    gen = RngStream(14).generator()
-    X = gen.standard_normal((30, 4))
-    narrow = X[:5] * 0.1
-    assert fit(X, "all", range_reference=narrow).ranges.max() < fit(X, "all").ranges.max()
 
 
 def test_gram_path_matches_svd_path():
