@@ -24,7 +24,7 @@ from . import analysis, synthdata
 from .distill import distill as run_distill
 from .distill import generate_pseudolabels
 from .data import REAL_VALUES, Dataset, OutputKind, load_dataset
-from .ensemble import DEFAULT_SIGMA_GRID, run_gtta, select_sigma
+from .ensemble import DEFAULT_SIGMA_GRID, ENGINE, run_gtta, select_sigma
 from .errors import DataError, FormatError, GttaError, ParamError
 from .perturb import VAR_FLOOR, NoiseSchedule
 from .predictor import (
@@ -53,6 +53,10 @@ DEFAULT_ENSEMBLE_REGRESSION = 100
 _RETIRED = {"var_floor": VAR_FLOOR, "range_data": None, "hard_labels": False,
             "restart": False, "bins": analysis.STD_ERROR_BINS}
 
+# Commands whose outputs moved with the engine version; a record of one of
+# them from another engine would replay a different computation.
+_ENGINE_COMMANDS = ("predict", "auto-sigma", "distill", "analyze")
+
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
@@ -63,9 +67,11 @@ def main(argv=None) -> int:
         if not hasattr(args, "handler"):
             parser.print_usage(sys.stderr)
             return 2
-        if config.get("command", args.command) != args.command:
-            raise ParamError(f"--config {args.config} is from a {config['command']} run, "
-                             f"not {args.command}")
+        ran = {k: getattr(args, k) for k in ("command", "kind", "experiment") if hasattr(args, k)}
+        if any(config.get(k, v) != v for k, v in ran.items()):
+            recorded = " ".join(str(config.get(k, v)) for k, v in ran.items())
+            raise ParamError(f"--config {args.config} is from a {recorded} run, "
+                             f"not {' '.join(ran.values())}")
         with recording() as record:
             args.handler(args)
         _write_provenance(args, record)
@@ -85,14 +91,18 @@ def _load_config(argv) -> dict:
     path = finder.parse_known_args(argv)[0].config
     if path is None:
         return {}
-    config = load_json(path)
-    config = config.get("config", config)
+    record = load_json(path)
+    config = record.get("config", record)
     if not isinstance(config, dict):
         raise FormatError(f"--config {path}: \"config\" is not a JSON object")
     for key, fixed in _RETIRED.items():
         if config.get(key, fixed) != fixed:
             raise ParamError(f"--config {path} sets {key} to {config[key]!r}; "
                              f"that option is gone and is always {fixed!r}")
+    engine = record.get("engine", 1)
+    if "config" in record and config.get("command") in _ENGINE_COMMANDS and engine != ENGINE:
+        raise ParamError(f"--config {path} records a {config['command']} run of engine "
+                         f"{engine}, whose outputs engine {ENGINE} does not reproduce")
     return config
 
 
@@ -128,6 +138,7 @@ def _write_provenance(args, record) -> None:
     out = Path(args.out)
     save_json({
         "command": " ".join([args.command] + subject),
+        "engine": ENGINE,
         "config": {k: v for k, v in sorted(vars(args).items()) if k not in ("handler", "config")},
         "inputs": {p: content_hash(p) for p in record["inputs"]},
         "outputs": {p: content_hash(p) for p in record["outputs"]},
@@ -159,8 +170,6 @@ def _add_schedule(sub, with_grid=False):
     sub.add_argument("--sigma-cap", type=float, default=None)
     if with_grid:
         sub.add_argument("--grid", default=",".join(str(v) for v in DEFAULT_SIGMA_GRID))
-        sub.add_argument("--threshold", type=float, default=None,
-                         help="segmentation confidence cutoff (default by strategy)")
     else:
         sub.add_argument("--sigma", type=float, default=0.1)
 
@@ -388,15 +397,9 @@ def _cmd_count(args):
     save_json(report, Path(args.out) / "counts.json")
 
 
-def _cmd_analyze(args):
+def _cmd_analyze(experiment, args):
     out = Path(args.out)
-    handler = {
-        "bias-variance": _analyze_bias_variance,
-        "spectrum": _analyze_spectrum,
-        "std-error": _analyze_std_error,
-        "structured-noise": _analyze_structured_noise,
-    }[args.experiment]
-    save_json(analysis.report_dict(handler(args, out)), out / "report.json")
+    save_json(analysis.report_dict(experiment(args, out)), out / "report.json")
 
 
 def _load_eval_data(args, model) -> Dataset:
@@ -475,8 +478,8 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
         prog="gtta",
         description="Latent-subspace test-time ensembles, distillation, counting.",
     )
-    subs = parser.add_subparsers(dest="command",
-                                 parser_class=functools.partial(_ConfigParser, config=config))
+    parser_class = functools.partial(_ConfigParser, config=config)
+    subs = parser.add_subparsers(dest="command", parser_class=parser_class)
 
     p = subs.add_parser("synth", help="generate a deterministic fixture")
     p.add_argument("kind", choices=["tabular", "blobs", "images"])
@@ -530,6 +533,8 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
     p.add_argument("--subspace", required=True)
     p.add_argument("--input", required=True)
     _add_schedule(p, with_grid=True)
+    p.add_argument("--threshold", type=float, default=None,
+                   help="segmentation confidence cutoff (default by strategy)")
     p.add_argument("--clamp", default=None, metavar="LO,HI",
                    help="clamp reconstructed candidates into [LO, HI]")
     p.add_argument("--out", required=True)
@@ -565,24 +570,49 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_count)
 
     p = subs.add_parser("analyze", help="statistical diagnostics")
-    p.add_argument("experiment",
-                   choices=["bias-variance", "spectrum", "std-error", "structured-noise"])
+    experiments = p.add_subparsers(dest="experiment", required=True, parser_class=parser_class)
+
+    p = experiments.add_parser("bias-variance", help="ensemble error split per sigma")
     _add_model_source(p)
-    p.add_argument("--subspace", default=None)
+    p.add_argument("--subspace", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--targets", default=None)
-    _add_schedule(p)
-    p.add_argument("--grid", default=",".join(str(v) for v in DEFAULT_SIGMA_GRID))
+    _add_schedule(p, with_grid=True)
     p.add_argument("--repeats", type=int, default=20, help="ensembles per input and sigma")
+    p.add_argument("--out", required=True)
+    _add_common(p)
+    p.set_defaults(handler=functools.partial(_cmd_analyze, _analyze_bias_variance))
+
+    p = experiments.add_parser("spectrum", help="latent covariance eigenvalues")
+    p.add_argument("--subspace", required=True)
+    p.add_argument("--data", required=True)
+    _add_schedule(p)
     p.add_argument("--baseline", choices=["none", "global_jitter"], default="none")
     p.add_argument("--equal-sigma", type=float, default=None,
                    help="share one noise std across all components")
-    p.add_argument("--pattern", default=None, help="pattern tensor for structured-noise")
+    p.add_argument("--out", required=True)
+    _add_common(p)
+    p.set_defaults(handler=functools.partial(_cmd_analyze, _analyze_spectrum))
+
+    p = experiments.add_parser("std-error", help="ensemble std against absolute error")
+    _add_model_source(p)
+    p.add_argument("--subspace", required=True)
+    p.add_argument("--data", required=True)
+    p.add_argument("--targets", default=None)
+    _add_schedule(p)
+    p.add_argument("--out", required=True)
+    _add_common(p)
+    p.set_defaults(handler=functools.partial(_cmd_analyze, _analyze_std_error))
+
+    p = experiments.add_parser("structured-noise", help="removal of an injected pattern")
+    p.add_argument("--data", required=True)
+    p.add_argument("--pattern", required=True, help="pattern tensor to inject")
+    _add_schedule(p)
     p.add_argument("--inject-fraction", type=float, default=0.5)
     p.add_argument("--retain", default="all")
     p.add_argument("--out", required=True)
     _add_common(p)
-    p.set_defaults(handler=_cmd_analyze)
+    p.set_defaults(handler=functools.partial(_cmd_analyze, _analyze_structured_noise))
 
     return parser
 

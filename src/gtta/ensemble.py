@@ -4,7 +4,9 @@ The ensemble mean is the final prediction and the per-element population
 standard deviation of the candidate outputs is its uncertainty. The engine,
 :func:`run_gtta`, takes a block of input rows with one random stream per row
 and one noise schedule, or a grid of them for sigma selection, and keeps no
-candidate outputs once they are aggregated. For
+candidate outputs once they are aggregated. A built-in MLP takes the noisy
+latents through its first layer folded into reconstruction, so no
+input-space candidate is built for it unless ``clamp`` needs one. For
 probability-valued outputs the std never exceeds 0.5, so the consensus
 weight 1 - std stays in [0.5, 1].
 """
@@ -19,7 +21,13 @@ from . import perturb
 from .data import PER_PIXEL, PROBABILITIES
 from .errors import ParamError, ShapeError, UnsupportedTaskError
 from .perturb import NoiseSchedule, make_candidates
+from .predictor import MlpModel
 from .subspace import Subspace
+
+# Version of the engine's arithmetic, recorded in every provenance.json. It
+# moves when the last bits of the ensemble outputs do: engine 2 folds a
+# built-in MLP's first layer into reconstruction.
+ENGINE = 2
 
 # Noise grid bracketing the useful range for unit-scale data.
 DEFAULT_SIGMA_GRID = (0.0, 0.05, 0.1, 0.15, 0.2, 0.3, 0.5)
@@ -40,6 +48,39 @@ class EnsembleResult:
     mean_prediction: np.ndarray  # [B, *out]
     std_map: np.ndarray          # [B, *out], population std over the N candidates
     chosen_sigma: np.ndarray     # [B]
+
+
+@dataclass(frozen=True)
+class FoldedLayer:
+    """An MLP's first layer composed with reconstruction, an affine map of latents.
+
+    ``(mean + p C) W1 + b1 = (mean W1 + b1) + p (C W1)``, so the first layer
+    takes latents p directly: n_u x h multiply-adds per candidate instead of
+    n_u x d + d x h. It has a :class:`Subspace`'s ``mean`` and ``components``,
+    which is all :func:`make_candidates` reads of it.
+    """
+
+    mean: np.ndarray        # [h], mean W1 + b1
+    components: np.ndarray  # [n_u, h], C W1
+
+    @property
+    def d(self) -> int:
+        return self.mean.shape[0]
+
+    @property
+    def n_u(self) -> int:
+        return self.components.shape[0]
+
+
+def _fold(model: MlpModel, s: Subspace) -> tuple[FoldedLayer, MlpModel]:
+    """The model's first layer folded into ``s``, and the model after that layer."""
+    if model.layer_sizes[0] != s.d:
+        raise ShapeError(f"the model takes {model.layer_sizes[0]} inputs, "
+                         f"the subspace reconstructs {s.d}")
+    w, b = model.weights[0], model.biases[0]
+    tail = MlpModel.from_parameters(model.layer_sizes[1:], model.output_kind,
+                                    model.weights[1:], model.biases[1:])
+    return FoldedLayer(s.mean @ w + b, s.components @ w), tail
 
 
 def _aggregate(outputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -69,6 +110,9 @@ def run_gtta(model, s: Subspace, sched, X: np.ndarray, streams,
     range before prediction; off by default. When no candidate of a
     schedule gets noise the N candidates coincide, so each row is predicted
     once, alone, and the result equals the plain model output bit for bit.
+    Otherwise an :class:`MlpModel` without ``clamp`` maps each noisy latent
+    through its folded first layer, built once per call, and the rest of the
+    model; its last bits differ from an input-space reconstruction's.
     """
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0 or len(streams) != X.shape[0]:
@@ -78,18 +122,20 @@ def run_gtta(model, s: Subspace, sched, X: np.ndarray, streams,
     if len({sc.ensemble_size for sc in scheds}) != 1 or (len(scheds) > 1 and score is None):
         raise ParamError("a schedule grid needs one ensemble size and a score")
     sigs = np.stack([perturb.per_component_sigma(sc, s) for sc in scheds])
-    parts = [_best_ensembles(model, s, sigs, X[lo:lo + BLOCK_ROWS],
+    # Clipping happens in input space, so --clamp keeps the reconstruction.
+    fold = _fold(model, s) if isinstance(model, MlpModel) and clamp is None and sigs.any() else None
+    parts = [_best_ensembles(model, s, fold, sigs, X[lo:lo + BLOCK_ROWS],
                              streams[lo:lo + BLOCK_ROWS], clamp, score)
              for lo in range(0, X.shape[0], BLOCK_ROWS)]
     mean, std, pick = (np.concatenate(p) for p in zip(*parts))
     return EnsembleResult(mean, std, np.array([sc.sigma for sc in scheds])[pick])
 
 
-def _best_ensembles(model, s, sigs, X, streams, clamp, score):
+def _best_ensembles(model, s, fold, sigs, X, streams, clamp, score):
     """Mean, std and the winning schedule's index for each row of one block."""
     draws = perturb.draw_latents(sigs, s, X, streams)
     for g, sig in enumerate(sigs):
-        mean, std = _ensemble(model, s, sig, draws, clamp)
+        mean, std = _ensemble(model, s, fold, sig, draws, clamp)
         if g == 0:
             best_mean, best_std, pick = mean, std, np.zeros(len(X), dtype=np.intp)
             best_score = score(mean) if score is not None else None
@@ -101,16 +147,27 @@ def _best_ensembles(model, s, sigs, X, streams, clamp, score):
     return best_mean, best_std, pick
 
 
-def _ensemble(model, s, sig, draws, clamp):
-    """Mean and std of the ensembles of one noise matrix over one block."""
+def _ensemble(model, s, fold, sig, draws, clamp):
+    """Mean and std of the ensembles of one noise matrix over one block.
+
+    A quiet schedule, or one without ``fold``, predicts input-space
+    candidates; otherwise the folded first layer's pre-activations go
+    through its activation and the rest of the model.
+    """
     quiet = not sig.any()
-    cands = make_candidates(sig[:1] if quiet else sig, s, draws)
-    if clamp is not None:
-        cands = np.clip(cands, clamp[0], clamp[1])
+    if fold is None or quiet:
+        cands = make_candidates(sig[:1] if quiet else sig, s, draws)
+        if clamp is not None:
+            cands = np.clip(cands, clamp[0], clamp[1])
+    else:
+        layer, model = fold
+        cands = make_candidates(sig, layer, draws)
+        if model.weights:  # the folded layer was hidden, so its ReLU applies
+            cands = np.maximum(cands, 0.0)
     if quiet:
         out = np.stack([model.predict(c) for c in cands])
     else:
-        out = np.asarray(model.predict(cands.reshape(-1, s.d)))
+        out = np.asarray(model.predict(cands.reshape(-1, cands.shape[-1])))
         out = out.reshape(cands.shape[:2] + out.shape[1:])
     return _aggregate(out)
 

@@ -104,14 +104,18 @@ def latent_candidates(sig: np.ndarray, draws: LatentDraws) -> np.ndarray:
     return draws.base[:, None, :] + sig * draws.z
 
 
-def make_candidates(sig: np.ndarray, s: Subspace, draws: LatentDraws) -> np.ndarray:
-    """The reconstructed input-space candidates of the drawn rows, shape [B, N, d].
+def make_candidates(sig: np.ndarray, s, draws: LatentDraws) -> np.ndarray:
+    """The candidates of the drawn rows through the affine map ``s``, shape [B, N, s.d].
 
-    A candidate whose row of ``sig`` is zero is the input itself when the
-    subspace is full rank, else ``reconstruct(project(x))``, so a zero-noise
-    ensemble reproduces the unperturbed input bit for bit.
+    Through a :class:`Subspace` they are reconstructed inputs: a candidate
+    whose row of ``sig`` is zero is the input itself when the subspace is
+    full rank, else ``reconstruct(project(x))``, so a zero-noise ensemble
+    reproduces the unperturbed input bit for bit. ``s`` may instead be any
+    map with a ``mean`` [d] and ``components`` [n_u, d], such as a model's
+    first layer folded into reconstruction (``ensemble.FoldedLayer``); there
+    every candidate, quiet or not, is ``mean + latents @ components``.
     """
-    quiet = ~sig.any(axis=1)
+    quiet = ~sig.any(axis=1) if isinstance(s, Subspace) else np.zeros(len(sig), dtype=bool)
     out = np.empty((len(draws.X), sig.shape[0], s.d))
     if not quiet.all():
         latents = latent_candidates(sig, draws).reshape(-1, s.n_u)

@@ -1,9 +1,7 @@
 """Counting objects by eroding segmentation maps.
 
-Training targets erode every instance mask independently before taking the
-union, so the model learns object interiors that stay separated. At test
-time the predicted map is thresholded, eroded again to break thin bridges,
-and the surviving connected components are counted. Components are labeled
+The predicted map is thresholded, eroded to break thin bridges, and the
+surviving connected components are counted. Components are labeled
 by a run-based two-scan (He, Chao and Suzuki 2008) that works on the
 foreground runs of each row rather than on pixels, and numbers them in
 raster order of their first pixel.
@@ -128,28 +126,6 @@ class CountResult:
     count: int
     areas: list[int]
     eroded: np.ndarray = field(repr=False)
-
-
-def make_training_targets(instances, element: StructuringElement) -> tuple[np.ndarray, list[int]]:
-    """Erode every instance independently, union the results.
-
-    ``instances`` is a [H, W] grid of instance ids with 0 as background.
-    Returns the binary target map and the ids of instances that eroded away.
-    """
-    grid = np.asarray(instances)
-    if grid.ndim != 2:
-        raise DataError(f"instance map must be 2-D, got shape {grid.shape}")
-    target = np.zeros(grid.shape, dtype=bool)
-    dropped = []
-    for obj_id in np.unique(grid):
-        if obj_id == 0:
-            continue
-        eroded = erode(grid == obj_id, element)
-        if eroded.any():
-            target |= eroded
-        else:
-            dropped.append(int(obj_id))
-    return target, dropped
 
 
 def count(seg_prob, threshold: float, element: StructuringElement, *,

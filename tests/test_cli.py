@@ -433,16 +433,57 @@ OPTIONS = {
     "distill": "student subspace labeled labeled_targets unlabeled strategy n sigma_cap sigma "
                "lambda epochs lr batch_size out config threads seed",
     "count": "input threshold elem iters min_area connectivity truth out config threads seed",
-    "analyze": "model model_cmd output_kind subspace data targets strategy n sigma_cap sigma grid "
-               "repeats baseline equal_sigma pattern inject_fraction retain out config threads "
-               "seed",
+    "analyze bias-variance": "model model_cmd output_kind subspace data targets strategy n "
+                             "sigma_cap grid repeats out config threads seed",
+    "analyze spectrum": "subspace data strategy n sigma_cap sigma baseline equal_sigma out config "
+                        "threads seed",
+    "analyze std-error": "model model_cmd output_kind subspace data targets strategy n sigma_cap "
+                         "sigma out config threads seed",
+    "analyze structured-noise": "data pattern strategy n sigma_cap sigma inject_fraction retain "
+                                "out config threads seed",
 }
 
 
+def _subcommands(parser, prefix=""):
+    """(name, parser) of every leaf subcommand, a nested one named after its parents."""
+    subs = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    for name, p in subs.choices.items():
+        if any(isinstance(a, argparse._SubParsersAction) for a in p._actions):
+            yield from _subcommands(p, f"{prefix}{name} ")
+        else:
+            yield prefix + name, p
+
+
 def test_option_surface_is_pinned():
-    subs = next(a for a in _build_parser({})._actions if isinstance(a, argparse._SubParsersAction))
     assert {name: " ".join(a.dest for a in p._actions if a.option_strings and a.dest != "help")
-            for name, p in subs.choices.items()} == OPTIONS
+            for name, p in _subcommands(_build_parser({}))} == OPTIONS
+
+
+# One option that another experiment reads, given to each experiment.
+FOREIGN = {
+    "bias-variance": ["--model", "{root}/model.gtt", "--subspace", "{root}/subspace.gtt",
+                      "--data", "{root}/test_x.gtt", "--targets", "{root}/test_y.gtt",
+                      "--equal-sigma", "0.1"],
+    "spectrum": ["--subspace", "{root}/subspace.gtt", "--data", "{root}/test_x.gtt",
+                 "--inject-fraction", "9"],
+    "std-error": ["--model", "{root}/model.gtt", "--subspace", "{root}/subspace.gtt",
+                  "--data", "{root}/test_x.gtt", "--targets", "{root}/test_y.gtt",
+                  "--repeats", "3"],
+    "structured-noise": ["--data", "{root}/train_x.gtt", "--pattern", "{root}/test_x.gtt",
+                         "--subspace", "{root}/subspace.gtt"],
+}
+
+
+@pytest.mark.parametrize("experiment", sorted(FOREIGN))
+def test_analyze_experiment_refuses_options_it_does_not_read(pipeline, tmp_path, capsys,
+                                                             experiment):
+    argv = [a.format(root=pipeline) for a in FOREIGN[experiment]]
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as info:
+        run("analyze", experiment, *argv, "--out", str(out))
+    assert info.value.code == 2
+    assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -482,6 +523,60 @@ def test_config_with_a_retired_option_at_its_fixed_value_replays(pipeline, tmp_p
     prov["config"]["var_floor"] = 1e-6
     (tmp_path / "old.json").write_text(json.dumps(prov))
     assert run("predict", "--config", str(tmp_path / "old.json"), "--out", str(tmp_path / "o")) == 0
+    for name in ("mean.gtt", "std.gtt", "results.json"):
+        assert content_hash(pipeline / "pred" / name) == content_hash(tmp_path / "o" / name), name
+
+
+def _record(pipeline, tmp_path, command) -> dict:
+    """A provenance record of ``command`` made on the pipeline's files."""
+    if command == "analyze":
+        assert run("analyze", "spectrum", "--subspace", str(pipeline / "subspace.gtt"),
+                   "--data", str(pipeline / "test_x.gtt"), "--n", "4",
+                   "--out", str(tmp_path / "spectrum")) == 0
+        return read_json(tmp_path / "spectrum" / "provenance.json")
+    return read_json(pipeline / {"predict": "pred", "distill": "distilled"}[command]
+                     / "provenance.json")
+
+
+@pytest.mark.parametrize("command, engine", [
+    ("predict", None), ("predict", 1), ("distill", None), ("analyze", None),
+])
+def test_config_of_another_engine_is_refused(pipeline, tmp_path, capsys, command, engine):
+    prov = _record(pipeline, tmp_path, command)
+    assert prov["engine"] == 2
+    del prov["engine"]
+    if engine is not None:
+        prov["engine"] = engine
+    (tmp_path / "old.json").write_text(json.dumps(prov))
+    out = tmp_path / "o"
+    argv = [command] + ([prov["config"]["experiment"]] if command == "analyze" else [])
+    assert run(*argv, "--config", str(tmp_path / "old.json"), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ParamError:") and err.count("\n") == 1
+    assert "engine 1" in err and "engine 2" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, record, outputs", [
+    ("fit", "subspace.gtt.provenance.json", ["subspace.gtt"]),
+    ("count", "counts/provenance.json", ["counts/counts.json"]),
+])
+def test_config_of_a_command_the_engine_never_touched_replays(pipeline, tmp_path, command,
+                                                              record, outputs):
+    # fit and count never run the engine, so their records need no engine.
+    prov = read_json(pipeline / record)
+    del prov["engine"]
+    (tmp_path / "old.json").write_text(json.dumps(prov))
+    out = tmp_path / outputs[0].split("/")[0]
+    assert run(command, "--config", str(tmp_path / "old.json"), "--out", str(out)) == 0
+    for name in outputs:
+        assert content_hash(pipeline / name) == content_hash(tmp_path / name), name
+
+
+def test_hand_written_config_names_no_engine_and_replays(pipeline, tmp_path):
+    config = read_json(pipeline / "pred" / "provenance.json")["config"]
+    (tmp_path / "hand.json").write_text(json.dumps(config))
+    assert run("predict", "--config", str(tmp_path / "hand.json"), "--out", str(tmp_path / "o")) == 0
     for name in ("mean.gtt", "std.gtt", "results.json"):
         assert content_hash(pipeline / "pred" / name) == content_hash(tmp_path / "o" / name), name
 
@@ -759,46 +854,56 @@ def test_config_from_another_command_is_rejected(pipeline, tmp_path, capsys):
     assert not (tmp_path / "c").exists()
 
 
+def test_config_from_another_experiment_is_rejected(pipeline, tmp_path, capsys):
+    prov = _record(pipeline, tmp_path, "analyze")
+    assert run("analyze", "std-error", "--config", str(tmp_path / "spectrum" / "provenance.json"),
+               "--model", str(pipeline / "model.gtt"), "--targets", str(pipeline / "test_y.gtt"),
+               "--out", str(tmp_path / "o")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ParamError:") and "analyze spectrum run, not analyze std-error" in err
+    assert prov["command"] == "analyze spectrum" and not (tmp_path / "o").exists()
+
+
 BENCH = SRC.parent / "bench"
 
-TRACED = """import sys
-sys.path[:0] = [{bench!r}, {src!r}]
-import gtta.cli, spans, workloads
-tracer = spans.Tracer()
-spans.install(tracer)
 
-def traced(argv):
-    del tracer.spans[:]
-    assert gtta.cli.main(argv) == 0, argv[0]
-    return spans.summarize(tracer.spans)
+@pytest.fixture
+def bench_tracer(monkeypatch):
+    """The benchmark's tracer, installed on the package until the test ends.
 
-setup = {{}}
-for argv in {setup!r}:
-    setup.update(traced(argv))
-failed = False
-for name, argv in {commands!r}:
-    w = workloads.WORKLOADS[name]
-    missing = (spans.missing_spans(traced(argv), w.spans)
-               + spans.missing_spans(setup, w.setup_spans))
-    if missing:
-        print(name, "spans never fired:", ", ".join(missing), file=sys.stderr)
-        failed = True
-sys.exit(failed)
-"""
+    ``spans.install`` wraps each call site with a plain ``setattr``; routing
+    those through ``monkeypatch`` undoes every one at teardown. A call site
+    that no longer exists makes ``install`` raise ``LookupError``.
+    """
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # write nothing into bench/
+    monkeypatch.syspath_prepend(str(BENCH))
+    import spans
+    import workloads
+
+    monkeypatch.setattr(spans, "setattr", monkeypatch.setattr, raising=False)
+    tracer = spans.Tracer()
+    spans.install(tracer)
+    return tracer, spans, workloads
 
 
-def test_bench_trace_sites_fire(pipeline, tmp_path):
+def test_bench_trace_sites_fire(pipeline, tmp_path, bench_tracer):
     # The benchmark traces layers by wrapping named call sites; a renamed or
     # inlined site must fail here, not only in a traced benchmark run. Its
     # fixture build, fit and train, must fire each workload's set-up spans.
-    setup = [
-        ["fit", "--data", str(pipeline / "train_x.gtt"), "--out", str(tmp_path / "s.gtt")],
-        ["train", "--data", str(pipeline / "train_x.gtt"), "--targets", str(pipeline / "train_y.gtt"),
-         "--task", "segmentation", "--hidden", "4", "--epochs", "1", "--out", str(tmp_path / "m.gtt")],
-    ]
+    tracer, spans, workloads = bench_tracer
+
+    def traced(argv):
+        del tracer.spans[:]
+        assert run(*argv) == 0, argv[0]
+        return spans.summarize(tracer.spans)
+
+    setup = traced(["fit", "--data", str(pipeline / "train_x.gtt"), "--out", str(tmp_path / "s.gtt")])
+    setup.update(traced(["train", "--data", str(pipeline / "train_x.gtt"),
+                         "--targets", str(pipeline / "train_y.gtt"), "--task", "segmentation",
+                         "--hidden", "4", "--epochs", "1", "--out", str(tmp_path / "m.gtt")]))
     common = ["--subspace", str(pipeline / "subspace.gtt"), "--input", str(pipeline / "test_x.gtt"),
               "--n", "4", "--seed", "1"]
-    child = f"{sys.executable} {BENCH / 'model_child.py'} 12x12"
+    child = f"{sys.executable} -B {BENCH / 'model_child.py'} 12x12"
     commands = [
         ("predict", ["predict", "--model", str(pipeline / "model.gtt"), "--sigma", "0.1",
                      *common, "--out", str(tmp_path / "p")]),
@@ -809,10 +914,10 @@ def test_bench_trace_sites_fire(pipeline, tmp_path):
         ("count", ["count", "--input", str(pipeline / "pred" / "mean.gtt"),
                    "--out", str(tmp_path / "c")]),
     ]
-    code = TRACED.format(bench=str(BENCH), src=str(SRC), setup=setup, commands=commands)
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          timeout=120)
-    assert proc.returncode == 0, proc.stderr
+    for name, argv in commands:
+        w = workloads.WORKLOADS[name]
+        assert spans.missing_spans(traced(argv), w.spans) == [], name
+        assert spans.missing_spans(setup, w.setup_spans) == [], name
 
 
 @pytest.mark.parametrize("reply", [

@@ -1,9 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import run_bias_variance
+from gtta import ensemble
 from gtta.data import OutputKind
-from gtta.ensemble import DEFAULT_SIGMA_GRID, run_gtta, select_sigma, uncertainty_weights
+from gtta.ensemble import (
+    DEFAULT_SIGMA_GRID, FoldedLayer, run_gtta, select_sigma, uncertainty_weights,
+)
 from gtta.errors import ParamError, ShapeError, UnsupportedTaskError
 from gtta.perturb import NoiseSchedule, per_component_sigma
 from gtta.predictor import MlpModel
@@ -289,3 +294,93 @@ def test_schedule_grid_needs_one_size_and_a_score():
     with pytest.raises(ParamError):
         run_gtta(model, s, [grid[0], NoiseSchedule("constant", 0.2, 5)], s.mean[None],
                  [RngStream(43)], score=lambda mean: mean.max(axis=1))
+
+
+# --------------------------------------------------------------------------
+# the folded first layer of a built-in MLP
+
+
+class InputSpace:
+    """An MLP behind a plain predictor, so the engine reconstructs its candidates."""
+
+    def __init__(self, model):
+        self.model = model
+        self.output_kind = model.output_kind
+
+    def predict(self, batch):
+        return self.model.predict(batch)
+
+
+# (rows, d, retain) of the fit: every row kept, an SVD cut short, the Gram path (d > 4n).
+FITS = {"full-rank": (20, 6, "all"), "svd": (30, 6, 4), "gram": (5, 24, "all")}
+HEADS = {"probabilities": (OutputKind.probabilities(3), 3),
+         "per-pixel": (OutputKind.per_pixel(2, 2), 4),
+         "real": (OutputKind.real_values(), 1)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(hidden=st.lists(st.integers(1, 9), max_size=2), head=st.sampled_from(sorted(HEADS)),
+       fit_kind=st.sampled_from(sorted(FITS)), strategy=st.sampled_from(["constant", "incremental"]),
+       sigma=st.floats(0.01, 0.5), cap=st.sampled_from([None, 0.3]), seed=st.integers(0, 2**16))
+@example(hidden=[], head="probabilities", fit_kind="full-rank", strategy="incremental",
+         sigma=0.2, cap=None, seed=0)
+def test_folded_first_layer_matches_input_space(hidden, head, fit_kind, strategy, sigma, cap,
+                                                seed):
+    n, d, retain = FITS[fit_kind]
+    X = RngStream(seed).generator().standard_normal((n, d))
+    s = fit(X, retain)
+    kind, width = HEADS[head]
+    model = MlpModel([d, *hidden, width], kind, RngStream(seed, 1))
+    sched = NoiseSchedule(strategy, sigma, 5, sigma_cap=cap)
+    rows = X[:ensemble.BLOCK_ROWS + 3]
+    streams = RngStream(seed, 2).rows(len(rows))
+    folded = run_gtta(model, s, sched, rows, streams)
+    plain = run_gtta(InputSpace(model), s, sched, rows, streams)
+    assert np.abs(folded.mean_prediction - plain.mean_prediction).max() <= 1e-12
+    assert np.abs(folded.std_map - plain.std_map).max() <= 1e-12
+
+
+def test_only_a_noisy_unclamped_mlp_takes_the_folded_layer(monkeypatch):
+    # make_candidates is where candidates are built, so the maps it is given
+    # show which path each schedule took.
+    s = full_rank_subspace(seed=50)
+    x = s.mean[None] + 0.1
+    maps = []
+    make_candidates = ensemble.make_candidates
+    monkeypatch.setattr(ensemble, "make_candidates",
+                        lambda sig, m, draws: maps.append(type(m)) or make_candidates(sig, m, draws))
+    for hidden in ([], [8]):
+        model = MlpModel([6, *hidden, 3], OutputKind.probabilities(3), RngStream(51))
+        for target, clamp, sigma, path in [
+            (model, None, 0.2, FoldedLayer),
+            (model, (-1.0, 1.0), 0.2, type(s)),
+            (model, None, 0.0, type(s)),
+            (InputSpace(model), None, 0.2, type(s)),
+        ]:
+            maps.clear()
+            result = run_gtta(target, s, NoiseSchedule("constant", sigma, 4), x, [RngStream(52)],
+                              clamp=clamp)
+            assert maps == [path]
+            if sigma == 0.0:
+                assert np.array_equal(result.mean_prediction, model.predict(x))
+    with pytest.raises(ShapeError):
+        run_gtta(MlpModel([5, 4, 3], OutputKind.probabilities(3), RngStream(53)), s,
+                 NoiseSchedule("constant", 0.2, 4), x, [RngStream(54)])
+
+
+@pytest.mark.parametrize("strategy", ["constant", "incremental"])
+def test_sigma_grid_through_the_folded_layer_keeps_plain_ensembles(strategy):
+    # The folded twin of test_sigma_grid_draws_once_and_keeps_plain_ensembles:
+    # without --clamp each row's winner is the plain ensemble at its sigma, bit for bit.
+    X = RngStream(60).generator().standard_normal((19, 6))
+    s = fit(X, 4)
+    model = MlpModel([6, 8, 3], OutputKind.probabilities(3), RngStream(61))
+    streams = RngStream(62).rows(len(X))
+    grid = (0.0, 0.1, 0.2, 0.4)
+    result = select_sigma(model, s, sigma_grid(grid, 5, strategy, sigma_cap=0.3), X, streams)
+    assert len(set(result.chosen_sigma)) > 1
+    for sigma in grid:
+        plain = run_gtta(model, s, NoiseSchedule(strategy, sigma, 5, sigma_cap=0.3), X, streams)
+        won = result.chosen_sigma == sigma
+        assert np.array_equal(result.mean_prediction[won], plain.mean_prediction[won])
+        assert np.array_equal(result.std_map[won], plain.std_map[won])

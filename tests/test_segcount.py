@@ -15,7 +15,6 @@ from gtta.segcount import (
     erode,
     evaluate_counting,
     label_components,
-    make_training_targets,
 )
 
 
@@ -235,53 +234,6 @@ def test_diagonal_connectivity_difference():
     mask = np.array([[1, 0], [0, 1]], dtype=bool)
     assert label_components(mask, connectivity=4)[1] == 2
     assert label_components(mask, connectivity=8)[1] == 1
-
-
-def test_training_targets_two_squares():
-    inst = np.zeros((7, 13), dtype=np.int64)
-    inst[1:6, 1:6] = 1
-    inst[1:6, 7:12] = 2
-    target, dropped = make_training_targets(inst, FULL3)
-    assert dropped == []
-    expected = np.zeros_like(inst, dtype=bool)
-    expected[2:5, 2:5] = True
-    expected[2:5, 8:11] = True
-    assert np.array_equal(target, expected)
-    assert label_components(target)[1] == 2
-
-
-def test_training_targets_empty_map():
-    target, dropped = make_training_targets(np.zeros((5, 5), dtype=np.int64), FULL3)
-    assert not target.any()
-    assert dropped == []
-
-
-def test_training_targets_report_vanished_instances():
-    inst = np.zeros((6, 6), dtype=np.int64)
-    inst[1:5, 1:5] = 1
-    inst[0, 5] = 2  # single pixel, erodes away
-    target, dropped = make_training_targets(inst, FULL3)
-    assert dropped == [2]
-    assert target.any()
-
-
-def test_touching_instances_separate_after_erosion():
-    # Two rectangles sharing a full boundary edge: one merged foreground blob.
-    inst = np.zeros((7, 12), dtype=np.int64)
-    inst[1:6, 1:6] = 1
-    inst[1:6, 6:11] = 2
-    assert label_components(inst > 0)[1] == 1
-    target, dropped = make_training_targets(inst, FULL3)
-    assert dropped == []
-    assert label_components(target)[1] == 2
-    ys, xs = np.nonzero(target)
-    left = xs[xs <= 5]
-    right = xs[xs > 5]
-    # brute-force min pixel distance between the two eroded interiors
-    gap = min(
-        abs(int(b) - int(a)) for a in np.unique(left) for b in np.unique(right)
-    )
-    assert gap >= 2
 
 
 def test_count_two_blobs():
