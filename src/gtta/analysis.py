@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import PROBABILITIES, Dataset
-from .ensemble import run_gtta
+from .ensemble import grid_means, run_gtta
 from .errors import ParamError, UnsupportedTaskError
 from .metrics import pearson_r
 from .perturb import (
@@ -75,7 +75,7 @@ def bias_variance_sweep(model, s: Subspace, scheds, eval_data: Dataset, M: int,
 
     so error == bias2 + variance identically, all averaged over inputs and
     output elements. Repeat m of input i draws from rng.derive(i).derive(m)
-    for every schedule, so noise levels share their underlying draws.
+    once, and every schedule rescales those draws.
     """
     if len({sched.ensemble_size for sched in scheds}) != 1:
         raise ParamError("a sigma grid must be non-empty and of one ensemble size")
@@ -86,8 +86,7 @@ def bias_variance_sweep(model, s: Subspace, scheds, eval_data: Dataset, M: int,
     X = np.repeat(eval_data.inputs, M, axis=0)
     streams = [stream for row in rng.rows(n) for stream in row.rows(M)]
     rows = []
-    for sched in scheds:
-        means = run_gtta(model, s, sched, X, streams).mean_prediction
+    for sched, means in zip(scheds, grid_means(model, s, scheds, X, streams)):
         ens_means = means.reshape((n, M) + means.shape[1:])
         grand = ens_means.mean(axis=1, keepdims=True)
         y = targets.reshape(grand.shape)

@@ -78,7 +78,7 @@ class OutputKind:
         expected = (b, self.num_classes) if self.kind == PROBABILITIES else (b, *self.image_shape)
         if out.shape != expected:
             raise PredictorError(f"expected {self.kind} of shape {expected}, got {out.shape}")
-        if not np.all((out >= 0) & (out <= 1)):
+        if out.size and not (out.min() >= 0 and out.max() <= 1):  # a NaN fails both
             raise PredictorError(f"{self.kind} outside [0, 1]")
         if self.kind == PROBABILITIES and not np.all(np.abs(out.sum(axis=1) - 1.0) <= ROW_SUM_TOL):
             raise PredictorError(f"class probabilities do not sum to 1 within {ROW_SUM_TOL}")

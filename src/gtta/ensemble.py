@@ -3,9 +3,10 @@
 The ensemble mean is the final prediction and the per-element population
 standard deviation of the candidate outputs is its uncertainty. The engine,
 :func:`run_gtta`, takes a block of input rows with one random stream per row
-and one noise schedule, or a grid of them for sigma selection, and keeps no
-candidate outputs once they are aggregated. A built-in MLP takes the noisy
-latents through its first layer folded into reconstruction, so no
+and one noise schedule, or a grid of them for sigma selection. A grid point
+is scored from its ensemble means alone: only each row's winning candidate
+outputs are kept, and their std is taken once. A built-in MLP takes the
+noisy latents through its first layer folded into reconstruction, so no
 input-space candidate is built for it unless ``clamp`` needs one. For
 probability-valued outputs the std never exceeds 0.5, so the consensus
 weight 1 - std stays in [0.5, 1].
@@ -83,15 +84,43 @@ def _fold(model: MlpModel, s: Subspace) -> tuple[FoldedLayer, MlpModel]:
     return FoldedLayer(s.mean @ w + b, s.components @ w), tail
 
 
-def _aggregate(outputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and std over the candidate axis of [b, N, *out] outputs."""
-    mean, std = outputs.mean(axis=1), outputs.std(axis=1)
-    # A row whose candidates agree aggregates exactly: the mean is the common
-    # value and the std is exactly zero, with no float summation wobble.
-    same = np.all(outputs == outputs[:, :1], axis=tuple(range(1, outputs.ndim)))
+def _mean(outputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean over the candidate axis of [b, N, *out] outputs, and the rows whose candidates agree.
+
+    Such a row aggregates exactly: its mean is the common value and its std
+    exactly zero, with no float summation wobble. Only the rows whose
+    candidate 1 equals candidate 0 are compared in full.
+    """
+    flat = outputs.reshape(len(outputs), outputs.shape[1], -1)
+    same = np.all(flat[:, min(1, flat.shape[1] - 1)] == flat[:, 0], axis=1)
+    same[same] = np.all(flat[same] == flat[same, :1], axis=(1, 2))
+    mean = outputs.mean(axis=1)
     mean[same] = outputs[same, 0]
-    std[same] = 0.0
-    return mean, std
+    return mean, same
+
+
+def _grid(model, s: Subspace, scheds, X, streams, clamp):
+    """Per block of BLOCK_ROWS rows, an iterator over its :func:`_ensemble` per schedule.
+
+    A block's rows are projected and drawn once, when its iterator is made.
+    """
+    X = np.asarray(X, dtype=np.float64)
+    if X.ndim != 2 or X.shape[0] == 0 or len(streams) != X.shape[0]:
+        raise ShapeError(f"need a non-empty [B, d] block and one stream per row, "
+                         f"got shape {X.shape} and {len(streams)} streams")
+    if len({sc.ensemble_size for sc in scheds}) != 1:
+        raise ParamError("a schedule grid needs one ensemble size")
+    sigs = np.stack([perturb.per_component_sigma(sc, s) for sc in scheds])
+    # Clipping happens in input space, so --clamp keeps the reconstruction.
+    fold = _fold(model, s) if isinstance(model, MlpModel) and clamp is None and sigs.any() else None
+    return (_block(model, s, fold, sigs, X[lo:lo + BLOCK_ROWS], streams[lo:lo + BLOCK_ROWS], clamp)
+            for lo in range(0, X.shape[0], BLOCK_ROWS))
+
+
+def _block(model, s, fold, sigs, X, streams, clamp):
+    """The ensembles of one block of rows, one per noise matrix of ``sigs``."""
+    draws = perturb.draw_latents(sigs, s, X, streams)
+    return (_ensemble(model, s, fold, sig, draws, clamp) for sig in sigs)
 
 
 def run_gtta(model, s: Subspace, sched, X: np.ndarray, streams,
@@ -104,6 +133,8 @@ def run_gtta(model, s: Subspace, sched, X: np.ndarray, streams,
     ensemble; ties go to the earlier schedule. Row i draws its noise from
     ``streams[i]`` on every schedule, so each row is projected and its
     standard normals are drawn once, and the schedules only rescale them.
+    Only the winning candidate outputs are kept, and the std is taken from
+    them once per block.
 
     Rows run BLOCK_ROWS at a time, one model call per block and schedule.
     ``clamp=(lo, hi)`` clips reconstructed candidates into the valid input
@@ -114,45 +145,54 @@ def run_gtta(model, s: Subspace, sched, X: np.ndarray, streams,
     through its folded first layer, built once per call, and the rest of the
     model; its last bits differ from an input-space reconstruction's.
     """
-    X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] == 0 or len(streams) != X.shape[0]:
-        raise ShapeError(f"need a non-empty [B, d] block and one stream per row, "
-                         f"got shape {X.shape} and {len(streams)} streams")
     scheds = [sched] if isinstance(sched, NoiseSchedule) else list(sched)
-    if len({sc.ensemble_size for sc in scheds}) != 1 or (len(scheds) > 1 and score is None):
-        raise ParamError("a schedule grid needs one ensemble size and a score")
-    sigs = np.stack([perturb.per_component_sigma(sc, s) for sc in scheds])
-    # Clipping happens in input space, so --clamp keeps the reconstruction.
-    fold = _fold(model, s) if isinstance(model, MlpModel) and clamp is None and sigs.any() else None
-    parts = [_best_ensembles(model, s, fold, sigs, X[lo:lo + BLOCK_ROWS],
-                             streams[lo:lo + BLOCK_ROWS], clamp, score)
-             for lo in range(0, X.shape[0], BLOCK_ROWS)]
+    if len(scheds) > 1 and score is None:
+        raise ParamError("a schedule grid needs a score")
+    parts = [_best_ensembles(points, score) for points in _grid(model, s, scheds, X, streams, clamp)]
     mean, std, pick = (np.concatenate(p) for p in zip(*parts))
     return EnsembleResult(mean, std, np.array([sc.sigma for sc in scheds])[pick])
 
 
-def _best_ensembles(model, s, fold, sigs, X, streams, clamp, score):
-    """Mean, std and the winning schedule's index for each row of one block."""
-    draws = perturb.draw_latents(sigs, s, X, streams)
-    for g, sig in enumerate(sigs):
-        mean, std = _ensemble(model, s, fold, sig, draws, clamp)
-        if g == 0:
-            best_mean, best_std, pick = mean, std, np.zeros(len(X), dtype=np.intp)
-            best_score = score(mean) if score is not None else None
-            continue
-        new_score = score(mean)
+def grid_means(model, s: Subspace, scheds, X: np.ndarray, streams) -> list[np.ndarray]:
+    """The [B, *out] ensemble means of ``X`` under each schedule of a grid of one ensemble size.
+
+    Each row is drawn once for the whole grid, so on a grid of one strategy
+    each equals ``run_gtta(model, s, sched, X, streams).mean_prediction`` bit for bit.
+    """
+    blocks = [[mean for _, mean, _ in points] for points in _grid(model, s, scheds, X, streams, None)]
+    return [np.concatenate(means) for means in zip(*blocks)]
+
+
+def _best_ensembles(points, score):
+    """Mean, std and the winning schedule's index for each row of one block.
+
+    ``out`` holds each row's winning candidate outputs; a quiet schedule's
+    one candidate per row stands for all N of them.
+    """
+    out, mean, same = next(points)
+    pick = np.zeros(len(mean), dtype=np.intp)
+    for g, (new_out, new_mean, new_same) in enumerate(points, 1):
+        if g == 1:
+            best_score = score(mean)
+        if out.shape[1] < new_out.shape[1]:
+            out = np.broadcast_to(out, new_out.shape).copy()
+        new_score = score(new_mean)
         better = new_score > best_score
         best_score = np.where(better, new_score, best_score)
-        best_mean[better], best_std[better], pick[better] = mean[better], std[better], g
-    return best_mean, best_std, pick
+        out[better], mean[better], same[better] = new_out[better], new_mean[better], new_same[better]
+        pick[better] = g
+    std = out.std(axis=1)
+    std[same] = 0.0
+    return mean, std, pick
 
 
 def _ensemble(model, s, fold, sig, draws, clamp):
-    """Mean and std of the ensembles of one noise matrix over one block.
+    """Candidate outputs of one noise matrix over one block, their mean and agreement.
 
-    A quiet schedule, or one without ``fold``, predicts input-space
-    candidates; otherwise the folded first layer's pre-activations go
-    through its activation and the rest of the model.
+    The outputs are [b, N, *out], or [b, 1, *out] for a quiet schedule,
+    whose candidates coincide. A quiet schedule, or one without ``fold``,
+    predicts input-space candidates; otherwise the folded first layer's
+    pre-activations go through its activation and the rest of the model.
     """
     quiet = not sig.any()
     if fold is None or quiet:
@@ -163,13 +203,13 @@ def _ensemble(model, s, fold, sig, draws, clamp):
         layer, model = fold
         cands = make_candidates(sig, layer, draws)
         if model.weights:  # the folded layer was hidden, so its ReLU applies
-            cands = np.maximum(cands, 0.0)
+            np.maximum(cands, 0.0, out=cands)
     if quiet:
         out = np.stack([model.predict(c) for c in cands])
     else:
         out = np.asarray(model.predict(cands.reshape(-1, cands.shape[-1])))
         out = out.reshape(cands.shape[:2] + out.shape[1:])
-    return _aggregate(out)
+    return out, *_mean(out)
 
 
 def _confidence(mean: np.ndarray, output_kind, threshold: float) -> np.ndarray:

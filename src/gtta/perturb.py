@@ -101,7 +101,9 @@ def latent_candidates(sig: np.ndarray, draws: LatentDraws) -> np.ndarray:
     ``sig`` is the [N, n_u] matrix of :func:`per_component_sigma` that scales
     the draws.
     """
-    return draws.base[:, None, :] + sig * draws.z
+    out = sig * draws.z
+    out += draws.base[:, None, :]
+    return out
 
 
 def make_candidates(sig: np.ndarray, s, draws: LatentDraws) -> np.ndarray:

@@ -159,19 +159,22 @@ def batch_from_dataset(ds: Dataset, weights: np.ndarray | None = None) -> Weight
 # the MLP
 
 
-def _relu(z):
-    return np.maximum(z, 0.0)
-
-
 def _softmax(z):
-    shifted = z - z.max(axis=1, keepdims=True)
-    e = np.exp(shifted)
-    return e / e.sum(axis=1, keepdims=True)
+    """Softmax over the rows of ``z``, computed in place."""
+    z -= z.max(axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= z.sum(axis=1, keepdims=True)
+    return z
 
 
 def _sigmoid(z):
+    """0.5 (1 + tanh(z / 2)), computed in place."""
     # tanh saturates where exp(-z) would overflow, so no branch on the sign of z.
-    return 0.5 * (1.0 + np.tanh(0.5 * z))
+    z *= 0.5
+    np.tanh(z, out=z)
+    z += 1.0
+    z *= 0.5
+    return z
 
 
 class MlpModel:
@@ -201,11 +204,15 @@ class MlpModel:
         """Hidden activations plus pre-head output; batch is [b, d]."""
         acts = [np.asarray(batch, dtype=np.float64)]
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = acts[-1] @ w + b
-            acts.append(_relu(z) if i < len(self.weights) - 1 else z)
+            z = acts[-1] @ w
+            z += b
+            if i < len(self.weights) - 1:
+                np.maximum(z, 0.0, out=z)
+            acts.append(z)
         return acts
 
     def _head(self, z):
+        """The output head over the pre-head output ``z``, computed in place."""
         kind = self.output_kind.kind
         if kind == PROBABILITIES:
             return _softmax(z)
@@ -219,7 +226,8 @@ class MlpModel:
             raise ShapeError(
                 f"expected [b, {self.layer_sizes[0]}] batch, got shape {batch.shape}"
             )
-        out = self._head(self._forward(batch)[-1])
+        z = self._forward(batch)[-1]
+        out = self._head(z if self.weights else z.copy())  # never the caller's batch
         kind = self.output_kind.kind
         if kind == PER_PIXEL:
             out = out.reshape(batch.shape[0], *self.output_kind.image_shape)

@@ -86,6 +86,33 @@ def test_identity_holds_on_every_row():
         assert row["error"] == pytest.approx(row["bias2"] + row["variance"], abs=1e-9)
 
 
+@pytest.mark.parametrize("strategy", ["constant", "incremental"])
+def test_sweep_draws_once_and_keeps_each_schedules_rows(strategy, monkeypatch):
+    # 9 inputs x 3 repeats span four engine blocks. The grid projects each
+    # row and draws its normals once, not once per noisy schedule, and each
+    # schedule's row is the one a sweep of that schedule alone gives.
+    gen = RngStream(12).generator()
+    X = gen.standard_normal((9, 5))
+    data = Dataset(X, gen.integers(0, 2, size=9).astype(np.float64), OutputKind.probabilities(2))
+    s = fit(X, 4)
+    model = MlpModel([5, 6, 2], OutputKind.probabilities(2), RngStream(13))
+    scheds = [NoiseSchedule(strategy, sigma, 5) for sigma in (0.0, 0.1, 0.3)]
+    noisy = 5 if strategy == "constant" else 4
+    calls = []
+    generator = RngStream.generator
+
+    def counted(self, reuse=None):
+        calls.append(self)
+        return generator(self, reuse)
+
+    monkeypatch.setattr(RngStream, "generator", counted)
+    report = bias_variance_sweep(model, s, scheds, data, 3, RngStream(14))
+    assert len(calls) == 9 * 3 * noisy
+    monkeypatch.setattr(RngStream, "generator", generator)
+    for sched, row in zip(scheds, report.rows):
+        assert bias_variance_sweep(model, s, [sched], data, 3, RngStream(14)).rows == [row]
+
+
 def test_sweep_needs_repeats():
     X = RngStream(9).generator().standard_normal((6, 3))
     data = Dataset(X, np.zeros(6), OutputKind.real_values())

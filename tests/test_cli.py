@@ -349,6 +349,71 @@ def test_count_output_is_pinned(golden_maps, tmp_path, connectivity):
     assert digest == GOLDEN_COUNTS_SHA256[connectivity]
 
 
+# SHA-256 of mean.gtt, std.gtt and results.json per ensemble command on the
+# golden ensemble fixture. A change that claims to move no output byte must
+# leave them as they are. They hold for one numpy and BLAS build (numpy 2.4,
+# OpenBLAS 0.3.31, x86-64); another build may round the GEMMs differently.
+GOLDEN_ENSEMBLE_SHA256 = {
+    "predict": {
+        "mean.gtt": "41897cd2e4f6c9b78c3b2c33239e7ad55eca402717b1328410206fc20b229d67",
+        "std.gtt": "1dee3fdb839cee7448fbe61d296ffe738729ee462044a5d20da5021c4a31e303",
+        "results.json": "b518dd5b66a86e82f3d1b29200ba3754bdeabaf044f50086250dbdb16a78c0ee",
+    },
+    "auto-sigma": {
+        "mean.gtt": "2642a827e8f87c7475abcbd1397a59cf342ec507f4078683a43445b8916d9917",
+        "std.gtt": "5e961ed591837160d849ee6f6c2a3e86fd470d56d4b3d14f313bd210090ad38f",
+        "results.json": "69c3cc3d11e9b8fe0d0cf21fcab933e76fdd04bc233e10dbf933b06e8cb93db6",
+    },
+    "auto-sigma-clamp": {
+        "mean.gtt": "b3aeba0596cf7d3cb64bc1886769d73ffacaea1319204868642f65720f429be9",
+        "std.gtt": "8d7fb903b347428e39e7cb5acf0ecc1aa60fc7055c3827cb94bd464371601d3f",
+        "results.json": "1784847c3ab70c09fc6482c770974586cb950dc560e988c1863923fb5769ab46",
+    },
+}
+GOLDEN_ENSEMBLE_COMMANDS = {
+    "predict": ["predict", "--sigma", "0.1"],
+    "auto-sigma": ["auto-sigma"],
+    "auto-sigma-clamp": ["auto-sigma", "--clamp", "0,1"],
+}
+
+
+@pytest.fixture(scope="module")
+def golden_ensemble(tmp_path_factory):
+    """A small segmentation model and subspace, and the rows the ensembles run on."""
+    root = tmp_path_factory.mktemp("golden_ensemble")
+    (root / "spec.json").write_text(json.dumps({
+        "n_images": 48, "height": 12, "width": 12, "blobs_min": 1, "blobs_max": 3,
+        "radius_min": 2.0, "radius_max": 4.0, "boundary_noise": 0.2, "input_noise": 0.05,
+        "seed": 11,
+    }))
+    assert run("synth", "images", "--spec", str(root / "spec.json"), "--out", str(root / "synth")) == 0
+    inputs = load_tensor(root / "synth" / "inputs.gtt")
+    save_tensor(inputs[:36], root / "train_x.gtt")
+    save_tensor(load_tensor(root / "synth" / "targets.gtt")[:36], root / "train_y.gtt")
+    save_tensor(inputs[36:], root / "test_x.gtt")
+    assert run("fit", "--data", str(root / "train_x.gtt"), "--retain", "0.99",
+               "--out", str(root / "subspace.gtt")) == 0
+    assert run("train", "--data", str(root / "train_x.gtt"), "--targets", str(root / "train_y.gtt"),
+               "--task", "segmentation", "--hidden", "16", "--epochs", "10", "--lr", "0.5",
+               "--seed", "12", "--out", str(root / "model.gtt")) == 0
+    return root
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ENSEMBLE_COMMANDS))
+def test_ensemble_output_is_pinned(golden_ensemble, tmp_path, name):
+    # 12 rows span two engine blocks. The default grid starts at a quiet
+    # point, which wins some rows under --clamp; --clamp also takes the
+    # input-space path instead of the folded layer.
+    out = tmp_path / name
+    assert run(*GOLDEN_ENSEMBLE_COMMANDS[name], "--model", str(golden_ensemble / "model.gtt"),
+               "--subspace", str(golden_ensemble / "subspace.gtt"),
+               "--input", str(golden_ensemble / "test_x.gtt"), "--n", "6", "--seed", "13",
+               "--out", str(out)) == 0
+    digests = {f: hashlib.sha256((out / f).read_bytes()).hexdigest()
+               for f in ("mean.gtt", "std.gtt", "results.json")}
+    assert digests == GOLDEN_ENSEMBLE_SHA256[name]
+
+
 @pytest.mark.parametrize("shape", [(5,), (2, 3, 4, 4)], ids=["1-D", "4-D"])
 def test_count_rejects_input_that_is_not_maps(tmp_path, capsys, shape):
     save_tensor(np.zeros(shape), tmp_path / "x.gtt")

@@ -87,6 +87,50 @@ def test_mean_matches_independent_summation():
     assert np.abs(result.mean_prediction[0] - slow / 9).max() < 1e-12
 
 
+def one_pass_aggregate(outputs):
+    """Bytes of the mean and std of [b, N, *out] outputs, taken together in one pass."""
+    mean, std = outputs.mean(axis=1), outputs.std(axis=1)
+    same = np.all(outputs == outputs[:, :1], axis=tuple(range(1, outputs.ndim)))
+    mean[same] = outputs[same, 0]
+    std[same] = 0.0
+    return mean.tobytes(), std.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 6), out=st.sampled_from([(), (3,), (2, 3)]),
+       rows=st.lists(st.sampled_from(["random", "all agree", "first two agree"]),
+                     min_size=1, max_size=5),
+       saturated=st.booleans(), seed=st.integers(0, 2**16))
+@example(n=1, out=(3,), rows=["random", "all agree"], saturated=False, seed=0)
+@example(n=4, out=(2, 3), rows=["first two agree", "all agree", "random"], saturated=True, seed=1)
+def test_split_aggregation_matches_one_pass(n, out, rows, saturated, seed):
+    outputs = RngStream(seed).generator().standard_normal((len(rows), n, *out))
+    if saturated:  # a sigmoid head far past its range: many candidates are exactly 0 or 1
+        outputs = 0.5 * (1.0 + np.tanh(0.5 * 80.0 * outputs))
+    for i, kind in enumerate(rows):
+        if kind == "all agree":
+            outputs[i] = outputs[i, 0]
+        elif kind == "first two agree" and n > 1:
+            outputs[i, 1] = outputs[i, 0]
+            if n > 2:
+                outputs[i, -1] = outputs[i, 0]
+                outputs[i, -1].flat[0] += 1.0  # only a later candidate differs
+    ref = one_pass_aggregate(outputs)
+    assert aggregate([outputs], None) == ref
+    # After a quiet grid point, whose one candidate per row the selection
+    # buffer broadcasts to N, whichever point wins aggregates as alone.
+    quiet = outputs[:, :1]
+    for first, ref_won in ((True, one_pass_aggregate(quiet)), (False, ref)):
+        scores = iter([np.full(len(rows), 1.0 * first), np.full(len(rows), 0.5)])
+        assert aggregate([quiet.copy(), outputs], lambda mean: next(scores)) == ref_won
+
+
+def aggregate(points, score):
+    """Bytes of the mean and std _best_ensembles keeps over grid points of [b, N, *out] outputs."""
+    mean, std, _ = ensemble._best_ensembles(((out, *ensemble._mean(out)) for out in points), score)
+    return mean.tobytes(), std.tobytes()
+
+
 def test_single_point_grid_returns_base():
     s = full_rank_subspace(seed=9)
     model = MlpModel([6, 8, 2], OutputKind.probabilities(2), RngStream(10))

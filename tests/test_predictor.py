@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gtta import ensemble
 from gtta.data import OutputKind
 from gtta.errors import (
     DegenerateWeightError,
@@ -29,6 +30,7 @@ from gtta.predictor import (
     weighted_squared_error,
 )
 from gtta.rng import RngStream
+from gtta.subspace import fit
 from gtta.synthdata import BlobsSpec, gen_blobs
 
 
@@ -289,6 +291,44 @@ def test_mlp_output_is_checked_against_its_kind():
     model._head = lambda z: z + 5.0  # rows that are no probabilities
     with pytest.raises(PredictorError):
         model.predict(np.ones((2, 4)))
+
+
+HEADS = {"probabilities": (OutputKind.probabilities(3), 3),
+         "per-pixel": (OutputKind.per_pixel(2, 2), 4),
+         "real": (OutputKind.real_values(), 1)}
+
+
+@pytest.mark.parametrize("head", sorted(HEADS))
+@pytest.mark.parametrize("hidden", [[], [5], [5, 4]])
+def test_predict_never_writes_into_its_argument(head, hidden):
+    # The layers and the head work in place on arrays predict made itself. A
+    # model without weights, such as the tail ensemble._fold builds for a
+    # [d, C] model, gets the caller's batch as its pre-head output.
+    kind, width = HEADS[head]
+    model = MlpModel([6, *hidden, width], kind, RngStream(34))
+    batch = RngStream(35).generator().standard_normal((7, 6))
+    models = [(model, batch)]
+    if not hidden:
+        tail = ensemble._fold(model, fit(batch, "all"))[1]
+        assert tail.weights == []
+        models.append((tail, batch @ model.weights[0]))
+    for m, x in models:
+        before = x.copy()
+        out = m.predict(x)
+        assert np.array_equal(x, before)
+        assert not np.shares_memory(out, x)
+
+
+@pytest.mark.parametrize("head", ["probabilities", "per-pixel"])
+def test_output_range_check_refuses_nan_and_takes_an_empty_batch(head):
+    kind, width = HEADS[head]
+    shape = (width,) if head == "probabilities" else kind.image_shape
+    kind.check_outputs(np.zeros((0, *shape)), 0)
+    out = np.full((2, *shape), 1.0 / width)
+    kind.check_outputs(out, 2)
+    out[1].flat[0] = np.nan
+    with pytest.raises(PredictorError):
+        kind.check_outputs(out, 2)
 
 
 def test_checkpoint_round_trip(tmp_path):
