@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import math
 import shlex
 import sys
 from pathlib import Path
@@ -237,8 +238,8 @@ def _parse_clamp(text):
     if text is None:
         return None
     bounds = _parse_floats(text, "--clamp")
-    if len(bounds) != 2:
-        raise ParamError(f"--clamp needs LO,HI, got {text!r}")
+    if len(bounds) != 2 or not -math.inf < bounds[0] <= bounds[1] < math.inf:
+        raise ParamError(f"--clamp needs finite LO,HI with LO <= HI, got {text!r}")
     return bounds
 
 

@@ -5,7 +5,9 @@ standard deviation of the candidate outputs is its uncertainty. The engine,
 :func:`run_gtta`, takes a block of input rows with one random stream per row
 and one noise schedule, or a grid of them for sigma selection. A grid point
 is scored from its ensemble means alone: only each row's winning candidate
-outputs are kept, and their std is taken once. A built-in MLP takes the
+outputs are kept, and their std is taken once. A noisy ensemble predicts
+its candidates in two fixed halves, and sigma selection skips the second
+half of a grid point that provably cannot win a row. A built-in MLP takes the
 noisy latents through its first layer folded into reconstruction, so no
 input-space candidate is built for it unless ``clamp`` needs one. For
 probability-valued outputs the std never exceeds 0.5, so the consensus
@@ -14,7 +16,8 @@ weight 1 - std stays in [0.5, 1].
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -36,11 +39,15 @@ DEFAULT_SIGMA_GRID = (0.0, 0.05, 0.1, 0.15, 0.2, 0.3, 0.5)
 # Pixel-confidence cutoffs for the segmentation selection rule, per strategy.
 CONFIDENCE_THRESHOLDS = {"constant": 0.8, "incremental": 0.75}
 
+# Slack of a confidence bound for the rounding of a computed ensemble mean.
+BOUND_SLACK = 1e-9
+
 
 # Input rows per engine step; the model sees BLOCK_ROWS * N candidate rows per
-# call. Fixed, so the bytes of a run depend only on its inputs. Measured on a
-# 200-row, d = 1024, N = 15 predict (one BLAS thread): 8 rows ran fastest of
-# 1 to 32, and peak memory grows with the block.
+# block, in two calls of about half each. Fixed, so the bytes of a run depend
+# only on its inputs. Measured on a 200-row, d = 1024, N = 15 predict (one
+# BLAS thread): 8 rows ran fastest of 1 to 32, and peak memory grows with the
+# block.
 BLOCK_ROWS = 8
 
 
@@ -118,13 +125,13 @@ def _grid(model, s: Subspace, scheds, X, streams, clamp):
 
 
 def _block(model, s, fold, sigs, X, streams, clamp):
-    """The ensembles of one block of rows, one per noise matrix of ``sigs``."""
+    """One :func:`_ensemble` call per noise matrix of ``sigs``, for one block of rows."""
     draws = perturb.draw_latents(sigs, s, X, streams)
-    return (_ensemble(model, s, fold, sig, draws, clamp) for sig in sigs)
+    return (partial(_ensemble, model, s, fold, sig, draws, clamp) for sig in sigs)
 
 
 def run_gtta(model, s: Subspace, sched, X: np.ndarray, streams,
-             clamp: tuple | None = None, score=None) -> EnsembleResult:
+             clamp: tuple | None = None, score=None, bound=None) -> EnsembleResult:
     """Perturb every row of ``X`` N times, predict every candidate, aggregate.
 
     ``sched`` is one :class:`NoiseSchedule` or a grid of schedules with one
@@ -136,7 +143,12 @@ def run_gtta(model, s: Subspace, sched, X: np.ndarray, streams,
     Only the winning candidate outputs are kept, and the std is taken from
     them once per block.
 
-    Rows run BLOCK_ROWS at a time, one model call per block and schedule.
+    Rows run BLOCK_ROWS at a time. A noisy schedule predicts each block in
+    two model calls, candidates 1..ceil(N/2) and then the rest, unless a
+    half would hold a single model row. With a ``bound`` that maps the
+    [b, k, *out] first-half outputs and N to an upper bound on each row's
+    final score, a later schedule whose bound beats no row's best score
+    skips its second half; it could not have won, so no result changes.
     ``clamp=(lo, hi)`` clips reconstructed candidates into the valid input
     range before prediction; off by default. When no candidate of a
     schedule gets noise the N candidates coincide, so each row is predicted
@@ -148,7 +160,8 @@ def run_gtta(model, s: Subspace, sched, X: np.ndarray, streams,
     scheds = [sched] if isinstance(sched, NoiseSchedule) else list(sched)
     if len(scheds) > 1 and score is None:
         raise ParamError("a schedule grid needs a score")
-    parts = [_best_ensembles(points, score) for points in _grid(model, s, scheds, X, streams, clamp)]
+    parts = [_best_ensembles(points, score, bound)
+             for points in _grid(model, s, scheds, X, streams, clamp)]
     mean, std, pick = (np.concatenate(p) for p in zip(*parts))
     return EnsembleResult(mean, std, np.array([sc.sigma for sc in scheds])[pick])
 
@@ -159,44 +172,94 @@ def grid_means(model, s: Subspace, scheds, X: np.ndarray, streams) -> list[np.nd
     Each row is drawn once for the whole grid, so on a grid of one strategy
     each equals ``run_gtta(model, s, sched, X, streams).mean_prediction`` bit for bit.
     """
-    blocks = [[mean for _, mean, _ in points] for points in _grid(model, s, scheds, X, streams, None)]
+    blocks = [[point()[1] for point in points] for points in _grid(model, s, scheds, X, streams, None)]
     return [np.concatenate(means) for means in zip(*blocks)]
 
 
-def _best_ensembles(points, score):
+def _best_ensembles(points, score, bound=None):
     """Mean, std and the winning schedule's index for each row of one block.
 
-    ``out`` holds each row's winning candidate outputs; a quiet schedule's
-    one candidate per row stands for all N of them.
+    ``points`` yields one :func:`_ensemble` call per schedule. A later point
+    wins a row only with a strictly greater score, so a point stops after its
+    first half of candidates when ``bound`` caps no row above its best score.
+    ``out`` holds the winning candidate outputs of the rows whose candidates
+    disagree; every other row's std is zero.
     """
-    out, mean, same = next(points)
+    out, mean, same = next(points)()
     pick = np.zeros(len(mean), dtype=np.intp)
-    for g, (new_out, new_mean, new_same) in enumerate(points, 1):
+    for g, point in enumerate(points, 1):
         if g == 1:
             best_score = score(mean)
-        if out.shape[1] < new_out.shape[1]:
-            out = np.broadcast_to(out, new_out.shape).copy()
+        keep = None if bound is None else lambda first, n: np.any(bound(first, n) > best_score)
+        if (ens := point(keep)) is None:
+            continue
+        new_out, new_mean, new_same = ens
         new_score = score(new_mean)
         better = new_score > best_score
         best_score = np.where(better, new_score, best_score)
-        out[better], mean[better], same[better] = new_out[better], new_mean[better], new_same[better]
+        if out.shape[1] < new_out.shape[1]:
+            out = new_out  # the rows that keep a quiet winner agree, whatever it holds for them
+        else:
+            out[better] = new_out[better]
+        mean[better], same[better] = new_mean[better], new_same[better]
         pick[better] = g
-    std = out.std(axis=1)
-    std[same] = 0.0
+    std = np.zeros_like(mean)
+    if not same.all():
+        differ = ~same if same.any() else slice(None)  # a mask would copy all of out
+        std[differ] = _std(out[differ], mean[differ])
     return mean, std, pick
 
 
-def _ensemble(model, s, fold, sig, draws, clamp):
+def _std(outputs: np.ndarray, mean: np.ndarray) -> np.ndarray:
+    """``outputs.std(axis=1)`` of [b, N, *out] outputs whose mean is ``mean``.
+
+    These are numpy's steps less its pass for the mean, so the bytes are the same.
+    """
+    dev = outputs - mean[:, None]
+    dev *= dev
+    var = dev.sum(axis=1)
+    var /= outputs.shape[1]
+    return np.sqrt(var, out=var)
+
+
+def _ensemble(model, s, fold, sig, draws, clamp, keep=None):
     """Candidate outputs of one noise matrix over one block, their mean and agreement.
 
     The outputs are [b, N, *out], or [b, 1, *out] for a quiet schedule,
-    whose candidates coincide. A quiet schedule, or one without ``fold``,
-    predicts input-space candidates; otherwise the folded first layer's
-    pre-activations go through its activation and the rest of the model.
+    whose candidates coincide, so each row is predicted once, alone. A noisy
+    schedule predicts candidates 1..ceil(N/2), then the rest, one model call
+    each; a block whose half would hold a single model row runs in one call,
+    since a one-row product rounds differently from a many-row one.
+    ``keep(first, N)`` sees the first half's [b, ceil(N/2), *out] outputs; if
+    it is false the ensemble stops there and returns None.
     """
-    quiet = not sig.any()
-    if fold is None or quiet:
-        cands = make_candidates(sig[:1] if quiet else sig, s, draws)
+    if not sig.any():
+        cands = make_candidates(sig[:1], s, draws)
+        if clamp is not None:
+            cands = np.clip(cands, clamp[0], clamp[1])
+        out = np.stack([model.predict(c) for c in cands])
+        return out, *_mean(out)
+    n = len(sig)
+    k = -(-n // 2)
+    halves = [slice(0, k), slice(k, n)] if len(draws.X) * (n - k) > 1 else [slice(0, n)]
+    parts = []
+    for half in halves:
+        if parts and keep is not None and not keep(parts[0], n):
+            return None
+        parts.append(_outputs(model, s, fold, sig[half], replace(draws, z=draws.z[:, half]), clamp))
+    out = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
+    return out, *_mean(out)
+
+
+def _outputs(model, s, fold, sig, draws, clamp):
+    """The [b, n, *out] outputs of the noisy candidates of an [n, n_u] noise matrix.
+
+    Without ``fold`` they are input-space candidates; with it, the folded
+    first layer's pre-activations go through its activation and the rest of
+    the model.
+    """
+    if fold is None:
+        cands = make_candidates(sig, s, draws)
         if clamp is not None:
             cands = np.clip(cands, clamp[0], clamp[1])
     else:
@@ -204,12 +267,8 @@ def _ensemble(model, s, fold, sig, draws, clamp):
         cands = make_candidates(sig, layer, draws)
         if model.weights:  # the folded layer was hidden, so its ReLU applies
             np.maximum(cands, 0.0, out=cands)
-    if quiet:
-        out = np.stack([model.predict(c) for c in cands])
-    else:
-        out = np.asarray(model.predict(cands.reshape(-1, cands.shape[-1])))
-        out = out.reshape(cands.shape[:2] + out.shape[1:])
-    return out, *_mean(out)
+    out = np.asarray(model.predict(cands.reshape(-1, cands.shape[-1])))
+    return out.reshape(cands.shape[:2] + out.shape[1:])
 
 
 def _confidence(mean: np.ndarray, output_kind, threshold: float) -> np.ndarray:
@@ -223,6 +282,25 @@ def _confidence(mean: np.ndarray, output_kind, threshold: float) -> np.ndarray:
     raise UnsupportedTaskError("sigma selection needs probability-valued outputs")
 
 
+def _confidence_bound(first: np.ndarray, n: int, output_kind, threshold: float) -> np.ndarray:
+    """Per-row upper bound on the confidence of N-candidate ensembles from their first outputs.
+
+    ``first`` holds the first k of each row's N outputs, [B, k, *out]. Every
+    output lies in [0, 1], so with S the sum of the first k the mean lies in
+    [S / N, (S + N - k) / N]; the bound widens that by BOUND_SLACK for rounding.
+    """
+    total = first.sum(axis=1)
+    rest = n - first.shape[1]
+    if output_kind.kind == PROBABILITIES:
+        return (total.max(axis=1) + rest) / n + BOUND_SLACK
+    # A pixel can end confident unless (1 - t) N <= S and S + N - k <= t N:
+    # count the S outside that band, narrowed by N * BOUND_SLACK on each side.
+    lo, hi = (1 - threshold + BOUND_SLACK) * n, (threshold - BOUND_SLACK) * n - rest
+    total -= (lo + hi) / 2
+    np.abs(total, out=total)
+    return np.count_nonzero(total > (hi - lo) / 2, axis=(1, 2))
+
+
 def select_sigma(model, s: Subspace, scheds, X: np.ndarray, streams, *,
                  clamp: tuple | None = None,
                  threshold: float | None = None) -> EnsembleResult:
@@ -232,11 +310,13 @@ def select_sigma(model, s: Subspace, scheds, X: np.ndarray, streams, *,
     sorted by sigma. Classification maximizes the top-class probability of
     the mean prediction; segmentation maximizes the number of pixels whose
     mean foreground probability clears ``threshold`` on either side, by
-    default the strategy's entry in ``CONFIDENCE_THRESHOLDS``. Ties go to the
-    smaller sigma. The whole grid is one engine call on the same streams, so
-    candidates differ only in noise scale, and a row's winner equals its
-    plain ensemble at the chosen sigma bit for bit. Returns the ensembles
-    that won; ``chosen_sigma`` holds each row's sigma.
+    default the strategy's entry in ``CONFIDENCE_THRESHOLDS``; it must lie
+    in (0.5, 1). Ties go to the smaller sigma. The whole grid is one engine
+    call on the same streams, so candidates differ only in noise scale, and
+    a row's winner equals its plain ensemble at the chosen sigma bit for
+    bit, even though a point stops after half its candidates once
+    :func:`_confidence_bound` shows it cannot win a row. Returns the
+    ensembles that won; ``chosen_sigma`` holds each row's sigma.
     """
     sigmas = [sc.sigma for sc in scheds]
     if not sigmas or sigmas != sorted(sigmas) or len({sc.strategy for sc in scheds}) != 1:
@@ -247,8 +327,12 @@ def select_sigma(model, s: Subspace, scheds, X: np.ndarray, streams, *,
         )
     if threshold is None:
         threshold = CONFIDENCE_THRESHOLDS[scheds[0].strategy]
+    if not 0.5 < threshold < 1:  # a NaN fails too
+        raise ParamError(f"the confidence threshold must lie in (0.5, 1), got {threshold}")
+    kind = model.output_kind
     return run_gtta(model, s, scheds, X, streams, clamp=clamp,
-                    score=lambda mean: _confidence(mean, model.output_kind, threshold))
+                    score=lambda mean: _confidence(mean, kind, threshold),
+                    bound=lambda first, n: _confidence_bound(first, n, kind, threshold))
 
 
 def uncertainty_weights(result: EnsembleResult, output_kind) -> np.ndarray:

@@ -18,6 +18,7 @@ rescales those draws.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,12 +42,12 @@ class NoiseSchedule:
     def __post_init__(self):
         if self.strategy not in (CONSTANT, INCREMENTAL):
             raise ParamError(f"strategy must be constant or incremental, got {self.strategy!r}")
-        if self.sigma < 0:
-            raise ParamError(f"sigma must be nonnegative, got {self.sigma}")
+        if not 0 <= self.sigma < math.inf:  # a NaN fails too
+            raise ParamError(f"sigma must be finite and nonnegative, got {self.sigma}")
         if self.ensemble_size < 1:
             raise ParamError(f"ensemble size must be >= 1, got {self.ensemble_size}")
-        if self.sigma_cap is not None and self.sigma_cap <= 0:
-            raise ParamError(f"sigma_cap must be positive, got {self.sigma_cap}")
+        if self.sigma_cap is not None and not 0 < self.sigma_cap < math.inf:
+            raise ParamError(f"sigma_cap must be finite and positive, got {self.sigma_cap}")
 
 
 def per_component_sigma(sched: NoiseSchedule, s: Subspace) -> np.ndarray:
@@ -121,7 +122,8 @@ def make_candidates(sig: np.ndarray, s, draws: LatentDraws) -> np.ndarray:
     out = np.empty((len(draws.X), sig.shape[0], s.d))
     if not quiet.all():
         latents = latent_candidates(sig, draws).reshape(-1, s.n_u)
-        out[:] = (s.mean + latents @ s.components).reshape(out.shape)
+        np.matmul(latents, s.components, out=out.reshape(-1, s.d))
+        out += s.mean
     if quiet.any():
         base = draws.X if s.full_rank else np.stack([reconstruct(s, p) for p in draws.base])
         out[:, quiet] = base[:, None]

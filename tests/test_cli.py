@@ -414,6 +414,94 @@ def test_ensemble_output_is_pinned(golden_ensemble, tmp_path, name):
     assert digests == GOLDEN_ENSEMBLE_SHA256[name]
 
 
+@pytest.fixture(scope="module")
+def confident_model(tmp_path_factory):
+    """A segmentation model trained with momentum: confident at sigma 0, lost under large noise."""
+    root = tmp_path_factory.mktemp("confident_model")
+    (root / "spec.json").write_text(json.dumps({"n_images": 80, "height": 12, "width": 12,
+                                                "seed": 3}))
+    assert run("synth", "images", "--spec", str(root / "spec.json"),
+               "--out", str(root / "synth")) == 0
+    inputs = load_tensor(root / "synth" / "inputs.gtt")
+    save_tensor(inputs[:53], root / "train_x.gtt")
+    save_tensor(load_tensor(root / "synth" / "targets.gtt")[:53], root / "train_y.gtt")
+    save_tensor(inputs[53:], root / "test_x.gtt")
+    assert run("fit", "--data", str(root / "train_x.gtt"), "--retain", "0.99",
+               "--out", str(root / "subspace.gtt")) == 0
+    assert run("train", "--data", str(root / "train_x.gtt"),
+               "--targets", str(root / "train_y.gtt"),
+               "--task", "segmentation", "--hidden", "32", "--epochs", "40", "--lr", "1.0",
+               "--momentum", "0.9", "--batch-size", "32", "--seed", "3",
+               "--out", str(root / "model.gtt")) == 0
+    return root
+
+
+def test_auto_sigma_stops_hopeless_points_without_moving_a_byte(confident_model, tmp_path,
+                                                                 monkeypatch):
+    # Some rows pick the small noisy sigma, and in some blocks the first half
+    # of a large sigma's candidates already shows that it cannot win a row.
+    # Each row's result is still the unpruned one: the argmax of its scores
+    # over grid_means, then the plain ensemble at the chosen sigma.
+    from gtta.ensemble import grid_means, run_gtta
+    from gtta.perturb import NoiseSchedule
+    from gtta.predictor import MlpModel, load_model
+    from gtta.rng import RngStream
+    from gtta.subspace import load_subspace
+
+    root, grid, n = confident_model, (0.0, 0.005, 0.5, 1.0, 2.0), 8
+    X = load_tensor(root / "test_x.gtt")
+    model_rows = []
+    predict = MlpModel.predict
+    monkeypatch.setattr(MlpModel, "predict",
+                        lambda self, batch: model_rows.append(len(batch)) or predict(self, batch))
+    out = tmp_path / "a"
+    assert run("auto-sigma", "--model", str(root / "model.gtt"),
+               "--subspace", str(root / "subspace.gtt"),
+               "--input", str(root / "test_x.gtt"), "--grid", ",".join(map(str, grid)),
+               "--n", str(n), "--seed", "13", "--out", str(out)) == 0
+    monkeypatch.setattr(MlpModel, "predict", predict)
+    noisy = (len(grid) - 1) * len(X)
+    assert len(X) + noisy * n // 2 < sum(model_rows) < len(X) + noisy * n
+
+    model, s = load_model(root / "model.gtt"), load_subspace(root / "subspace.gtt")
+    scheds = [NoiseSchedule("constant", sigma, n) for sigma in grid]
+    streams = RngStream(13, 0).rows(len(X))
+    scores = [np.count_nonzero((m > 0.8) | (m < 0.2), axis=(1, 2))  # the default cutoff, 0.8
+              for m in grid_means(model, s, scheds, X, streams)]
+    pick = np.argmax(scores, axis=0)  # the first best, so ties go to the smaller sigma
+    assert 0 < np.count_nonzero(pick) < len(X)
+    plain = [run_gtta(model, s, sched, X, streams) for sched in scheds]
+    rows = np.arange(len(X))
+    mean = np.stack([plain[g].mean_prediction[i] for i, g in zip(rows, pick)])
+    std = np.stack([plain[g].std_map[i] for i, g in zip(rows, pick)])
+    assert (out / "mean.gtt").read_bytes() == dumps_tensor(mean)
+    assert (out / "std.gtt").read_bytes() == dumps_tensor(std)
+    assert [r["chosen_sigma"] for r in read_json(out / "results.json")] == [grid[g] for g in pick]
+
+
+@pytest.mark.parametrize("argv", [
+    ["auto-sigma", "--threshold", "nan"], ["auto-sigma", "--threshold", "2"],
+    ["auto-sigma", "--threshold", "-1"], ["auto-sigma", "--threshold", "0.3"],
+    ["auto-sigma", "--threshold", "0.5"], ["auto-sigma", "--threshold", "1"],
+    ["predict", "--sigma", "nan"], ["predict", "--sigma", "inf"],
+    ["auto-sigma", "--grid", "nan"], ["auto-sigma", "--grid", "0,inf"],
+    ["auto-sigma", "--sigma-cap", "nan"], ["predict", "--sigma-cap", "inf"],
+    ["predict", "--clamp", "0.9,0.1"], ["predict", "--clamp", "nan,1"],
+    ["predict", "--clamp", "0,inf"],
+], ids=" ".join)
+def test_values_without_meaning_are_param_errors(pipeline, tmp_path, capsys, argv):
+    # A threshold outside (0.5, 1) or a reversed --clamp once exited 0 with
+    # meaningless outputs; a non-finite sigma, cap or clamp bound ended in an
+    # error that blamed the model's outputs.
+    out = tmp_path / "o"
+    assert run(*argv, "--model", str(pipeline / "model.gtt"), "--subspace",
+               str(pipeline / "subspace.gtt"), "--input", str(pipeline / "test_x.gtt"),
+               "--n", "2", "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ParamError") and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("shape", [(5,), (2, 3, 4, 4)], ids=["1-D", "4-D"])
 def test_count_rejects_input_that_is_not_maps(tmp_path, capsys, shape):
     save_tensor(np.zeros(shape), tmp_path / "x.gtt")
@@ -1016,7 +1104,9 @@ def _alive(pid: int) -> bool:
 
 def test_model_cmd_auto_sigma_runs_one_child(pipeline, tmp_path, model_child):
     # Zero-noise rows are predicted alone, one request each, and the noisy grid
-    # point makes one request per block; every request goes to one child.
+    # point makes two requests per block, one per half of its candidates: in
+    # both blocks some row can still beat sigma 0 after the first half. Every
+    # request goes to one child.
     rows = load_tensor(pipeline / "train_x.gtt")[:13]
     save_tensor(rows, tmp_path / "x.gtt")
     child = model_child(WAVY)
@@ -1026,7 +1116,7 @@ def test_model_cmd_auto_sigma_runs_one_child(pipeline, tmp_path, model_child):
     assert run("auto-sigma", *common, "--grid", "0,0.1", "--out", str(tmp_path / "a")) == 0
     pids = child.requests()
     assert child.started() == pids[:1] and set(pids) == set(pids[:1])
-    assert len(pids) == len(rows) + -(-len(rows) // BLOCK_ROWS)
+    assert len(pids) == len(rows) + 2 * -(-len(rows) // BLOCK_ROWS)
     assert not _alive(pids[0])
 
     # One process per model call gave each row its plain ensemble at the

@@ -25,14 +25,22 @@ def sigma_grid(sigmas, n, strategy="constant", **kw):
 
 
 class FixedOutputs:
-    """Returns pre-set rows regardless of input, one per candidate."""
+    """Returns pre-set rows regardless of input, one per candidate.
+
+    The rows are handed out in candidate order across calls, from the first
+    again once all are used, so an ensemble predicted in two halves gets them
+    as one predicted whole would.
+    """
 
     def __init__(self, rows, output_kind):
         self.rows = np.asarray(rows, dtype=np.float64)
         self.output_kind = output_kind
+        self.next = 0
 
     def predict(self, batch):
-        return self.rows[: np.atleast_2d(batch).shape[0]].copy()
+        picks = (self.next + np.arange(np.atleast_2d(batch).shape[0])) % len(self.rows)
+        self.next = (picks[-1] + 1) % len(self.rows)
+        return self.rows[picks]
 
 
 class RadialConfidence:
@@ -117,8 +125,8 @@ def test_split_aggregation_matches_one_pass(n, out, rows, saturated, seed):
                 outputs[i, -1].flat[0] += 1.0  # only a later candidate differs
     ref = one_pass_aggregate(outputs)
     assert aggregate([outputs], None) == ref
-    # After a quiet grid point, whose one candidate per row the selection
-    # buffer broadcasts to N, whichever point wins aggregates as alone.
+    # After a quiet grid point, whose one candidate per row stands for all N,
+    # whichever point wins aggregates as alone.
     quiet = outputs[:, :1]
     for first, ref_won in ((True, one_pass_aggregate(quiet)), (False, ref)):
         scores = iter([np.full(len(rows), 1.0 * first), np.full(len(rows), 0.5)])
@@ -127,8 +135,46 @@ def test_split_aggregation_matches_one_pass(n, out, rows, saturated, seed):
 
 def aggregate(points, score):
     """Bytes of the mean and std _best_ensembles keeps over grid points of [b, N, *out] outputs."""
-    mean, std, _ = ensemble._best_ensembles(((out, *ensemble._mean(out)) for out in points), score)
+    calls = (lambda keep=None, out=out: (out, *ensemble._mean(out)) for out in points)
+    mean, std, _ = ensemble._best_ensembles(calls, score)
     return mean.tobytes(), std.tobytes()
+
+
+BOUND_KINDS = {"probabilities": (OutputKind.probabilities(3), (3,)),
+               "per-pixel": (OutputKind.per_pixel(2, 3), (2, 3))}
+
+
+@settings(max_examples=300, deadline=None)
+@given(kind=st.sampled_from(sorted(BOUND_KINDS)), n=st.integers(1, 16), rows=st.integers(1, 4),
+       threshold=st.sampled_from([0.75, 0.8]) | st.floats(0.5, 1.0, exclude_min=True,
+                                                           exclude_max=True),
+       fill=st.sampled_from(["random", "saturated", "at the band's edge"]),
+       seed=st.integers(0, 2**16))
+@example(kind="per-pixel", n=15, rows=2, threshold=0.8, fill="at the band's edge", seed=0)
+@example(kind="per-pixel", n=15, rows=2, threshold=0.75, fill="saturated", seed=1)
+@example(kind="probabilities", n=2, rows=1, threshold=0.8, fill="saturated", seed=2)
+def test_confidence_bound_never_falls_below_the_final_score(kind, n, rows, threshold, fill, seed):
+    kind, out = BOUND_KINDS[kind]
+    gen = RngStream(seed).generator()
+    outputs = gen.random((rows, n, *out))
+    if fill == "saturated":
+        outputs = np.round(outputs)
+    elif fill == "at the band's edge":
+        # Each element's mean lands within an ulp or so of t or 1 - t: m of
+        # its n outputs are 1, the rest one value c, in a random order.
+        edge = gen.choice([threshold, 1 - threshold], size=(rows, *out))
+        edge = np.nextafter(edge, gen.choice([-np.inf, np.inf], size=edge.shape))
+        ones = gen.integers(0, n, size=edge.shape)
+        c = (edge * n - ones) / (n - ones)
+        ones[c < 0] = 0
+        c = np.where(c < 0, edge, c)
+        candidate = np.arange(n).reshape(n, *[1] * len(out))
+        outputs = np.where(candidate < ones[:, None], 1.0, c[:, None])
+        outputs = gen.permuted(outputs, axis=1)
+    mean, _ = ensemble._mean(outputs)
+    final = ensemble._confidence(mean, kind, threshold)
+    first = outputs[:, :-(-n // 2)]
+    assert np.all(ensemble._confidence_bound(first, n, kind, threshold) >= final)
 
 
 def test_single_point_grid_returns_base():
@@ -404,7 +450,7 @@ def test_only_a_noisy_unclamped_mlp_takes_the_folded_layer(monkeypatch):
             maps.clear()
             result = run_gtta(target, s, NoiseSchedule("constant", sigma, 4), x, [RngStream(52)],
                               clamp=clamp)
-            assert maps == [path]
+            assert maps == [path] * (1 if sigma == 0.0 else 2)  # a noisy ensemble in two halves
             if sigma == 0.0:
                 assert np.array_equal(result.mean_prediction, model.predict(x))
     with pytest.raises(ShapeError):
