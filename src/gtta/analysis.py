@@ -136,6 +136,8 @@ def covariance_spectrum_experiment(s: Subspace, sched: NoiseSchedule,
         raise ParamError(f"need N >= 2, got {N}")
     if baseline not in ("none", "global_jitter"):
         raise ParamError(f"unknown baseline {baseline!r}")
+    if equal_sigma is not None and not 0 <= equal_sigma < np.inf:  # a NaN fails too
+        raise ParamError(f"equal_sigma must be finite and nonnegative, got {equal_sigma}")
     X, n = inputs.inputs, inputs.n
 
     streams = rng.derive(1).rows(n)

@@ -309,7 +309,10 @@ def _cmd_train(args):
     kind = _train_kind(args, targets)
     ds = load_dataset(args.data, kind, targets,
                       target_col_last=args.target_col == "last", header=args.header)
-    hidden = [int(tok) for tok in args.hidden.split(",") if tok]
+    try:
+        hidden = [int(tok) for tok in args.hidden.split(",") if tok]
+    except ValueError:
+        raise ParamError(f"--hidden needs comma-separated integers, got {args.hidden!r}") from None
     model = MlpModel([ds.d] + hidden + [kind.head_width or 1], kind, RngStream(args.seed))
     curve = mlp_train(
         model, batch_from_dataset(ds),
@@ -362,14 +365,14 @@ def _cmd_distill(args):
     pseudo = generate_pseudolabels(
         student, s, _schedule(args, student), unlabeled, RngStream(args.seed, 7)
     )
-    out = Path(args.out)
-    save_container({"inputs": pseudo.inputs, "teacher_targets": pseudo.teacher_targets,
-                    "weights": pseudo.weights}, out / "pseudolabels.gtt")
     distilled, report = run_distill(
         student, labeled, pseudo,
         mixing=getattr(args, "lambda"), epochs=args.epochs, lr=args.lr,
         rng=RngStream(args.seed, 8), batch_size=args.batch_size,
     )
+    out = Path(args.out)
+    save_container({"inputs": pseudo.inputs, "teacher_targets": pseudo.teacher_targets,
+                    "weights": pseudo.weights}, out / "pseudolabels.gtt")
     save_model(distilled, out / "distilled.gtt")
     save_json(report, out / "report.json")
 

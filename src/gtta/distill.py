@@ -65,8 +65,10 @@ def distill(student: MlpModel, labeled: Dataset, pseudo: PseudoLabelSet, *,
     """
     if not 0 <= mixing <= 1:
         raise ParamError(f"mixing must lie in [0, 1], got {mixing}")
-    if lr < 0:
-        raise ParamError(f"lr must be nonnegative, got {lr}")
+    if epochs < 0:
+        raise ParamError(f"epochs must be >= 0, got {epochs}")
+    if not 0 <= lr < np.inf:  # a NaN fails too
+        raise ParamError(f"lr must be finite and nonnegative, got {lr}")
     if not np.any(pseudo.weights):
         mixing = 1.0
     model = student.copy()

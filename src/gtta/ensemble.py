@@ -17,7 +17,6 @@ weight 1 - std stays in [0.5, 1].
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -106,11 +105,8 @@ def _mean(outputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, same
 
 
-def _grid(model, s: Subspace, scheds, X, streams, clamp):
-    """Per block of BLOCK_ROWS rows, an iterator over its :func:`_ensemble` per schedule.
-
-    A block's rows are projected and drawn once, when its iterator is made.
-    """
+def _setup(model, s: Subspace, scheds, X, streams, clamp):
+    """The checked rows, the [G, N, n_u] noise matrices of ``scheds`` and the folded layer, if any."""
     X = np.asarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] == 0 or len(streams) != X.shape[0]:
         raise ShapeError(f"need a non-empty [B, d] block and one stream per row, "
@@ -120,14 +116,7 @@ def _grid(model, s: Subspace, scheds, X, streams, clamp):
     sigs = np.stack([perturb.per_component_sigma(sc, s) for sc in scheds])
     # Clipping happens in input space, so --clamp keeps the reconstruction.
     fold = _fold(model, s) if isinstance(model, MlpModel) and clamp is None and sigs.any() else None
-    return (_block(model, s, fold, sigs, X[lo:lo + BLOCK_ROWS], streams[lo:lo + BLOCK_ROWS], clamp)
-            for lo in range(0, X.shape[0], BLOCK_ROWS))
-
-
-def _block(model, s, fold, sigs, X, streams, clamp):
-    """One :func:`_ensemble` call per noise matrix of ``sigs``, for one block of rows."""
-    draws = perturb.draw_latents(sigs, s, X, streams)
-    return (partial(_ensemble, model, s, fold, sig, draws, clamp) for sig in sigs)
+    return X, sigs, fold
 
 
 def run_gtta(model, s: Subspace, sched, X: np.ndarray, streams,
@@ -143,12 +132,11 @@ def run_gtta(model, s: Subspace, sched, X: np.ndarray, streams,
     Only the winning candidate outputs are kept, and the std is taken from
     them once per block.
 
-    Rows run BLOCK_ROWS at a time. A noisy schedule predicts each block in
-    two model calls, candidates 1..ceil(N/2) and then the rest, unless a
-    half would hold a single model row. With a ``bound`` that maps the
-    [b, k, *out] first-half outputs and N to an upper bound on each row's
-    final score, a later schedule whose bound beats no row's best score
-    skips its second half; it could not have won, so no result changes.
+    Rows run BLOCK_ROWS at a time, and a noisy schedule predicts each block
+    in two halves of its candidates (:func:`_point`). With a ``bound`` that
+    maps the [b, k, *out] first-half outputs and N to an upper bound on each
+    row's final score, a later schedule whose bound beats no row's best
+    score skips its second half; it could not have won, so no result changes.
     ``clamp=(lo, hi)`` clips reconstructed candidates into the valid input
     range before prediction; off by default. When no candidate of a
     schedule gets noise the N candidates coincide, so each row is predicted
@@ -160,8 +148,10 @@ def run_gtta(model, s: Subspace, sched, X: np.ndarray, streams,
     scheds = [sched] if isinstance(sched, NoiseSchedule) else list(sched)
     if len(scheds) > 1 and score is None:
         raise ParamError("a schedule grid needs a score")
-    parts = [_best_ensembles(points, score, bound)
-             for points in _grid(model, s, scheds, X, streams, clamp)]
+    X, sigs, fold = _setup(model, s, scheds, X, streams, clamp)
+    parts = [_block(model, s, fold, sigs, clamp, score, bound,
+                    X[lo:lo + BLOCK_ROWS], streams[lo:lo + BLOCK_ROWS])
+             for lo in range(0, len(X), BLOCK_ROWS)]
     mean, std, pick = (np.concatenate(p) for p in zip(*parts))
     return EnsembleResult(mean, std, np.array([sc.sigma for sc in scheds])[pick])
 
@@ -172,31 +162,35 @@ def grid_means(model, s: Subspace, scheds, X: np.ndarray, streams) -> list[np.nd
     Each row is drawn once for the whole grid, so on a grid of one strategy
     each equals ``run_gtta(model, s, sched, X, streams).mean_prediction`` bit for bit.
     """
-    blocks = [[point()[1] for point in points] for points in _grid(model, s, scheds, X, streams, None)]
+    X, sigs, fold = _setup(model, s, scheds, X, streams, None)
+    blocks = []
+    for lo in range(0, len(X), BLOCK_ROWS):
+        draws = perturb.draw_latents(sigs, s, X[lo:lo + BLOCK_ROWS], streams[lo:lo + BLOCK_ROWS])
+        blocks.append([_mean(_point(model, s, fold, sig, draws, None))[0] for sig in sigs])
     return [np.concatenate(means) for means in zip(*blocks)]
 
 
-def _best_ensembles(points, score, bound=None):
-    """Mean, std and the winning schedule's index for each row of one block.
+def _block(model, s, fold, sigs, clamp, score, bound, X, streams):
+    """Mean, std and the winning grid point's index for each row of one block.
 
-    ``points`` yields one :func:`_ensemble` call per schedule. A later point
-    wins a row only with a strictly greater score, so a point stops after its
-    first half of candidates when ``bound`` caps no row above its best score.
-    ``out`` holds the winning candidate outputs of the rows whose candidates
-    disagree; every other row's std is zero.
+    The rows are projected and drawn once, for every noise matrix of
+    ``sigs``. A later point wins a row only with a strictly greater score,
+    so it stops after its first half of candidates when ``bound`` caps no
+    row above its best score. ``out`` holds the winning candidate outputs of
+    the rows whose candidates disagree; every other row's std is zero.
     """
-    out, mean, same = next(points)()
+    draws = perturb.draw_latents(sigs, s, X, streams)
+    out = _point(model, s, fold, sigs[0], draws, clamp)
+    mean, same = _mean(out)
     pick = np.zeros(len(mean), dtype=np.intp)
-    for g, point in enumerate(points, 1):
-        if g == 1:
-            best_score = score(mean)
-        keep = None if bound is None else lambda first, n: np.any(bound(first, n) > best_score)
-        if (ens := point(keep)) is None:
+    best = score(mean) if len(sigs) > 1 else None
+    for g, sig in enumerate(sigs[1:], 1):
+        if (new_out := _point(model, s, fold, sig, draws, clamp, bound, best)) is None:
             continue
-        new_out, new_mean, new_same = ens
+        new_mean, new_same = _mean(new_out)
         new_score = score(new_mean)
-        better = new_score > best_score
-        best_score = np.where(better, new_score, best_score)
+        better = new_score > best
+        best = np.where(better, new_score, best)
         if out.shape[1] < new_out.shape[1]:
             out = new_out  # the rows that keep a quiet winner agree, whatever it holds for them
         else:
@@ -222,53 +216,38 @@ def _std(outputs: np.ndarray, mean: np.ndarray) -> np.ndarray:
     return np.sqrt(var, out=var)
 
 
-def _ensemble(model, s, fold, sig, draws, clamp, keep=None):
-    """Candidate outputs of one noise matrix over one block, their mean and agreement.
+def _point(model, s, fold, sig, draws, clamp, bound=None, best=None):
+    """The [b, N, *out] candidate outputs of one noise matrix over one block, or None.
 
-    The outputs are [b, N, *out], or [b, 1, *out] for a quiet schedule,
-    whose candidates coincide, so each row is predicted once, alone. A noisy
-    schedule predicts candidates 1..ceil(N/2), then the rest, one model call
-    each; a block whose half would hold a single model row runs in one call,
-    since a one-row product rounds differently from a many-row one.
-    ``keep(first, N)`` sees the first half's [b, ceil(N/2), *out] outputs; if
-    it is false the ensemble stops there and returns None.
+    A quiet matrix's candidates coincide, so each row is predicted once,
+    alone, into [b, 1, *out]. A noisy one predicts candidates 1..ceil(N/2),
+    then the rest, one model call each; a block whose half would hold a
+    single model row runs in one call, since a one-row product rounds
+    differently from a many-row one. The point stops after its first half
+    and returns None when ``bound`` of those outputs exceeds ``best`` in no
+    row. With ``fold`` the noisy latents go through the folded first layer,
+    its activation and the rest of the model instead of input space.
     """
-    if not sig.any():
-        cands = make_candidates(sig[:1], s, draws)
-        if clamp is not None:
-            cands = np.clip(cands, clamp[0], clamp[1])
-        out = np.stack([model.predict(c) for c in cands])
-        return out, *_mean(out)
-    n = len(sig)
-    k = -(-n // 2)
+    n, k, quiet = len(sig), -(-len(sig) // 2), not sig.any()
     halves = [slice(0, k), slice(k, n)] if len(draws.X) * (n - k) > 1 else [slice(0, n)]
+    if quiet:
+        fold, halves = None, [slice(0, 1)]
+    layer, net = (s, model) if fold is None else fold
     parts = []
     for half in halves:
-        if parts and keep is not None and not keep(parts[0], n):
+        if parts and bound is not None and not np.any(bound(parts[0], n) > best):
             return None
-        parts.append(_outputs(model, s, fold, sig[half], replace(draws, z=draws.z[:, half]), clamp))
-    out = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-    return out, *_mean(out)
-
-
-def _outputs(model, s, fold, sig, draws, clamp):
-    """The [b, n, *out] outputs of the noisy candidates of an [n, n_u] noise matrix.
-
-    Without ``fold`` they are input-space candidates; with it, the folded
-    first layer's pre-activations go through its activation and the rest of
-    the model.
-    """
-    if fold is None:
-        cands = make_candidates(sig, s, draws)
+        cands = make_candidates(sig[half], layer, replace(draws, z=draws.z[:, half]))
         if clamp is not None:
-            cands = np.clip(cands, clamp[0], clamp[1])
-    else:
-        layer, model = fold
-        cands = make_candidates(sig, layer, draws)
-        if model.weights:  # the folded layer was hidden, so its ReLU applies
+            np.clip(cands, clamp[0], clamp[1], out=cands)
+        elif fold is not None and net.weights:  # the folded layer was hidden, so its ReLU applies
             np.maximum(cands, 0.0, out=cands)
-    out = np.asarray(model.predict(cands.reshape(-1, cands.shape[-1])))
-    return out.reshape(cands.shape[:2] + out.shape[1:])
+        if quiet:
+            parts.append(np.stack([net.predict(c) for c in cands]))
+        else:
+            out = np.asarray(net.predict(cands.reshape(-1, cands.shape[-1])))
+            parts.append(out.reshape(cands.shape[:2] + out.shape[1:]))
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
 
 def _confidence(mean: np.ndarray, output_kind, threshold: float) -> np.ndarray:

@@ -183,6 +183,8 @@ class MlpModel:
     def __init__(self, layer_sizes, output_kind: OutputKind, rng: RngStream):
         if len(layer_sizes) < 2:
             raise ParamError("need at least input and output sizes")
+        if min(layer_sizes) < 1:
+            raise ParamError(f"every layer needs at least one unit, got sizes {list(layer_sizes)}")
         expected_out = output_kind.head_width
         if expected_out is not None and layer_sizes[-1] != expected_out:
             raise ParamError(
@@ -310,6 +312,8 @@ class MlpModel:
 
 def epoch_batches(n: int, batch_size: int, stream: RngStream):
     """Deterministic shuffled minibatch index lists for one epoch."""
+    if batch_size < 1:
+        raise ParamError(f"batch size must be >= 1, got {batch_size}")
     order = stream.generator().permutation(n)
     return [order[i : i + batch_size] for i in range(0, n, batch_size)]
 
@@ -321,8 +325,12 @@ def mlp_train(model: MlpModel, data: WeightedBatch, *, epochs: int, lr: float,
     Deterministic under a fixed stream: epoch e shuffles with
     ``rng.derive(1).derive(e)``.
     """
-    if lr < 0:
-        raise ParamError(f"lr must be nonnegative, got {lr}")
+    if epochs < 0:
+        raise ParamError(f"epochs must be >= 0, got {epochs}")
+    if not 0 <= lr < np.inf:  # a NaN fails too
+        raise ParamError(f"lr must be finite and nonnegative, got {lr}")
+    if not 0 <= momentum < 1:  # a NaN fails too
+        raise ParamError(f"momentum must lie in [0, 1), got {momentum}")
     if data.n < 1:
         raise DataError("empty training data")
     velocity = [(np.zeros_like(w), np.zeros_like(b))

@@ -369,11 +369,39 @@ GOLDEN_ENSEMBLE_SHA256 = {
         "std.gtt": "8d7fb903b347428e39e7cb5acf0ecc1aa60fc7055c3827cb94bd464371601d3f",
         "results.json": "1784847c3ab70c09fc6482c770974586cb950dc560e988c1863923fb5769ab46",
     },
+    "predict-quiet": {
+        "mean.gtt": "93bc6d3bda5ce81e32b9eee6b9cc925848991527d9f071bdffa79c915f7e2fca",
+        "std.gtt": "7ecf624d4451b3e8fce369fe63b6735a5f31144b06f25afbe6a7be960a96e631",
+        "results.json": "e6758f3b33bd6ea44b8211a428e8c4305bac8ff76abaf7d72871349cdb8020d2",
+    },
+    "predict-incremental": {
+        "mean.gtt": "98ff466a4a55edf2027e4066b7bd24650c327681ad09ad6a6565ba5d2be8a3e3",
+        "std.gtt": "232cec4e2b397867cee95605bb0bd6025ec0a3a2ad30cc2a0cae313a21aabd23",
+        "results.json": "0b8360903423e5dc04cec90d7f6491dff2db995f3f778c6c8ea3f36a6805d2a3",
+    },
+    "predict-clamp": {
+        "mean.gtt": "7688a96997dc228d70b703ed58cd99dd9cb6f765deb699d05970a2193948d3f9",
+        "std.gtt": "3b395bf09a18e4234b8a4d55118cfcc87f0ffea861eb319725bee6e884cefed4",
+        "results.json": "f59a81fed2a834be013f765e90fef854ce31ab49fd1b3158d9a4ecb9abc3baea",
+    },
+    "auto-sigma-incremental-cap": {
+        "mean.gtt": "a2b99d2781d217fecade31863a202861870d9f757397dac6014cd59fd6316fb1",
+        "std.gtt": "84779b5763bb91c96db28ff8b162db53835ede0ad9bb290b4a5f51456eba933a",
+        "results.json": "2f2913a9a31c0c2ee836f0fa107c1c9490ff21c132a0fe6a1bf873cd6c4d497c",
+    },
 }
 GOLDEN_ENSEMBLE_COMMANDS = {
     "predict": ["predict", "--sigma", "0.1"],
     "auto-sigma": ["auto-sigma"],
     "auto-sigma-clamp": ["auto-sigma", "--clamp", "0,1"],
+    # Each row predicted once, alone.
+    "predict-quiet": ["predict", "--sigma", "0"],
+    # Candidate 1 gets no noise and still goes through the folded layer.
+    "predict-incremental": ["predict", "--sigma", "0.1", "--strategy", "incremental"],
+    # One schedule in input space.
+    "predict-clamp": ["predict", "--sigma", "0.1", "--clamp", "0,1"],
+    "auto-sigma-incremental-cap": ["auto-sigma", "--strategy", "incremental",
+                                   "--sigma-cap", "0.5"],
 }
 
 
@@ -500,6 +528,31 @@ def test_values_without_meaning_are_param_errors(pipeline, tmp_path, capsys, arg
     err = capsys.readouterr().err
     assert err.startswith("error: ParamError") and err.count("\n") == 1
     assert not out.exists()
+
+
+TRAIN = ["train", "--data", "{root}/train_x.gtt", "--targets", "{root}/train_y.gtt",
+         "--task", "segmentation", "--hidden", "4", "--epochs", "1"]
+SPECTRUM = ["analyze", "spectrum", "--subspace", "{root}/subspace.gtt", "--data", "{root}/test_x.gtt"]
+
+
+@pytest.mark.parametrize("argv", [
+    [*TRAIN, "--batch-size", "0"], [*TRAIN, "--batch-size", "-4"], [*TRAIN, "--epochs", "-1"],
+    [*TRAIN, "--momentum", "-2"], [*TRAIN, "--momentum", "1"], [*TRAIN, "--lr", "nan"],
+    [*TRAIN, "--hidden", "x"], [*TRAIN, "--hidden", "0"], [*TRAIN, "--hidden", "-3"],
+    [*DISTILL, "--batch-size", "0"], [*DISTILL, "--batch-size", "-4"],
+    [*DISTILL, "--epochs", "-1"], [*DISTILL, "--lr", "nan"],
+    [*SPECTRUM, "--equal-sigma", "nan"], [*SPECTRUM, "--equal-sigma", "-1"],
+], ids=lambda argv: " ".join([argv[0], *argv[-2:]]))
+def test_training_values_without_meaning_are_param_errors(pipeline, tmp_path, capsys, argv):
+    # These once ended in a numpy traceback, blamed a diverged run, or exited
+    # 0 having trained nothing, or on a NaN loss curve.
+    (tmp_path / "model.gtt").write_bytes((pipeline / "model.gtt").read_bytes())
+    (tmp_path / "model.gtt.json").write_bytes((pipeline / "model.gtt.json").read_bytes())
+    out = tmp_path / "o"
+    assert run(*[a.format(root=pipeline, tmp=tmp_path) for a in argv], "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ParamError") and err.count("\n") == 1
+    assert not list(tmp_path.glob("o*"))
 
 
 @pytest.mark.parametrize("shape", [(5,), (2, 3, 4, 4)], ids=["1-D", "4-D"])

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -134,9 +136,16 @@ def test_split_aggregation_matches_one_pass(n, out, rows, saturated, seed):
 
 
 def aggregate(points, score):
-    """Bytes of the mean and std _best_ensembles keeps over grid points of [b, N, *out] outputs."""
-    calls = (lambda keep=None, out=out: (out, *ensemble._mean(out)) for out in points)
-    mean, std, _ = ensemble._best_ensembles(calls, score)
+    """Bytes of the mean and std ensemble._block keeps over grid points of [b, N, *out] outputs.
+
+    Each grid point's candidate outputs stand in for the ones _point would predict.
+    """
+    s, b = full_rank_subspace(), len(points[0])
+    sigs = np.ones((len(points), 1, s.n_u))
+    outputs = iter(points)
+    with mock.patch.object(ensemble, "_point", lambda *args: next(outputs)):
+        mean, std, _ = ensemble._block(None, s, None, sigs, None, score, None,
+                                       np.zeros((b, s.d)), RngStream(0).rows(b))
     return mean.tobytes(), std.tobytes()
 
 
