@@ -67,6 +67,8 @@ def distill(student: MlpModel, labeled: Dataset, pseudo: PseudoLabelSet, *,
         raise ParamError(f"mixing must lie in [0, 1], got {mixing}")
     if epochs < 0:
         raise ParamError(f"epochs must be >= 0, got {epochs}")
+    if batch_size < 1:
+        raise ParamError(f"batch size must be >= 1, got {batch_size}")
     if not 0 <= lr < np.inf:  # a NaN fails too
         raise ParamError(f"lr must be finite and nonnegative, got {lr}")
     if not np.any(pseudo.weights):

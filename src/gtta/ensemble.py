@@ -200,20 +200,8 @@ def _block(model, s, fold, sigs, clamp, score, bound, X, streams):
     std = np.zeros_like(mean)
     if not same.all():
         differ = ~same if same.any() else slice(None)  # a mask would copy all of out
-        std[differ] = _std(out[differ], mean[differ])
+        std[differ] = out[differ].std(axis=1)
     return mean, std, pick
-
-
-def _std(outputs: np.ndarray, mean: np.ndarray) -> np.ndarray:
-    """``outputs.std(axis=1)`` of [b, N, *out] outputs whose mean is ``mean``.
-
-    These are numpy's steps less its pass for the mean, so the bytes are the same.
-    """
-    dev = outputs - mean[:, None]
-    dev *= dev
-    var = dev.sum(axis=1)
-    var /= outputs.shape[1]
-    return np.sqrt(var, out=var)
 
 
 def _point(model, s, fold, sig, draws, clamp, bound=None, best=None):

@@ -312,8 +312,6 @@ class MlpModel:
 
 def epoch_batches(n: int, batch_size: int, stream: RngStream):
     """Deterministic shuffled minibatch index lists for one epoch."""
-    if batch_size < 1:
-        raise ParamError(f"batch size must be >= 1, got {batch_size}")
     order = stream.generator().permutation(n)
     return [order[i : i + batch_size] for i in range(0, n, batch_size)]
 
@@ -327,6 +325,8 @@ def mlp_train(model: MlpModel, data: WeightedBatch, *, epochs: int, lr: float,
     """
     if epochs < 0:
         raise ParamError(f"epochs must be >= 0, got {epochs}")
+    if batch_size < 1:
+        raise ParamError(f"batch size must be >= 1, got {batch_size}")
     if not 0 <= lr < np.inf:  # a NaN fails too
         raise ParamError(f"lr must be finite and nonnegative, got {lr}")
     if not 0 <= momentum < 1:  # a NaN fails too

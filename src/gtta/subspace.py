@@ -9,7 +9,7 @@ full-rank round trip is the identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,11 +27,6 @@ class Subspace:
     components: np.ndarray       # [n_u, d], orthonormal rows
     variance_ratios: np.ndarray  # [n_u], non-increasing, each in [0, 1]
     ranges: np.ndarray           # [n_u], nonnegative
-    dead: np.ndarray = field(default=None)  # [n_u] bool, near-zero variance
-
-    def __post_init__(self):
-        if self.dead is None:
-            object.__setattr__(self, "dead", self.variance_ratios < DEAD_RATIO)
 
     @property
     def d(self) -> int:
@@ -45,32 +40,10 @@ class Subspace:
     def full_rank(self) -> bool:
         return self.n_u == self.d
 
-
-def _decompose(centered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Return (singular values, component rows) of the centered data matrix."""
-    n, d = centered.shape
-    if d > 4 * n:
-        # Gram path: eigendecompose the small n x n matrix instead of
-        # running an SVD on a very wide matrix. A dead component's singular
-        # value is rounding noise, so dividing by it would blow the row up;
-        # it gets a zero row instead.
-        gram = centered @ centered.T
-        evals, evecs = np.linalg.eigh(gram)
-        order = np.argsort(evals)[::-1]
-        evals = np.clip(evals[order], 0.0, None)
-        svals = np.sqrt(evals)
-        comps = np.zeros((len(svals), d))
-        total = np.trace(gram)
-        alive = evals >= DEAD_RATIO * total
-        comps[alive] = (centered.T @ evecs[:, order][:, alive]).T / svals[alive, None]
-        # Cᵀv / s drifts off unit norm and off the rows above by about
-        # 1e-16 / ratio, so rows of ratio below 1e-6 are re-orthonormalised.
-        for i in np.flatnonzero(alive & (evals < 1e-6 * total)):
-            comps[i] -= comps[:i].T @ (comps[:i] @ comps[i])
-            comps[i] /= np.linalg.norm(comps[i])
-        return svals, comps
-    _, svals, vt = np.linalg.svd(centered, full_matrices=False)
-    return svals, vt
+    @property
+    def dead(self) -> np.ndarray:
+        """[n_u] bool: the components of near-zero variance."""
+        return self.variance_ratios < DEAD_RATIO
 
 
 def fit(reference, retain) -> Subspace:
@@ -94,7 +67,7 @@ def fit(reference, retain) -> Subspace:
 
     mean = X.mean(axis=0)
     centered = X - mean
-    svals, comps = _decompose(centered)
+    _, svals, comps = np.linalg.svd(centered, full_matrices=False)
 
     computable = min(n - 1, d)
     svals = svals[:computable]
@@ -173,7 +146,7 @@ def save_subspace(s: Subspace, path) -> None:
 def load_subspace(path) -> Subspace:
     """Read a subspace whose ratios lie in [0, 1] and do not increase, whose
     ranges are not negative, and whose component rows are orthonormal (a dead
-    component's row may be zero instead: the Gram path of :func:`fit` writes it so)."""
+    component's row may be zero instead, as files of earlier versions hold it)."""
     sections = load_container(path)
     missing = {"mean", "components", "variance_ratios", "ranges"} - sections.keys()
     if missing:

@@ -294,17 +294,39 @@ def gen_circle_pattern(height: int, width: int, *, radius: float | None = None,
 
 
 _SPEC_TYPES = {"tabular": TabularSpec, "blobs": BlobsSpec, "images": BlobImagesSpec}
+# Tuple fields and their lengths (one distractor rate per blob class); the
+# fields whose values are counts, are not negative, or lie in [0, 1].
+_LENGTHS = {"splits": 3, "distractor_fractions": 2}
+_COUNTS = {"n", "dim", "n_images", "height", "width", "blobs_min", "blobs_max"}
+_NONNEGATIVE = {"noise", "cluster_std", "input_noise"}
+_UNIT = {"splits", "distractor_fraction", "distractor_fractions", "boundary_noise"}
+
+
+def _checked(kind: str, field: dataclasses.Field, value):
+    """``value`` for ``field`` of a ``kind`` spec, a tuple for a tuple field."""
+    if value is None and field.default is None:
+        return None
+    name, integer = field.name, field.type.startswith("int")
+    items = value if name in _LENGTHS and isinstance(value, list) else [value]
+    lo = 1 if name in _COUNTS else 0 if name in _NONNEGATIVE | _UNIT else -np.inf
+    hi = 1 if name in _UNIT else np.inf
+    if len(items) != _LENGTHS.get(name, 1) or not all(
+            isinstance(v, int if integer else (int, float)) and not isinstance(v, bool)
+            and lo <= v <= hi and -np.inf < v < np.inf for v in items):
+        what = "integer" if integer else "finite number"
+        what = (f"a list of {_LENGTHS[name]} {what}s" if name in _LENGTHS
+                else f"{'an' if integer else 'a'} {what}")
+        span = f" in [{lo}, {hi}]" if lo > -np.inf else ""
+        raise ParamError(f"{kind} spec field {name!r} must be {what}{span}, got {value!r}")
+    return tuple(items) if name in _LENGTHS else value
 
 
 def spec_from_dict(kind: str, params: dict):
+    """The ``kind`` spec of ``params``; each field must hold a value of its type and range."""
     if kind not in _SPEC_TYPES:
         raise ParamError(f"unknown fixture kind {kind!r}")
-    cls = _SPEC_TYPES[kind]
-    names = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(params) - names
+    fields = {f.name: f for f in dataclasses.fields(_SPEC_TYPES[kind])}
+    unknown = set(params) - fields.keys()
     if unknown:
         raise ParamError(f"unknown {kind} spec fields: {sorted(unknown)}")
-    params = dict(params)
-    if "splits" in params:
-        params["splits"] = tuple(params["splits"])
-    return cls(**params)
+    return _SPEC_TYPES[kind](**{k: _checked(kind, fields[k], v) for k, v in params.items()})

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import contextlib
 import dataclasses
 import hashlib
@@ -199,8 +200,8 @@ def test_zero_sigma_single_candidate_matches_model(tmp_path):
 
 
 def test_predict_through_rank_one_gram_fit_stays_at_data_scale(tmp_path, model_child):
-    # Six rank-1 rows with d = 40 > 4n: fit takes the Gram path and "all" keeps
-    # four dead components, whose rows must not blow the reconstruction up.
+    # Six rank-1 rows with d = 40 > 4n, a wide fit: "all" keeps four dead
+    # components, whose rows must not blow the reconstruction up.
     X = np.ones((6, 40))
     X[:3] += np.arange(40)
     x = np.random.default_rng(0).standard_normal((4, 40))
@@ -217,9 +218,9 @@ def test_predict_through_rank_one_gram_fit_stays_at_data_scale(tmp_path, model_c
 
 
 def test_gram_fit_of_tiny_ratios_loads(tmp_path):
-    # 8 rows of rank 3 plus 1e-5 noise with d = 100 > 4n: "all" keeps four
-    # components of ratio about 5e-12, whose rows C^T v / s come out 1e-5 off
-    # unit norm unless the fit re-orthonormalises them.
+    # 8 rows of rank 3 plus 1e-5 noise with d = 100 > 4n, a wide fit: "all"
+    # keeps four components of ratio about 5e-12, whose rows must still be
+    # orthonormal for the subspace to load.
     from gtta.data import OutputKind
     from gtta.predictor import MlpModel, save_model
     from gtta.rng import RngStream
@@ -442,6 +443,29 @@ def test_ensemble_output_is_pinned(golden_ensemble, tmp_path, name):
     assert digests == GOLDEN_ENSEMBLE_SHA256[name]
 
 
+# SHA-256 of the subspace file `fit` writes, for the golden ensemble's 36x144
+# rows (d = 4n) and for 30 tall rows of rank 3 whose seven trailing components
+# are dead. Same build caveat as above.
+GOLDEN_FIT_SHA256 = {
+    "golden-0.99": "09007f35e965e17f931ce0bdfe5759268392792e2853e85670d5d8d2de6426fc",
+    "golden-all": "72d33bf6aade6fd449c64890d993f93668b020022a66f147ecdbcff14a872b54",
+    "rank3-all": "f3d69545d2bf6d0b75197fa0fa0d325ff214b2a11db375a61d4c1a895abb2359",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_FIT_SHA256))
+def test_fit_output_is_pinned(golden_ensemble, tmp_path, name):
+    data, retain = name.rsplit("-", 1)
+    if data == "golden":
+        rows = golden_ensemble / "train_x.gtt"
+    else:
+        gen = np.random.default_rng(0)
+        rows = tmp_path / "x.gtt"
+        save_tensor(gen.standard_normal((30, 3)) @ gen.standard_normal((3, 10)), rows)
+    assert run("fit", "--data", str(rows), "--retain", retain, "--out", str(tmp_path / "s.gtt")) == 0
+    assert hashlib.sha256((tmp_path / "s.gtt").read_bytes()).hexdigest() == GOLDEN_FIT_SHA256[name]
+
+
 @pytest.fixture(scope="module")
 def confident_model(tmp_path_factory):
     """A segmentation model trained with momentum: confident at sigma 0, lost under large noise."""
@@ -541,6 +565,7 @@ SPECTRUM = ["analyze", "spectrum", "--subspace", "{root}/subspace.gtt", "--data"
     [*TRAIN, "--hidden", "x"], [*TRAIN, "--hidden", "0"], [*TRAIN, "--hidden", "-3"],
     [*DISTILL, "--batch-size", "0"], [*DISTILL, "--batch-size", "-4"],
     [*DISTILL, "--epochs", "-1"], [*DISTILL, "--lr", "nan"],
+    [*TRAIN, "--batch-size", "0", "--epochs", "0"], [*DISTILL, "--batch-size", "0", "--epochs", "0"],
     [*SPECTRUM, "--equal-sigma", "nan"], [*SPECTRUM, "--equal-sigma", "-1"],
 ], ids=lambda argv: " ".join([argv[0], *argv[-2:]]))
 def test_training_values_without_meaning_are_param_errors(pipeline, tmp_path, capsys, argv):
@@ -842,6 +867,25 @@ def test_synth_blobs_cli(tmp_path):
     assert run("synth", "blobs", "--spec", str(spec), "--out", str(out)) == 0
     assert load_tensor(out / "inputs.gtt").shape == (30, 16)
     assert (out / "pattern.gtt").exists()
+
+
+@pytest.mark.parametrize("kind, spec", [
+    ("tabular", {"dim": 0}), ("tabular", {"splits": [0.5]}), ("tabular", {"noise": -1}),
+    ("blobs", {"dim": 0}), ("blobs", {"distractor_fractions": [0.5]}), ("blobs", {"n": 1.5}),
+    ("blobs", {"n": True}), ("blobs", {"cluster_std": -1}),
+    ("images", {"height": "x"}), ("images", {"seed": "abc"}), ("images", {"input_noise": -1}),
+    ("images", {"boundary_noise": 2}),
+], ids=lambda v: v if isinstance(v, str) else json.dumps(v))
+def test_synth_spec_field_out_of_type_or_range_is_param_error(tmp_path, capsys, kind, spec):
+    # These once ended in a traceback, or exited 0 with a negative noise scale
+    # or a flip probability of 2.
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    out = tmp_path / "o"
+    assert run("synth", kind, "--spec", str(tmp_path / "spec.json"), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ParamError") and err.count("\n") == 1
+    assert next(iter(spec)) in err
+    assert not out.exists()
 
 
 def test_fit_csv_with_header(tmp_path):
@@ -1234,3 +1278,18 @@ def test_model_commands_end_the_child_before_writing(pipeline, tmp_path, capsys,
     else:
         assert code == 0 and "provenance.json" in written
     assert len(child.started()) == 1 and not _alive(child.started()[0])
+
+
+def test_package_imports_only_numpy_and_the_standard_library():
+    # pyproject.toml names numpy as the one dependency; relative imports stay in gtta.
+    allowed = set(sys.stdlib_module_names) | {"numpy", "gtta"}
+    for path in sorted((SRC / "gtta").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            outside = {name.split(".")[0] for name in names} - allowed
+            assert not outside, f"{path.name} imports {sorted(outside)}"

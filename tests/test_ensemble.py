@@ -410,7 +410,7 @@ class InputSpace:
         return self.model.predict(batch)
 
 
-# (rows, d, retain) of the fit: every row kept, an SVD cut short, the Gram path (d > 4n).
+# (rows, d, retain) of the fit: every row kept, a tall fit cut short, a wide fit (d > 4n).
 FITS = {"full-rank": (20, 6, "all"), "svd": (30, 6, 4), "gram": (5, 24, "all")}
 HEADS = {"probabilities": (OutputKind.probabilities(3), 3),
          "per-pixel": (OutputKind.per_pixel(2, 2), 4),

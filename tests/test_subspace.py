@@ -194,7 +194,7 @@ def test_load_corrupted_header(tmp_path):
 
 def test_gram_path_matches_svd_path():
     gen = RngStream(15).generator()
-    X = gen.standard_normal((5, 40))  # d >> n triggers the gram route
+    X = gen.standard_normal((5, 40))  # wide: d >> n
     s = fit(X, "all")
     assert s.n_u == 4
     gram = s.components @ s.components.T
@@ -203,9 +203,9 @@ def test_gram_path_matches_svd_path():
     assert np.allclose(s.variance_ratios, evals[:4] / evals.sum(), atol=1e-8)
 
 
-# Six rank-1 rows with d = 40 > 4n, so fit takes the Gram path; "all" keeps
-# four dead components whose singular values are rounding noise, and the one
-# live ratio rounds to 1 + 4e-16.
+# Six rank-1 rows with d = 40 > 4n, a wide fit; "all" keeps four dead
+# components whose singular values are rounding noise, and the one live ratio
+# may round to just above 1.
 RANK1 = np.ones((6, 40))
 RANK1[:3] += np.arange(40)
 
@@ -228,8 +228,36 @@ def test_gram_path_dead_components_are_zero_rows():
     s = fit(RANK1, "all")
     norms = np.linalg.norm(s.components, axis=1)
     assert s.dead.tolist() == [False, True, True, True, True]
-    assert np.abs(norms[0] - 1) < 1e-12 and not norms[1:].any()
+    assert np.abs(norms - 1).max() < 1e-12
     gen = RngStream(17).generator()
     for x in (gen.standard_normal(40), 100 * gen.standard_normal(40)):
         assert np.linalg.norm(reconstruct(s, project(s, x)) - s.mean) <= np.linalg.norm(x - s.mean)
 
+
+def test_zero_dead_row_of_an_earlier_file_loads(tmp_path):
+    # Earlier versions wrote zero rows for the dead components of wide fits.
+    s = fit(RANK1, "all")
+    save_subspace(Subspace(s.mean, np.r_[s.components[:1], np.zeros((4, 40))],
+                           s.variance_ratios, s.ranges), tmp_path / "s.gtt")
+    back = load_subspace(tmp_path / "s.gtt")
+    assert back.dead.tolist() == [False, True, True, True, True]
+    assert not back.components[1:].any()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), seed=st.integers(0, 2**16), n=st.integers(2, 24), d=st.integers(1, 160))
+def test_fit_of_any_shape_and_rank_loads_with_unit_rows(tmp_path_factory, data, seed, n, d):
+    # From tall to d >> n, down to rank 1; dead rows must be unit rows too.
+    rank = data.draw(st.integers(1, min(n, d)), label="rank")
+    retain = data.draw(st.one_of(st.floats(0.05, 1.0), st.integers(1, min(n - 1, d)),
+                                 st.just("all")), label="retain")
+    gen = RngStream(seed).generator()
+    X = gen.standard_normal((n, rank)) @ gen.standard_normal((rank, d))
+    path = tmp_path_factory.mktemp("fit") / "s.gtt"
+    save_subspace(fit(X, retain), path)
+    s = load_subspace(path)
+    assert np.abs(s.components @ s.components.T - np.eye(s.n_u)).max() < 1e-12
+    Xc = X - X.mean(axis=0)
+    cov = Xc.T @ Xc / (n - 1)
+    evals = np.sort(np.linalg.eigvalsh(cov))[::-1]
+    assert np.abs(s.variance_ratios * np.trace(cov) - evals[:s.n_u]).max() < 1e-8
