@@ -15,14 +15,9 @@ import numpy as np
 
 from .data import Dataset
 from .ensemble import run_gtta, uncertainty_weights
-from .errors import ParamError, TrainingDivergedError
+from .errors import ParamError
 from .perturb import NoiseSchedule
-from .predictor import (
-    MlpModel,
-    WeightedBatch,
-    batch_from_dataset,
-    epoch_batches,
-)
+from .predictor import MlpModel, WeightedBatch, batch_from_dataset, mlp_train
 from .rng import RngStream
 from .subspace import Subspace
 
@@ -57,57 +52,20 @@ def distill(student: MlpModel, labeled: Dataset, pseudo: PseudoLabelSet, *,
     """Fine-tune the student on mixing * supervised + (1 - mixing) * pseudo loss.
 
     ``mixing`` = 1 reproduces continued supervised training exactly. A pseudo
-    set whose weights are all zero carries no usable labels, so its term is
-    dropped and training degenerates to the supervised loss at full weight.
-    The supervised half shuffles with ``rng.derive(1)`` and the pseudo half
-    with ``rng.derive(2)``, so the two halves never perturb each other's
-    order.
+    set whose weights are all zero carries no usable labels, so training
+    degenerates to the supervised loss at full weight. The two terms go to
+    :func:`mlp_train` without momentum: the supervised one shuffles with
+    ``rng.derive(1)`` and the pseudo-label one with ``rng.derive(2)``, so
+    they never perturb each other's order.
     """
     if not 0 <= mixing <= 1:
         raise ParamError(f"mixing must lie in [0, 1], got {mixing}")
-    if epochs < 0:
-        raise ParamError(f"epochs must be >= 0, got {epochs}")
-    if batch_size < 1:
-        raise ParamError(f"batch size must be >= 1, got {batch_size}")
-    if not 0 <= lr < np.inf:  # a NaN fails too
-        raise ParamError(f"lr must be finite and nonnegative, got {lr}")
     if not np.any(pseudo.weights):
         mixing = 1.0
     model = student.copy()
-    sup = batch_from_dataset(labeled)
-    pseudo_batch = WeightedBatch(pseudo.inputs, pseudo.teacher_targets, pseudo.weights)
-
-    sup_root = rng.derive(1)
-    pseudo_root = rng.derive(2)
-    history = []
-    step = 0
-    for epoch in range(epochs):
-        sup_batches = epoch_batches(sup.n, batch_size, sup_root.derive(epoch))
-        pseudo_batches = _cycled_batches(
-            pseudo_batch.n, batch_size, pseudo_root.derive(epoch), len(sup_batches)
-        )
-        losses = []
-        for idx_sup, idx_pseudo in zip(sup_batches, pseudo_batches):
-            loss_s, grads_s = model.loss_and_gradients(sup.take(idx_sup))
-            loss_p, grads_p = model.loss_and_gradients(pseudo_batch.take(idx_pseudo))
-            loss = mixing * loss_s + (1 - mixing) * loss_p
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(step)
-            for i, ((gws, gbs), (gwp, gbp)) in enumerate(zip(grads_s, grads_p)):
-                model.weights[i] -= lr * (mixing * gws + (1 - mixing) * gwp)
-                model.biases[i] -= lr * (mixing * gbs + (1 - mixing) * gbp)
-            losses.append(loss)
-            step += 1
-        history.append({"epoch": epoch, "train_loss": float(np.mean(losses))})
+    terms = [(mixing, batch_from_dataset(labeled)),
+             (1 - mixing, WeightedBatch(pseudo.inputs, pseudo.teacher_targets, pseudo.weights))]
+    curve = mlp_train(model, terms, epochs=epochs, lr=lr, rng=rng, batch_size=batch_size)
+    history = [{"epoch": epoch, "train_loss": loss} for epoch, loss in enumerate(curve)]
     report = {"mixing": mixing, "epochs": epochs, "lr": lr, "history": history}
     return model, report
-
-
-def _cycled_batches(n, batch_size, stream, count):
-    """`count` minibatch index arrays, reshuffling whenever the set is exhausted."""
-    batches = []
-    round_ = 0
-    while len(batches) < count:
-        batches.extend(epoch_batches(n, batch_size, stream.derive(round_)))
-        round_ += 1
-    return batches[:count]

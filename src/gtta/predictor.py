@@ -11,6 +11,7 @@ binary per-pixel targets and a weighted squared error for regression.
 
 from __future__ import annotations
 
+import itertools
 import os
 import selectors
 import signal
@@ -316,13 +317,18 @@ def epoch_batches(n: int, batch_size: int, stream: RngStream):
     return [order[i : i + batch_size] for i in range(0, n, batch_size)]
 
 
-def mlp_train(model: MlpModel, data: WeightedBatch, *, epochs: int, lr: float,
+def mlp_train(model: MlpModel, data: WeightedBatch | list, *, epochs: int, lr: float,
               rng: RngStream, batch_size: int = 32, momentum: float = 0.0) -> list[float]:
     """Mini-batch gradient descent on the weighted loss; returns per-epoch mean loss.
 
-    Deterministic under a fixed stream: epoch e shuffles with
-    ``rng.derive(1).derive(e)``.
+    ``data`` is one :class:`WeightedBatch`, or a list of ``(share, batch)``
+    terms. Each step's loss and gradients are the share-weighted sum, in term
+    order, over one minibatch from each term. The first term's minibatches
+    make one epoch; later terms cycle through theirs. Deterministic under a
+    fixed stream: term t shuffles epoch e with ``rng.derive(t + 1).derive(e)``.
+    Every term is checked against the model before the first epoch.
     """
+    terms = [(1.0, data)] if isinstance(data, WeightedBatch) else list(data)
     if epochs < 0:
         raise ParamError(f"epochs must be >= 0, got {epochs}")
     if batch_size < 1:
@@ -331,24 +337,48 @@ def mlp_train(model: MlpModel, data: WeightedBatch, *, epochs: int, lr: float,
         raise ParamError(f"lr must be finite and nonnegative, got {lr}")
     if not 0 <= momentum < 1:  # a NaN fails too
         raise ParamError(f"momentum must lie in [0, 1), got {momentum}")
-    if data.n < 1:
-        raise DataError("empty training data")
+    for _, batch in terms:
+        if batch.n < 1:
+            raise DataError("empty training data")
+        if batch.inputs.ndim != 2 or batch.inputs.shape[1] != model.layer_sizes[0]:
+            raise ShapeError(f"training rows of shape {batch.inputs.shape}, "
+                             f"model takes [b, {model.layer_sizes[0]}]")
+        model._prepare_targets(batch)
     velocity = [(np.zeros_like(w), np.zeros_like(b))
                 for w, b in zip(model.weights, model.biases)]
     curve = []
     step = 0
-    shuffle_root = rng.derive(1)
-    for epoch in range(epochs):
-        losses = []
-        for idx in epoch_batches(data.n, batch_size, shuffle_root.derive(epoch)):
-            loss, grads = model.loss_and_gradients(data.take(idx))
-            if not np.isfinite(loss):
-                raise TrainingDivergedError(step)
-            _apply_update(model, grads, velocity, lr, momentum)
-            losses.append(loss)
-            step += 1
-        curve.append(float(np.mean(losses)))
+    # A diverging run ends in TrainingDivergedError, not in numpy warnings.
+    with np.errstate(all="ignore"):
+        for epoch in range(epochs):
+            first = epoch_batches(terms[0][1].n, batch_size, rng.derive(1).derive(epoch))
+            order = [first] + [
+                _cycled_batches(batch.n, batch_size, rng.derive(t + 1).derive(epoch), len(first))
+                for t, (_, batch) in enumerate(terms[1:], start=1)]
+            losses = []
+            for idxs in zip(*order):
+                loss, grads = -0.0, None  # -0.0 + x is x for every x, so one term stays exact
+                for (share, batch), idx in zip(terms, idxs):
+                    term_loss, term_grads = model.loss_and_gradients(batch.take(idx))
+                    loss += share * term_loss
+                    # Scaling by 1 changes no bit, and would cost an allocation a step.
+                    scaled = term_grads if share == 1 else [
+                        (share * gw, share * gb) for gw, gb in term_grads]
+                    grads = scaled if grads is None else [
+                        (gw + sw, gb + sb) for (gw, gb), (sw, sb) in zip(grads, scaled)]
+                if not np.isfinite(loss):
+                    raise TrainingDivergedError(step)
+                _apply_update(model, grads, velocity, lr, momentum)
+                losses.append(loss)
+                step += 1
+            curve.append(float(np.mean(losses)))
     return curve
+
+
+def _cycled_batches(n, batch_size, stream, count):
+    """`count` minibatch index arrays, reshuffling whenever the set is exhausted."""
+    rounds = (epoch_batches(n, batch_size, stream.derive(r)) for r in itertools.count())
+    return list(itertools.islice(itertools.chain.from_iterable(rounds), count))
 
 
 def _apply_update(model, grads, velocity, lr, momentum):

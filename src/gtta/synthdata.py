@@ -29,6 +29,17 @@ class TabularSpec:
     splits: tuple = (0.6, 0.2, 0.2)
     seed: int = 0
 
+    def __post_init__(self):
+        n_train, n_val = self.split_rows()
+        for name, rows in (("train", n_train), ("val", n_val), ("test", self.n - n_train - n_val)):
+            if rows < 1:
+                raise ParamError(f"splits {list(self.splits)} leave the {name} split of "
+                                 f"n = {self.n} rows empty")
+
+    def split_rows(self) -> tuple[int, int]:
+        """Rows in the train and val splits; the test split takes the rest."""
+        return int(round(self.splits[0] * self.n)), int(round(self.splits[1] * self.n))
+
 
 @dataclass(frozen=True)
 class TabularData:
@@ -53,8 +64,7 @@ def gen_tabular(spec: TabularSpec) -> TabularData:
     if spec.noise > 0:
         y = y + spec.noise * root.derive(3).generator().standard_normal(spec.n)
     kind = OutputKind.real_values()
-    n_train = int(round(spec.splits[0] * spec.n))
-    n_val = int(round(spec.splits[1] * spec.n))
+    n_train, n_val = spec.split_rows()
     train = Dataset(X[:n_train], y[:n_train], kind)
     val = Dataset(X[n_train : n_train + n_val], y[n_train : n_train + n_val], kind)
     test = Dataset(X[n_train + n_val :], y[n_train + n_val :], kind)

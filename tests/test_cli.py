@@ -10,11 +10,12 @@ import subprocess
 import sys
 import tempfile
 import time
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import gtta
@@ -466,6 +467,74 @@ def test_fit_output_is_pinned(golden_ensemble, tmp_path, name):
     assert hashlib.sha256((tmp_path / "s.gtt").read_bytes()).hexdigest() == GOLDEN_FIT_SHA256[name]
 
 
+def _digests(directory: Path, *names) -> dict:
+    return {f: hashlib.sha256((directory / f).read_bytes()).hexdigest() for f in names}
+
+
+# SHA-256 of the model and loss curve `train` writes for each task, and of
+# what `distill` writes from the golden ensemble's model. A change to the
+# training loop that claims to move no output byte must leave them as they
+# are. Same build caveat as above.
+GOLDEN_TRAIN_SHA256 = {
+    "segmentation": {
+        "model.gtt": "1f99513ebbda21e585c74fd26682c1b6dc86be9b4f25b6dc7649ba47d0f0f33d",
+        "model.gtt.losses.json": "74b15d3d517d9b59a749749aaff1d029f125b8de3c39ab40028d8317549203ec",
+    },
+    "classification": {
+        "model.gtt": "6854bea0548be5e9814a1a4d464a6b016caf41da1b520a730ddd80ec49b9d159",
+        "model.gtt.losses.json": "eeba0263cd06850e06ce75bad7111c953c43ac25c9cb970ecb8e23234458d132",
+    },
+    "regression": {
+        "model.gtt": "e66c2183322cacb278fd7d5453b4ce4dc96dc8e4374e7a54eb1306a861fe4997",
+        "model.gtt.losses.json": "d5595d12ad863578f75acaa9fb3087d6f5a88e57f9bb0b82cdfb0cb5453b0432",
+    },
+    "distill": {
+        "distilled.gtt": "f8727b90d894cfda48cd47d9041a137f2f47331c18ea118ba585e1dc7f12b90f",
+        "pseudolabels.gtt": "be1a2095e6563fd9d49a87b0a8dfe8fdf7ba46b6fb68f4f44d2d563986835657",
+        "report.json": "234d41d1c7c7d107e44083e62e71621745f74009b8db1c9197114bb630f26a89",
+    },
+}
+GOLDEN_TRAIN_ARGS = {
+    # The golden ensemble's rows, trained with momentum as the benchmark trains.
+    "segmentation": ["--task", "segmentation", "--hidden", "16", "--epochs", "10", "--lr", "1",
+                     "--momentum", "0.9"],
+    "classification": ["--task", "classification", "--classes", "2", "--hidden", "8",
+                       "--epochs", "5", "--lr", "0.1", "--batch-size", "16"],
+    "regression": ["--task", "regression", "--hidden", "8", "--epochs", "5", "--lr", "0.01",
+                   "--batch-size", "16"],
+}
+
+
+@pytest.mark.parametrize("task", sorted(GOLDEN_TRAIN_ARGS))
+def test_train_output_is_pinned(golden_ensemble, tmp_path, task):
+    if task == "segmentation":
+        data, targets = golden_ensemble / "train_x.gtt", golden_ensemble / "train_y.gtt"
+    else:
+        kind, split = ("blobs", "") if task == "classification" else ("tabular", "train_")
+        (tmp_path / "spec.json").write_text(json.dumps({"n": 60, "seed": 3}))
+        assert run("synth", kind, "--spec", str(tmp_path / "spec.json"),
+                   "--out", str(tmp_path / "synth")) == 0
+        data, targets = (tmp_path / "synth" / f"{split}{f}.gtt" for f in ("inputs", "targets"))
+    assert run("train", "--data", str(data), "--targets", str(targets), *GOLDEN_TRAIN_ARGS[task],
+               "--seed", "14", "--out", str(tmp_path / "model.gtt")) == 0
+    assert (_digests(tmp_path, "model.gtt", "model.gtt.losses.json")
+            == GOLDEN_TRAIN_SHA256[task])
+
+
+def test_distill_output_is_pinned(golden_ensemble, tmp_path):
+    # 36 labeled rows make two minibatches an epoch; the 12 unlabeled rows
+    # make one, so the pseudo-label term reshuffles within every epoch.
+    out = tmp_path / "d"
+    assert run("distill", "--student", str(golden_ensemble / "model.gtt"),
+               "--subspace", str(golden_ensemble / "subspace.gtt"),
+               "--labeled", str(golden_ensemble / "train_x.gtt"),
+               "--labeled-targets", str(golden_ensemble / "train_y.gtt"),
+               "--unlabeled", str(golden_ensemble / "test_x.gtt"), "--n", "6",
+               "--epochs", "3", "--lr", "0.3", "--seed", "13", "--out", str(out)) == 0
+    assert (_digests(out, "distilled.gtt", "pseudolabels.gtt", "report.json")
+            == GOLDEN_TRAIN_SHA256["distill"])
+
+
 @pytest.fixture(scope="module")
 def confident_model(tmp_path_factory):
     """A segmentation model trained with momentum: confident at sigma 0, lost under large noise."""
@@ -578,6 +647,83 @@ def test_training_values_without_meaning_are_param_errors(pipeline, tmp_path, ca
     err = capsys.readouterr().err
     assert err.startswith("error: ParamError") and err.count("\n") == 1
     assert not list(tmp_path.glob("o*"))
+
+
+@pytest.mark.parametrize("epochs", ["1", "0"])
+@pytest.mark.parametrize("option, shape", [("--labeled", (24, 100)),
+                                           ("--labeled-targets", (24, 6, 6))],
+                         ids=["rows", "targets"])
+def test_distill_refuses_labeled_data_that_does_not_fit_the_student(pipeline, tmp_path, capsys,
+                                                                    option, shape, epochs):
+    # Rows too wide once ended in a numpy traceback; at --epochs 0 both
+    # exited 0 with every artifact written.
+    (tmp_path / "model.gtt").write_bytes((pipeline / "model.gtt").read_bytes())
+    (tmp_path / "model.gtt.json").write_bytes((pipeline / "model.gtt.json").read_bytes())
+    save_tensor(np.zeros(shape), tmp_path / "bad.gtt")
+    argv = [a.format(root=pipeline, tmp=tmp_path) for a in DISTILL]
+    argv[argv.index(option) + 1] = str(tmp_path / "bad.gtt")
+    out = tmp_path / "o"
+    assert run(*argv, "--epochs", epochs, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ShapeError") and err.count("\n") == 1
+    assert not out.exists()
+
+
+# Values for each training option: small valid ones, 0, negatives, NaN,
+# infinities, huge values and non-numbers. A huge --epochs or --hidden is
+# spelled as a float, which they refuse; as an integer it would run or
+# allocate without bound.
+_NOT_MEANINGFUL = ["0", "-1", "-2.5", "nan", "inf", "-inf", "x", ""]
+FUZZED_VALUES = {
+    "--epochs": ["1", "3", "1e9", *_NOT_MEANINGFUL],
+    "--lr": ["0.05", "0.5", "1e6", "1e308", *_NOT_MEANINGFUL],
+    "--batch-size": ["1", "5", str(10 ** 12), *_NOT_MEANINGFUL],
+    "--momentum": ["0.5", "0.9", "1e308", *_NOT_MEANINGFUL],
+    "--lambda": ["0.25", "1", "1e308", *_NOT_MEANINGFUL],
+    "--hidden": ["3", "4,2", "1e9", *_NOT_MEANINGFUL],
+}
+FUZZED_COMMANDS = {
+    "train": (TRAIN, ["--epochs", "--lr", "--batch-size", "--momentum", "--hidden"]),
+    "distill": (DISTILL, ["--epochs", "--lr", "--batch-size", "--lambda"]),
+}
+
+
+@st.composite
+def _training_argv(draw):
+    command = draw(st.sampled_from(sorted(FUZZED_COMMANDS)))
+    options = draw(st.lists(st.sampled_from(FUZZED_COMMANDS[command][1]), unique=True))
+    return command, [(flag, draw(st.sampled_from(FUZZED_VALUES[flag]))) for flag in options]
+
+
+@settings(max_examples=60, deadline=None)
+@given(drawn=_training_argv())
+@example(drawn=("train", [("--lr", "1e308"), ("--batch-size", "5"), ("--hidden", "4,2"),
+                          ("--epochs", "3")]))
+@example(drawn=("distill", [("--lr", "1e308"), ("--epochs", "3")]))
+def test_training_commands_end_in_one_error_line_or_succeed(pipeline, drawn):
+    # A diverging run once printed numpy's overflow warnings, one line each,
+    # before its error line.
+    command, options = drawn
+    base, _ = FUZZED_COMMANDS[command]
+    argv = [a.format(root=pipeline, tmp=pipeline) for a in base]
+    argv += [a for option in options for a in option]
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(err), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        out = Path(tmp) / "o"
+        try:
+            code = run(*argv, "--out", str(out))
+        except SystemExit as exc:  # argparse
+            code = exc.code
+        wrote = sorted(p.name for p in Path(tmp).iterdir())
+    message = err.getvalue()
+    assert not caught, [str(w.message) for w in caught]
+    assert code in (0, 1, 2), message
+    if code == 1:
+        assert message.startswith("error: ") and message.count("\n") == 1, message
+    if code:
+        assert not wrote, wrote
 
 
 @pytest.mark.parametrize("shape", [(5,), (2, 3, 4, 4)], ids=["1-D", "4-D"])
@@ -875,10 +1021,13 @@ def test_synth_blobs_cli(tmp_path):
     ("blobs", {"n": True}), ("blobs", {"cluster_std": -1}),
     ("images", {"height": "x"}), ("images", {"seed": "abc"}), ("images", {"input_noise": -1}),
     ("images", {"boundary_noise": 2}),
+    ("tabular", {"splits": [0.5, 0.5, 0], "n": 10}), ("tabular", {"splits": [0.7, 0.5, 0.2], "n": 10}),
+    ("tabular", {"splits": [0, 0.5, 0.5], "n": 10}), ("tabular", {"splits": [0.6, 0.2, 0.2], "n": 3}),
 ], ids=lambda v: v if isinstance(v, str) else json.dumps(v))
 def test_synth_spec_field_out_of_type_or_range_is_param_error(tmp_path, capsys, kind, spec):
     # These once ended in a traceback, or exited 0 with a negative noise scale
-    # or a flip probability of 2.
+    # or a flip probability of 2; splits that left a split empty ended in an
+    # error about an empty tensor.
     (tmp_path / "spec.json").write_text(json.dumps(spec))
     out = tmp_path / "o"
     assert run("synth", kind, "--spec", str(tmp_path / "spec.json"), "--out", str(out)) == 1

@@ -22,6 +22,7 @@ from gtta.predictor import (
     SubprocessPredictor,
     WeightedBatch,
     batch_from_dataset,
+    epoch_batches,
     load_model,
     mlp_train,
     one_hot,
@@ -229,14 +230,70 @@ def test_zero_weights_leave_parameters_unchanged():
         assert np.array_equal(w, b)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_divergence_reports_step():
+    # The loop raises no floating-point warning on the way; the suite fails on one.
     gen = RngStream(20).generator()
     batch = WeightedBatch(gen.standard_normal((16, 3)) * 10, gen.standard_normal(16), np.ones(16))
     model = MlpModel([3, 8, 1], OutputKind.real_values(), RngStream(21))
     with pytest.raises(TrainingDivergedError) as info:
         mlp_train(model, batch, epochs=50, lr=1e12, rng=RngStream(22))
     assert info.value.step >= 0
+
+
+def test_one_term_of_full_share_is_the_plain_batch():
+    kind = OutputKind.probabilities(2)
+    batch = _random_batch(kind, RngStream(30), b=20, d=3)
+    models = [MlpModel([3, 6, 2], kind, RngStream(31)) for _ in range(2)]
+    curves = [mlp_train(m, data, epochs=3, lr=0.3, rng=RngStream(32), batch_size=8,
+                        momentum=0.5) for m, data in zip(models, [batch, [(1.0, batch)]])]
+    assert curves[0] == curves[1]
+    for a, b in zip(models[0].weights + models[0].biases, models[1].weights + models[1].biases):
+        assert np.array_equal(a, b)
+
+
+def test_later_terms_cycle_and_shuffle_on_their_own_streams():
+    # The second term's 5 rows make 3 batches of 2 per round; the first term's
+    # 12 rows make 6 batches an epoch, so the second cycles twice per epoch.
+    kind = OutputKind.real_values()
+    first = _random_batch(kind, RngStream(33), b=12, d=3)
+    second = _random_batch(kind, RngStream(34), b=5, d=3)
+    seen = []
+    model = MlpModel([3, 4, 1], kind, RngStream(35))
+    original = model.loss_and_gradients
+
+    def noted(batch):
+        seen.append(batch.inputs)
+        return original(batch)
+
+    model.loss_and_gradients = noted
+    mlp_train(model, [(0.5, first), (0.5, second)], epochs=2, lr=0.0, rng=RngStream(36),
+              batch_size=2)
+    assert len(seen) == 2 * 12
+    for epoch in range(2):
+        steps = seen[12 * epoch : 12 * (epoch + 1)]
+        first_order = epoch_batches(12, 2, RngStream(36).derive(1).derive(epoch))
+        cycled = RngStream(36).derive(2).derive(epoch)
+        second_order = [idx for r in range(2) for idx in epoch_batches(5, 2, cycled.derive(r))]
+        for got, idx in zip(steps[0::2], first_order):
+            assert np.array_equal(got, first.inputs[idx])
+        for got, idx in zip(steps[1::2], second_order[:6]):
+            assert np.array_equal(got, second.inputs[idx])
+
+
+@pytest.mark.parametrize("epochs", [0, 2])
+@pytest.mark.parametrize("inputs, targets", [((8, 5), (8,)), ((8, 3), (8, 2))],
+                         ids=["rows", "targets"])
+def test_every_term_must_fit_the_model(epochs, inputs, targets):
+    kind = OutputKind.real_values()
+    model = MlpModel([3, 4, 1], kind, RngStream(37))
+    before = [w.copy() for w in model.weights]
+    good = _random_batch(kind, RngStream(38), b=8, d=3)
+    gen = RngStream(39).generator()
+    bad = WeightedBatch(gen.standard_normal(inputs), gen.standard_normal(targets), np.ones(8))
+    with pytest.raises(ShapeError):
+        mlp_train(model, [(0.5, good), (0.5, bad)], epochs=epochs, lr=0.1, rng=RngStream(40))
+    for w, b in zip(model.weights, before):
+        assert np.array_equal(w, b)
 
 
 def test_training_is_seed_deterministic():
