@@ -13,10 +13,10 @@ import json
 import numpy as np
 
 from gtta.data import Dataset, OutputKind
-from gtta.distill import PseudoLabelSet, distill, generate_pseudolabels
+from gtta.distill import distill, generate_pseudolabels
 from gtta.metrics import binary_f_score
 from gtta.perturb import NoiseSchedule
-from gtta.predictor import MlpModel, batch_from_dataset, mlp_train
+from gtta.predictor import MlpModel, WeightedBatch, batch_from_dataset, mlp_train
 from gtta.rng import RngStream
 from gtta.subspace import fit
 from gtta.synthdata import BlobImagesSpec, gen_blob_images
@@ -39,7 +39,6 @@ def run_seed(seed, sigma, mixing):
     ))
     labeled = Dataset(bundle.data.inputs[:40], bundle.data.targets[:40],
                       OutputKind.per_pixel(16, 16))
-    unlabeled = Dataset(bundle.data.inputs[40:64], None, OutputKind.per_pixel(16, 16))
     holdout = Dataset(bundle.data.inputs[64:], bundle.clean_targets[64:],
                       OutputKind.per_pixel(16, 16))
     student = MlpModel([256, 48, 256], OutputKind.per_pixel(16, 16), RngStream(seed, 70))
@@ -47,10 +46,10 @@ def run_seed(seed, sigma, mixing):
               rng=RngStream(seed, 71))
     s = fit(labeled.inputs, 0.99)
     pseudo = generate_pseudolabels(
-        student, s, NoiseSchedule("constant", sigma, 15), unlabeled, RngStream(seed, 72),
+        student, s, NoiseSchedule("constant", sigma, 15), bundle.data.inputs[40:64],
+        RngStream(seed, 72),
     )
-    flat = PseudoLabelSet(pseudo.inputs, pseudo.teacher_targets,
-                          np.ones_like(pseudo.weights))
+    flat = WeightedBatch(pseudo.inputs, pseudo.targets, np.ones_like(pseudo.weights))
     kwargs = dict(mixing=mixing, epochs=60, lr=0.5, rng=RngStream(seed, 73))
     model_w, _ = distill(student, labeled, pseudo, **kwargs)
     model_u, _ = distill(student, labeled, flat, **kwargs)

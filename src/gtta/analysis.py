@@ -9,13 +9,14 @@ latent noise scrubs a fixed structured distractor from the input.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .data import PROBABILITIES, Dataset
 from .ensemble import grid_means, run_gtta
-from .errors import ParamError, UnsupportedTaskError
+from .errors import ParamError, ShapeError, UnsupportedTaskError
 from .metrics import pearson_r
 from .perturb import (
     NoiseSchedule,
@@ -42,6 +43,18 @@ def _target_rows(eval_data: Dataset) -> np.ndarray:
     if eval_data.output_kind.kind == PROBABILITIES:
         return one_hot(eval_data.targets, eval_data.output_kind.num_classes)
     return np.asarray(eval_data.targets, dtype=np.float64)
+
+
+def _laid_out_as(targets: np.ndarray, shape) -> np.ndarray:
+    """``targets`` laid out as ensemble means of ``shape``, [n, *out].
+
+    Targets of any shape that hold exactly that many values fit, so flat
+    [n, H*W] maps serve an [n, H, W] model; any other shape is refused.
+    """
+    if targets.size != math.prod(shape):
+        raise ShapeError(f"targets of shape {targets.shape} do not fit the ensemble means, "
+                         f"of shape {tuple(shape)}")
+    return targets.reshape(shape)
 
 
 def report_dict(report) -> dict:
@@ -85,11 +98,12 @@ def bias_variance_sweep(model, s: Subspace, scheds, eval_data: Dataset, M: int,
     n = eval_data.n
     X = np.repeat(eval_data.inputs, M, axis=0)
     streams = [stream for row in rng.rows(n) for stream in row.rows(M)]
+    grid = grid_means(model, s, scheds, X, streams)
+    y = _laid_out_as(targets, (n,) + grid[0].shape[1:])[:, None]
     rows = []
-    for sched, means in zip(scheds, grid_means(model, s, scheds, X, streams)):
+    for sched, means in zip(scheds, grid):
         ens_means = means.reshape((n, M) + means.shape[1:])
         grand = ens_means.mean(axis=1, keepdims=True)
-        y = targets.reshape(grand.shape)
         rows.append({
             "strategy": sched.strategy,
             "sigma": float(sched.sigma),
@@ -183,8 +197,9 @@ def std_error_correlation(model, s: Subspace, sched: NoiseSchedule,
         raise UnsupportedTaskError("spread/error correlation needs probability outputs")
     targets = _target_rows(eval_data)
     result = run_gtta(model, s, sched, eval_data.inputs, rng.rows(eval_data.n))
+    mean = result.mean_prediction
     std = result.std_map.ravel()
-    err = np.abs(result.mean_prediction - targets).ravel()
+    err = np.abs(mean - _laid_out_as(targets, mean.shape)).ravel()
 
     lo, hi = float(std.min()), float(std.max())
     degenerate = hi - lo < 1e-12

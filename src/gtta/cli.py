@@ -361,17 +361,16 @@ def _cmd_distill(args):
     s = load_subspace(args.subspace)
     kind = student.output_kind
     labeled = load_dataset(args.labeled, kind, load_tensor(args.labeled_targets))
-    unlabeled = Dataset(np.atleast_2d(load_tensor(args.unlabeled)), None, kind)
-    pseudo = generate_pseudolabels(
-        student, s, _schedule(args, student), unlabeled, RngStream(args.seed, 7)
-    )
+    unlabeled = np.atleast_2d(load_tensor(args.unlabeled))
+    pseudo = generate_pseudolabels(student, s, _schedule(args, student), unlabeled,
+                                   RngStream(args.seed, 7))
     distilled, report = run_distill(
         student, labeled, pseudo,
         mixing=getattr(args, "lambda"), epochs=args.epochs, lr=args.lr,
         rng=RngStream(args.seed, 8), batch_size=args.batch_size,
     )
     out = Path(args.out)
-    save_container({"inputs": pseudo.inputs, "teacher_targets": pseudo.teacher_targets,
+    save_container({"inputs": pseudo.inputs, "teacher_targets": pseudo.targets,
                     "weights": pseudo.weights}, out / "pseudolabels.gtt")
     save_model(distilled, out / "distilled.gtt")
     save_json(report, out / "report.json")

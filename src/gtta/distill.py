@@ -9,8 +9,6 @@ the ensemble's behavior.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .data import Dataset
@@ -22,31 +20,18 @@ from .rng import RngStream
 from .subspace import Subspace
 
 
-@dataclass(frozen=True)
-class PseudoLabelSet:
-    """Teacher outputs for unlabeled inputs."""
-
-    inputs: np.ndarray           # [m, d]
-    teacher_targets: np.ndarray  # ensemble mean predictions
-    weights: np.ndarray          # 1 - ensemble std, in [0, 1]
-
-    @property
-    def n(self) -> int:
-        return self.inputs.shape[0]
-
-
 def generate_pseudolabels(model, s: Subspace, sched: NoiseSchedule,
-                          unlabeled: Dataset, rng: RngStream) -> PseudoLabelSet:
-    """Run the ensemble on every unlabeled row; input i uses stream ``rng.derive(i)``."""
-    result = run_gtta(model, s, sched, unlabeled.inputs, rng.rows(unlabeled.n))
-    return PseudoLabelSet(
-        inputs=unlabeled.inputs.copy(),
-        teacher_targets=result.mean_prediction,
-        weights=uncertainty_weights(result, model.output_kind),
-    )
+                          X: np.ndarray, rng: RngStream) -> WeightedBatch:
+    """Teacher outputs for the unlabeled rows ``X``: the ensemble mean as the
+    targets and its consensus 1 - std as the weights.
+
+    Row i uses stream ``rng.derive(i)``.
+    """
+    result = run_gtta(model, s, sched, X, rng.rows(len(X)))
+    return WeightedBatch(X, result.mean_prediction, uncertainty_weights(result, model.output_kind))
 
 
-def distill(student: MlpModel, labeled: Dataset, pseudo: PseudoLabelSet, *,
+def distill(student: MlpModel, labeled: Dataset, pseudo: WeightedBatch, *,
             mixing: float, epochs: int, lr: float, rng: RngStream,
             batch_size: int = 32) -> tuple[MlpModel, dict]:
     """Fine-tune the student on mixing * supervised + (1 - mixing) * pseudo loss.
@@ -63,8 +48,7 @@ def distill(student: MlpModel, labeled: Dataset, pseudo: PseudoLabelSet, *,
     if not np.any(pseudo.weights):
         mixing = 1.0
     model = student.copy()
-    terms = [(mixing, batch_from_dataset(labeled)),
-             (1 - mixing, WeightedBatch(pseudo.inputs, pseudo.teacher_targets, pseudo.weights))]
+    terms = [(mixing, batch_from_dataset(labeled)), (1 - mixing, pseudo)]
     curve = mlp_train(model, terms, epochs=epochs, lr=lr, rng=rng, batch_size=batch_size)
     history = [{"epoch": epoch, "train_loss": loss} for epoch, loss in enumerate(curve)]
     report = {"mixing": mixing, "epochs": epochs, "lr": lr, "history": history}

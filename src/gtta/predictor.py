@@ -348,30 +348,36 @@ def mlp_train(model: MlpModel, data: WeightedBatch | list, *, epochs: int, lr: f
                 for w, b in zip(model.weights, model.biases)]
     curve = []
     step = 0
-    # A diverging run ends in TrainingDivergedError, not in numpy warnings.
-    with np.errstate(all="ignore"):
-        for epoch in range(epochs):
-            first = epoch_batches(terms[0][1].n, batch_size, rng.derive(1).derive(epoch))
-            order = [first] + [
-                _cycled_batches(batch.n, batch_size, rng.derive(t + 1).derive(epoch), len(first))
-                for t, (_, batch) in enumerate(terms[1:], start=1)]
-            losses = []
-            for idxs in zip(*order):
-                loss, grads = -0.0, None  # -0.0 + x is x for every x, so one term stays exact
-                for (share, batch), idx in zip(terms, idxs):
-                    term_loss, term_grads = model.loss_and_gradients(batch.take(idx))
-                    loss += share * term_loss
-                    # Scaling by 1 changes no bit, and would cost an allocation a step.
-                    scaled = term_grads if share == 1 else [
-                        (share * gw, share * gb) for gw, gb in term_grads]
-                    grads = scaled if grads is None else [
-                        (gw + sw, gb + sb) for (gw, gb), (sw, sb) in zip(grads, scaled)]
-                if not np.isfinite(loss):
-                    raise TrainingDivergedError(step)
-                _apply_update(model, grads, velocity, lr, momentum)
-                losses.append(loss)
-                step += 1
-            curve.append(float(np.mean(losses)))
+    # A diverging run ends in TrainingDivergedError, not in numpy warnings. Its
+    # loss can stay finite while its weights overflow, so an overflow or an
+    # invalid operation anywhere in a step counts as divergence too.
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for epoch in range(epochs):
+                first = epoch_batches(terms[0][1].n, batch_size, rng.derive(1).derive(epoch))
+                order = [first] + [
+                    _cycled_batches(batch.n, batch_size, rng.derive(t + 1).derive(epoch),
+                                    len(first))
+                    for t, (_, batch) in enumerate(terms[1:], start=1)]
+                losses = []
+                for idxs in zip(*order):
+                    loss, grads = -0.0, None  # -0.0 + x is x for every x, so one term stays exact
+                    for (share, batch), idx in zip(terms, idxs):
+                        term_loss, term_grads = model.loss_and_gradients(batch.take(idx))
+                        loss += share * term_loss
+                        # Scaling by 1 changes no bit, and would cost an allocation a step.
+                        scaled = term_grads if share == 1 else [
+                            (share * gw, share * gb) for gw, gb in term_grads]
+                        grads = scaled if grads is None else [
+                            (gw + sw, gb + sb) for (gw, gb), (sw, sb) in zip(grads, scaled)]
+                    if not np.isfinite(loss):
+                        raise TrainingDivergedError(step)
+                    _apply_update(model, grads, velocity, lr, momentum)
+                    losses.append(loss)
+                    step += 1
+                curve.append(float(np.mean(losses)))
+    except FloatingPointError:
+        raise TrainingDivergedError(step) from None
     return curve
 
 

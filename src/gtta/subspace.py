@@ -165,9 +165,12 @@ def load_subspace(path) -> Subspace:
     if np.any(ranges < 0):
         raise FormatError(f"subspace {path}: coordinate ranges must not be negative")
     s = Subspace(mean=mean, components=components, variance_ratios=ratios, ranges=ranges)
-    gram = components @ components.T
+    # Rows of huge entries overflow the Gram; that is a malformed file, not a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = components @ components.T
     norms = np.diag(gram)
-    if (np.any((np.abs(norms - 1) > 1e-6) & ~(s.dead & (norms <= 1e-6)))
+    if (not np.all(np.isfinite(gram))
+            or np.any((np.abs(norms - 1) > 1e-6) & ~(s.dead & (norms <= 1e-6)))
             or np.abs(gram - np.diag(norms)).max() > 1e-6):
         raise FormatError(f"subspace {path}: component rows are not orthonormal "
                           "(only a dead component's row may be zero)")

@@ -9,6 +9,9 @@ Multi-tensor container::
     magic "GTTC" | u32 section count | sections of
         (u16 name length | name utf-8 | single-tensor blob)
 
+Every tensor, whether a file, a container section or a reply on a pipe, is
+parsed by :func:`read_tensor`.
+
 CSV files are comma-separated decimal floats, one row per sample, no header
 unless the caller skips one. All tensors are float64; integer-valued data
 (labels, instance ids) is stored as float64 and converted back by the caller.
@@ -29,6 +32,7 @@ import contextlib
 import contextvars
 import hashlib
 import json
+import math
 import os
 import struct
 
@@ -88,47 +92,6 @@ def dumps_tensor(t) -> bytes:
     return header + dims + payload
 
 
-def _header_rank(head: bytes) -> int:
-    """The rank named by a 6-byte tensor header, after checking magic and dtype."""
-    if head[:4] != _MAGIC:
-        raise FormatError("bad magic, not a GTT tensor")
-    if len(head) < 6:
-        raise FormatError("truncated header")
-    dtype_code, rank = head[4], head[5]
-    if dtype_code != _DTYPE_F64:
-        raise FormatError(f"unsupported dtype code {dtype_code}")
-    if rank == 0:
-        raise FormatError("rank 0 is not allowed")
-    return rank
-
-
-def _payload_size(shape) -> int:
-    if any(s == 0 for s in shape):
-        raise FormatError(f"zero-element dimension in shape {shape}")
-    count = 1
-    for s in shape:
-        count *= s
-    return 8 * count
-
-
-def loads_tensor(blob: bytes, offset: int = 0) -> tuple[np.ndarray, int]:
-    """Parse one tensor starting at ``offset``; return (tensor, next offset)."""
-    rank = _header_rank(blob[offset : offset + 6])
-    dims_end = offset + 6 + 8 * rank
-    if len(blob) < dims_end:
-        raise FormatError("truncated dimension list")
-    shape = struct.unpack_from(f"<{rank}Q", blob, offset + 6)
-    payload_end = dims_end + _payload_size(shape)
-    if len(blob) < payload_end:
-        raise FormatError("truncated payload")
-    arr = np.frombuffer(blob[dims_end:payload_end], dtype="<f8").astype(
-        np.float64, copy=True
-    ).reshape(shape)
-    if not np.all(np.isfinite(arr)):
-        raise DataError("tensor payload contains NaN or Inf")
-    return arr, payload_end
-
-
 def read_tensor(read) -> np.ndarray:
     """Read one tensor through ``read(n)``, which returns exactly ``n`` bytes.
 
@@ -138,10 +101,44 @@ def read_tensor(read) -> np.ndarray:
     header names.
     """
     head = read(6)
-    rank = _header_rank(head)
-    dims = read(8 * rank)
-    payload = read(_payload_size(struct.unpack(f"<{rank}Q", dims)))
-    return loads_tensor(head + dims + payload)[0]
+    if head[:4] != _MAGIC:
+        raise FormatError("bad magic, not a GTT tensor")
+    dtype_code, rank = head[4], head[5]
+    if dtype_code != _DTYPE_F64:
+        raise FormatError(f"unsupported dtype code {dtype_code}")
+    if rank == 0:
+        raise FormatError("rank 0 is not allowed")
+    shape = struct.unpack(f"<{rank}Q", read(8 * rank))
+    if 0 in shape:
+        raise FormatError(f"zero-element dimension in shape {shape}")
+    size = 8 * math.prod(shape)
+    if size >> 64:  # no file or pipe holds it, and the number would not even print
+        raise FormatError(f"a shape of {rank} dimensions names over 2**64 payload bytes")
+    payload = read(size)
+    arr = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(shape)
+    if not np.all(np.isfinite(arr)):
+        raise DataError("tensor payload contains NaN or Inf")
+    return arr
+
+
+class _Cursor:
+    """A file's bytes, read front to back, exactly as many as each call asks for."""
+
+    def __init__(self, blob: bytes, path):
+        self._view, self._pos, self._path = memoryview(blob), 0, path
+
+    def read(self, n: int) -> memoryview:
+        left = len(self._view) - self._pos
+        if n > left:
+            raise FormatError(f"{self._path} is truncated: {n} bytes wanted at byte "
+                              f"{self._pos}, {left} left")
+        self._pos += n
+        return self._view[self._pos - n : self._pos]
+
+    def end(self, what: str) -> None:
+        """Refuse bytes after the last part read."""
+        if self._pos != len(self._view):
+            raise FormatError(f"{len(self._view) - self._pos} trailing bytes after {what}")
 
 
 def save_bytes(data: bytes, path) -> None:
@@ -206,12 +203,12 @@ def load_tensor(path, header: bool = False) -> np.ndarray:
     CSV header line and is ignored for binary files.
     """
     blob = _read(path)
-    if blob[:4] == _MAGIC:
-        tensor, end = loads_tensor(blob)
-        if end != len(blob):
-            raise FormatError(f"{len(blob) - end} trailing bytes after payload")
-        return tensor
-    return _parse_csv(blob, header=header)
+    if blob[:4] != _MAGIC:
+        return _parse_csv(blob, header=header)
+    cursor = _Cursor(blob, path)
+    tensor = read_tensor(cursor.read)
+    cursor.end("payload")
+    return tensor
 
 
 def _parse_csv(blob: bytes, header: bool) -> np.ndarray:
@@ -256,30 +253,19 @@ def save_container(sections: dict[str, np.ndarray], path) -> None:
 
 
 def load_container(path) -> dict[str, np.ndarray]:
-    blob = _read(path)
-    if blob[:4] != _CONTAINER_MAGIC:
+    cursor = _Cursor(_read(path), path)
+    if cursor.read(4) != _CONTAINER_MAGIC:
         raise FormatError("bad magic, not a GTT container")
-    if len(blob) < 8:
-        raise FormatError("truncated container header")
-    (count,) = struct.unpack_from("<I", blob, 4)
+    (count,) = struct.unpack("<I", cursor.read(4))
     sections: dict[str, np.ndarray] = {}
-    offset = 8
     for _ in range(count):
-        if len(blob) < offset + 2:
-            raise FormatError("truncated section name length")
-        (name_len,) = struct.unpack_from("<H", blob, offset)
-        offset += 2
-        if len(blob) < offset + name_len:
-            raise FormatError("truncated section name")
+        (name_len,) = struct.unpack("<H", cursor.read(2))
         try:
-            name = blob[offset : offset + name_len].decode("utf-8")
+            name = str(cursor.read(name_len), "utf-8")
         except UnicodeDecodeError as exc:
             raise FormatError(f"section name is not UTF-8: {exc}") from None
-        offset += name_len
-        tensor, offset = loads_tensor(blob, offset)
-        sections[name] = tensor
-    if offset != len(blob):
-        raise FormatError(f"{len(blob) - offset} trailing bytes after last section")
+        sections[name] = read_tensor(cursor.read)
+    cursor.end("last section")
     return sections
 
 

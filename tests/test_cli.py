@@ -726,6 +726,23 @@ def test_training_commands_end_in_one_error_line_or_succeed(pipeline, drawn):
         assert not wrote, wrote
 
 
+def test_training_whose_weights_overflow_has_diverged(tmp_path, capsys):
+    # The loss stayed finite while the weights reached 1e307, so this run once
+    # exited 0 and wrote a model that overflowed when it predicted.
+    (tmp_path / "spec.json").write_text(json.dumps({"n_images": 24, "height": 12, "width": 12}))
+    assert run("synth", "images", "--spec", str(tmp_path / "spec.json"), "--seed", "5",
+               "--out", str(tmp_path / "d")) == 0
+    capsys.readouterr()
+    out = tmp_path / "m" / "model.gtt"
+    assert run("train", "--data", str(tmp_path / "d" / "inputs.gtt"),
+               "--targets", str(tmp_path / "d" / "targets.gtt"), "--task", "segmentation",
+               "--hidden", "3", "--epochs", "3", "--lr", "1e308", "--batch-size", "1",
+               "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: TrainingDivergedError") and err.count("\n") == 1, err
+    assert not (tmp_path / "m").exists()
+
+
 @pytest.mark.parametrize("shape", [(5,), (2, 3, 4, 4)], ids=["1-D", "4-D"])
 def test_count_rejects_input_that_is_not_maps(tmp_path, capsys, shape):
     save_tensor(np.zeros(shape), tmp_path / "x.gtt")
@@ -1077,6 +1094,40 @@ def test_analyze_std_error_reads_kind_from_model(pipeline, tmp_path):
     assert read_json(out / "report.json")["n_elements"] == 8 * 12 * 12
 
 
+@pytest.mark.parametrize("experiment, targets", [
+    ("std-error", "counts"), ("std-error", (8, 144)), ("std-error", (8, 6, 12)),
+    ("bias-variance", "counts"),
+], ids=["std-error-counts", "std-error-flat", "std-error-6x12", "bias-variance-counts"])
+def test_evaluation_targets_must_fit_the_model(pipeline, tmp_path, capsys, experiment, targets):
+    # Each once ended in a numpy ValueError traceback; flat [n, H*W] maps are
+    # the [n, H, W] maps laid out differently, so they give the same report.
+    path = tmp_path / "y.gtt"
+    if targets == "counts":
+        save_tensor(load_tensor(pipeline / "data" / "counts.gtt")[32:], path)
+    elif targets == (8, 144):
+        save_tensor(load_tensor(pipeline / "test_y.gtt").reshape(targets), path)
+    else:
+        save_tensor(np.zeros(targets), path)
+    noise = ["--grid", "0,0.1", "--repeats", "2"] if experiment == "bias-variance" else [
+        "--sigma", "0.05"]
+    argv = ["analyze", experiment, "--model", str(pipeline / "model.gtt"),
+            "--subspace", str(pipeline / "subspace.gtt"), "--data", str(pipeline / "test_x.gtt"),
+            "--n", "4", "--seed", "2", *noise]
+    code = run(*argv, "--targets", str(path), "--out", str(tmp_path / "o"))
+    if targets == (8, 144):
+        assert code == 0
+        assert run(*argv, "--targets", str(pipeline / "test_y.gtt"), "--out",
+                   str(tmp_path / "maps")) == 0
+        assert (tmp_path / "o" / "report.json").read_bytes() == (
+            tmp_path / "maps" / "report.json").read_bytes()
+        return
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ShapeError") and err.count("\n") == 1, err
+    assert "(8, 12, 12)" in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["predict", "--model-cmd", "cat", "--output-kind", "per-pixel:abc"],
     ["predict", "--model-cmd", "cat", "--output-kind", "probabilities:x"],
@@ -1133,8 +1184,11 @@ def _predict_on(pipeline, sub, out) -> tuple[int, str]:
     lambda t: {"ranges": -t["ranges"]},
     lambda t: {"variance_ratios": t["variance_ratios"][::-1].copy()},
     lambda t: {"components": np.r_[np.zeros((1, t["components"].shape[1])), t["components"][1:]]},
-], ids=["ratio-7", "components-x3", "ranges-negated", "ratios-increase", "live-row-zero"])
+    lambda t: {"components": np.r_[[np.r_[1e200, t["components"][0, 1:]]], t["components"][1:]]},
+], ids=["ratio-7", "components-x3", "ranges-negated", "ratios-increase", "live-row-zero",
+        "component-1e200"])
 def test_subspace_breaking_its_invariants_is_format_error(pipeline, tmp_path, edit):
+    # A component of 1e200 once printed numpy's overflow warning before the error line.
     sections = load_container(pipeline / "subspace.gtt")
     save_container(sections | edit(sections), tmp_path / "s.gtt")
     code, err = _predict_on(pipeline, tmp_path / "s.gtt", tmp_path / "o")
@@ -1192,6 +1246,50 @@ def test_predict_accepts_exactly_the_subspaces_that_keep_the_invariants(pipeline
         assert code == 1 and err.startswith("error: FormatError:") and err.count("\n") == 1, err
     else:
         assert code == 0, err
+
+
+# The files a predict reads, and the byte offset of components[0, 0] in the
+# pipeline's subspace.gtt: after the container header and the 144-wide mean section.
+CORRUPTED_FILES = ["model.gtt", "model.gtt.json", "subspace.gtt", "test_x.gtt"]
+_COMPONENT_00 = 8 + (2 + 4 + 6 + 8 + 8 * 144) + (2 + 10 + 6 + 16)
+_OFFSETS = st.one_of(st.integers(0, 64), st.integers(0, 1 << 20))  # headers often
+
+
+@settings(max_examples=100, deadline=None)
+@given(name=st.sampled_from(CORRUPTED_FILES),
+       damage=st.one_of(
+           st.tuples(st.just("cut"), _OFFSETS),
+           st.tuples(st.just("flip"), st.lists(st.tuples(_OFFSETS, st.integers(0, 255)),
+                                               min_size=1, max_size=3))))
+@example(name="subspace.gtt",  # a component near 1e200, whose Gram overflows
+         damage=("flip", [(_COMPONENT_00 + 7, 0x69), (_COMPONENT_00 + 6, 0x74)]))
+@example(name="test_x.gtt",  # rank 231: payload floats read as dimensions name 10**4300 bytes
+         damage=("flip", [(5, 231)]))
+def test_predict_on_corrupted_files_ends_in_one_error_line_or_succeeds(pipeline, name, damage):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        for file in CORRUPTED_FILES:
+            (tmp / file).write_bytes((pipeline / file).read_bytes())
+        blob = bytearray((tmp / name).read_bytes())
+        kind, where = damage
+        if kind == "cut":
+            blob = blob[: where % len(blob)]
+        for pos, byte in where if kind == "flip" else ():
+            blob[pos % len(blob)] = byte
+        (tmp / name).write_bytes(bytes(blob))
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = run("predict", "--model", str(tmp / "model.gtt"), "--subspace",
+                       str(tmp / "subspace.gtt"), "--input", str(tmp / "test_x.gtt"),
+                       "--n", "2", "--out", str(tmp / "o"))
+        wrote = (tmp / "o").exists()
+    message = err.getvalue()
+    assert not caught, [str(w.message) for w in caught]
+    assert code in (0, 1), message
+    if code:
+        assert message.startswith("error: ") and message.count("\n") == 1, message
+        assert not wrote
 
 
 @pytest.mark.parametrize("prefix", ["", "./"])
@@ -1334,6 +1432,20 @@ def test_model_cmd_output_is_checked_against_output_kind(pipeline, tmp_path, cap
     assert code == 1
     assert "error: PredictorError" in capsys.readouterr().err
     assert not (tmp_path / "o" / "std.gtt").exists()
+
+
+def test_model_cmd_reply_naming_an_impossible_payload_is_one_error_line(pipeline, tmp_path,
+                                                                        capsys, model_child):
+    # 255 dimensions of 2**63 name about 10**4800 bytes; the child's short
+    # reply once ended in a ValueError, from a message too long for str().
+    header = 'b"GTT1" + bytes([0, 255]) + (1 << 63).to_bytes(8, "little") * 255'
+    code = run("predict", "--model-cmd", model_child(header, after_reply="sys.exit(0)").cmd,
+               "--output-kind", "per-pixel:12x12", "--subspace", str(pipeline / "subspace.gtt"),
+               "--input", str(pipeline / "test_x.gtt"), "--n", "2", "--out", str(tmp_path / "o"))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: PredictorError") and err.count("\n") == 1, err
+    assert "over 2**64" in err
 
 
 # A per-pixel model for the 12x12 pipeline: a steep logistic threshold at 0.5.

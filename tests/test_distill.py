@@ -3,11 +3,12 @@ import pytest
 
 from gtta.cli import main
 from gtta.data import Dataset, OutputKind
-from gtta.distill import PseudoLabelSet, distill, generate_pseudolabels
+from gtta.distill import distill, generate_pseudolabels
 from gtta.errors import ParamError
 from gtta.perturb import NoiseSchedule
 from gtta.predictor import (
     MlpModel,
+    WeightedBatch,
     batch_from_dataset,
     mlp_train,
     save_model,
@@ -24,8 +25,7 @@ def make_setup(seed=0, n=24, d=6):
     X = gen.standard_normal((n, d))
     s = fit(X, "all")
     model = MlpModel([d, 8, 2], OutputKind.probabilities(2), RngStream(seed, 1))
-    unlabeled = Dataset(X[: n // 2], None, OutputKind.probabilities(2))
-    return model, s, unlabeled
+    return model, s, X[: n // 2]
 
 
 def test_zero_noise_teacher_equals_base_model():
@@ -33,9 +33,9 @@ def test_zero_noise_teacher_equals_base_model():
     sched = NoiseSchedule("constant", 0.0, 6)
     pseudo = generate_pseudolabels(model, s, sched, unlabeled, RngStream(2))
     base = np.stack([
-        model.predict(unlabeled.inputs[i : i + 1])[0] for i in range(unlabeled.n)
+        model.predict(unlabeled[i : i + 1])[0] for i in range(len(unlabeled))
     ])
-    assert np.array_equal(pseudo.teacher_targets, base)
+    assert np.array_equal(pseudo.targets, base)
     assert np.array_equal(pseudo.weights, np.ones_like(base))
 
 
@@ -50,8 +50,8 @@ def test_known_two_candidate_teacher():
             return rows[: np.atleast_2d(batch).shape[0]].copy()
 
     sched = NoiseSchedule("constant", 0.2, 2)
-    pseudo = generate_pseudolabels(TwoOutputs(), s, sched, unlabeled.subset([0]), RngStream(4))
-    assert np.allclose(pseudo.teacher_targets[0], [0.7, 0.3], atol=1e-12)
+    pseudo = generate_pseudolabels(TwoOutputs(), s, sched, unlabeled[:1], RngStream(4))
+    assert np.allclose(pseudo.targets[0], [0.7, 0.3], atol=1e-12)
     assert np.allclose(pseudo.weights[0], [0.9, 0.9], atol=1e-12)
 
 
@@ -62,7 +62,7 @@ def test_regeneration_is_bit_identical():
     first = generate_pseudolabels(model, s, sched, unlabeled, rng)
     again = generate_pseudolabels(model, s, NoiseSchedule("incremental", 0.3, 5), unlabeled,
                                   RngStream(11, 4))
-    assert np.array_equal(first.teacher_targets, again.teacher_targets)
+    assert np.array_equal(first.targets, again.targets)
     assert np.array_equal(first.weights, again.weights)
 
 
@@ -71,8 +71,8 @@ def test_pseudolabel_persistence(tmp_path):
     model, s, unlabeled = make_setup(seed=6)
     save_model(model, tmp_path / "m.gtt")
     save_subspace(s, tmp_path / "s.gtt")
-    save_tensor(unlabeled.inputs, tmp_path / "x.gtt")
-    save_tensor(np.zeros(unlabeled.n), tmp_path / "y.gtt")
+    save_tensor(unlabeled, tmp_path / "x.gtt")
+    save_tensor(np.zeros(len(unlabeled)), tmp_path / "y.gtt")
     out = tmp_path / "out"
     assert main(["distill", "--student", str(tmp_path / "m.gtt"), "--subspace", str(tmp_path / "s.gtt"),
                  "--labeled", str(tmp_path / "x.gtt"), "--labeled-targets", str(tmp_path / "y.gtt"),
@@ -84,7 +84,7 @@ def test_pseudolabel_persistence(tmp_path):
     back = load_container(out / "pseudolabels.gtt")
     assert list(back) == ["inputs", "teacher_targets", "weights"]
     assert np.array_equal(back["inputs"], pseudo.inputs)
-    assert np.array_equal(back["teacher_targets"], pseudo.teacher_targets)
+    assert np.array_equal(back["teacher_targets"], pseudo.targets)
     assert np.array_equal(back["weights"], pseudo.weights)
     assert sorted(p.name for p in out.iterdir()) == [
         "distilled.gtt", "distilled.gtt.json", "provenance.json", "pseudolabels.gtt", "report.json"]
@@ -96,9 +96,8 @@ def _labeled_and_pseudo(seed):
     mlp_train(model, batch_from_dataset(blobs.data), epochs=10, lr=0.1,
               rng=RngStream(seed, 3))
     s = fit(blobs.data.inputs, "all")
-    unlabeled = Dataset(blobs.data.inputs[:16], None, OutputKind.probabilities(2))
     pseudo = generate_pseudolabels(model, s, NoiseSchedule("constant", 0.05, 5),
-                                   unlabeled, RngStream(seed, 4))
+                                   blobs.data.inputs[:16], RngStream(seed, 4))
     return model, blobs.data, pseudo
 
 
@@ -116,8 +115,7 @@ def test_full_mixing_equals_supervised_training():
 
 def test_zero_weight_pseudo_matches_full_mixing():
     model, labeled, pseudo = _labeled_and_pseudo(seed=10)
-    dead = PseudoLabelSet(pseudo.inputs, pseudo.teacher_targets,
-                          np.zeros_like(pseudo.weights))
+    dead = WeightedBatch(pseudo.inputs, pseudo.targets, np.zeros_like(pseudo.weights))
     rng = RngStream(11)
     a, _ = distill(model, labeled, dead, mixing=0.5, epochs=4, lr=0.1, rng=rng)
     b, _ = distill(model, labeled, pseudo, mixing=1.0, epochs=4, lr=0.1, rng=rng)
@@ -136,13 +134,13 @@ def test_self_training_initial_loss_matches_independent_pass():
     sched = NoiseSchedule("constant", 0.0, 3)
     pseudo = generate_pseudolabels(model, s, sched, unlabeled, RngStream(14))
     labeled = Dataset(
-        unlabeled.inputs,
-        np.zeros(unlabeled.n),
+        unlabeled,
+        np.zeros(len(unlabeled)),
         OutputKind.probabilities(2),
     )
     _, report = distill(model, labeled, pseudo, mixing=0.0, epochs=1, lr=0.0,
-                        rng=RngStream(15), batch_size=unlabeled.n)
-    base = model.predict(unlabeled.inputs)
+                        rng=RngStream(15), batch_size=len(unlabeled))
+    base = model.predict(unlabeled)
     expected = weighted_cross_entropy(base, base, np.ones_like(base))
     assert report["history"][0]["train_loss"] == pytest.approx(expected, abs=1e-12)
 
@@ -164,6 +162,8 @@ def test_distilled_student_runs_single_pass():
 
 
 def test_pseudolabels_carry_no_ground_truth():
+    # A pseudo-label set is the teacher's soft outputs and its weights, nothing more.
     _, _, pseudo = _labeled_and_pseudo(seed=22)
-    assert not hasattr(pseudo, "targets")
-    assert set(vars(pseudo)) == {"inputs", "teacher_targets", "weights"}
+    assert isinstance(pseudo, WeightedBatch)
+    assert set(vars(pseudo)) == {"inputs", "targets", "weights"}
+    assert not np.isin(pseudo.targets, (0.0, 1.0)).all()

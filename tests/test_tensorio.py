@@ -12,7 +12,6 @@ from gtta.tensorio import (
     dumps_tensor,
     load_container,
     load_tensor,
-    loads_tensor,
     read_tensor,
     save_container,
     save_json,
@@ -26,8 +25,10 @@ def test_known_bytes_decode():
         b"GTT1" + struct.pack("<BB", 0, 2) + struct.pack("<2Q", 2, 2)
         + struct.pack("<4d", 1.0, 2.0, 3.0, 4.0)
     )
-    tensor, end = loads_tensor(blob)
-    assert end == len(blob)
+    read = _exact_reader(blob)
+    tensor = read_tensor(read)
+    with pytest.raises(FormatError):  # no trailing bytes left
+        read(1)
     assert tensor.shape == (2, 2)
     assert tensor.tolist() == [[1.0, 2.0], [3.0, 4.0]]
 
@@ -58,8 +59,10 @@ def test_zeros_payload_size(tmp_path):
 def test_round_trip_property(shape, seed):
     data = np.random.default_rng(seed).standard_normal(shape)
     blob = dumps_tensor(data)
-    back, end = loads_tensor(blob)
-    assert end == len(blob)
+    read = _exact_reader(blob)
+    back = read_tensor(read)
+    with pytest.raises(FormatError):  # no trailing bytes left
+        read(1)
     assert back.shape == tuple(shape)
     assert np.array_equal(back, data)
 
@@ -87,15 +90,34 @@ def test_csv_ragged_rows_rejected(tmp_path):
         load_tensor(path)
 
 
-def test_truncated_payload():
-    blob = dumps_tensor(np.ones((2, 3)))
-    with pytest.raises(FormatError):
-        loads_tensor(blob[:-8])
+def test_truncated_payload(tmp_path):
+    path = tmp_path / "t.gtt"
+    path.write_bytes(dumps_tensor(np.ones((2, 3)))[:-8])
+    with pytest.raises(FormatError, match="48 bytes wanted at byte 22, 40 left"):
+        load_tensor(path)
+
+
+@pytest.mark.parametrize("blob", ["tensor", "container"])
+def test_every_short_file_says_what_it_wanted_and_had_left(tmp_path, blob):
+    blob, load = {"tensor": (_TENSOR_BLOB, load_tensor),
+                  "container": (_CONTAINER_BLOB, load_container)}[blob]
+    path = tmp_path / "short.gtt"
+    for cut in range(4, len(blob)):  # below 4 bytes a tensor file is sniffed as CSV
+        path.write_bytes(blob[:cut])
+        with pytest.raises(FormatError, match=r"truncated: \d+ bytes wanted at byte \d+, \d+ left"):
+            load(path)
+
+
+def test_shape_too_large_to_exist_is_format_error():
+    # 255 dimensions of 2**63 name about 10**4800 bytes, a number too long for str().
+    blob = b"GTT1" + struct.pack("<BB", 0, 255) + struct.pack("<255Q", *[1 << 63] * 255)
+    with pytest.raises(FormatError, match="over 2\\*\\*64"):
+        read_tensor(_exact_reader(blob))
 
 
 def test_bad_magic():
     with pytest.raises(FormatError):
-        loads_tensor(b"NOPE" + b"\x00" * 32)
+        read_tensor(_exact_reader(b"NOPE" + b"\x00" * 32))
 
 
 def test_nan_payload_rejected():
@@ -104,7 +126,7 @@ def test_nan_payload_rejected():
         + struct.pack("<2d", 1.0, float("nan"))
     )
     with pytest.raises(DataError):
-        loads_tensor(blob)
+        read_tensor(_exact_reader(blob))
 
 
 def test_save_rejects_bad_shapes(tmp_path):
@@ -245,8 +267,7 @@ def test_mutated_blobs_raise_only_format_or_data_errors(tmp_path_factory, contai
     if container:
         readers = [lambda: load_container(path)]
     else:
-        readers = [lambda: loads_tensor(bytes(blob)), lambda: load_tensor(path),
-                   lambda: read_tensor(_exact_reader(bytes(blob)))]
+        readers = [lambda: load_tensor(path), lambda: read_tensor(_exact_reader(bytes(blob)))]
     for read in readers:
         try:
             read()
