@@ -9,7 +9,6 @@ import argparse
 import json
 
 from gtta.analysis import covariance_spectrum_experiment, report_dict
-from gtta.data import Dataset, OutputKind
 from gtta.perturb import NoiseSchedule
 from gtta.rng import RngStream
 from gtta.subspace import fit
@@ -20,11 +19,10 @@ def spectrum_report(seed, stream, components, n, equal_sigma):
     """Equal-std latent noise and global jitter on the last 30 of 60 frames."""
     frames = gen_frame_sequence(FrameSequenceSpec(
         n_frames=60, height=16, width=16, frame_noise=0.05, seed=seed
-    )).frames.inputs
+    )).frames
     s = fit(frames[:30], components)
-    data = Dataset(frames[30:], None, OutputKind.real_values())
     return covariance_spectrum_experiment(
-        s, NoiseSchedule("constant", 0.1, n), data, RngStream(stream),
+        s, NoiseSchedule("constant", 0.1, n), frames[30:], RngStream(stream),
         baseline="global_jitter", equal_sigma=equal_sigma,
     )
 

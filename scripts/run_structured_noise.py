@@ -13,7 +13,6 @@ import json
 import numpy as np
 
 from gtta.analysis import structured_noise_removal
-from gtta.data import Dataset, OutputKind
 from gtta.perturb import NoiseSchedule
 from gtta.rng import RngStream
 from gtta.synthdata import BlobImagesSpec, gen_blob_images, gen_circle_pattern
@@ -24,10 +23,9 @@ def seed_report(seed, sigma, n, amplitude):
     bundle = gen_blob_images(BlobImagesSpec(
         n_images=40, height=16, width=16, input_noise=0.05, seed=100 + seed
     ))
-    carrier = Dataset(bundle.data.inputs, None, OutputKind.real_values())
     pattern = gen_circle_pattern(16, 16, radius=5.0, thickness=1.5, amplitude=amplitude)
     return structured_noise_removal(
-        carrier, pattern, NoiseSchedule("constant", sigma, n), RngStream(seed),
+        bundle.data.inputs, pattern, NoiseSchedule("constant", sigma, n), RngStream(seed),
         inject_fraction=0.5, retain="all", test_count=8,
     )
 

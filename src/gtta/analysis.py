@@ -9,12 +9,11 @@ latent noise scrubs a fixed structured distractor from the input.
 from __future__ import annotations
 
 import dataclasses
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import PROBABILITIES, Dataset
+from .data import Dataset
 from .ensemble import grid_means, run_gtta
 from .errors import ParamError, ShapeError, UnsupportedTaskError
 from .metrics import pearson_r
@@ -26,7 +25,6 @@ from .perturb import (
     make_candidates,
     per_component_sigma,
 )
-from .predictor import one_hot
 from .rng import RngStream, standard_normal
 from .subspace import Subspace, fit, project
 
@@ -35,26 +33,6 @@ JITTER_SCALE = (0.1, 0.1)
 
 # Equal-width ensemble-std bins of the spread/error experiment.
 STD_ERROR_BINS = 10
-
-
-def _target_rows(eval_data: Dataset) -> np.ndarray:
-    if eval_data.targets is None:
-        raise ParamError("evaluation data needs targets")
-    if eval_data.output_kind.kind == PROBABILITIES:
-        return one_hot(eval_data.targets, eval_data.output_kind.num_classes)
-    return np.asarray(eval_data.targets, dtype=np.float64)
-
-
-def _laid_out_as(targets: np.ndarray, shape) -> np.ndarray:
-    """``targets`` laid out as ensemble means of ``shape``, [n, *out].
-
-    Targets of any shape that hold exactly that many values fit, so flat
-    [n, H*W] maps serve an [n, H, W] model; any other shape is refused.
-    """
-    if targets.size != math.prod(shape):
-        raise ShapeError(f"targets of shape {targets.shape} do not fit the ensemble means, "
-                         f"of shape {tuple(shape)}")
-    return targets.reshape(shape)
 
 
 def report_dict(report) -> dict:
@@ -88,18 +66,23 @@ def bias_variance_sweep(model, s: Subspace, scheds, eval_data: Dataset, M: int,
 
     so error == bias2 + variance identically, all averaged over inputs and
     output elements. Repeat m of input i draws from rng.derive(i).derive(m)
-    once, and every schedule rescales those draws.
+    once, and every schedule rescales those draws. The targets are laid out
+    as the model's rows before the first draw.
     """
     if len({sched.ensemble_size for sched in scheds}) != 1:
         raise ParamError("a sigma grid must be non-empty and of one ensemble size")
     if M < 2:
         raise ParamError(f"need at least 2 repeats, got {M}")
-    targets = _target_rows(eval_data)
+    targets = model.output_kind.target_rows(eval_data.targets)
     n = eval_data.n
     X = np.repeat(eval_data.inputs, M, axis=0)
     streams = [stream for row in rng.rows(n) for stream in row.rows(M)]
     grid = grid_means(model, s, scheds, X, streams)
-    y = _laid_out_as(targets, (n,) + grid[0].shape[1:])[:, None]
+    # Every other kind's rows fit by now; a real-valued model's width shows only here.
+    if grid[0].shape[1:] != targets.shape[1:]:
+        raise ShapeError(f"targets of shape {eval_data.targets.shape} do not fit the ensemble "
+                         f"means, of shape {(n, *grid[0].shape[1:])}")
+    y = targets[:, None]
     rows = []
     for sched, means in zip(scheds, grid):
         ens_means = means.reshape((n, M) + means.shape[1:])
@@ -134,12 +117,13 @@ def _global_jitter(X: np.ndarray, streams, N: int) -> np.ndarray:
 
 
 def covariance_spectrum_experiment(s: Subspace, sched: NoiseSchedule,
-                                   inputs: Dataset, rng: RngStream, *,
+                                   inputs: np.ndarray, rng: RngStream, *,
                                    baseline: str = "none",
                                    equal_sigma: float | None = None) -> SpectrumReport:
     """Eigenvalues of the averaged latent sample covariance over the inputs.
 
-    Each input gets an ensemble of ``sched.ensemble_size`` latent candidates.
+    Each input row of ``inputs`` [n, d] gets an ensemble of
+    ``sched.ensemble_size`` latent candidates.
     ``equal_sigma`` overrides the schedule with one shared noise std on
     every component. ``baseline="global_jitter"`` also reports the spectrum
     of a two-parameter brightness/contrast transform projected into the
@@ -152,7 +136,7 @@ def covariance_spectrum_experiment(s: Subspace, sched: NoiseSchedule,
         raise ParamError(f"unknown baseline {baseline!r}")
     if equal_sigma is not None and not 0 <= equal_sigma < np.inf:  # a NaN fails too
         raise ParamError(f"equal_sigma must be finite and nonnegative, got {equal_sigma}")
-    X, n = inputs.inputs, inputs.n
+    X, n = inputs, len(inputs)
 
     streams = rng.derive(1).rows(n)
     if equal_sigma is None:
@@ -195,11 +179,10 @@ def std_error_correlation(model, s: Subspace, sched: NoiseSchedule,
     """Pool per-element (ensemble std, absolute error) pairs over the inputs."""
     if not model.output_kind.is_probabilistic:
         raise UnsupportedTaskError("spread/error correlation needs probability outputs")
-    targets = _target_rows(eval_data)
+    targets = model.output_kind.target_rows(eval_data.targets)
     result = run_gtta(model, s, sched, eval_data.inputs, rng.rows(eval_data.n))
-    mean = result.mean_prediction
     std = result.std_map.ravel()
-    err = np.abs(mean - _laid_out_as(targets, mean.shape)).ravel()
+    err = np.abs(result.mean_prediction - targets).ravel()
 
     lo, hi = float(std.min()), float(std.max())
     degenerate = hi - lo < 1e-12
@@ -243,13 +226,14 @@ def _pattern_correlation(residuals: np.ndarray, pattern: np.ndarray) -> np.ndarr
     return np.where(rnorm == 0, 0.0, cos).mean(axis=-1)
 
 
-def structured_noise_removal(carrier: Dataset, pattern: np.ndarray,
+def structured_noise_removal(carrier: np.ndarray, pattern: np.ndarray,
                              sched: NoiseSchedule, rng: RngStream, *,
                              inject_fraction: float = 0.5,
                              retain="all",
                              test_count: int | None = None) -> StructuredNoiseReport:
     """How much of a fixed additive pattern survives noisy reconstruction.
 
+    The [n, d] rows of ``carrier`` are split into fit and held-out rows.
     The pattern is injected into ``inject_fraction`` of the fit rows, the
     subspace is fit on that contaminated set, and held-out rows carrying the
     pattern are perturbed and reconstructed. The report compares the mean
@@ -257,19 +241,19 @@ def structured_noise_removal(carrier: Dataset, pattern: np.ndarray,
     pattern against the same statistic for a two-parameter global jitter.
     """
     pattern = np.asarray(pattern, dtype=np.float64)
-    if pattern.shape != (carrier.d,):
-        raise ParamError(f"pattern must have shape ({carrier.d},), got {pattern.shape}")
+    n, d = carrier.shape
+    if pattern.shape != (d,):
+        raise ParamError(f"pattern must have shape ({d},), got {pattern.shape}")
     if not 0 <= inject_fraction <= 1:
         raise ParamError(f"inject_fraction must lie in [0, 1], got {inject_fraction}")
 
-    n = carrier.n
     if test_count is None:
         test_count = max(1, n // 5)
     if test_count >= n - 1:
         raise ParamError("not enough rows to hold out a test split")
     order = rng.derive(1).generator().permutation(n)
-    test_rows = carrier.inputs[order[:test_count]]
-    fit_rows = carrier.inputs[order[test_count:]].copy()
+    test_rows = carrier[order[:test_count]]
+    fit_rows = carrier[order[test_count:]].copy()
 
     n_inject = int(round(inject_fraction * fit_rows.shape[0]))
     fit_rows[:n_inject] += pattern

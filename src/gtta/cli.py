@@ -24,7 +24,7 @@ import numpy as np
 from . import analysis, synthdata
 from .distill import distill as run_distill
 from .distill import generate_pseudolabels
-from .data import REAL_VALUES, Dataset, OutputKind, load_dataset
+from .data import REAL_VALUES, Dataset, OutputKind
 from .ensemble import DEFAULT_SIGMA_GRID, ENGINE, run_gtta, select_sigma
 from .errors import DataError, FormatError, GttaError, ParamError
 from .perturb import VAR_FLOOR, NoiseSchedule
@@ -297,18 +297,38 @@ def _train_kind(args, targets) -> OutputKind:
             raise ParamError("--task classification needs --classes")
         return OutputKind.probabilities(args.classes)
     if args.task == "segmentation":
-        if targets is None or targets.ndim != 3:
-            shape = None if targets is None else targets.shape
-            raise ParamError(f"--task segmentation needs [n, H, W] --targets, got {shape}")
+        if targets.ndim != 3:
+            raise ParamError(f"--task segmentation needs [n, H, W] --targets, got {targets.shape}")
         return OutputKind.per_pixel(*targets.shape[1:])
     return OutputKind.real_values()
 
 
+def _load_rows(path, header: bool = False) -> np.ndarray:
+    """The [n, d] rows of a GTT/CSV file; a 1-D tensor is one row."""
+    rows = np.atleast_2d(load_tensor(path, header=header))
+    if rows.ndim != 2:
+        raise DataError(f"inputs must be [n, d] with n >= 1, got shape {rows.shape}")
+    return rows
+
+
+def _load_targets(args, alternative: str = "", header: bool = False) -> np.ndarray:
+    """The tensor of ``--targets``, which a command that compares outputs with targets needs."""
+    if not args.targets:
+        raise ParamError(f"{args.command} needs --targets{alternative}")
+    return load_tensor(args.targets, header=header)
+
+
 def _cmd_train(args):
-    targets = load_tensor(args.targets, header=args.header) if args.targets else None
+    if args.target_col == "last":
+        rows = _load_rows(args.data, header=args.header)
+        if rows.shape[1] < 2:
+            raise DataError("need at least 2 columns to split off a target column")
+        rows, targets = np.ascontiguousarray(rows[:, :-1]), rows[:, -1].copy()
+    else:
+        targets = _load_targets(args, " or --target-col last", header=args.header)
+        rows = _load_rows(args.data, header=args.header)
     kind = _train_kind(args, targets)
-    ds = load_dataset(args.data, kind, targets,
-                      target_col_last=args.target_col == "last", header=args.header)
+    ds = Dataset(rows, targets, kind)
     try:
         hidden = [int(tok) for tok in args.hidden.split(",") if tok]
     except ValueError:
@@ -360,7 +380,7 @@ def _cmd_distill(args):
     student = load_model(args.student)
     s = load_subspace(args.subspace)
     kind = student.output_kind
-    labeled = load_dataset(args.labeled, kind, load_tensor(args.labeled_targets))
+    labeled = Dataset(_load_rows(args.labeled), load_tensor(args.labeled_targets), kind)
     unlabeled = np.atleast_2d(load_tensor(args.unlabeled))
     pseudo = generate_pseudolabels(student, s, _schedule(args, student), unlabeled,
                                    RngStream(args.seed, 7))
@@ -407,8 +427,8 @@ def _cmd_analyze(experiment, args):
 
 def _load_eval_data(args, model) -> Dataset:
     """The evaluation rows and targets, read as the model's output kind."""
-    targets = load_tensor(args.targets) if args.targets else None
-    return load_dataset(args.data, model.output_kind, targets)
+    targets = _load_targets(args)
+    return Dataset(_load_rows(args.data), targets, model.output_kind)
 
 
 def _analyze_bias_variance(args, out: Path):
@@ -427,9 +447,8 @@ def _analyze_bias_variance(args, out: Path):
 
 def _analyze_spectrum(args, out: Path):
     s = load_subspace(args.subspace)
-    data = Dataset(np.atleast_2d(load_tensor(args.data)), None, OutputKind.real_values())
     report = analysis.covariance_spectrum_experiment(
-        s, _schedule(args, None), data, RngStream(args.seed, 12),
+        s, _schedule(args, None), _load_rows(args.data), RngStream(args.seed, 12),
         baseline=args.baseline, equal_sigma=args.equal_sigma,
     )
     base = report.baseline_eigenvalues
@@ -458,7 +477,7 @@ def _analyze_std_error(args, out: Path):
 
 
 def _analyze_structured_noise(args, out: Path):
-    carrier = Dataset(np.atleast_2d(load_tensor(args.data)), None, OutputKind.real_values())
+    carrier = _load_rows(args.data)
     pattern = load_tensor(args.pattern).reshape(-1)
     report = analysis.structured_noise_removal(
         carrier, pattern, _schedule(args, None), RngStream(args.seed, 14),

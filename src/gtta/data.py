@@ -1,4 +1,4 @@
-"""Datasets and the output kind that decides how a model's rows are read.
+"""Datasets and the output kind that decides how model outputs and targets are read.
 
 Output conventions by kind, for a batch of ``b`` inputs:
 
@@ -9,12 +9,12 @@ Output conventions by kind, for a batch of ``b`` inputs:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, ParamError, PredictorError
-from .tensorio import load_tensor
+from .errors import DataError, ParamError, PredictorError, ShapeError
 
 PROBABILITIES = "probabilities"
 REAL_VALUES = "real_values"
@@ -83,35 +83,54 @@ class OutputKind:
         if self.kind == PROBABILITIES and not np.all(np.abs(out.sum(axis=1) - 1.0) <= ROW_SUM_TOL):
             raise PredictorError(f"class probabilities do not sum to 1 within {ROW_SUM_TOL}")
 
+    def target_rows(self, targets: np.ndarray) -> np.ndarray:
+        """``targets`` as the [n, *out] rows a perfect model of this kind would emit.
+
+        Row i is read as the values of ``targets[i]`` in order, whatever its
+        shape: one class index in [0, C), one-hot as [n, C]; H*W values in
+        [0, 1], as [n, H, W]; or one real value, as [n]. Another count of
+        values per row is a :class:`ShapeError` and a value out of range a
+        :class:`DataError`.
+        """
+        t = np.asarray(targets, dtype=np.float64)
+        n = t.shape[0]
+        shape = (n, *self.image_shape) if self.kind == PER_PIXEL else (n,)
+        if t.size != math.prod(shape):
+            per_row = math.prod(shape[1:])
+            raise ShapeError(f"{self.kind} targets need {per_row} value{'s' * (per_row > 1)} "
+                             f"per row, as in shape {shape}; got shape {t.shape}")
+        t = t.reshape(shape)
+        if self.kind == PROBABILITIES:
+            if not np.all(t == np.round(t)):
+                raise DataError("classification targets must be integers")
+            if t.min() < 0 or t.max() >= self.num_classes:
+                raise DataError(f"class indices must lie in [0, {self.num_classes})")
+            return one_hot(t, self.num_classes)
+        if self.kind == PER_PIXEL and not (t.min() >= 0 and t.max() <= 1):
+            raise DataError(f"per-pixel targets must lie in [0, 1], "
+                            f"got values in [{t.min()}, {t.max()}]")
+        return t
+
 
 @dataclass(frozen=True)
 class Dataset:
-    """Rows of flattened samples, with optional aligned targets.
+    """Rows of flattened samples and their aligned targets.
 
-    Targets are ``[n]`` class indices, ``[n]`` real values, or ``[n, H, W]``
-    per-pixel masks depending on the output kind.
+    Targets are whatever :meth:`OutputKind.target_rows` accepts for the output
+    kind, checked on construction: ``[n]`` class indices, ``[n, H, W]`` masks
+    or ``[n]`` real values, or the same values per row in another shape.
     """
 
     inputs: np.ndarray
-    targets: np.ndarray | None
+    targets: np.ndarray
     output_kind: OutputKind
 
     def __post_init__(self):
         if self.inputs.ndim != 2 or self.inputs.shape[0] < 1:
             raise DataError(f"inputs must be [n, d] with n >= 1, got shape {self.inputs.shape}")
-        if self.targets is not None:
-            if self.targets.shape[0] != self.n:
-                raise DataError(
-                    f"targets first dimension {self.targets.shape[0]} != n {self.n}"
-                )
-            if self.output_kind.kind == PROBABILITIES:
-                t = self.targets
-                if not np.all(t == np.round(t)):
-                    raise DataError("classification targets must be integers")
-                if t.min() < 0 or t.max() >= self.output_kind.num_classes:
-                    raise DataError(
-                        f"class indices must lie in [0, {self.output_kind.num_classes})"
-                    )
+        if self.targets.shape[0] != self.n:
+            raise DataError(f"targets first dimension {self.targets.shape[0]} != n {self.n}")
+        self.output_kind.target_rows(self.targets)
 
     @property
     def n(self) -> int:
@@ -122,25 +141,12 @@ class Dataset:
         return self.inputs.shape[1]
 
     def subset(self, index) -> "Dataset":
-        targets = None if self.targets is None else self.targets[index]
-        return Dataset(self.inputs[index], targets, self.output_kind)
+        return Dataset(self.inputs[index], self.targets[index], self.output_kind)
 
 
-def load_dataset(inputs_path, output_kind: OutputKind, targets=None, *,
-                 target_col_last: bool = False, header: bool = False) -> Dataset:
-    """Load a dataset's inputs from a GTT/CSV file.
+def one_hot(labels, num_classes: int) -> np.ndarray:
+    labels = np.asarray(labels)
+    out = np.zeros((labels.shape[0], num_classes))
+    out[np.arange(labels.shape[0]), labels.astype(int)] = 1.0
+    return out
 
-    With ``target_col_last`` the final column of ``inputs_path`` becomes the
-    target and the rest are inputs; otherwise all columns are inputs and
-    ``targets`` is the already loaded target tensor, or None.
-    """
-    raw = load_tensor(inputs_path, header=header)
-    if raw.ndim == 1:
-        raw = raw[None, :]
-    if target_col_last:
-        if raw.shape[1] < 2:
-            raise DataError("need at least 2 columns to split off a target column")
-        return Dataset(np.ascontiguousarray(raw[:, :-1]), raw[:, -1].copy(), output_kind)
-    if targets is not None and output_kind.kind != PER_PIXEL:
-        targets = targets.reshape(-1)
-    return Dataset(raw, targets, output_kind)

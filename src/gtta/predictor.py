@@ -103,13 +103,6 @@ def weighted_squared_error(pred, y, w) -> float:
     return float((wb * (pred - y) ** 2).sum() / wsum)
 
 
-def one_hot(labels, num_classes: int) -> np.ndarray:
-    labels = np.asarray(labels)
-    out = np.zeros((labels.shape[0], num_classes))
-    out[np.arange(labels.shape[0]), labels.astype(int)] = 1.0
-    return out
-
-
 # --------------------------------------------------------------------------
 # batches
 
@@ -143,16 +136,10 @@ class WeightedBatch:
         return self.inputs.shape[0]
 
 
-def batch_from_dataset(ds: Dataset, weights: np.ndarray | None = None) -> WeightedBatch:
-    """Unit-weight training batch; classification targets become one-hot."""
-    if ds.targets is None:
-        raise DataError("dataset has no targets")
-    if ds.output_kind.kind == PROBABILITIES:
-        targets = one_hot(ds.targets, ds.output_kind.num_classes)
-    else:
-        targets = np.asarray(ds.targets, dtype=np.float64)
-    if weights is None:
-        weights = np.ones(targets.shape[0]) if targets.ndim == 1 else np.ones_like(targets)
+def batch_from_dataset(ds: Dataset) -> WeightedBatch:
+    """Unit-weight training batch of the dataset's target rows."""
+    targets = ds.output_kind.target_rows(ds.targets)
+    weights = np.ones(targets.shape[0]) if targets.ndim == 1 else np.ones_like(targets)
     return WeightedBatch(ds.inputs, targets, weights)
 
 

@@ -263,7 +263,7 @@ class FrameSequenceSpec:
 
 @dataclass(frozen=True)
 class FrameSequenceData:
-    frames: Dataset       # inputs [n_frames, H*W], no targets
+    frames: np.ndarray    # [n_frames, H*W]
     scene: np.ndarray     # the shared clean scene, [H*W]
     spec: FrameSequenceSpec
 
@@ -277,11 +277,7 @@ def gen_frame_sequence(spec: FrameSequenceSpec) -> FrameSequenceData:
     scene = gen_blob_images(scene_spec).data.inputs[0]
     gen = RngStream(spec.seed).derive(20).generator()
     frames = scene + spec.frame_noise * gen.standard_normal((spec.n_frames, scene.size))
-    return FrameSequenceData(
-        frames=Dataset(frames, None, OutputKind.per_pixel(spec.height, spec.width)),
-        scene=scene,
-        spec=spec,
-    )
+    return FrameSequenceData(frames=frames, scene=scene, spec=spec)
 
 
 # --------------------------------------------------------------------------

@@ -16,7 +16,7 @@ import run_spectrum
 import run_structured_noise
 from gtta.analysis import bias_variance_sweep, std_error_correlation
 from gtta.cli import main as cli_main
-from gtta.data import Dataset, OutputKind
+from gtta.data import Dataset, OutputKind, one_hot
 from gtta.ensemble import run_gtta
 from gtta.perturb import (
     NoiseSchedule,
@@ -31,7 +31,6 @@ from gtta.predictor import (
     WeightedBatch,
     batch_from_dataset,
     mlp_train,
-    one_hot,
     weighted_cross_entropy,
 )
 from gtta.rng import RngStream

@@ -130,9 +130,9 @@ def _frame_fixture(seed=901, noise_seed=7001):
     frames = gen_frame_sequence(
         FrameSequenceSpec(n_frames=60, height=16, width=16, frame_noise=0.05,
                           seed=seed)
-    ).frames.inputs
+    ).frames
     s = fit(frames[:30], 3)
-    return s, Dataset(frames[30:], None, OutputKind.real_values())
+    return s, frames[30:]
 
 
 def test_zero_noise_spectrum_is_zero():
@@ -219,7 +219,7 @@ def test_boundary_noise_task_correlates():
 
 def test_zero_pattern_zero_correlation():
     gen = RngStream(18).generator()
-    carrier = Dataset(gen.standard_normal((30, 8)), None, OutputKind.real_values())
+    carrier = gen.standard_normal((30, 8))
     report = structured_noise_removal(
         carrier, np.zeros(8), NoiseSchedule("constant", 0.1, 6), RngStream(19)
     )
@@ -231,7 +231,7 @@ def test_orthogonal_pattern_annihilated():
     gen = RngStream(20).generator()
     rows = np.zeros((40, 10))
     rows[:, :6] = gen.standard_normal((40, 6))  # data spans axes 0..5 only
-    carrier = Dataset(rows, None, OutputKind.real_values())
+    carrier = rows
     pattern = np.zeros(10)
     pattern[8] = 1.0
     report = structured_noise_removal(
@@ -246,7 +246,7 @@ def test_latent_noise_beats_jitter_at_scrubbing():
 
     bundle = gen_blob_images(BlobImagesSpec(n_images=40, height=16, width=16,
                                             input_noise=0.05, seed=100))
-    carrier = Dataset(bundle.data.inputs, None, OutputKind.real_values())
+    carrier = bundle.data.inputs
     pattern = gen_circle_pattern(16, 16, radius=5.0, thickness=1.5, amplitude=0.8)
     report = structured_noise_removal(
         carrier, pattern, NoiseSchedule("constant", 0.1, 15), RngStream(0),
@@ -256,7 +256,7 @@ def test_latent_noise_beats_jitter_at_scrubbing():
 
 
 def test_pattern_shape_validated():
-    carrier = Dataset(np.ones((10, 4)), None, OutputKind.real_values())
+    carrier = np.ones((10, 4))
     with pytest.raises(ParamError):
         structured_noise_removal(carrier, np.ones(3),
                                  NoiseSchedule("constant", 0.1, 4), RngStream(22))

@@ -1128,6 +1128,120 @@ def test_evaluation_targets_must_fit_the_model(pipeline, tmp_path, capsys, exper
     assert not (tmp_path / "o").exists()
 
 
+def _one_run(argv) -> tuple[int, str, list]:
+    """Exit code, stderr and the warnings of one in-process run."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(*argv)
+    return code, err.getvalue(), [str(w.message) for w in caught]
+
+
+# Commands that read a target file, on the pipeline's files, and the option
+# that names the file. None of them writes the model, so {tmp} may be {root}.
+STD_ERROR = ["analyze", "std-error", "--model", "{root}/model.gtt", "--subspace",
+             "{root}/subspace.gtt", "--data", "{root}/test_x.gtt", "--targets",
+             "{root}/test_y.gtt", "--sigma", "0.05", "--n", "2"]
+BIAS_VARIANCE = ["analyze", "bias-variance", "--model", "{root}/model.gtt", "--subspace",
+                 "{root}/subspace.gtt", "--data", "{root}/test_x.gtt", "--targets",
+                 "{root}/test_y.gtt", "--grid", "0,0.1", "--repeats", "2", "--n", "2"]
+TARGET_READERS = {
+    "train": (TRAIN, "--targets"),
+    "train-classes": (["train", "--data", "{root}/data/inputs.gtt", "--targets",
+                       "{root}/data/counts.gtt", "--task", "classification", "--classes", "3",
+                       "--hidden", "4", "--epochs", "1"], "--targets"),
+    "distill": (DISTILL, "--labeled-targets"),
+    "std-error": (STD_ERROR, "--targets"),
+    "bias-variance": (BIAS_VARIANCE, "--targets"),
+}
+
+
+def _with_targets(pipeline, command, targets) -> list:
+    """The argv of a TARGET_READERS command whose target file is ``targets``."""
+    argv, option = TARGET_READERS[command]
+    argv = [a.format(root=pipeline, tmp=pipeline) for a in argv]
+    argv[argv.index(option) + 1] = str(targets)
+    return argv
+
+
+@pytest.mark.parametrize("value", [1e200, -0.5])
+@pytest.mark.parametrize("command", ["train", "distill", "std-error", "bias-variance"])
+def test_per_pixel_targets_outside_the_unit_range_are_refused(pipeline, tmp_path, command,
+                                                              value):
+    # Each once exited 0: training on the pixel, or reporting an infinite
+    # error after numpy's overflow warnings.
+    argv, option = TARGET_READERS[command]
+    targets = load_tensor(Path(argv[argv.index(option) + 1].format(root=pipeline)))
+    targets[0, 5, 7] = value
+    save_tensor(targets, tmp_path / "y.gtt")
+    code, err, caught = _one_run([*_with_targets(pipeline, command, tmp_path / "y.gtt"),
+                                  "--out", str(tmp_path / "o")])
+    assert code == 1 and not caught, caught
+    assert err.startswith("error: DataError: per-pixel targets must lie in [0, 1]"), err
+    assert err.count("\n") == 1, err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("kind", ["per-pixel", "probabilities"])
+@pytest.mark.parametrize("experiment", ["std-error", "bias-variance"])
+def test_targets_that_do_not_fit_are_refused_before_the_model_runs(pipeline, tmp_path, monkeypatch,
+                                                                   experiment, kind):
+    # They were once refused only after the whole sweep.
+    from gtta.data import one_hot
+    from gtta.predictor import MlpModel
+
+    counts = load_tensor(pipeline / "data" / "counts.gtt")
+    argv = _with_targets(pipeline, experiment, tmp_path / "y.gtt")
+    if kind == "per-pixel":
+        save_tensor(counts[32:], tmp_path / "y.gtt")
+    else:  # one-hot rows where a classifier's targets are class indices
+        model = tmp_path / "classes.gtt"
+        assert run(*_with_targets(pipeline, "train-classes", pipeline / "data" / "counts.gtt"),
+                   "--out", str(model)) == 0
+        argv[argv.index("--model") + 1] = str(model)
+        save_tensor(one_hot(counts[32:, 0], 3), tmp_path / "y.gtt")
+    calls = []
+    predict = MlpModel.predict
+    monkeypatch.setattr(MlpModel, "predict",
+                        lambda self, batch: calls.append(len(batch)) or predict(self, batch))
+    repeats = ["--repeats", "8"] if experiment == "bias-variance" else []
+    code, err, caught = _one_run([*argv, *repeats, "--out", str(tmp_path / "o")])
+    assert code == 1 and not caught, caught
+    assert err.startswith("error: ShapeError") and err.count("\n") == 1, err
+    assert calls == []
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("task", ["regression", "classification"])
+def test_training_targets_with_two_values_a_row_name_their_shape(pipeline, tmp_path, capsys,
+                                                                 task):
+    # Two values a row were once flattened to twice the rows, and refused
+    # as "targets first dimension 48 != n 24".
+    save_tensor(np.eye(2)[np.arange(24) % 2], tmp_path / "y.gtt")
+    classes = ["--classes", "2"] if task == "classification" else []
+    assert run("train", "--data", str(pipeline / "train_x.gtt"), "--targets",
+               str(tmp_path / "y.gtt"), "--task", task, *classes, "--hidden", "4",
+               "--epochs", "1", "--out", str(tmp_path / "m.gtt")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ShapeError") and err.count("\n") == 1, err
+    assert "(24, 2)" in err and "(24,)" in err
+    assert not list(tmp_path.glob("m.gtt*"))
+
+
+@pytest.mark.parametrize("command", ["train", "train-classes", "std-error", "bias-variance"])
+def test_commands_that_compare_with_targets_need_them(pipeline, tmp_path, capsys, command):
+    # Training once failed on "dataset has no targets" after loading the
+    # rows, or on a segmentation shape of None.
+    argv, option = TARGET_READERS[command]
+    at = argv.index(option)
+    argv = [a.format(root=pipeline, tmp=pipeline) for a in argv[:at] + argv[at + 2:]]
+    out = tmp_path / "o"
+    assert run(*argv, "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ParamError: {argv[0]} needs --targets") and err.count("\n") == 1
+    assert not list(tmp_path.glob("o*"))
+
+
 @pytest.mark.parametrize("argv", [
     ["predict", "--model-cmd", "cat", "--output-kind", "per-pixel:abc"],
     ["predict", "--model-cmd", "cat", "--output-kind", "probabilities:x"],
@@ -1286,6 +1400,62 @@ def test_predict_on_corrupted_files_ends_in_one_error_line_or_succeeds(pipeline,
         wrote = (tmp / "o").exists()
     message = err.getvalue()
     assert not caught, [str(w.message) for w in caught]
+    assert code in (0, 1), message
+    if code:
+        assert message.startswith("error: ") and message.count("\n") == 1, message
+        assert not wrote
+
+
+# How a target file is made hostile: values out of range or not integers
+# at one element, or the values of the file in a shape that does not fit.
+_HOSTILE_VALUES = [-1e200, -1.0, -0.5, 0.5, 1.5, 2.0, 3.0, 1e200]
+_RESHAPED = {
+    "drop-row": lambda t: t[:-1],
+    "extra-value": lambda t: np.concatenate([t.reshape(len(t), -1), t.reshape(len(t), -1)[:, :1]],
+                                            axis=1),
+    "flat": lambda t: t.reshape(-1),
+    "leading-axis": lambda t: t[None],
+    "first-value-twice": lambda t: np.repeat(t.reshape(len(t), -1)[:, :1], 2, axis=1),
+}
+
+
+@settings(max_examples=100, deadline=10000)
+@given(command=st.sampled_from(sorted(TARGET_READERS)),
+       damage=st.one_of(
+           st.tuples(st.just("cut"), _OFFSETS),
+           st.tuples(st.just("flip"), st.lists(st.tuples(_OFFSETS, st.integers(0, 255)),
+                                               min_size=1, max_size=3)),
+           st.tuples(st.just("value"), st.tuples(st.integers(0, 1 << 20),
+                                                 st.sampled_from(_HOSTILE_VALUES))),
+           st.tuples(st.just("shape"), st.sampled_from(sorted(_RESHAPED)))))
+@example(command="std-error", damage=("value", (0, 1e200)))
+@example(command="train-classes", damage=("value", (3, 1.5)))
+@example(command="bias-variance", damage=("shape", "first-value-twice"))
+def test_commands_on_hostile_targets_end_in_one_error_line_or_succeed(pipeline, command, damage):
+    argv, option = TARGET_READERS[command]
+    source = Path(argv[argv.index(option) + 1].format(root=pipeline))
+    kind, how = damage
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        if kind in ("cut", "flip"):
+            blob = bytearray(source.read_bytes())
+            if kind == "cut":
+                blob = blob[: how % len(blob)]
+            for pos, byte in how if kind == "flip" else ():
+                blob[pos % len(blob)] = byte
+            (tmp / "y.gtt").write_bytes(bytes(blob))
+        else:
+            targets = load_tensor(source)
+            if kind == "value":
+                at, value = how
+                targets.flat[at % targets.size] = value
+            else:
+                targets = _RESHAPED[how](targets)
+            save_tensor(targets, tmp / "y.gtt")
+        code, message, caught = _one_run([*_with_targets(pipeline, command, tmp / "y.gtt"),
+                                          "--out", str(tmp / "o")])
+        wrote = (tmp / "o").exists() or (tmp / "o.losses.json").exists()
+    assert not caught, caught
     assert code in (0, 1), message
     if code:
         assert message.startswith("error: ") and message.count("\n") == 1, message

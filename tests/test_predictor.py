@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gtta import ensemble
-from gtta.data import OutputKind
+from gtta.data import OutputKind, one_hot
 from gtta.errors import (
     DegenerateWeightError,
     ParamError,
@@ -25,7 +25,6 @@ from gtta.predictor import (
     epoch_batches,
     load_model,
     mlp_train,
-    one_hot,
     save_model,
     weighted_cross_entropy,
     weighted_squared_error,

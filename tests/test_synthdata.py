@@ -161,10 +161,10 @@ def test_blob_images_validation():
 
 def test_frame_sequence_shares_scene():
     data = gen_frame_sequence(FrameSequenceSpec(n_frames=8, frame_noise=0.02, seed=13))
-    assert data.frames.n == 8
-    spread = data.frames.inputs.std(axis=0)
+    assert len(data.frames) == 8
+    spread = data.frames.std(axis=0)
     assert spread.max() < 0.1  # frames hug the scene
-    assert np.abs(data.frames.inputs.mean(axis=0) - data.scene).max() < 0.05
+    assert np.abs(data.frames.mean(axis=0) - data.scene).max() < 0.05
 
 
 def test_circle_pattern_geometry():
