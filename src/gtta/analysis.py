@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import Dataset
 from .ensemble import grid_means, run_gtta
-from .errors import ParamError, ShapeError, UnsupportedTaskError
+from .errors import DataError, ParamError, ShapeError, UnsupportedTaskError
 from .metrics import pearson_r
 from .perturb import (
     NoiseSchedule,
@@ -67,10 +67,9 @@ def bias_variance_sweep(model, s: Subspace, scheds, eval_data: Dataset, M: int,
     so error == bias2 + variance identically, all averaged over inputs and
     output elements. Repeat m of input i draws from rng.derive(i).derive(m)
     once, and every schedule rescales those draws. The targets are laid out
-    as the model's rows before the first draw.
+    as the model's rows before the first draw. Moments that overflow float64
+    are a :class:`DataError`.
     """
-    if len({sched.ensemble_size for sched in scheds}) != 1:
-        raise ParamError("a sigma grid must be non-empty and of one ensemble size")
     if M < 2:
         raise ParamError(f"need at least 2 repeats, got {M}")
     targets = model.output_kind.target_rows(eval_data.targets)
@@ -84,16 +83,21 @@ def bias_variance_sweep(model, s: Subspace, scheds, eval_data: Dataset, M: int,
                          f"means, of shape {(n, *grid[0].shape[1:])}")
     y = targets[:, None]
     rows = []
-    for sched, means in zip(scheds, grid):
-        ens_means = means.reshape((n, M) + means.shape[1:])
-        grand = ens_means.mean(axis=1, keepdims=True)
-        rows.append({
-            "strategy": sched.strategy,
-            "sigma": float(sched.sigma),
-            "bias2": float(np.mean((grand - y) ** 2)),
-            "variance": float(np.mean((ens_means - grand) ** 2)),
-            "error": float(np.mean((ens_means - y) ** 2)),
-        })
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for sched, means in zip(scheds, grid):
+                ens_means = means.reshape((n, M) + means.shape[1:])
+                grand = ens_means.mean(axis=1, keepdims=True)
+                rows.append({
+                    "strategy": sched.strategy,
+                    "sigma": float(sched.sigma),
+                    "bias2": float(np.mean((grand - y) ** 2)),
+                    "variance": float(np.mean((ens_means - grand) ** 2)),
+                    "error": float(np.mean((ens_means - y) ** 2)),
+                })
+    except FloatingPointError:
+        raise DataError(f"the ensemble error at sigma {sched.sigma} overflows float64; "
+                        "the targets or the model's outputs are too large") from None
     return BiasVarianceReport(rows=rows, ensemble_size=scheds[0].ensemble_size, repeats=M)
 
 

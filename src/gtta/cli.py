@@ -158,11 +158,14 @@ def _write_csv(path, header, rows):
 # shared argument groups
 
 
-def _add_common(sub):
+def _add_common(sub, handler):
+    """The options every command takes, declared last, and the command's handler."""
+    sub.add_argument("--out", required=True)
     sub.add_argument("--config", help="JSON file of defaults; flags override")
     sub.add_argument("--threads", type=int, default=1,
                      help="accepted so that older provenance files replay; no effect")
     sub.add_argument("--seed", type=int, default=0)
+    sub.set_defaults(handler=handler)
 
 
 def _add_schedule(sub, with_grid=False):
@@ -176,10 +179,12 @@ def _add_schedule(sub, with_grid=False):
 
 
 def _add_model_source(sub):
+    """The model, in-process or external, and the subspace its ensemble perturbs in."""
     sub.add_argument("--model", help="MLP checkpoint file")
     sub.add_argument("--model-cmd", help="external predictor command (stdin/stdout tensors)")
     sub.add_argument("--output-kind", default=None,
                      help="for --model-cmd: probabilities:C, real, or per-pixel:HxW")
+    sub.add_argument("--subspace", required=True)
 
 
 def _parse_output_kind(text: str) -> OutputKind:
@@ -320,6 +325,9 @@ def _load_targets(args, alternative: str = "", header: bool = False) -> np.ndarr
 
 def _cmd_train(args):
     if args.target_col == "last":
+        if args.targets:
+            raise ParamError("train takes its targets from --targets or --target-col last, "
+                             "not both")
         rows = _load_rows(args.data, header=args.header)
         if rows.shape[1] < 2:
             raise DataError("need at least 2 columns to split off a target column")
@@ -506,9 +514,7 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
     p = subs.add_parser("synth", help="generate a deterministic fixture")
     p.add_argument("kind", choices=["tabular", "blobs", "images"])
     p.add_argument("--spec", required=True, help="JSON spec file")
-    p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_synth)
+    _add_common(p, _cmd_synth)
 
     p = subs.add_parser("fit", help="fit the principal subspace of a data matrix")
     p.add_argument("--data", required=True)
@@ -517,9 +523,7 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
     p.add_argument("--header", action="store_true", help="skip one CSV header line")
     p.add_argument("--target-col", choices=["last"], default=None,
                    help="drop the final CSV column (it is a target, not an input)")
-    p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_fit)
+    _add_common(p, _cmd_fit)
 
     p = subs.add_parser("train", help="train the built-in MLP")
     p.add_argument("--data", required=True)
@@ -535,33 +539,25 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
     p.add_argument("--lr", type=float, default=0.05)
     p.add_argument("--batch-size", type=int, default=32)
     p.add_argument("--momentum", type=float, default=0.0)
-    p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_train)
+    _add_common(p, _cmd_train)
 
     p = subs.add_parser("predict", help="run the perturbation ensemble on inputs")
     _add_model_source(p)
-    p.add_argument("--subspace", required=True)
     p.add_argument("--input", required=True)
     _add_schedule(p)
     p.add_argument("--clamp", default=None, metavar="LO,HI",
                    help="clamp reconstructed candidates into [LO, HI]")
-    p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_predict)
+    _add_common(p, _cmd_predict)
 
     p = subs.add_parser("auto-sigma", help="pick the noise level per input by confidence")
     _add_model_source(p)
-    p.add_argument("--subspace", required=True)
     p.add_argument("--input", required=True)
     _add_schedule(p, with_grid=True)
     p.add_argument("--threshold", type=float, default=None,
                    help="segmentation confidence cutoff (default by strategy)")
     p.add_argument("--clamp", default=None, metavar="LO,HI",
                    help="clamp reconstructed candidates into [LO, HI]")
-    p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_auto_sigma)
+    _add_common(p, _cmd_auto_sigma)
 
     p = subs.add_parser("distill", help="distill the ensemble into the base model")
     p.add_argument("--student", required=True, help="pretrained MLP checkpoint")
@@ -575,9 +571,7 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
     p.add_argument("--epochs", type=int, default=50)
     p.add_argument("--lr", type=float, default=0.02)
     p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_distill)
+    _add_common(p, _cmd_distill)
 
     p = subs.add_parser("count", help="count objects in probability maps")
     p.add_argument("--input", required=True, help="[H,W] or [n,H,W] tensor of probabilities")
@@ -587,23 +581,18 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
     p.add_argument("--min-area", type=int, default=4)
     p.add_argument("--connectivity", type=int, choices=[4, 8], default=8)
     p.add_argument("--truth", default=None, help="true counts tensor for MAE")
-    p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(handler=_cmd_count)
+    _add_common(p, _cmd_count)
 
     p = subs.add_parser("analyze", help="statistical diagnostics")
     experiments = p.add_subparsers(dest="experiment", required=True, parser_class=parser_class)
 
     p = experiments.add_parser("bias-variance", help="ensemble error split per sigma")
     _add_model_source(p)
-    p.add_argument("--subspace", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--targets", default=None)
     _add_schedule(p, with_grid=True)
     p.add_argument("--repeats", type=int, default=20, help="ensembles per input and sigma")
-    p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(handler=functools.partial(_cmd_analyze, _analyze_bias_variance))
+    _add_common(p, functools.partial(_cmd_analyze, _analyze_bias_variance))
 
     p = experiments.add_parser("spectrum", help="latent covariance eigenvalues")
     p.add_argument("--subspace", required=True)
@@ -612,19 +601,14 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
     p.add_argument("--baseline", choices=["none", "global_jitter"], default="none")
     p.add_argument("--equal-sigma", type=float, default=None,
                    help="share one noise std across all components")
-    p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(handler=functools.partial(_cmd_analyze, _analyze_spectrum))
+    _add_common(p, functools.partial(_cmd_analyze, _analyze_spectrum))
 
     p = experiments.add_parser("std-error", help="ensemble std against absolute error")
     _add_model_source(p)
-    p.add_argument("--subspace", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--targets", default=None)
     _add_schedule(p)
-    p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(handler=functools.partial(_cmd_analyze, _analyze_std_error))
+    _add_common(p, functools.partial(_cmd_analyze, _analyze_std_error))
 
     p = experiments.add_parser("structured-noise", help="removal of an injected pattern")
     p.add_argument("--data", required=True)
@@ -632,9 +616,7 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
     _add_schedule(p)
     p.add_argument("--inject-fraction", type=float, default=0.5)
     p.add_argument("--retain", default="all")
-    p.add_argument("--out", required=True)
-    _add_common(p)
-    p.set_defaults(handler=functools.partial(_cmd_analyze, _analyze_structured_noise))
+    _add_common(p, functools.partial(_cmd_analyze, _analyze_structured_noise))
 
     return parser
 

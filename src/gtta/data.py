@@ -3,7 +3,7 @@
 Output conventions by kind, for a batch of ``b`` inputs:
 
 * ``probabilities``: [b, num_classes] rows in [0, 1] summing to 1
-* ``real_values``: [b] or [b, k]
+* ``real_values``: [b] for one value per row, else [b, k]
 * ``per_pixel_probabilities``: [b, H, W] foreground probabilities in [0, 1]
 """
 
@@ -69,12 +69,12 @@ class OutputKind:
             return h * w
         return None
 
-    def check_outputs(self, out: np.ndarray, b: int) -> None:
-        """Raise :class:`PredictorError` unless ``out`` is a valid batch of ``b`` outputs."""
+    def check_outputs(self, out: np.ndarray, b: int) -> np.ndarray:
+        """``out`` if it is ``b`` valid outputs, one real value a row as [b]; else PredictorError."""
         if self.kind == REAL_VALUES:
             if out.ndim not in (1, 2) or out.shape[0] != b:
                 raise PredictorError(f"expected [{b}] or [{b}, k] real values, got shape {out.shape}")
-            return
+            return out[:, 0] if out.ndim == 2 and out.shape[1] == 1 else out
         expected = (b, self.num_classes) if self.kind == PROBABILITIES else (b, *self.image_shape)
         if out.shape != expected:
             raise PredictorError(f"expected {self.kind} of shape {expected}, got {out.shape}")
@@ -82,6 +82,7 @@ class OutputKind:
             raise PredictorError(f"{self.kind} outside [0, 1]")
         if self.kind == PROBABILITIES and not np.all(np.abs(out.sum(axis=1) - 1.0) <= ROW_SUM_TOL):
             raise PredictorError(f"class probabilities do not sum to 1 within {ROW_SUM_TOL}")
+        return out
 
     def target_rows(self, targets: np.ndarray) -> np.ndarray:
         """``targets`` as the [n, *out] rows a perfect model of this kind would emit.

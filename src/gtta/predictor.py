@@ -18,11 +18,11 @@ import signal
 import subprocess
 import tempfile
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .data import PER_PIXEL, PROBABILITIES, REAL_VALUES, Dataset, OutputKind
+from .data import PER_PIXEL, PROBABILITIES, Dataset, OutputKind
 from .errors import (
     DataError,
     DegenerateWeightError,
@@ -67,6 +67,19 @@ def _broadcast_weights(w, y):
         raise ShapeError(f"weights {np.asarray(w).shape} do not broadcast to targets {y.shape}") from exc
 
 
+def _loss_terms(pred, y, w):
+    """Predictions and targets as float64, the weights broadcast to them, and the weights' sum."""
+    pred = np.asarray(pred, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    if pred.shape != y.shape:
+        raise ShapeError(f"predictions {pred.shape} vs targets {y.shape}")
+    wb = _broadcast_weights(w, y)
+    wsum = wb.sum()
+    if wsum <= 0:
+        raise DegenerateWeightError("all weights are zero")
+    return pred, y, wb, wsum
+
+
 def weighted_cross_entropy(p, y, w, *, binary: bool = False) -> float:
     """Weight-normalized cross entropy, -(1/sum w) * sum w * y * log p.
 
@@ -74,14 +87,7 @@ def weighted_cross_entropy(p, y, w, *, binary: bool = False) -> float:
     the normalizer, so scaling all weights by a constant leaves the value
     unchanged. With ``binary`` the two-term form over y and 1-y is used.
     """
-    p = np.asarray(p, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if p.shape != y.shape:
-        raise ShapeError(f"predictions {p.shape} vs targets {y.shape}")
-    wb = _broadcast_weights(w, y)
-    wsum = wb.sum()
-    if wsum <= 0:
-        raise DegenerateWeightError("all weights are zero")
+    p, y, wb, wsum = _loss_terms(p, y, w)
     if binary:
         terms = y * np.log(np.clip(p, PROB_EPS, None)) + (1 - y) * np.log(
             np.clip(1 - p, PROB_EPS, None)
@@ -92,14 +98,7 @@ def weighted_cross_entropy(p, y, w, *, binary: bool = False) -> float:
 
 def weighted_squared_error(pred, y, w) -> float:
     """Weight-normalized squared error, sum w * (pred - y)^2 / sum w."""
-    pred = np.asarray(pred, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if pred.shape != y.shape:
-        raise ShapeError(f"predictions {pred.shape} vs targets {y.shape}")
-    wb = _broadcast_weights(w, y)
-    wsum = wb.sum()
-    if wsum <= 0:
-        raise DegenerateWeightError("all weights are zero")
+    pred, y, wb, wsum = _loss_terms(pred, y, w)
     return float((wb * (pred - y) ** 2).sum() / wsum)
 
 
@@ -138,9 +137,7 @@ class WeightedBatch:
 
 def batch_from_dataset(ds: Dataset) -> WeightedBatch:
     """Unit-weight training batch of the dataset's target rows."""
-    targets = ds.output_kind.target_rows(ds.targets)
-    weights = np.ones(targets.shape[0]) if targets.ndim == 1 else np.ones_like(targets)
-    return WeightedBatch(ds.inputs, targets, weights)
+    return WeightedBatch(ds.inputs, ds.output_kind.target_rows(ds.targets), np.ones(ds.n))
 
 
 # --------------------------------------------------------------------------
@@ -218,28 +215,17 @@ class MlpModel:
             )
         z = self._forward(batch)[-1]
         out = self._head(z if self.weights else z.copy())  # never the caller's batch
-        kind = self.output_kind.kind
-        if kind == PER_PIXEL:
+        if self.output_kind.kind == PER_PIXEL:
             out = out.reshape(batch.shape[0], *self.output_kind.image_shape)
-        elif kind == REAL_VALUES and out.shape[1] == 1:
-            out = out[:, 0]
-        self.output_kind.check_outputs(out, batch.shape[0])
-        return out
+        return self.output_kind.check_outputs(out, batch.shape[0])
 
     # -- training ----------------------------------------------------------
 
     def _prepare_targets(self, batch: WeightedBatch):
-        """Flatten targets/weights to the training layout [b, out]."""
-        y = np.asarray(batch.targets, dtype=np.float64)
-        w = np.asarray(batch.weights, dtype=np.float64)
-        kind = self.output_kind.kind
+        """Targets and weights in the training layout [b, out]: each row's values in order."""
+        y = np.asarray(batch.targets, dtype=np.float64).reshape(batch.n, -1)
+        w = np.asarray(batch.weights, dtype=np.float64).reshape(batch.n, -1)
         out_size = self.layer_sizes[-1]
-        if kind == PER_PIXEL:
-            y = y.reshape(y.shape[0], -1)
-            if w.ndim > 1:
-                w = w.reshape(w.shape[0], -1)
-        elif kind == REAL_VALUES and y.ndim == 1:
-            y = y[:, None]
         if y.shape[1] != out_size:
             raise ShapeError(f"targets with {y.shape[1]} values per row, model emits {out_size}")
         return y, _broadcast_weights(w, y)
@@ -398,14 +384,7 @@ def save_model(model: MlpModel, path) -> None:
         sections[f"w{i}"] = w
         sections[f"b{i}"] = b
     save_container(sections, path)
-    kind = model.output_kind
-    meta = {
-        "layer_sizes": model.layer_sizes,
-        "kind": kind.kind,
-        "num_classes": kind.num_classes,
-        "image_shape": list(kind.image_shape) if kind.image_shape else None,
-    }
-    save_json(meta, str(path) + ".json")
+    save_json({"layer_sizes": model.layer_sizes, **asdict(model.output_kind)}, str(path) + ".json")
 
 
 def load_model(path) -> MlpModel:
@@ -488,12 +467,9 @@ class SubprocessPredictor:
             while self._request:  # the child answered before it read all of the request
                 if self._pump():
                     self._refuse_stray_output()
-            if self.output_kind.kind == REAL_VALUES and out.ndim == 2 and out.shape[1] == 1:
-                out = out[:, 0]
-            self.output_kind.check_outputs(out, batch.shape[0])
+            return self.output_kind.check_outputs(out, batch.shape[0])
         except GttaError as exc:
             raise self._fail(str(exc)) from None
-        return out
 
     def close(self) -> None:
         """End the child: close its stdin, then require EOF, no stray bytes and exit 0."""

@@ -9,7 +9,7 @@ full-rank round trip is the identity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -132,15 +132,8 @@ def reconstruct(s: Subspace, p: np.ndarray) -> np.ndarray:
 
 
 def save_subspace(s: Subspace, path) -> None:
-    save_container(
-        {
-            "mean": s.mean,
-            "components": s.components,
-            "variance_ratios": s.variance_ratios,
-            "ranges": s.ranges,
-        },
-        path,
-    )
+    """Write one section per field of ``s``, named after it, in field order."""
+    save_container({f.name: getattr(s, f.name) for f in fields(s)}, path)
 
 
 def load_subspace(path) -> Subspace:
@@ -148,12 +141,11 @@ def load_subspace(path) -> Subspace:
     ranges are not negative, and whose component rows are orthonormal (a dead
     component's row may be zero instead, as files of earlier versions hold it)."""
     sections = load_container(path)
-    missing = {"mean", "components", "variance_ratios", "ranges"} - sections.keys()
+    missing = sorted(f.name for f in fields(Subspace) if f.name not in sections)
     if missing:
-        raise FormatError(f"subspace file missing sections: {sorted(missing)}")
-    mean, components = sections["mean"], sections["components"]
-    ratios = sections["variance_ratios"].reshape(-1)
-    ranges = sections["ranges"].reshape(-1)
+        raise FormatError(f"subspace file missing sections: {missing}")
+    mean, components, ratios, ranges = (sections[f.name] for f in fields(Subspace))
+    ratios, ranges = ratios.reshape(-1), ranges.reshape(-1)
     if (mean.ndim != 1 or components.shape[1:] != mean.shape
             or ratios.shape != components.shape[:1] or ranges.shape != ratios.shape):
         raise FormatError(f"subspace {path}: mean {mean.shape}, components {components.shape}, "

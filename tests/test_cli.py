@@ -80,6 +80,11 @@ def pipeline(tmp_path_factory):
                "--task", "segmentation",
                "--hidden", "32", "--epochs", "40", "--lr", "0.5",
                "--seed", "3", "--out", str(model)) == 0
+    # A regression model of the blob counts, for the commands on real-valued targets.
+    assert run("train", "--data", str(data_dir / "inputs.gtt"),
+               "--targets", str(data_dir / "counts.gtt"), "--task", "regression",
+               "--hidden", "4", "--epochs", "1", "--seed", "3",
+               "--out", str(root / "regression.gtt")) == 0
 
     pred_dir = root / "pred"
     assert run("predict", "--model", str(model), "--subspace", str(sub),
@@ -283,6 +288,18 @@ def test_commands_do_not_mutate_inputs(pipeline, tmp_path):
                "--input", str(inp), "--sigma", "0.1", "--n", "4",
                "--out", str(tmp_path / "o")) == 0
     assert {p: content_hash(p) for p in before} == before
+
+
+@pytest.mark.parametrize("width, shape", [(1, (8,)), (2, (8, 2))])
+def test_real_valued_model_cmd_replies_keep_their_layout(pipeline, tmp_path, model_child, width,
+                                                        shape):
+    # One value per row is laid out as [B], wider replies as [B, k].
+    out = tmp_path / "o"
+    assert run("predict", "--model-cmd", model_child(f"dumps_tensor(x[:, :{width}])").cmd,
+               "--output-kind", "real", "--subspace", str(pipeline / "subspace.gtt"),
+               "--input", str(pipeline / "test_x.gtt"), "--n", "2", "--out", str(out)) == 0
+    assert load_tensor(out / "mean.gtt").shape == shape
+    assert load_tensor(out / "std.gtt").shape == shape
 
 
 def test_subprocess_predictor_through_cli(pipeline, tmp_path, model_child):
@@ -1153,6 +1170,10 @@ TARGET_READERS = {
     "distill": (DISTILL, "--labeled-targets"),
     "std-error": (STD_ERROR, "--targets"),
     "bias-variance": (BIAS_VARIANCE, "--targets"),
+    "bias-variance-real": (["analyze", "bias-variance", "--model", "{root}/regression.gtt",
+                            "--subspace", "{root}/subspace.gtt", "--data", "{root}/data/inputs.gtt",
+                            "--targets", "{root}/data/counts.gtt", "--grid", "0,0.1",
+                            "--repeats", "2", "--n", "2"], "--targets"),
 }
 
 
@@ -1226,6 +1247,58 @@ def test_training_targets_with_two_values_a_row_name_their_shape(pipeline, tmp_p
     assert err.startswith("error: ShapeError") and err.count("\n") == 1, err
     assert "(24, 2)" in err and "(24,)" in err
     assert not list(tmp_path.glob("m.gtt*"))
+
+
+def test_train_takes_one_target_source(tmp_path, monkeypatch, capsys):
+    # With --target-col last, --targets was once never read, whatever it held.
+    from gtta import cli
+
+    (tmp_path / "d.csv").write_text("".join(f"{i},{i + 1},{i % 2}\n" for i in range(4)))
+    save_tensor(np.arange(12.0), tmp_path / "y.gtt")
+    read = []
+    monkeypatch.setattr(cli, "load_tensor",
+                        lambda path, **kw: read.append(path) or load_tensor(path, **kw))
+    assert run("train", "--data", str(tmp_path / "d.csv"), "--target-col", "last",
+               "--targets", str(tmp_path / "y.gtt"), "--task", "regression", "--hidden", "4",
+               "--epochs", "1", "--out", str(tmp_path / "m.gtt")) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ParamError") and err.count("\n") == 1, err
+    assert "--targets" in err and "--target-col last" in err
+    assert read == []
+    assert not list(tmp_path.glob("m.gtt*"))
+
+
+def test_bias_variance_that_overflows_float64_is_one_error_line(tmp_path):
+    # It once exited 0 after numpy's overflow warnings, reporting an
+    # infinite bias2 and error.
+    (tmp_path / "spec.json").write_text(json.dumps({"n": 60, "seed": 3}))
+    assert run("synth", "tabular", "--spec", str(tmp_path / "spec.json"),
+               "--out", str(tmp_path / "t")) == 0
+    t = tmp_path / "t"
+    targets = load_tensor(t / "test_targets.gtt")
+    targets[0] = 1e200
+    save_tensor(targets, tmp_path / "y.gtt")
+    assert run("fit", "--data", str(t / "train_inputs.gtt"), "--retain", "all",
+               "--out", str(tmp_path / "s.gtt")) == 0
+    assert run("train", "--data", str(t / "train_inputs.gtt"), "--targets",
+               str(t / "train_targets.gtt"), "--task", "regression", "--hidden", "4",
+               "--epochs", "5", "--lr", "0.01", "--out", str(tmp_path / "m.gtt")) == 0
+    code, err, caught = _one_run([
+        "analyze", "bias-variance", "--model", str(tmp_path / "m.gtt"), "--subspace",
+        str(tmp_path / "s.gtt"), "--data", str(t / "test_inputs.gtt"), "--targets",
+        str(tmp_path / "y.gtt"), "--grid", "0,0.1", "--repeats", "2", "--n", "3",
+        "--out", str(tmp_path / "o")])
+    assert code == 1 and not caught, caught
+    assert err.startswith("error: DataError") and err.count("\n") == 1, err
+    assert not (tmp_path / "o").exists()
+    # Training on the same targets has diverged, as it did before.
+    code, err, caught = _one_run([
+        "train", "--data", str(t / "test_inputs.gtt"), "--targets", str(tmp_path / "y.gtt"),
+        "--task", "regression", "--hidden", "4", "--epochs", "1",
+        "--out", str(tmp_path / "m2.gtt")])
+    assert code == 1 and not caught, caught
+    assert err.startswith("error: TrainingDivergedError") and err.count("\n") == 1, err
+    assert not list(tmp_path.glob("m2.gtt*"))
 
 
 @pytest.mark.parametrize("command", ["train", "train-classes", "std-error", "bias-variance"])
@@ -1408,7 +1481,9 @@ def test_predict_on_corrupted_files_ends_in_one_error_line_or_succeeds(pipeline,
 
 # How a target file is made hostile: values out of range or not integers
 # at one element, or the values of the file in a shape that does not fit.
-_HOSTILE_VALUES = [-1e200, -1.0, -0.5, 0.5, 1.5, 2.0, 3.0, 1e200]
+# ±1e154 squares to just below float64's largest value; 1e200 and 1e308
+# square past it.
+_HOSTILE_VALUES = [-1e200, -1e154, -1.0, -0.5, 0.5, 1.5, 2.0, 3.0, 1e154, 1e200, 1e308]
 _RESHAPED = {
     "drop-row": lambda t: t[:-1],
     "extra-value": lambda t: np.concatenate([t.reshape(len(t), -1), t.reshape(len(t), -1)[:, :1]],
@@ -1431,6 +1506,8 @@ _RESHAPED = {
 @example(command="std-error", damage=("value", (0, 1e200)))
 @example(command="train-classes", damage=("value", (3, 1.5)))
 @example(command="bias-variance", damage=("shape", "first-value-twice"))
+@example(command="bias-variance-real", damage=("value", (0, 1e200)))
+@example(command="bias-variance-real", damage=("value", (5, -1e154)))
 def test_commands_on_hostile_targets_end_in_one_error_line_or_succeed(pipeline, command, damage):
     argv, option = TARGET_READERS[command]
     source = Path(argv[argv.index(option) + 1].format(root=pipeline))
@@ -1724,3 +1801,26 @@ def test_package_imports_only_numpy_and_the_standard_library():
                 continue
             outside = {name.split(".")[0] for name in names} - allowed
             assert not outside, f"{path.name} imports {sorted(outside)}"
+
+
+def test_every_public_definition_has_a_caller():
+    # A public top-level function or class of the package must be named
+    # somewhere beyond its own definition: as a name, an attribute or an
+    # import, in the package or in scripts/.
+    paths = sorted((SRC / "gtta").glob("*.py")) + sorted((SRC.parent / "scripts").glob("*.py"))
+    defined, named = {}, set()
+    for path in paths:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if path.parent.name == "gtta":
+            defined.update({node.name: path.name for node in tree.body
+                            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                            and not node.name.startswith("_")})
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                named.update(alias.name for alias in node.names)
+    uncalled = sorted(f"{path}:{name}" for name, path in defined.items() if name not in named)
+    assert not uncalled, uncalled
