@@ -16,7 +16,7 @@ weight 1 - std stays in [0.5, 1].
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -165,9 +165,14 @@ def grid_means(model, s: Subspace, scheds, X: np.ndarray, streams) -> list[np.nd
     X, sigs, fold = _setup(model, s, scheds, X, streams, None)
     blocks = []
     for lo in range(0, len(X), BLOCK_ROWS):
-        draws = perturb.draw_latents(sigs, s, X[lo:lo + BLOCK_ROWS], streams[lo:lo + BLOCK_ROWS])
+        draws = _draw(sigs, s, X[lo:lo + BLOCK_ROWS], streams[lo:lo + BLOCK_ROWS])
         blocks.append([_mean(_point(model, s, fold, sig, draws, None))[0] for sig in sigs])
     return [np.concatenate(means) for means in zip(*blocks)]
+
+
+def _draw(sigs, s, X, streams):
+    """The block's draws: candidates 1..ceil(N/2) now, the rest when a point first runs its second half."""
+    return perturb.draw_latents(sigs, s, X, streams, first=-(-sigs.shape[1] // 2))
 
 
 def _block(model, s, fold, sigs, clamp, score, bound, X, streams):
@@ -179,7 +184,7 @@ def _block(model, s, fold, sigs, clamp, score, bound, X, streams):
     row above its best score. ``out`` holds the winning candidate outputs of
     the rows whose candidates disagree; every other row's std is zero.
     """
-    draws = perturb.draw_latents(sigs, s, X, streams)
+    draws = _draw(sigs, s, X, streams)
     out = _point(model, s, fold, sigs[0], draws, clamp)
     mean, same = _mean(out)
     pick = np.zeros(len(mean), dtype=np.intp)
@@ -225,7 +230,7 @@ def _point(model, s, fold, sig, draws, clamp, bound=None, best=None):
     for half in halves:
         if parts and bound is not None and not np.any(bound(parts[0], n) > best):
             return None
-        cands = make_candidates(sig[half], layer, replace(draws, z=draws.z[:, half]))
+        cands = make_candidates(sig[half], layer, draws.part(half))
         if clamp is not None:
             np.clip(cands, clamp[0], clamp[1], out=cands)
         elif fold is not None and net.weights:  # the folded layer was hidden, so its ReLU applies

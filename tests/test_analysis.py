@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from gtta import perturb
 from gtta.analysis import (
     bias_variance_sweep,
     covariance_spectrum_experiment,
@@ -98,17 +99,17 @@ def test_sweep_draws_once_and_keeps_each_schedules_rows(strategy, monkeypatch):
     model = MlpModel([5, 6, 2], OutputKind.probabilities(2), RngStream(13))
     scheds = [NoiseSchedule(strategy, sigma, 5) for sigma in (0.0, 0.1, 0.3)]
     noisy = 5 if strategy == "constant" else 4
-    calls = []
-    generator = RngStream.generator
+    pairs = []
+    standard_normal = perturb.standard_normal
 
-    def counted(self, reuse=None):
-        calls.append(self)
-        return generator(self, reuse)
+    def counted(streams, keys, size):
+        pairs.extend((stream, int(key)) for stream in streams for key in keys)
+        return standard_normal(streams, keys, size)
 
-    monkeypatch.setattr(RngStream, "generator", counted)
+    monkeypatch.setattr(perturb, "standard_normal", counted)
     report = bias_variance_sweep(model, s, scheds, data, 3, RngStream(14))
-    assert len(calls) == 9 * 3 * noisy
-    monkeypatch.setattr(RngStream, "generator", generator)
+    assert len(set(pairs)) == len(pairs) == 9 * 3 * noisy
+    monkeypatch.undo()
     for sched, row in zip(scheds, report.rows):
         assert bias_variance_sweep(model, s, [sched], data, 3, RngStream(14)).rows == [row]
 

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import run_bias_variance
-from gtta import ensemble
+from gtta import ensemble, perturb
 from gtta.data import OutputKind
 from gtta.ensemble import (
     DEFAULT_SIGMA_GRID, FoldedLayer, run_gtta, select_sigma, uncertainty_weights,
@@ -351,34 +351,73 @@ def test_block_rows_match_one_row_ensembles():
         run_gtta(model, s, sched, X, streams[:-1])
 
 
+def counted_draws(monkeypatch) -> list:
+    """The (row stream, key) pairs of each call the engine makes to standard_normal."""
+    calls = []
+    standard_normal = perturb.standard_normal
+
+    def counted(streams, keys, size):
+        calls.append([(stream, int(key)) for stream in streams for key in keys])
+        return standard_normal(streams, keys, size)
+
+    monkeypatch.setattr(perturb, "standard_normal", counted)
+    return calls
+
+
 @pytest.mark.parametrize("strategy", ["constant", "incremental"])
 def test_sigma_grid_draws_once_and_keeps_plain_ensembles(strategy, monkeypatch):
     # 19 rows span three blocks. Every grid point rescales the same draws, so
-    # one select_sigma makes one generator per row and noisy candidate, not
-    # one per grid point, and each row's winner is the plain ensemble at the
-    # chosen sigma, bit for bit.
+    # one select_sigma draws each row's noisy candidate at most once, not once
+    # per grid point: the first half for every block, the second half only
+    # for a block some point runs it on. Each draw call builds one generator
+    # and re-keys it for every (row, candidate). Each row's winner is the
+    # plain ensemble at the chosen sigma, bit for bit.
     X = RngStream(40).generator().standard_normal((19, 6))
     s = fit(X, 4)
     model = MlpModel([6, 8, 3], OutputKind.probabilities(3), RngStream(41))
     streams = RngStream(42).rows(len(X))
     grid, clamp = (0.0, 0.1, 0.2, 0.4), (-1.0, 1.0)
-    noisy = int(per_component_sigma(NoiseSchedule(strategy, 0.1, 5), s).any(axis=1).sum())
-    calls = []
+    keys = np.flatnonzero(per_component_sigma(NoiseSchedule(strategy, 0.1, 5), s).any(axis=1)) + 1
+    calls, generators = counted_draws(monkeypatch), []
     generator = RngStream.generator
-
-    def counted(self, reuse=None):
-        calls.append(self)
-        return generator(self, reuse)
-
-    monkeypatch.setattr(RngStream, "generator", counted)
+    monkeypatch.setattr(RngStream, "generator", lambda self: generators.append(self) or generator(self))
     result = select_sigma(model, s, sigma_grid(grid, 5, strategy, sigma_cap=0.3), X,
                           streams, clamp=clamp)
-    monkeypatch.setattr(RngStream, "generator", generator)
-    assert len(calls) == len(X) * noisy
+    monkeypatch.undo()
+    pairs = [pair for call in calls for pair in call]
+    assert len(generators) == len(calls)
+    assert len(set(pairs)) == len(pairs)
+    assert ({(stream, key) for stream in streams for key in keys if key <= 3} <= set(pairs)
+            <= {(stream, key) for stream in streams for key in keys})
     assert len(set(result.chosen_sigma)) > 1
     for sigma in grid:
         sched = NoiseSchedule(strategy, sigma, 5, sigma_cap=0.3)
         plain = run_gtta(model, s, sched, X, streams, clamp=clamp)
+        won = result.chosen_sigma == sigma
+        assert np.array_equal(result.mean_prediction[won], plain.mean_prediction[won])
+        assert np.array_equal(result.std_map[won], plain.std_map[won])
+
+
+def test_a_block_draws_its_second_half_only_when_a_point_runs_it(monkeypatch):
+    # c09's classifier, where noise helps some rows. One draw call per block
+    # takes candidates 1..5 of 10, and a second only for a block in which some
+    # noisy point runs its second half. On this classifier the bound prunes
+    # rarely: at seed 8 one of the 11 blocks skips it.
+    model, s, eval_ds = run_bias_variance.setup(8)
+    X, streams = eval_ds.inputs, RngStream(8, 0).rows(eval_ds.n)
+    grid = (0.0, 0.002, 0.005, 0.01, 0.02, 0.05)
+    calls = counted_draws(monkeypatch)
+    result = select_sigma(model, s, sigma_grid(grid, 10), X, streams)
+    monkeypatch.undo()
+    blocks = -(-len(X) // ensemble.BLOCK_ROWS)
+    assert np.any(result.chosen_sigma > 0)
+    halves = [{key for _, key in call} for call in calls]
+    assert all(half in ({1, 2, 3, 4, 5}, {6, 7, 8, 9, 10}) for half in halves)
+    assert halves.count({1, 2, 3, 4, 5}) == blocks and halves.count({6, 7, 8, 9, 10}) < blocks
+    pairs = [pair for call in calls for pair in call]
+    assert len(set(pairs)) == len(pairs)
+    for sigma in grid:
+        plain = run_gtta(model, s, NoiseSchedule("constant", sigma, 10), X, streams)
         won = result.chosen_sigma == sigma
         assert np.array_equal(result.mean_prediction[won], plain.mean_prediction[won])
         assert np.array_equal(result.std_map[won], plain.std_map[won])

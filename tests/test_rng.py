@@ -2,7 +2,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gtta.rng import RngStream, standard_normal
+from gtta.rng import RngStream, _derived_ids, standard_normal
 
 
 def normals(rng, n):
@@ -54,18 +54,15 @@ def test_reproducible_for_any_ids(seed, stream):
 
 
 def test_rekeyed_generator_draws_like_a_new_one():
-    # Re-keying after earlier draws, including a half-used 64-bit word, must
+    # standard_normal re-keys one generator for every draw. Odd sizes leave
+    # part of Philox's four-word buffer unused between keys; re-keying must
     # leave no buffered state behind.
     streams = [RngStream(2**63 + 11, 2**64 - 1), RngStream(2**64 - 1, 0), RngStream(5, 2**63)]
-    gen = RngStream(1, 2).generator()
-    gen.standard_normal(3)
-    gen.integers(0, 2**32, dtype=np.uint32)
-    for stream in streams:
-        assert stream.generator(gen) is gen
-        assert np.array_equal(gen.standard_normal(7), stream.generator().standard_normal(7))
-        assert stream.generator(gen).integers(0, 2**32, dtype=np.uint32) == \
-            stream.generator().integers(0, 2**32, dtype=np.uint32)
-        assert np.array_equal(stream.generator(gen).random(5), stream.generator().random(5))
+    for size in (1, 3, 7):
+        draws = standard_normal(streams, [2, 1, 2], size)
+        for b, stream in enumerate(streams):
+            for k, key in enumerate([2, 1, 2]):
+                assert np.array_equal(draws[b, k], stream.derive(key).generator().standard_normal(size))
 
 
 def test_standard_normal_is_named_by_row_stream_and_key():
@@ -74,3 +71,20 @@ def test_standard_normal_is_named_by_row_stream_and_key():
     for b, stream in enumerate(streams):
         for k, key in enumerate([3, 1]):
             assert np.array_equal(draws[b, k], stream.derive(key).generator().standard_normal(6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(ids=st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=3),
+       seeds=st.lists(st.integers(0, 2**64 - 1), min_size=3, max_size=3),
+       keys=st.lists(st.integers(-2**64, -1) | st.integers(2**63, 2**65) | st.integers(0, 20),
+                     min_size=1, max_size=4))
+def test_vectorised_derive_matches_derive_for_any_ids_and_keys(ids, seeds, keys):
+    # The uint64 splitmix64 wraps mod 2**64 where derive masks Python ints.
+    streams = [RngStream(seed, stream_id) for seed, stream_id in zip(seeds, ids)]
+    derived = _derived_ids(streams, keys)
+    assert derived.dtype == np.uint64
+    draws = standard_normal(streams, keys, 3)
+    for b, stream in enumerate(streams):
+        for k, key in enumerate(keys):
+            assert int(derived[b, k]) == stream.derive(key).stream_id
+            assert np.array_equal(draws[b, k], stream.derive(key).generator().standard_normal(3))
