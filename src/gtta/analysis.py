@@ -52,6 +52,18 @@ class BiasVarianceReport:
     repeats: int
 
 
+def _mean_square(gap: np.ndarray) -> float:
+    """The mean of ``gap ** 2``, taken over a power-of-two scale so that its sum cannot overflow.
+
+    With ``max |gap| < 2**k``, the mean of ``(gap / 2**k) ** 2`` is at most 1,
+    and only scaling it back by ``2**(2k)`` can overflow. Scaling by a power
+    of two is exact outside the subnormal range, so the bytes are those of
+    the plain mean.
+    """
+    k = int(np.frexp(np.abs(gap).max())[1])
+    return float(np.ldexp(np.mean(np.ldexp(gap, -k) ** 2), 2 * k))
+
+
 def bias_variance_sweep(model, s: Subspace, scheds, eval_data: Dataset, M: int,
                         rng: RngStream) -> BiasVarianceReport:
     """Monte Carlo decomposition of the ensemble error per noise schedule.
@@ -67,8 +79,8 @@ def bias_variance_sweep(model, s: Subspace, scheds, eval_data: Dataset, M: int,
     so error == bias2 + variance identically, all averaged over inputs and
     output elements. Repeat m of input i draws from rng.derive(i).derive(m)
     once, and every schedule rescales those draws. The targets are laid out
-    as the model's rows before the first draw. Moments that overflow float64
-    are a :class:`DataError`.
+    as the model's rows before the first draw. A moment too large for float64
+    is a :class:`DataError`.
     """
     if M < 2:
         raise ParamError(f"need at least 2 repeats, got {M}")
@@ -91,9 +103,9 @@ def bias_variance_sweep(model, s: Subspace, scheds, eval_data: Dataset, M: int,
                 rows.append({
                     "strategy": sched.strategy,
                     "sigma": float(sched.sigma),
-                    "bias2": float(np.mean((grand - y) ** 2)),
-                    "variance": float(np.mean((ens_means - grand) ** 2)),
-                    "error": float(np.mean((ens_means - y) ** 2)),
+                    "bias2": _mean_square(grand - y),
+                    "variance": _mean_square(ens_means - grand),
+                    "error": _mean_square(ens_means - y),
                 })
     except FloatingPointError:
         raise DataError(f"the ensemble error at sigma {sched.sigma} overflows float64; "

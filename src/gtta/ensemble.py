@@ -7,9 +7,11 @@ and one noise schedule, or a grid of them for sigma selection. A grid point
 is scored from its ensemble means alone: only each row's winning candidate
 outputs are kept, and their std is taken once. A noisy ensemble predicts
 its candidates in two fixed halves, and sigma selection skips the second
-half of a grid point that provably cannot win a row. A built-in MLP takes the
-noisy latents through its first layer folded into reconstruction, so no
-input-space candidate is built for it unless ``clamp`` needs one. For
+half of a grid point that provably cannot win a row; the normals of a second
+half are drawn only when some point runs it. A built-in MLP takes the latents
+through its first layer folded into reconstruction, so no input-space
+candidate is built for it unless ``clamp`` needs one or a quiet point on a
+full-rank subspace predicts the rows themselves. For
 probability-valued outputs the std never exceeds 0.5, so the consensus
 weight 1 - std stays in [0.5, 1].
 """
@@ -29,8 +31,9 @@ from .subspace import Subspace
 
 # Version of the engine's arithmetic, recorded in every provenance.json. It
 # moves when the last bits of the ensemble outputs do: engine 2 folds a
-# built-in MLP's first layer into reconstruction.
-ENGINE = 2
+# built-in MLP's first layer into reconstruction, and engine 3 takes the quiet
+# point of a projecting subspace through that fold too.
+ENGINE = 3
 
 # Noise grid bracketing the useful range for unit-scale data.
 DEFAULT_SIGMA_GRID = (0.0, 0.05, 0.1, 0.15, 0.2, 0.3, 0.5)
@@ -87,7 +90,8 @@ def _fold(model: MlpModel, s: Subspace) -> tuple[FoldedLayer, MlpModel]:
     w, b = model.weights[0], model.biases[0]
     tail = MlpModel.from_parameters(model.layer_sizes[1:], model.output_kind,
                                     model.weights[1:], model.biases[1:])
-    return FoldedLayer(s.mean @ w + b, s.components @ w), tail
+    offset = perturb.reconstruct(s, np.zeros(s.n_u))  # the zero latent's input: the mean
+    return FoldedLayer(offset @ w + b, s.components @ w), tail
 
 
 def _mean(outputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -114,8 +118,10 @@ def _setup(model, s: Subspace, scheds, X, streams, clamp):
     if len({sc.ensemble_size for sc in scheds}) != 1:
         raise ParamError("a schedule grid needs one ensemble size")
     sigs = np.stack([perturb.per_component_sigma(sc, s) for sc in scheds])
-    # Clipping happens in input space, so --clamp keeps the reconstruction.
-    fold = _fold(model, s) if isinstance(model, MlpModel) and clamp is None and sigs.any() else None
+    # Clipping happens in input space, so --clamp keeps the reconstruction; a
+    # quiet point on a full-rank subspace predicts the rows themselves.
+    folds = isinstance(model, MlpModel) and clamp is None and (sigs.any() or not s.full_rank)
+    fold = _fold(model, s) if folds else None
     return X, sigs, fold
 
 
@@ -139,11 +145,13 @@ def run_gtta(model, s: Subspace, sched, X: np.ndarray, streams,
     score skips its second half; it could not have won, so no result changes.
     ``clamp=(lo, hi)`` clips reconstructed candidates into the valid input
     range before prediction; off by default. When no candidate of a
-    schedule gets noise the N candidates coincide, so each row is predicted
-    once, alone, and the result equals the plain model output bit for bit.
-    Otherwise an :class:`MlpModel` without ``clamp`` maps each noisy latent
+    schedule gets noise the N candidates coincide, so each row has one. On a
+    full-rank subspace that candidate is the row itself, predicted alone, and
+    the result equals the plain model output bit for bit. Otherwise an
+    :class:`MlpModel` without ``clamp`` maps each latent, quiet or noisy,
     through its folded first layer, built once per call, and the rest of the
-    model; its last bits differ from an input-space reconstruction's.
+    model, one call per block and half; its last bits differ from an
+    input-space reconstruction's.
     """
     scheds = [sched] if isinstance(sched, NoiseSchedule) else list(sched)
     if len(scheds) > 1 and score is None:
@@ -212,19 +220,24 @@ def _block(model, s, fold, sigs, clamp, score, bound, X, streams):
 def _point(model, s, fold, sig, draws, clamp, bound=None, best=None):
     """The [b, N, *out] candidate outputs of one noise matrix over one block, or None.
 
-    A quiet matrix's candidates coincide, so each row is predicted once,
-    alone, into [b, 1, *out]. A noisy one predicts candidates 1..ceil(N/2),
+    A quiet matrix's candidates coincide, so each row has one, into
+    [b, 1, *out]: through ``fold`` in one model call on a projecting subspace,
+    else predicted alone, so that on a full-rank subspace it is the plain
+    model's output for the row. A noisy one predicts candidates 1..ceil(N/2),
     then the rest, one model call each; a block whose half would hold a
     single model row runs in one call, since a one-row product rounds
     differently from a many-row one. The point stops after its first half
     and returns None when ``bound`` of those outputs exceeds ``best`` in no
-    row. With ``fold`` the noisy latents go through the folded first layer,
-    its activation and the rest of the model instead of input space.
+    row. With ``fold`` the latents go through the folded first layer, its
+    activation and the rest of the model instead of input space.
     """
     n, k, quiet = len(sig), -(-len(sig) // 2), not sig.any()
     halves = [slice(0, k), slice(k, n)] if len(draws.X) * (n - k) > 1 else [slice(0, n)]
     if quiet:
-        fold, halves = None, [slice(0, 1)]
+        halves = [slice(0, 1)]
+        if s.full_rank:
+            fold = None
+    alone = quiet and fold is None
     layer, net = (s, model) if fold is None else fold
     parts = []
     for half in halves:
@@ -235,7 +248,7 @@ def _point(model, s, fold, sig, draws, clamp, bound=None, best=None):
             np.clip(cands, clamp[0], clamp[1], out=cands)
         elif fold is not None and net.weights:  # the folded layer was hidden, so its ReLU applies
             np.maximum(cands, 0.0, out=cands)
-        if quiet:
+        if alone:
             parts.append(np.stack([net.predict(c) for c in cands]))
         else:
             out = np.asarray(net.predict(cands.reshape(-1, cands.shape[-1])))

@@ -389,7 +389,7 @@ GOLDEN_ENSEMBLE_SHA256 = {
         "results.json": "1784847c3ab70c09fc6482c770974586cb950dc560e988c1863923fb5769ab46",
     },
     "predict-quiet": {
-        "mean.gtt": "93bc6d3bda5ce81e32b9eee6b9cc925848991527d9f071bdffa79c915f7e2fca",
+        "mean.gtt": "78d7c7ed998e43c1fa7c8ce0751e972431c211e1859f3a8b296426e06e745fad",
         "std.gtt": "7ecf624d4451b3e8fce369fe63b6735a5f31144b06f25afbe6a7be960a96e631",
         "results.json": "e6758f3b33bd6ea44b8211a428e8c4305bac8ff76abaf7d72871349cdb8020d2",
     },
@@ -404,7 +404,7 @@ GOLDEN_ENSEMBLE_SHA256 = {
         "results.json": "f59a81fed2a834be013f765e90fef854ce31ab49fd1b3158d9a4ecb9abc3baea",
     },
     "auto-sigma-incremental-cap": {
-        "mean.gtt": "a2b99d2781d217fecade31863a202861870d9f757397dac6014cd59fd6316fb1",
+        "mean.gtt": "68b82f6ca10e8942a67d266af0bfc89f15da293237dc570fb80eaf675ac2000c",
         "std.gtt": "84779b5763bb91c96db28ff8b162db53835ede0ad9bb290b4a5f51456eba933a",
         "results.json": "2f2913a9a31c0c2ee836f0fa107c1c9490ff21c132a0fe6a1bf873cd6c4d497c",
     },
@@ -413,7 +413,8 @@ GOLDEN_ENSEMBLE_COMMANDS = {
     "predict": ["predict", "--sigma", "0.1"],
     "auto-sigma": ["auto-sigma"],
     "auto-sigma-clamp": ["auto-sigma", "--clamp", "0,1"],
-    # Each row predicted once, alone.
+    # The subspace projects, so each row's one candidate goes through the
+    # folded layer, one model call per block.
     "predict-quiet": ["predict", "--sigma", "0"],
     # Candidate 1 gets no noise and still goes through the folded layer.
     "predict-incremental": ["predict", "--sigma", "0.1", "--strategy", "incremental"],
@@ -945,16 +946,23 @@ def _record(pipeline, tmp_path, command) -> dict:
                    "--data", str(pipeline / "test_x.gtt"), "--n", "4",
                    "--out", str(tmp_path / "spectrum")) == 0
         return read_json(tmp_path / "spectrum" / "provenance.json")
+    if command == "auto-sigma":
+        assert run("auto-sigma", "--model", str(pipeline / "model.gtt"),
+                   "--subspace", str(pipeline / "subspace.gtt"),
+                   "--input", str(pipeline / "test_x.gtt"), "--grid", "0,0.05", "--n", "4",
+                   "--out", str(tmp_path / "auto")) == 0
+        return read_json(tmp_path / "auto" / "provenance.json")
     return read_json(pipeline / {"predict": "pred", "distill": "distilled"}[command]
                      / "provenance.json")
 
 
 @pytest.mark.parametrize("command, engine", [
-    ("predict", None), ("predict", 1), ("distill", None), ("analyze", None),
+    ("predict", None), ("predict", 1), ("predict", 2), ("auto-sigma", 2), ("distill", None),
+    ("distill", 2), ("analyze", None), ("analyze", 2),
 ])
 def test_config_of_another_engine_is_refused(pipeline, tmp_path, capsys, command, engine):
     prov = _record(pipeline, tmp_path, command)
-    assert prov["engine"] == 2
+    assert prov["engine"] == 3
     del prov["engine"]
     if engine is not None:
         prov["engine"] = engine
@@ -964,7 +972,7 @@ def test_config_of_another_engine_is_refused(pipeline, tmp_path, capsys, command
     assert run(*argv, "--config", str(tmp_path / "old.json"), "--out", str(out)) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ParamError:") and err.count("\n") == 1
-    assert "engine 1" in err and "engine 2" in err
+    assert f"engine {engine or 1}" in err and "engine 3" in err
     assert not out.exists()
 
 
@@ -1266,6 +1274,20 @@ def test_train_takes_one_target_source(tmp_path, monkeypatch, capsys):
     assert "--targets" in err and "--target-col last" in err
     assert read == []
     assert not list(tmp_path.glob("m.gtt*"))
+
+
+def test_bias_variance_whose_sums_would_overflow_reports_its_finite_error(pipeline, tmp_path):
+    # A count target of -1e154 has a finite squared gap and a finite mean of
+    # them, about 2.5e306, but their float64 sum overflowed, and the sweep was
+    # refused as a DataError.
+    targets = load_tensor(pipeline / "data" / "counts.gtt")
+    targets[0] = -1e154
+    save_tensor(targets, tmp_path / "y.gtt")
+    code, err, caught = _one_run([*_with_targets(pipeline, "bias-variance-real", tmp_path / "y.gtt"),
+                                  "--out", str(tmp_path / "o")])
+    assert code == 0 and err == "" and not caught, (err, caught)
+    for row in read_json(tmp_path / "o" / "report.json")["rows"]:
+        assert 2e306 < row["error"] < 3e306 and 2e306 < row["bias2"] < 3e306, row
 
 
 def test_bias_variance_that_overflows_float64_is_one_error_line(tmp_path):
@@ -1662,6 +1684,33 @@ def test_bench_trace_sites_fire(pipeline, tmp_path, bench_tracer):
         w = workloads.WORKLOADS[name]
         assert spans.missing_spans(traced(argv), w.spans) == [], name
         assert spans.missing_spans(setup, w.setup_spans) == [], name
+
+
+def test_auto_sigma_agrees_with_the_bench_reference(golden_ensemble, tmp_path, monkeypatch):
+    # The benchmark checks auto-sigma rows against bench/reference.py; an
+    # engine change that moves a row's chosen sigma or leaves ENSEMBLE_TOL must
+    # fail here too, not only in a benchmark run. On the golden ensemble's
+    # projecting subspace this grid has quiet winners, which take the folded
+    # layer, and noisy ones.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # write nothing into bench/
+    monkeypatch.syspath_prepend(str(BENCH))
+    import reference
+
+    root, grid, out = golden_ensemble, (0.0, 0.002, 0.01), tmp_path / "a"
+    assert run("auto-sigma", "--model", str(root / "model.gtt"),
+               "--subspace", str(root / "subspace.gtt"), "--input", str(root / "test_x.gtt"),
+               "--grid", ",".join(map(str, grid)), "--n", "6", "--seed", "13",
+               "--out", str(out)) == 0
+    s, predict = reference.Subspace(root / "subspace.gtt"), reference.mlp(root / "model.gtt")
+    assert s.components.shape[0] < s.components.shape[1]
+    chosen = [r["chosen_sigma"] for r in read_json(out / "results.json")]
+    assert 0.0 in chosen and len(set(chosen)) > 1
+    mean, std = load_tensor(out / "mean.gtt"), load_tensor(out / "std.gtt")
+    for i, x in enumerate(load_tensor(root / "test_x.gtt")):
+        sigma, ref_mean, ref_std = reference.select_sigma(predict, s, x, 13, i, grid, 6, 0.8)
+        assert chosen[i] == sigma, i
+        assert np.abs(mean[i].ravel() - ref_mean).max() <= reference.ENSEMBLE_TOL, i
+        assert np.abs(std[i].ravel() - ref_std).max() <= reference.ENSEMBLE_TOL, i
 
 
 @pytest.mark.parametrize("reply", [

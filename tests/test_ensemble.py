@@ -15,7 +15,7 @@ from gtta.errors import ParamError, ShapeError, UnsupportedTaskError
 from gtta.perturb import NoiseSchedule, per_component_sigma
 from gtta.predictor import MlpModel
 from gtta.rng import RngStream
-from gtta.subspace import fit
+from gtta.subspace import fit, project, reconstruct
 
 
 def full_rank_subspace(seed=0, n=20, d=6):
@@ -480,8 +480,11 @@ def test_folded_first_layer_matches_input_space(hidden, head, fit_kind, strategy
 
 def test_only_a_noisy_unclamped_mlp_takes_the_folded_layer(monkeypatch):
     # make_candidates is where candidates are built, so the maps it is given
-    # show which path each schedule took.
+    # show which path each schedule took. A quiet point takes the fold only
+    # on a projecting subspace, in one call per block; on a full-rank one it
+    # predicts the row itself.
     s = full_rank_subspace(seed=50)
+    projecting = fit(RngStream(55).generator().standard_normal((20, 6)), 4)
     x = s.mean[None] + 0.1
     maps = []
     make_candidates = ensemble.make_candidates
@@ -489,18 +492,23 @@ def test_only_a_noisy_unclamped_mlp_takes_the_folded_layer(monkeypatch):
                         lambda sig, m, draws: maps.append(type(m)) or make_candidates(sig, m, draws))
     for hidden in ([], [8]):
         model = MlpModel([6, *hidden, 3], OutputKind.probabilities(3), RngStream(51))
-        for target, clamp, sigma, path in [
-            (model, None, 0.2, FoldedLayer),
-            (model, (-1.0, 1.0), 0.2, type(s)),
-            (model, None, 0.0, type(s)),
-            (InputSpace(model), None, 0.2, type(s)),
+        for target, subspace, clamp, sigma, path in [
+            (model, s, None, 0.2, FoldedLayer),
+            (model, s, (-1.0, 1.0), 0.2, type(s)),
+            (model, s, None, 0.0, type(s)),
+            (InputSpace(model), s, None, 0.2, type(s)),
+            (model, projecting, None, 0.0, FoldedLayer),
+            (model, projecting, (-1.0, 1.0), 0.0, type(s)),
         ]:
             maps.clear()
-            result = run_gtta(target, s, NoiseSchedule("constant", sigma, 4), x, [RngStream(52)],
-                              clamp=clamp)
+            result = run_gtta(target, subspace, NoiseSchedule("constant", sigma, 4), x,
+                              [RngStream(52)], clamp=clamp)
             assert maps == [path] * (1 if sigma == 0.0 else 2)  # a noisy ensemble in two halves
-            if sigma == 0.0:
+            if sigma == 0.0 and subspace is s:
                 assert np.array_equal(result.mean_prediction, model.predict(x))
+            elif sigma == 0.0 and clamp is None:
+                quiet = model.predict(reconstruct(projecting, project(projecting, x[0]))[None])
+                assert np.abs(result.mean_prediction - quiet).max() <= 1e-12
     with pytest.raises(ShapeError):
         run_gtta(MlpModel([5, 4, 3], OutputKind.probabilities(3), RngStream(53)), s,
                  NoiseSchedule("constant", 0.2, 4), x, [RngStream(54)])
