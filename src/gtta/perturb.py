@@ -99,9 +99,9 @@ def draw_latents(sig: np.ndarray, s: Subspace, X: np.ndarray, streams,
     [G, N, n_u] of them. Candidate j of row b draws from
     ``streams[b].derive(j)`` when any matrix gives it noise, so a row's draws
     never depend on the rows it is blocked with, on the other noise scales or
-    on when they are drawn; other candidates draw nothing. By default every
-    candidate is drawn now; the rest are drawn once, when
-    :meth:`LatentDraws.part` first asks for them.
+    on when they are drawn; other candidates draw nothing. Candidates from
+    index ``first`` on are left pending until :meth:`LatentDraws.part` first
+    asks for them; by default none is.
     """
     X = np.asarray(X, dtype=np.float64)
     sig = np.asarray(sig)

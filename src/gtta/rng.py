@@ -15,7 +15,7 @@ _MASK = (1 << 64) - 1
 
 
 def _splitmix64(z):
-    """SplitMix64's finalizer of a Python int, or of every entry of a uint64 array, which wraps."""
+    """One SplitMix64 step of a Python int, or of every entry of a uint64 array, which wraps."""
     z = (z + 0x9E3779B97F4A7C15) & _MASK
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
