@@ -7,18 +7,16 @@ and one noise schedule, or a grid of them for sigma selection. A grid point
 is scored from its ensemble means alone: only each row's winning candidate
 outputs are kept, and their std is taken once. A noisy ensemble predicts
 its candidates in two fixed halves, and sigma selection skips the second
-half of a grid point that provably cannot win a row; the normals of a second
-half are drawn only when some point runs it. A built-in MLP takes the latents
-through its first layer folded into reconstruction, so no input-space
-candidate is built for it unless ``clamp`` needs one or a quiet point on a
-full-rank subspace predicts the rows themselves. For
+half of a grid point that provably cannot win a row. A built-in MLP takes the
+noisy latents through its first layer folded into reconstruction, so no
+input-space candidate is built for it unless ``clamp`` needs one. For
 probability-valued outputs the std never exceeds 0.5, so the consensus
 weight 1 - std stays in [0.5, 1].
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -31,8 +29,8 @@ from .subspace import Subspace
 
 # Version of the engine's arithmetic, recorded in every provenance.json. It
 # moves when the last bits of the ensemble outputs do: engine 2 folds a
-# built-in MLP's first layer into reconstruction, and engine 3 takes the quiet
-# point of a projecting subspace through that fold too.
+# built-in MLP's first layer into reconstruction, and engine 3 predicts the
+# quiet candidates of a projecting subspace in one model call per block.
 ENGINE = 3
 
 # Noise grid bracketing the useful range for unit-scale data.
@@ -90,8 +88,7 @@ def _fold(model: MlpModel, s: Subspace) -> tuple[FoldedLayer, MlpModel]:
     w, b = model.weights[0], model.biases[0]
     tail = MlpModel.from_parameters(model.layer_sizes[1:], model.output_kind,
                                     model.weights[1:], model.biases[1:])
-    offset = perturb.reconstruct(s, np.zeros(s.n_u))  # the zero latent's input: the mean
-    return FoldedLayer(offset @ w + b, s.components @ w), tail
+    return FoldedLayer(s.mean @ w + b, s.components @ w), tail
 
 
 def _mean(outputs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -118,10 +115,8 @@ def _setup(model, s: Subspace, scheds, X, streams, clamp):
     if len({sc.ensemble_size for sc in scheds}) != 1:
         raise ParamError("a schedule grid needs one ensemble size")
     sigs = np.stack([perturb.per_component_sigma(sc, s) for sc in scheds])
-    # Clipping happens in input space, so --clamp keeps the reconstruction; a
-    # quiet point on a full-rank subspace predicts the rows themselves.
-    folds = isinstance(model, MlpModel) and clamp is None and (sigs.any() or not s.full_rank)
-    fold = _fold(model, s) if folds else None
+    # Clipping happens in input space, so --clamp keeps the reconstruction.
+    fold = _fold(model, s) if isinstance(model, MlpModel) and clamp is None and sigs.any() else None
     return X, sigs, fold
 
 
@@ -147,11 +142,11 @@ def run_gtta(model, s: Subspace, sched, X: np.ndarray, streams,
     range before prediction; off by default. When no candidate of a
     schedule gets noise the N candidates coincide, so each row has one. On a
     full-rank subspace that candidate is the row itself, predicted alone, and
-    the result equals the plain model output bit for bit. Otherwise an
-    :class:`MlpModel` without ``clamp`` maps each latent, quiet or noisy,
-    through its folded first layer, built once per call, and the rest of the
-    model, one call per block and half; its last bits differ from an
-    input-space reconstruction's.
+    the result equals the plain model output bit for bit; on a projecting one
+    the block's reconstructions are predicted in one call. Otherwise an
+    :class:`MlpModel` without ``clamp`` maps each noisy latent through its
+    folded first layer, built once per call, and the rest of the model; its
+    last bits differ from an input-space reconstruction's.
     """
     scheds = [sched] if isinstance(sched, NoiseSchedule) else list(sched)
     if len(scheds) > 1 and score is None:
@@ -173,14 +168,9 @@ def grid_means(model, s: Subspace, scheds, X: np.ndarray, streams) -> list[np.nd
     X, sigs, fold = _setup(model, s, scheds, X, streams, None)
     blocks = []
     for lo in range(0, len(X), BLOCK_ROWS):
-        draws = _draw(sigs, s, X[lo:lo + BLOCK_ROWS], streams[lo:lo + BLOCK_ROWS])
+        draws = perturb.draw_latents(sigs, s, X[lo:lo + BLOCK_ROWS], streams[lo:lo + BLOCK_ROWS])
         blocks.append([_mean(_point(model, s, fold, sig, draws, None))[0] for sig in sigs])
     return [np.concatenate(means) for means in zip(*blocks)]
-
-
-def _draw(sigs, s, X, streams):
-    """The block's draws: candidates 1..ceil(N/2) now, the rest when a point first runs its second half."""
-    return perturb.draw_latents(sigs, s, X, streams, first=-(-sigs.shape[1] // 2))
 
 
 def _block(model, s, fold, sigs, clamp, score, bound, X, streams):
@@ -192,7 +182,7 @@ def _block(model, s, fold, sigs, clamp, score, bound, X, streams):
     row above its best score. ``out`` holds the winning candidate outputs of
     the rows whose candidates disagree; every other row's std is zero.
     """
-    draws = _draw(sigs, s, X, streams)
+    draws = perturb.draw_latents(sigs, s, X, streams)
     out = _point(model, s, fold, sigs[0], draws, clamp)
     mean, same = _mean(out)
     pick = np.zeros(len(mean), dtype=np.intp)
@@ -221,34 +211,32 @@ def _point(model, s, fold, sig, draws, clamp, bound=None, best=None):
     """The [b, N, *out] candidate outputs of one noise matrix over one block, or None.
 
     A quiet matrix's candidates coincide, so each row has one, into
-    [b, 1, *out]: through ``fold`` in one model call on a projecting subspace,
-    else predicted alone, so that on a full-rank subspace it is the plain
-    model's output for the row. A noisy one predicts candidates 1..ceil(N/2),
-    then the rest, one model call each; a block whose half would hold a
-    single model row runs in one call, since a one-row product rounds
-    differently from a many-row one. The point stops after its first half
-    and returns None when ``bound`` of those outputs exceeds ``best`` in no
-    row. With ``fold`` the latents go through the folded first layer, its
-    activation and the rest of the model instead of input space.
+    [b, 1, *out]. On a full-rank subspace that is the row itself, predicted
+    alone, so that it is the plain model's output for the row; on a
+    projecting one the block's reconstructions go in one model call. A noisy
+    matrix predicts candidates 1..ceil(N/2), then the rest, one model call
+    each; a block whose half would hold a single model row runs in one call,
+    since a one-row product rounds differently from a many-row one. The
+    point stops after its first half and returns None when ``bound`` of
+    those outputs exceeds ``best`` in no row. With ``fold`` the noisy latents
+    go through the folded first layer, its activation and the rest of the
+    model instead of input space.
     """
     n, k, quiet = len(sig), -(-len(sig) // 2), not sig.any()
     halves = [slice(0, k), slice(k, n)] if len(draws.X) * (n - k) > 1 else [slice(0, n)]
     if quiet:
-        halves = [slice(0, 1)]
-        if s.full_rank:
-            fold = None
-    alone = quiet and fold is None
+        fold, halves = None, [slice(0, 1)]
     layer, net = (s, model) if fold is None else fold
     parts = []
     for half in halves:
         if parts and bound is not None and not np.any(bound(parts[0], n) > best):
             return None
-        cands = make_candidates(sig[half], layer, draws.part(half))
+        cands = make_candidates(sig[half], layer, replace(draws, z=draws.z[:, half]))
         if clamp is not None:
             np.clip(cands, clamp[0], clamp[1], out=cands)
         elif fold is not None and net.weights:  # the folded layer was hidden, so its ReLU applies
             np.maximum(cands, 0.0, out=cands)
-        if alone:
+        if quiet and s.full_rank:
             parts.append(np.stack([net.predict(c) for c in cands]))
         else:
             out = np.asarray(net.predict(cands.reshape(-1, cands.shape[-1])))

@@ -12,14 +12,14 @@ for candidate j of N. Variance ratios are floored at VAR_FLOOR so trailing
 components cannot blow the noise up, and components flagged
 near-zero-variance get no noise at all. Candidates are made for a block of
 input rows [B, d] at once, with one random stream per row; the rows are
-projected and their standard normals drawn at most once, when first needed,
-and each noise scale only rescales those draws.
+projected and their standard normals drawn once, and each noise scale only
+rescales those draws.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,45 +71,29 @@ class LatentDraws:
     """A block of input rows with their projections and standard-normal draws.
 
     Only the noise scale depends on sigma, so one set of draws serves every
-    point of a sigma grid. A noisy candidate may be left ``pending``, with
-    zeros in ``z``, until :meth:`part` first asks for it.
+    point of a sigma grid.
     """
 
-    X: np.ndarray        # [B, d]
-    base: np.ndarray     # [B, n_u], project(s, X)
-    z: np.ndarray        # [B, N, n_u], zero for candidates that get no noise or are pending
-    streams: list        # [B], the row streams the candidates draw from
-    pending: np.ndarray  # [N] bool, the noisy candidates not drawn yet
-
-    def part(self, cands: slice) -> "LatentDraws":
-        """The draws of candidates ``cands`` alone, their pending normals drawn first."""
-        idx = np.arange(*cands.indices(len(self.pending)))
-        todo = idx[self.pending[idx]]
-        if todo.size:
-            self.z[:, todo] = standard_normal(self.streams, todo + 1, self.z.shape[2])
-            self.pending[todo] = False
-        return replace(self, z=self.z[:, cands], pending=self.pending[cands])
+    X: np.ndarray     # [B, d]
+    base: np.ndarray  # [B, n_u], project(s, X)
+    z: np.ndarray     # [B, N, n_u], zero for candidates that get no noise
 
 
-def draw_latents(sig: np.ndarray, s: Subspace, X: np.ndarray, streams,
-                 first: int | None = None) -> LatentDraws:
-    """Project the rows of ``X`` and draw the standard normals of their first ``first`` candidates.
+def draw_latents(sig: np.ndarray, s: Subspace, X: np.ndarray, streams) -> LatentDraws:
+    """Project the rows of ``X`` and draw their standard normals, once.
 
     ``sig`` is one [N, n_u] matrix of :func:`per_component_sigma` or a stack
     [G, N, n_u] of them. Candidate j of row b draws from
     ``streams[b].derive(j)`` when any matrix gives it noise, so a row's draws
-    never depend on the rows it is blocked with, on the other noise scales or
-    on when they are drawn; other candidates draw nothing. Candidates from
-    index ``first`` on are left pending until :meth:`LatentDraws.part` first
-    asks for them; by default none is.
+    never depend on the rows it is blocked with or on the other noise scales;
+    other candidates draw nothing.
     """
     X = np.asarray(X, dtype=np.float64)
     sig = np.asarray(sig)
-    noisy = sig.reshape(-1, *sig.shape[-2:]).any(axis=(0, 2))
-    z = np.zeros((len(streams), len(noisy), s.n_u))
-    draws = LatentDraws(X, project(s, X), z, list(streams), noisy)
-    draws.part(slice(first))
-    return draws
+    noisy = np.flatnonzero(sig.reshape(-1, *sig.shape[-2:]).any(axis=(0, 2)))
+    z = np.zeros((len(streams), sig.shape[-2], s.n_u))
+    z[:, noisy] = standard_normal(streams, noisy + 1, s.n_u)
+    return LatentDraws(X, project(s, X), z)
 
 
 def latent_candidates(sig: np.ndarray, draws: LatentDraws) -> np.ndarray:
@@ -128,11 +112,12 @@ def make_candidates(sig: np.ndarray, s, draws: LatentDraws) -> np.ndarray:
 
     Through a :class:`Subspace` they are reconstructed inputs: a candidate
     whose row of ``sig`` is zero is the input itself when the subspace is
-    full rank, else ``reconstruct(project(x))``, so a zero-noise ensemble
-    reproduces the unperturbed input bit for bit. ``s`` may instead be any
-    map with a ``mean`` [d] and ``components`` [n_u, d], such as a model's
-    first layer folded into reconstruction (``ensemble.FoldedLayer``); there
-    every candidate, quiet or not, is ``mean + latents @ components``.
+    full rank, so a zero-noise ensemble reproduces the unperturbed input bit
+    for bit, else ``reconstruct(project(x))``, one product for the block.
+    ``s`` may instead be any map with a ``mean`` [d] and ``components``
+    [n_u, d], such as a model's first layer folded into reconstruction
+    (``ensemble.FoldedLayer``); there every candidate, quiet or not, is
+    ``mean + latents @ components``.
     """
     quiet = ~sig.any(axis=1) if isinstance(s, Subspace) else np.zeros(len(sig), dtype=bool)
     out = np.empty((len(draws.X), sig.shape[0], s.d))
@@ -141,7 +126,7 @@ def make_candidates(sig: np.ndarray, s, draws: LatentDraws) -> np.ndarray:
         np.matmul(latents, s.components, out=out.reshape(-1, s.d))
         out += s.mean
     if quiet.any():
-        base = draws.X if s.full_rank else np.stack([reconstruct(s, p) for p in draws.base])
+        base = draws.X if s.full_rank else reconstruct(s, draws.base)
         out[:, quiet] = base[:, None]
     return out
 

@@ -124,10 +124,14 @@ def project(s: Subspace, x: np.ndarray) -> np.ndarray:
 
 
 def reconstruct(s: Subspace, p: np.ndarray) -> np.ndarray:
-    """Return mean + sum_i p_i u_i."""
+    """Return mean + sum_i p_i u_i, for one coordinate vector [n_u] or a block [B, n_u] of them.
+
+    A block is one matrix product, so its rows may round differently from
+    rows reconstructed alone.
+    """
     p = np.asarray(p, dtype=np.float64)
-    if p.shape != (s.n_u,):
-        raise ShapeError(f"expected coordinates of shape ({s.n_u},), got {p.shape}")
+    if p.ndim not in (1, 2) or p.shape[-1] != s.n_u:
+        raise ShapeError(f"expected coordinates of shape ({s.n_u},) or (B, {s.n_u}), got {p.shape}")
     return s.mean + p @ s.components
 
 

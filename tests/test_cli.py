@@ -384,12 +384,12 @@ GOLDEN_ENSEMBLE_SHA256 = {
         "results.json": "69c3cc3d11e9b8fe0d0cf21fcab933e76fdd04bc233e10dbf933b06e8cb93db6",
     },
     "auto-sigma-clamp": {
-        "mean.gtt": "b3aeba0596cf7d3cb64bc1886769d73ffacaea1319204868642f65720f429be9",
+        "mean.gtt": "3bed09eefce2f093d07a68008999e6aa5c865e38064a7a6b1a81dbe2563dc9e0",
         "std.gtt": "8d7fb903b347428e39e7cb5acf0ecc1aa60fc7055c3827cb94bd464371601d3f",
         "results.json": "1784847c3ab70c09fc6482c770974586cb950dc560e988c1863923fb5769ab46",
     },
     "predict-quiet": {
-        "mean.gtt": "78d7c7ed998e43c1fa7c8ce0751e972431c211e1859f3a8b296426e06e745fad",
+        "mean.gtt": "352385a48c517724a61eecdc6383d057a60315c3077e7fc06ff8fe800fa32732",
         "std.gtt": "7ecf624d4451b3e8fce369fe63b6735a5f31144b06f25afbe6a7be960a96e631",
         "results.json": "e6758f3b33bd6ea44b8211a428e8c4305bac8ff76abaf7d72871349cdb8020d2",
     },
@@ -404,7 +404,7 @@ GOLDEN_ENSEMBLE_SHA256 = {
         "results.json": "f59a81fed2a834be013f765e90fef854ce31ab49fd1b3158d9a4ecb9abc3baea",
     },
     "auto-sigma-incremental-cap": {
-        "mean.gtt": "68b82f6ca10e8942a67d266af0bfc89f15da293237dc570fb80eaf675ac2000c",
+        "mean.gtt": "de2272e37ef46394a066cf2381cfce8e0fcfd60d74a586c5f35532de9849d707",
         "std.gtt": "84779b5763bb91c96db28ff8b162db53835ede0ad9bb290b4a5f51456eba933a",
         "results.json": "2f2913a9a31c0c2ee836f0fa107c1c9490ff21c132a0fe6a1bf873cd6c4d497c",
     },
@@ -413,8 +413,8 @@ GOLDEN_ENSEMBLE_COMMANDS = {
     "predict": ["predict", "--sigma", "0.1"],
     "auto-sigma": ["auto-sigma"],
     "auto-sigma-clamp": ["auto-sigma", "--clamp", "0,1"],
-    # The subspace projects, so each row's one candidate goes through the
-    # folded layer, one model call per block.
+    # The subspace projects, so the rows' one reconstruction each goes to the
+    # model in one call per block.
     "predict-quiet": ["predict", "--sigma", "0"],
     # Candidate 1 gets no noise and still goes through the folded layer.
     "predict-incremental": ["predict", "--sigma", "0.1", "--strategy", "incremental"],
@@ -1690,8 +1690,8 @@ def test_auto_sigma_agrees_with_the_bench_reference(golden_ensemble, tmp_path, m
     # The benchmark checks auto-sigma rows against bench/reference.py; an
     # engine change that moves a row's chosen sigma or leaves ENSEMBLE_TOL must
     # fail here too, not only in a benchmark run. On the golden ensemble's
-    # projecting subspace this grid has quiet winners, which take the folded
-    # layer, and noisy ones.
+    # projecting subspace this grid has quiet winners, whose reconstructions
+    # go to the model in one call per block, and noisy ones.
     monkeypatch.setattr(sys, "dont_write_bytecode", True)  # write nothing into bench/
     monkeypatch.syspath_prepend(str(BENCH))
     import reference
@@ -1757,10 +1757,10 @@ def _alive(pid: int) -> bool:
 
 
 def test_model_cmd_auto_sigma_runs_one_child(pipeline, tmp_path, model_child):
-    # Zero-noise rows are predicted alone, one request each, and the noisy grid
-    # point makes two requests per block, one per half of its candidates: in
-    # both blocks some row can still beat sigma 0 after the first half. Every
-    # request goes to one child.
+    # The subspace projects, so the zero-noise point makes one request per
+    # block, and the noisy grid point makes two, one per half of its
+    # candidates: in both blocks some row can still beat sigma 0 after the
+    # first half. Every request goes to one child.
     rows = load_tensor(pipeline / "train_x.gtt")[:13]
     save_tensor(rows, tmp_path / "x.gtt")
     child = model_child(WAVY)
@@ -1770,7 +1770,7 @@ def test_model_cmd_auto_sigma_runs_one_child(pipeline, tmp_path, model_child):
     assert run("auto-sigma", *common, "--grid", "0,0.1", "--out", str(tmp_path / "a")) == 0
     pids = child.requests()
     assert child.started() == pids[:1] and set(pids) == set(pids[:1])
-    assert len(pids) == len(rows) + 2 * -(-len(rows) // BLOCK_ROWS)
+    assert len(pids) == 3 * -(-len(rows) // BLOCK_ROWS)
     assert not _alive(pids[0])
 
     # One process per model call gave each row its plain ensemble at the

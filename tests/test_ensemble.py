@@ -351,73 +351,39 @@ def test_block_rows_match_one_row_ensembles():
         run_gtta(model, s, sched, X, streams[:-1])
 
 
-def counted_draws(monkeypatch) -> list:
-    """The (row stream, key) pairs of each call the engine makes to standard_normal."""
-    calls = []
-    standard_normal = perturb.standard_normal
-
-    def counted(streams, keys, size):
-        calls.append([(stream, int(key)) for stream in streams for key in keys])
-        return standard_normal(streams, keys, size)
-
-    monkeypatch.setattr(perturb, "standard_normal", counted)
-    return calls
-
-
 @pytest.mark.parametrize("strategy", ["constant", "incremental"])
 def test_sigma_grid_draws_once_and_keeps_plain_ensembles(strategy, monkeypatch):
     # 19 rows span three blocks. Every grid point rescales the same draws, so
-    # one select_sigma draws each row's noisy candidate at most once, not once
-    # per grid point: the first half for every block, the second half only
-    # for a block some point runs it on. Each draw call builds one generator
-    # and re-keys it for every (row, candidate). Each row's winner is the
-    # plain ensemble at the chosen sigma, bit for bit.
+    # one select_sigma draws each row's noisy candidates once, in one
+    # standard_normal call per block, not once per grid point. Each call
+    # builds one generator and re-keys it for every (row, candidate). Each
+    # row's winner is the plain ensemble at the chosen sigma, bit for bit.
     X = RngStream(40).generator().standard_normal((19, 6))
     s = fit(X, 4)
     model = MlpModel([6, 8, 3], OutputKind.probabilities(3), RngStream(41))
     streams = RngStream(42).rows(len(X))
     grid, clamp = (0.0, 0.1, 0.2, 0.4), (-1.0, 1.0)
     keys = np.flatnonzero(per_component_sigma(NoiseSchedule(strategy, 0.1, 5), s).any(axis=1)) + 1
-    calls, generators = counted_draws(monkeypatch), []
-    generator = RngStream.generator
+    calls, generators = [], []
+    standard_normal, generator = perturb.standard_normal, RngStream.generator
+
+    def counted(streams, keys, size):
+        calls.append([(stream, int(key)) for stream in streams for key in keys])
+        return standard_normal(streams, keys, size)
+
+    monkeypatch.setattr(perturb, "standard_normal", counted)
     monkeypatch.setattr(RngStream, "generator", lambda self: generators.append(self) or generator(self))
     result = select_sigma(model, s, sigma_grid(grid, 5, strategy, sigma_cap=0.3), X,
                           streams, clamp=clamp)
     monkeypatch.undo()
     pairs = [pair for call in calls for pair in call]
-    assert len(generators) == len(calls)
+    assert len(generators) == len(calls) == -(-len(X) // ensemble.BLOCK_ROWS)
     assert len(set(pairs)) == len(pairs)
-    assert ({(stream, key) for stream in streams for key in keys if key <= 3} <= set(pairs)
-            <= {(stream, key) for stream in streams for key in keys})
+    assert set(pairs) == {(stream, int(key)) for stream in streams for key in keys}
     assert len(set(result.chosen_sigma)) > 1
     for sigma in grid:
         sched = NoiseSchedule(strategy, sigma, 5, sigma_cap=0.3)
         plain = run_gtta(model, s, sched, X, streams, clamp=clamp)
-        won = result.chosen_sigma == sigma
-        assert np.array_equal(result.mean_prediction[won], plain.mean_prediction[won])
-        assert np.array_equal(result.std_map[won], plain.std_map[won])
-
-
-def test_a_block_draws_its_second_half_only_when_a_point_runs_it(monkeypatch):
-    # c09's classifier, where noise helps some rows. One draw call per block
-    # takes candidates 1..5 of 10, and a second only for a block in which some
-    # noisy point runs its second half. On this classifier the bound prunes
-    # rarely: at seed 8 one of the 11 blocks skips it.
-    model, s, eval_ds = run_bias_variance.setup(8)
-    X, streams = eval_ds.inputs, RngStream(8, 0).rows(eval_ds.n)
-    grid = (0.0, 0.002, 0.005, 0.01, 0.02, 0.05)
-    calls = counted_draws(monkeypatch)
-    result = select_sigma(model, s, sigma_grid(grid, 10), X, streams)
-    monkeypatch.undo()
-    blocks = -(-len(X) // ensemble.BLOCK_ROWS)
-    assert np.any(result.chosen_sigma > 0)
-    halves = [{key for _, key in call} for call in calls]
-    assert all(half in ({1, 2, 3, 4, 5}, {6, 7, 8, 9, 10}) for half in halves)
-    assert halves.count({1, 2, 3, 4, 5}) == blocks and halves.count({6, 7, 8, 9, 10}) < blocks
-    pairs = [pair for call in calls for pair in call]
-    assert len(set(pairs)) == len(pairs)
-    for sigma in grid:
-        plain = run_gtta(model, s, NoiseSchedule("constant", sigma, 10), X, streams)
         won = result.chosen_sigma == sigma
         assert np.array_equal(result.mean_prediction[won], plain.mean_prediction[won])
         assert np.array_equal(result.std_map[won], plain.std_map[won])
@@ -480,9 +446,9 @@ def test_folded_first_layer_matches_input_space(hidden, head, fit_kind, strategy
 
 def test_only_a_noisy_unclamped_mlp_takes_the_folded_layer(monkeypatch):
     # make_candidates is where candidates are built, so the maps it is given
-    # show which path each schedule took. A quiet point takes the fold only
-    # on a projecting subspace, in one call per block; on a full-rank one it
-    # predicts the row itself.
+    # show which path each schedule took. A quiet point never takes the fold:
+    # on a full-rank subspace it predicts the row itself, and on a projecting
+    # one the row's reconstruction.
     s = full_rank_subspace(seed=50)
     projecting = fit(RngStream(55).generator().standard_normal((20, 6)), 4)
     x = s.mean[None] + 0.1
@@ -497,7 +463,7 @@ def test_only_a_noisy_unclamped_mlp_takes_the_folded_layer(monkeypatch):
             (model, s, (-1.0, 1.0), 0.2, type(s)),
             (model, s, None, 0.0, type(s)),
             (InputSpace(model), s, None, 0.2, type(s)),
-            (model, projecting, None, 0.0, FoldedLayer),
+            (model, projecting, None, 0.0, type(s)),
             (model, projecting, (-1.0, 1.0), 0.0, type(s)),
         ]:
             maps.clear()

@@ -119,6 +119,7 @@ def test_reconstruct_zero_coordinates_is_mean():
     X = RngStream(8).generator().standard_normal((9, 4))
     s = fit(X, "all")
     assert np.array_equal(reconstruct(s, np.zeros(s.n_u)), s.mean)
+    assert np.array_equal(reconstruct(s, np.zeros((3, s.n_u))), np.tile(s.mean, (3, 1)))
 
 
 def test_truncation_error_is_discarded_projection():
@@ -165,6 +166,8 @@ def test_shape_errors():
         project(s, np.zeros(5))
     with pytest.raises(ShapeError):
         reconstruct(s, np.zeros(s.n_u + 1))
+    with pytest.raises(ShapeError):
+        reconstruct(s, np.zeros((2, 1, s.n_u)))
 
 
 def test_save_load_round_trip(tmp_path):
