@@ -61,9 +61,11 @@ _ENGINE_COMMANDS = ("predict", "auto-sigma", "distill", "analyze")
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
+    # Only a known command runs, so only its parser is built and only it reads --config.
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
     try:
-        config = _load_config(argv)
-        parser = _build_parser(config)
+        config = _load_config(argv) if command else {}
+        parser = _build_parser(config, command)
         args = parser.parse_args(argv)
         if not hasattr(args, "handler"):
             parser.print_usage(sys.stderr)
@@ -75,12 +77,17 @@ def main(argv=None) -> int:
                              f"not {' '.join(ran.values())}")
         with recording() as record:
             args.handler(args)
-        _write_provenance(args, record)
+            provenance = _provenance(args, record)
+        out = Path(args.out)
+        save_json(provenance, out / "provenance.json" if out.is_dir() else f"{out}.provenance.json")
     except GttaError as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:
         print(f"error: IoError: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: MemoryError: {exc}", file=sys.stderr)
         return 1
     return 0
 
@@ -111,7 +118,8 @@ class _ConfigParser(argparse.ArgumentParser):
     """A subcommand parser whose options default to the values of a ``--config`` file.
 
     Only the options a subcommand declares are taken from the config; the
-    provenance of another command or an older version names others.
+    provenance of another command or an older version names others. A value
+    is taken only if the option could hold it after a command-line parse.
     """
 
     def __init__(self, *args, config, **kwargs):
@@ -119,31 +127,59 @@ class _ConfigParser(argparse.ArgumentParser):
         super().__init__(*args, **kwargs)
 
     def add_argument(self, *names, **kwargs):
-        dest = kwargs.get("dest", names[0].lstrip("-").replace("-", "_"))
-        if names[0].startswith("-") and dest in self.config:
-            kwargs.update(default=self.config[dest], required=False)
-        return super().add_argument(*names, **kwargs)
+        action = super().add_argument(*names, **kwargs)
+        taken = action.option_strings and action.default is not argparse.SUPPRESS
+        if taken and action.dest in self.config:
+            action.default, action.required = _config_value(action, self.config[action.dest]), False
+        return action
+
+
+# The JSON values a --config may give an option, by the option's type, and their name.
+_CONFIG_TYPES = {None: (str, "a string"), int: (int, "an integer"),
+                 float: ((int, float), "a number")}
+
+
+def _config_value(action: argparse.Action, value):
+    """``value`` as the option ``action`` holds it, or a ``ParamError`` if it cannot hold it.
+
+    A string is converted as a command-line value is; a number must already
+    be of the option's type; null stands for an option left out.
+    """
+    if value is None and action.default is None and not action.required:
+        return value
+    types, takes = (bool, "true or false") if action.nargs == 0 else _CONFIG_TYPES[action.type]
+    if isinstance(value, str) and types is not bool:
+        with contextlib.suppress(ValueError):
+            value = (action.type or str)(value)
+    ok = isinstance(value, types) and isinstance(value, bool) == (types is bool)
+    if action.choices is not None:
+        ok, takes = ok and value in action.choices, f"one of {', '.join(map(str, action.choices))}"
+    if not ok:
+        raise ParamError(f"--config sets {action.option_strings[0]} to {value!r}, "
+                         f"which is not {takes}")
+    return value
 
 
 # --------------------------------------------------------------------------
 # provenance
 
 
-def _write_provenance(args, record) -> None:
-    """Record the resolved config and the content hashes of the files a command read and wrote.
+def _provenance(args, record) -> dict:
+    """The resolved config and the content hashes of the files a command read and wrote.
 
-    A directory ``--out`` gets a provenance.json inside; an output file gets
-    a .provenance.json sibling.
+    Each hash is the recording's digest of the bytes the command saw, so this
+    waits for any still being taken. It is written after the recording ends:
+    a directory ``--out`` gets a provenance.json inside, an output file a
+    .provenance.json sibling.
     """
     subject = [getattr(args, k) for k in ("kind", "experiment") if hasattr(args, k)]
-    out = Path(args.out)
-    save_json({
+    return {
         "command": " ".join([args.command] + subject),
         "engine": ENGINE,
         "config": {k: v for k, v in sorted(vars(args).items()) if k not in ("handler", "config")},
-        "inputs": {p: content_hash(p) for p in record["inputs"]},
-        "outputs": {p: content_hash(p) for p in record["outputs"]},
-    }, out / "provenance.json" if out.is_dir() else f"{out}.provenance.json")
+        "inputs": {p: content_hash(p, seen) for p, seen in record["inputs"].items()},
+        "outputs": {p: content_hash(p, seen) for p, seen in record["outputs"].items()},
+    }
 
 
 def _write_csv(path, header, rows):
@@ -413,6 +449,9 @@ def _cmd_count(args):
         raise DataError(f"--input must hold probabilities in [0, 1], got values in [{lo}, {hi}]")
     if prob.ndim == 2:
         prob = prob[None]
+    if args.elem > min(prob.shape[1:]):
+        raise ParamError(f"--elem {args.elem} is wider than the {prob.shape[1]}x{prob.shape[2]} "
+                         "maps; an element wider than a map erodes every pixel of it")
     element = StructuringElement.square(args.elem, args.iters)
     records = []
     for i in range(prob.shape[0]):
@@ -502,21 +541,13 @@ def _analyze_structured_noise(args, out: Path):
 # parser
 
 
-def _build_parser(config: dict) -> argparse.ArgumentParser:
-    """The command-line parser; ``config`` gives the defaults of the options it names."""
-    parser = argparse.ArgumentParser(
-        prog="gtta",
-        description="Latent-subspace test-time ensembles, distillation, counting.",
-    )
-    parser_class = functools.partial(_ConfigParser, config=config)
-    subs = parser.add_subparsers(dest="command", parser_class=parser_class)
-
-    p = subs.add_parser("synth", help="generate a deterministic fixture")
+def _declare_synth(p):
     p.add_argument("kind", choices=["tabular", "blobs", "images"])
     p.add_argument("--spec", required=True, help="JSON spec file")
     _add_common(p, _cmd_synth)
 
-    p = subs.add_parser("fit", help="fit the principal subspace of a data matrix")
+
+def _declare_fit(p):
     p.add_argument("--data", required=True)
     p.add_argument("--retain", default=str(DEFAULT_RETAIN),
                    help="variance fraction in (0,1], integer count, or 'all'")
@@ -525,7 +556,8 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
                    help="drop the final CSV column (it is a target, not an input)")
     _add_common(p, _cmd_fit)
 
-    p = subs.add_parser("train", help="train the built-in MLP")
+
+def _declare_train(p):
     p.add_argument("--data", required=True)
     p.add_argument("--targets", default=None)
     p.add_argument("--target-col", choices=["last"], default=None,
@@ -541,7 +573,8 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
     p.add_argument("--momentum", type=float, default=0.0)
     _add_common(p, _cmd_train)
 
-    p = subs.add_parser("predict", help="run the perturbation ensemble on inputs")
+
+def _declare_predict(p):
     _add_model_source(p)
     p.add_argument("--input", required=True)
     _add_schedule(p)
@@ -549,7 +582,8 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
                    help="clamp reconstructed candidates into [LO, HI]")
     _add_common(p, _cmd_predict)
 
-    p = subs.add_parser("auto-sigma", help="pick the noise level per input by confidence")
+
+def _declare_auto_sigma(p):
     _add_model_source(p)
     p.add_argument("--input", required=True)
     _add_schedule(p, with_grid=True)
@@ -559,7 +593,8 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
                    help="clamp reconstructed candidates into [LO, HI]")
     _add_common(p, _cmd_auto_sigma)
 
-    p = subs.add_parser("distill", help="distill the ensemble into the base model")
+
+def _declare_distill(p):
     p.add_argument("--student", required=True, help="pretrained MLP checkpoint")
     p.add_argument("--subspace", required=True)
     p.add_argument("--labeled", required=True)
@@ -573,7 +608,8 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
     p.add_argument("--batch-size", type=int, default=32)
     _add_common(p, _cmd_distill)
 
-    p = subs.add_parser("count", help="count objects in probability maps")
+
+def _declare_count(p):
     p.add_argument("--input", required=True, help="[H,W] or [n,H,W] tensor of probabilities")
     p.add_argument("--threshold", type=float, default=0.5)
     p.add_argument("--elem", type=int, default=3, help="square element side")
@@ -583,7 +619,9 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
     p.add_argument("--truth", default=None, help="true counts tensor for MAE")
     _add_common(p, _cmd_count)
 
-    p = subs.add_parser("analyze", help="statistical diagnostics")
+
+def _declare_analyze(p):
+    parser_class = functools.partial(_ConfigParser, config=p.config)
     experiments = p.add_subparsers(dest="experiment", required=True, parser_class=parser_class)
 
     p = experiments.add_parser("bias-variance", help="ensemble error split per sigma")
@@ -618,6 +656,35 @@ def _build_parser(config: dict) -> argparse.ArgumentParser:
     p.add_argument("--retain", default="all")
     _add_common(p, functools.partial(_cmd_analyze, _analyze_structured_noise))
 
+
+# Every command: its help line and the function that declares its options.
+_COMMANDS = {
+    "synth": ("generate a deterministic fixture", _declare_synth),
+    "fit": ("fit the principal subspace of a data matrix", _declare_fit),
+    "train": ("train the built-in MLP", _declare_train),
+    "predict": ("run the perturbation ensemble on inputs", _declare_predict),
+    "auto-sigma": ("pick the noise level per input by confidence", _declare_auto_sigma),
+    "distill": ("distill the ensemble into the base model", _declare_distill),
+    "count": ("count objects in probability maps", _declare_count),
+    "analyze": ("statistical diagnostics", _declare_analyze),
+}
+
+
+def _build_parser(config: dict, command: str | None = None) -> argparse.ArgumentParser:
+    """The command-line parser; ``config`` gives the defaults of the options it names.
+
+    Only ``command``'s subparser is built when it names one; otherwise every
+    command's is, so usage, help and errors list them all.
+    """
+    parser = argparse.ArgumentParser(
+        prog="gtta",
+        description="Latent-subspace test-time ensembles, distillation, counting.",
+    )
+    subs = parser.add_subparsers(dest="command",
+                                 parser_class=functools.partial(_ConfigParser, config=config))
+    for name in [command] if command in _COMMANDS else _COMMANDS:
+        help_line, declare = _COMMANDS[name]
+        declare(subs.add_parser(name, help=help_line))
     return parser
 
 

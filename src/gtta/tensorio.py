@@ -23,7 +23,8 @@ place, so an interrupted or failed write never leaves a truncated artifact.
 While a :func:`recording` is open, every file read through a loader here and
 every file written through :func:`save_bytes` is noted, so a command's
 provenance names exactly the files it touched, and a file read in it may not
-be overwritten.
+be overwritten. The SHA-256 of the bytes read or written is taken then, from
+those bytes, on a worker thread, so no file is read a second time to hash it.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ import json
 import math
 import os
 import struct
+import threading
 
 import numpy as np
 
@@ -44,29 +46,78 @@ _MAGIC = b"GTT1"
 _CONTAINER_MAGIC = b"GTTC"
 _DTYPE_F64 = 0
 
-# {"inputs": {path: None}, "outputs": {path: None}} of the open recording, if any
-_record: contextvars.ContextVar[dict | None] = contextvars.ContextVar("record", default=None)
+# (record, hasher) of the open recording, if any
+_record: contextvars.ContextVar[tuple | None] = contextvars.ContextVar("record", default=None)
+
+
+class _Digest(threading.Event):
+    """The SHA-256 hex digest of some bytes, set once the worker thread has taken it."""
+
+    hexdigest: str | None = None
+
+
+class _Hasher:
+    """One worker thread that takes the SHA-256 of byte strings in the order they are queued.
+
+    hashlib releases the GIL while it hashes a large buffer, so the digests
+    run on a second core while the command computes. A queued job holds its
+    bytes only until they are hashed.
+    """
+
+    def __init__(self):
+        self._jobs, self._wake = [], threading.Condition()
+        self._thread = threading.Thread(target=self._work, name="gtta-sha256", daemon=True)
+        self._thread.start()
+
+    def digest(self, data: bytes | None) -> _Digest:
+        """The pending digest of ``data``; None ends the thread once the jobs before it are done."""
+        pending = _Digest()
+        with self._wake:
+            self._jobs.append((pending, data))
+            self._wake.notify()
+        return pending
+
+    def close(self) -> None:
+        self.digest(None)
+        self._thread.join()
+
+    def _work(self) -> None:
+        while True:
+            with self._wake:
+                self._wake.wait_for(lambda: self._jobs)
+                pending, data = self._jobs.pop(0)
+            if data is None:
+                return
+            pending.hexdigest = hashlib.sha256(data).hexdigest()
+            pending.set()
+            del pending, data  # keep no file's bytes while waiting for the next
 
 
 @contextlib.contextmanager
 def recording():
-    """Note, for the length of a ``with`` block, the paths of the files read and written.
+    """Note, for the length of a ``with`` block, the files read and written, and their digests.
 
     Yields ``{"inputs": ..., "outputs": ...}``, two dicts whose keys are the
-    paths as strings, in the order first touched.
+    paths as strings, in the order first touched. Each maps to the pending
+    digest of the bytes last read from or written to its path, which
+    :func:`content_hash` waits for. The digests are taken on one worker
+    thread, which hashes what is queued and ends when the block does.
     """
-    record = {"inputs": {}, "outputs": {}}
-    token = _record.set(record)
+    record, hasher = {"inputs": {}, "outputs": {}}, _Hasher()
+    token = _record.set((record, hasher))
     try:
         yield record
     finally:
         _record.reset(token)
+        hasher.close()
 
 
-def _note(role: str, path) -> None:
-    record = _record.get()
-    if record is not None:
-        record[role][os.fspath(path)] = None
+def _note(role: str, path, data: bytes) -> None:
+    """Note ``path`` as read or written, with the digest of its bytes ``data`` queued."""
+    opened = _record.get()
+    if opened is not None:
+        record, hasher = opened
+        record[role][os.fspath(path)] = hasher.digest(data)
 
 
 def as_tensor(data) -> np.ndarray:
@@ -149,8 +200,8 @@ def save_bytes(data: bytes, path) -> None:
     whole and removes the temporary file. Inside a :func:`recording`, a
     ``path`` that names a file read so far is refused with a ``ParamError``.
     """
-    record = _record.get()
-    if record is not None and os.path.realpath(path) in map(os.path.realpath, record["inputs"]):
+    opened = _record.get()
+    if opened is not None and os.path.realpath(path) in map(os.path.realpath, opened[0]["inputs"]):
         raise ParamError(f"{path} was read by this command and may not be overwritten")
     tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
     try:
@@ -163,7 +214,7 @@ def save_bytes(data: bytes, path) -> None:
     finally:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
-    _note("outputs", path)
+    _note("outputs", path, data)
 
 
 def save_json(obj, path) -> None:
@@ -177,7 +228,7 @@ def _read(path) -> bytes:
             blob = fh.read()
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
-    _note("inputs", path)
+    _note("inputs", path, blob)
     return blob
 
 
@@ -269,8 +320,15 @@ def load_container(path) -> dict[str, np.ndarray]:
     return sections
 
 
-def content_hash(path) -> str:
-    """SHA-256 hex digest of a file, for provenance records."""
+def content_hash(path, seen: _Digest | None = None) -> str:
+    """SHA-256 hex digest of a file, for provenance records.
+
+    ``seen`` is a :func:`recording`'s digest of the bytes last read from or
+    written to ``path``; it is waited for, and the file is read only without one.
+    """
+    if seen is not None:
+        seen.wait()
+        return seen.hexdigest
     h = hashlib.sha256()
     try:
         with open(path, "rb") as fh:

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import warnings
 from pathlib import Path
@@ -1873,3 +1874,244 @@ def test_every_public_definition_has_a_caller():
                 named.update(alias.name for alias in node.names)
     uncalled = sorted(f"{path}:{name}" for name, path in defined.items() if name not in named)
     assert not uncalled, uncalled
+
+
+# --------------------------------------------------------------------------
+# dispatch, provenance digests and hostile --config records
+
+COMMAND_NAMES = ["synth", "fit", "train", "predict", "auto-sigma", "distill", "count", "analyze"]
+EXPERIMENT_NAMES = ["bias-variance", "spectrum", "std-error", "structured-noise"]
+
+
+@pytest.mark.parametrize("argv, names", [
+    ([], COMMAND_NAMES), (["--help"], COMMAND_NAMES), (["bogus"], COMMAND_NAMES),
+    (["analyze"], EXPERIMENT_NAMES), (["--config", "{record}"], COMMAND_NAMES),
+], ids=["nothing", "help", "bogus", "analyze", "config-only"])
+def test_a_command_line_without_a_command_lists_them_all(pipeline, capsys, argv, names):
+    argv = [a.format(record=pipeline / "pred" / "provenance.json") for a in argv]
+    try:
+        code = run(*argv)
+    except SystemExit as exc:  # argparse
+        code = exc.code
+    assert code in (0, 2)
+    printed = "".join(capsys.readouterr())
+    assert "{" + ",".join(names) + "}" in printed, printed
+
+
+def test_a_command_builds_only_its_own_parser(pipeline, tmp_path, monkeypatch):
+    def names(parser):
+        return [name for name, _ in _subcommands(parser)]
+
+    assert names(_build_parser({}, "count")) == ["count"]
+    assert names(_build_parser({}, "analyze")) == [f"analyze {e}" for e in EXPERIMENT_NAMES]
+    assert names(_build_parser({}, "bogus")) == names(_build_parser({})) == list(OPTIONS)
+    from gtta import cli
+
+    def declare_elsewhere(parser):
+        raise AssertionError("built the parser of a command that does not run")
+
+    for name, (help_line, _) in cli._COMMANDS.items():
+        if name != "count":
+            monkeypatch.setitem(cli._COMMANDS, name, (help_line, declare_elsewhere))
+    assert run("count", "--input", str(pipeline / "pred" / "mean.gtt"),
+               "--out", str(tmp_path / "c")) == 0
+
+
+@pytest.fixture(scope="module")
+def records(pipeline, tmp_path_factory):
+    """A provenance record of every leaf command: {name: (replay argv, record path)}."""
+    root = tmp_path_factory.mktemp("records")
+    save_tensor(np.ones(144), root / "pattern.gtt")
+    made = {
+        "auto-sigma": ["auto-sigma", "--model", "{root}/model.gtt", "--subspace",
+                       "{root}/subspace.gtt", "--input", "{root}/test_x.gtt", "--grid", "0,0.05",
+                       "--n", "4"],
+        "analyze bias-variance": BIAS_VARIANCE,
+        "analyze spectrum": [*SPECTRUM, "--n", "4"],
+        "analyze std-error": STD_ERROR,
+        "analyze structured-noise": ["analyze", "structured-noise", "--data", "{root}/train_x.gtt",
+                                     "--pattern", "{tmp}/pattern.gtt", "--n", "4"],
+        "replay": ["predict", "--config", "{root}/pred/provenance.json"],
+    }
+    for name, argv in made.items():
+        argv = [a.format(root=pipeline, tmp=root) for a in argv]
+        assert run(*argv, "--out", str(root / name.replace(" ", "-"))) == 0, name
+    paths = {name: root / name.replace(" ", "-") / "provenance.json" for name in made}
+    paths |= {"synth": pipeline / "data" / "provenance.json",
+              "fit": pipeline / "subspace.gtt.provenance.json",
+              "train": pipeline / "model.gtt.provenance.json",
+              "predict": pipeline / "pred" / "provenance.json",
+              "distill": pipeline / "distilled" / "provenance.json",
+              "count": pipeline / "counts" / "provenance.json"}
+    argv = {name: name.split() for name in paths} | {"synth": ["synth", "images"],
+                                                     "replay": ["predict"]}
+    return {name: (argv[name], path) for name, path in paths.items()}
+
+
+def test_every_provenance_digest_is_the_file_on_disk(pipeline, records):
+    # Digests come from the bytes a command read and wrote, taken on a worker
+    # thread while it runs; each must be the SHA-256 of the file as it lies.
+    commands = set()
+    for name, (_, path) in records.items():
+        prov = read_json(path)
+        commands.add(prov["command"])
+        files = prov["inputs"] | prov["outputs"]
+        assert files, name
+        for file, digest in files.items():
+            assert digest == hashlib.sha256(Path(file).read_bytes()).hexdigest(), (name, file)
+    assert commands == {"synth images", "fit", "train", "predict", "auto-sigma", "distill",
+                        "count"} | {f"analyze {e}" for e in EXPERIMENT_NAMES}
+    sidecar = str(pipeline / "model.gtt.json")
+    assert sidecar in read_json(records["train"][1])["outputs"]
+    assert sidecar in read_json(records["replay"][1])["inputs"]
+
+
+@pytest.mark.parametrize("failure", [None, "GttaError", "OSError"])
+def test_no_thread_outlives_a_command(pipeline, tmp_path, monkeypatch, capsys, failure):
+    from gtta import cli
+
+    out = tmp_path / "o"
+    if failure == "GttaError":  # mean.gtt is written, then std.gtt cannot be
+        (out / "std.gtt").mkdir(parents=True)
+    if failure == "OSError":
+        def full(*args, **kwargs):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli, "run_gtta", full)
+    before = len(threading.enumerate())
+    code = run("predict", "--model", str(pipeline / "model.gtt"), "--subspace",
+               str(pipeline / "subspace.gtt"), "--input", str(pipeline / "test_x.gtt"),
+               "--n", "2", "--out", str(out))
+    assert len(threading.enumerate()) == before
+    err = capsys.readouterr().err
+    if failure is None:
+        assert code == 0 and (out / "provenance.json").exists()
+    else:
+        assert code == 1 and err.startswith("error: IoError:") and err.count("\n") == 1, err
+        assert not (out / "provenance.json").exists()
+        assert (out / "mean.gtt").exists() == (failure == "GttaError")
+
+
+def test_an_allocation_the_machine_cannot_make_is_one_error_line(pipeline, tmp_path, capsys):
+    # 10**15 candidates ask numpy for petabytes, which the allocator refuses at
+    # once; this once ended in numpy's traceback.
+    out = tmp_path / "o"
+    assert run("predict", "--model", str(pipeline / "model.gtt"), "--subspace",
+               str(pipeline / "subspace.gtt"), "--input", str(pipeline / "test_x.gtt"),
+               "--n", str(10 ** 15), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: MemoryError: Unable to allocate") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("side", ["13", "1000001"])
+def test_count_refuses_an_element_wider_than_its_maps(pipeline, tmp_path, capsys, side):
+    # Such an element erodes every pixel; a side of 1000001 once asked numpy
+    # for a terabyte of offsets and ended in its traceback.
+    out = tmp_path / "o"
+    assert run("count", "--input", str(pipeline / "pred" / "mean.gtt"), "--elem", side,
+               "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: ParamError: --elem {side} ") and err.count("\n") == 1, err
+    assert "12x12" in err
+    assert not out.exists()
+    assert run("count", "--input", str(pipeline / "pred" / "mean.gtt"), "--elem", "11",
+               "--out", str(out)) == 0
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("predict", "n", 1.5), ("predict", "input", 5), ("predict", "sigma", None),
+    ("predict", "strategy", "bogus"), ("train", "task", "bogus"), ("fit", "header", "yes"),
+    ("count", "elem", 3.5), ("count", "connectivity", 5), ("count", "seed", True),
+])
+def test_config_values_an_option_cannot_hold_are_refused(records, tmp_path, capsys, command, key,
+                                                        value):
+    # A record's values skip the command-line parse, so these once reached the
+    # command: 1.5 candidates ended in numpy's traceback, an --input of 5 read
+    # file descriptor 5, and a bogus task trained a regression model.
+    argv, path = records[command]
+    prov = read_json(path)
+    prov["config"][key] = value
+    (tmp_path / "rec.json").write_text(json.dumps(prov))
+    out = tmp_path / "o"
+    assert run(*argv, "--config", str(tmp_path / "rec.json"), "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ParamError: --config sets --") and err.count("\n") == 1, err
+    assert not out.exists() and not (tmp_path / "o.provenance.json").exists()
+
+
+def test_config_strings_are_read_as_a_command_line_would_read_them(records, tmp_path):
+    argv, path = records["predict"]
+    prov = read_json(path)
+    prov["config"] |= {"n": str(prov["config"]["n"]), "sigma": str(prov["config"]["sigma"])}
+    (tmp_path / "rec.json").write_text(json.dumps(prov))
+    assert run(*argv, "--config", str(tmp_path / "rec.json"), "--out", str(tmp_path / "o")) == 0
+    replayed = read_json(tmp_path / "o" / "provenance.json")["config"]
+    assert replayed | {"out": None} == read_json(path)["config"] | {"out": None}
+    for name in ("mean.gtt", "std.gtt", "results.json"):
+        assert (tmp_path / "o" / name).read_bytes() == (path.parent / name).read_bytes(), name
+
+
+# JSON values a hostile record gives an option; _fits says which it can hold.
+_JSON_VALUES = [None, True, 7, 1.5, "x7", [1], {"a": 1}]
+_ENGINE_COMMANDS = ("predict", "auto-sigma", "distill", "analyze")
+
+
+def _fits(action, value) -> bool:
+    """Whether the option ``action`` can hold ``value`` as a command-line parse leaves it."""
+    if value is None:
+        return action.default is None and not action.required
+    if action.choices is not None and value not in action.choices:
+        return False
+    if action.nargs == 0:
+        return isinstance(value, bool)
+    kinds = {None: str, int: int, float: (int, float)}[action.type]
+    return isinstance(value, kinds) and not isinstance(value, bool)
+
+
+@settings(max_examples=100, deadline=1500)
+@given(data=st.data())
+def test_hostile_config_records_end_in_one_error_line(records, data):
+    name = data.draw(st.sampled_from(sorted(records)), label="command")
+    argv, path = records[name]
+    text = path.read_text()
+    record = json.loads(text)
+    hows = ["truncate", "config", "value", "other"] + (["engine"] * (argv[0] in _ENGINE_COMMANDS))
+    how = data.draw(st.sampled_from(hows), label="how")
+    if how == "truncate":
+        text = text[: data.draw(st.integers(0, len(text.rstrip()) - 1), label="cut")]
+    elif how == "other":
+        other = data.draw(st.sampled_from([n for n in sorted(records) if records[n][0] != argv]),
+                          label="other")
+        text = records[other][1].read_text()
+    else:
+        if how == "config":
+            record["config"] = data.draw(st.sampled_from([None, True, 3, "x", [1]]), label="config")
+        elif how == "engine":
+            record["engine"] = data.draw(st.sampled_from([None, 1, 2, 4, "3"]), label="engine")
+        else:
+            leaf = "predict" if name == "replay" else name
+            parser = dict(_subcommands(_build_parser({}, argv[0])))[leaf]
+            action = data.draw(st.sampled_from([a for a in parser._actions
+                                                if a.option_strings and a.dest != "help"]),
+                               label="option")
+            record["config"][action.dest] = data.draw(
+                st.sampled_from([v for v in _JSON_VALUES if not _fits(action, v)]), label="value")
+        text = json.dumps(record)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        (tmp / "record.json").write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            try:
+                code = run(*argv, "--config", str(tmp / "record.json"), "--out", str(tmp / "o"))
+            except SystemExit as exc:  # argparse
+                code = exc.code
+        left = sorted(p.name for p in tmp.iterdir() if p.name != "record.json")
+    message = err.getvalue()
+    assert code in (1, 2), message
+    assert "Traceback" not in message
+    assert sum("error:" in line for line in message.splitlines()) == 1, message
+    if code == 1:
+        assert message.startswith("error: ") and message.count("\n") == 1, message
+    assert not left, left

@@ -1,5 +1,7 @@
+import hashlib
 import io
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gtta import tensorio
-from gtta.errors import DataError, FormatError, IoError
+from gtta.errors import DataError, FormatError, IoError, ParamError
 from gtta.tensorio import (
     dumps_tensor,
     load_container,
@@ -221,6 +223,39 @@ def test_recording_notes_the_files_read_and_written(tmp_path):
     assert list(record["inputs"]) == [str(tensor), str(meta)]
     load_tensor(tensor)  # nothing is noted outside a recording
     assert len(record["inputs"]) == 2
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def test_recording_digests_the_bytes_the_command_saw(tmp_path):
+    read, written = tmp_path / "in.gtt", tmp_path / "out.json"
+    save_tensor(np.arange(3.0), read)
+    seen = read.read_bytes()
+    with tensorio.recording() as record:
+        load_tensor(read)
+        read.write_bytes(b"changed after the read")
+        save_json({"a": 1}, written)
+        save_json({"a": 2}, written)  # the last write wins
+        digests = {role: {p: tensorio.content_hash(p, d) for p, d in files.items()}
+                   for role, files in record.items()}
+    assert digests == {"inputs": {str(read): _sha256(seen)},
+                       "outputs": {str(written): _sha256(written.read_bytes())}}
+    assert tensorio.content_hash(read) == _sha256(b"changed after the read")  # none: from disk
+
+
+def test_recording_ends_its_hashing_thread(tmp_path):
+    before = threading.enumerate()
+    with pytest.raises(ParamError):
+        with tensorio.recording() as record:
+            save_json({"a": 1}, tmp_path / "a.json")
+            tensorio.load_json(tmp_path / "a.json")
+            save_json({"a": 2}, tmp_path / "a.json")  # refused: it was read
+    assert threading.enumerate() == before
+    # the recording hashed what it had queued before the thread ended
+    seen = record["inputs"][str(tmp_path / "a.json")]
+    assert tensorio.content_hash(tmp_path / "a.json", seen) == _sha256(b'{\n  "a": 1\n}\n')
 
 
 @pytest.mark.parametrize("blob", [b"{bad", b"[1]", b"\xff{}"])
