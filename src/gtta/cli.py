@@ -148,9 +148,9 @@ def _config_value(action: argparse.Action, value):
     if value is None and action.default is None and not action.required:
         return value
     types, takes = (bool, "true or false") if action.nargs == 0 else _CONFIG_TYPES[action.type]
-    if isinstance(value, str) and types is not bool:
+    if isinstance(value, str) and action.type is not None:
         with contextlib.suppress(ValueError):
-            value = (action.type or str)(value)
+            value = action.type(value)
     ok = isinstance(value, types) and isinstance(value, bool) == (types is bool)
     if action.choices is not None:
         ok, takes = ok and value in action.choices, f"one of {', '.join(map(str, action.choices))}"
