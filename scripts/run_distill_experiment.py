@@ -14,12 +14,25 @@ import numpy as np
 
 from gtta.data import Dataset, OutputKind
 from gtta.distill import distill, generate_pseudolabels
-from gtta.metrics import binary_f_score
 from gtta.perturb import NoiseSchedule
 from gtta.predictor import MlpModel, WeightedBatch, batch_from_dataset, mlp_train
 from gtta.rng import RngStream
 from gtta.subspace import fit
 from gtta.synthdata import BlobImagesSpec, gen_blob_images
+
+
+def binary_f_score(prob_map, truth, threshold: float = 0.5) -> float:
+    """F-measure of a thresholded probability map against a binary mask."""
+    pred = np.asarray(prob_map) > threshold
+    truth = np.asarray(truth) > 0.5
+    tp = np.count_nonzero(pred & truth)
+    fp = np.count_nonzero(pred & ~truth)
+    fn = np.count_nonzero(~pred & truth)
+    if tp == 0:
+        return 0.0
+    precision = tp / (tp + fp)
+    recall = tp / (tp + fn)
+    return 2 * precision * recall / (precision + recall)
 
 
 def fscore(model, holdout):

@@ -16,7 +16,6 @@ import numpy as np
 from .data import Dataset
 from .ensemble import grid_means, run_gtta
 from .errors import DataError, ParamError, ShapeError, UnsupportedTaskError
-from .metrics import pearson_r
 from .perturb import (
     NoiseSchedule,
     draw_latents,
@@ -155,10 +154,9 @@ def covariance_spectrum_experiment(s: Subspace, sched: NoiseSchedule,
     X, n = inputs, len(inputs)
 
     streams = rng.derive(1).rows(n)
-    if equal_sigma is None:
-        sig = per_component_sigma(sched, s)
-    else:
-        sig = np.full((N, s.n_u), float(equal_sigma))
+    sig = per_component_sigma(sched, s)
+    if equal_sigma is not None:
+        sig = np.full_like(sig, float(equal_sigma))
     latents = latent_candidates(sig, draw_latents(sig, s, X, streams))
     eigenvalues = latent_sample_covariance(latents)[1]
 
@@ -190,6 +188,18 @@ class CorrelationReport:
     n_elements: int
 
 
+def _pearson_r(x, y) -> float | None:
+    """Pearson correlation, or None when either side is constant."""
+    x = np.asarray(x, dtype=np.float64).ravel()
+    y = np.asarray(y, dtype=np.float64).ravel()
+    xd = x - x.mean()
+    yd = y - y.mean()
+    denom = np.sqrt((xd**2).sum() * (yd**2).sum())
+    if denom == 0:
+        return None
+    return float((xd * yd).sum() / denom)
+
+
 def std_error_correlation(model, s: Subspace, sched: NoiseSchedule,
                           eval_data: Dataset, rng: RngStream) -> CorrelationReport:
     """Pool per-element (ensemble std, absolute error) pairs over the inputs."""
@@ -214,7 +224,7 @@ def std_error_correlation(model, s: Subspace, sched: NoiseSchedule,
         bin_edges=edges,
         bin_mae=mae,
         bin_counts=counts,
-        pearson=None if degenerate else pearson_r(std, err),
+        pearson=None if degenerate else _pearson_r(std, err),
         degenerate=degenerate,
         n_elements=int(std.size),
     )

@@ -54,12 +54,17 @@ def per_component_sigma(sched: NoiseSchedule, s: Subspace) -> np.ndarray:
     """Noise std per candidate and component, shape [N, n_u].
 
     Row j - 1 holds the stds of candidate j. A row of zeros marks a candidate
-    that gets no noise; this matrix is the one place that decides so.
+    that gets no noise; this matrix is the one place that decides so. An
+    ``N x n_u`` matrix of more bytes than numpy can index is a ``ParamError``.
     """
+    N, n_u = sched.ensemble_size, s.n_u
+    if N * n_u * 8 > np.iinfo(np.intp).max:
+        raise ParamError(f"an ensemble of N={N} candidates over n_u={n_u} components needs "
+                         f"more bytes than numpy can index")
     var = np.maximum(s.variance_ratios, VAR_FLOOR)
-    out = np.tile(s.ranges * sched.sigma / var, (sched.ensemble_size, 1))
+    out = np.tile(s.ranges * sched.sigma / var, (N, 1))
     if sched.strategy == INCREMENTAL:
-        out = out * np.arange(sched.ensemble_size)[:, None] / sched.ensemble_size
+        out = out * np.arange(N)[:, None] / N
     if sched.sigma_cap is not None:
         out = np.minimum(out, sched.sigma_cap * s.ranges)
     out[:, s.dead] = 0.0

@@ -9,7 +9,7 @@ raster order of their first pixel.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -125,7 +125,6 @@ def label_components(mask, connectivity: int = 8) -> tuple[np.ndarray, int]:
 class CountResult:
     count: int
     areas: list[int]
-    eroded: np.ndarray = field(repr=False)
 
 
 def count(seg_prob, threshold: float, element: StructuringElement, *,
@@ -142,7 +141,7 @@ def count(seg_prob, threshold: float, element: StructuringElement, *,
     keep = area >= min_area
     keep[0] = False
     areas = area[keep].tolist()
-    return CountResult(count=len(areas), areas=areas, eroded=keep[labels])
+    return CountResult(count=len(areas), areas=areas)
 
 
 def evaluate_counting(predicted, truth) -> float:

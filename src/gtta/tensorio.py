@@ -35,6 +35,7 @@ import hashlib
 import json
 import math
 import os
+import queue
 import struct
 import threading
 
@@ -46,7 +47,7 @@ _MAGIC = b"GTT1"
 _CONTAINER_MAGIC = b"GTTC"
 _DTYPE_F64 = 0
 
-# (record, hasher) of the open recording, if any
+# (record, digest jobs) of the open recording, if any
 _record: contextvars.ContextVar[tuple | None] = contextvars.ContextVar("record", default=None)
 
 
@@ -56,41 +57,16 @@ class _Digest(threading.Event):
     hexdigest: str | None = None
 
 
-class _Hasher:
-    """One worker thread that takes the SHA-256 of byte strings in the order they are queued.
+def _take_digests(jobs: queue.SimpleQueue) -> None:
+    """Take the SHA-256 of each queued ``(digest, bytes)`` job in order, until a None.
 
     hashlib releases the GIL while it hashes a large buffer, so the digests
-    run on a second core while the command computes. A queued job holds its
-    bytes only until they are hashed.
+    run on a second core while the command computes.
     """
-
-    def __init__(self):
-        self._jobs, self._wake = [], threading.Condition()
-        self._thread = threading.Thread(target=self._work, name="gtta-sha256", daemon=True)
-        self._thread.start()
-
-    def digest(self, data: bytes | None) -> _Digest:
-        """The pending digest of ``data``; None ends the thread once the jobs before it are done."""
-        pending = _Digest()
-        with self._wake:
-            self._jobs.append((pending, data))
-            self._wake.notify()
-        return pending
-
-    def close(self) -> None:
-        self.digest(None)
-        self._thread.join()
-
-    def _work(self) -> None:
-        while True:
-            with self._wake:
-                self._wake.wait_for(lambda: self._jobs)
-                pending, data = self._jobs.pop(0)
-            if data is None:
-                return
-            pending.hexdigest = hashlib.sha256(data).hexdigest()
-            pending.set()
-            del pending, data  # keep no file's bytes while waiting for the next
+    for pending, data in iter(jobs.get, None):
+        pending.hexdigest = hashlib.sha256(data).hexdigest()
+        pending.set()
+        del pending, data  # keep no file's bytes while waiting for the next
 
 
 @contextlib.contextmanager
@@ -103,21 +79,25 @@ def recording():
     :func:`content_hash` waits for. The digests are taken on one worker
     thread, which hashes what is queued and ends when the block does.
     """
-    record, hasher = {"inputs": {}, "outputs": {}}, _Hasher()
-    token = _record.set((record, hasher))
+    record, jobs = {"inputs": {}, "outputs": {}}, queue.SimpleQueue()
+    worker = threading.Thread(target=_take_digests, args=(jobs,), name="gtta-sha256", daemon=True)
+    worker.start()
+    token = _record.set((record, jobs))
     try:
         yield record
     finally:
         _record.reset(token)
-        hasher.close()
+        jobs.put(None)
+        worker.join()
 
 
 def _note(role: str, path, data: bytes) -> None:
     """Note ``path`` as read or written, with the digest of its bytes ``data`` queued."""
     opened = _record.get()
     if opened is not None:
-        record, hasher = opened
-        record[role][os.fspath(path)] = hasher.digest(data)
+        record, jobs = opened
+        record[role][os.fspath(path)] = pending = _Digest()
+        jobs.put((pending, data))
 
 
 def as_tensor(data) -> np.ndarray:

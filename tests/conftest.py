@@ -1,11 +1,18 @@
 """External-model children for ``--model-cmd`` and ``SubprocessPredictor`` tests."""
 
+import os
 import shlex
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
+
+# No bytecode cache in the checkout, from this process or the Pythons it
+# starts: one would make the next fresh process that imports gtta, such as a
+# benchmark run, start faster than the last.
+sys.dont_write_bytecode = True
+os.environ["PYTHONDONTWRITEBYTECODE"] = "1"
 
 import gtta
 

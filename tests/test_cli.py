@@ -1994,14 +1994,26 @@ def test_no_thread_outlives_a_command(pipeline, tmp_path, monkeypatch, capsys, f
 
 def test_an_allocation_the_machine_cannot_make_is_one_error_line(pipeline, tmp_path, capsys):
     # 10**15 candidates ask numpy for petabytes, which the allocator refuses at
-    # once; this once ended in numpy's traceback.
-    out = tmp_path / "o"
-    assert run("predict", "--model", str(pipeline / "model.gtt"), "--subspace",
-               str(pipeline / "subspace.gtt"), "--input", str(pipeline / "test_x.gtt"),
-               "--n", str(10 ** 15), "--out", str(out)) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: MemoryError: Unable to allocate") and err.count("\n") == 1, err
-    assert not out.exists()
+    # once; an ensemble whose size numpy cannot even index is refused before
+    # numpy is asked, on the command line or in a --config record. Each once
+    # ended in numpy's traceback.
+    predict = ["predict", "--model", str(pipeline / "model.gtt"), "--subspace",
+               str(pipeline / "subspace.gtt"), "--input", str(pipeline / "test_x.gtt")]
+    spectrum = [*(a.format(root=pipeline) for a in SPECTRUM), "--equal-sigma", "0.1"]
+    prov = read_json(pipeline / "pred" / "provenance.json")
+    prov["config"]["n"] = 10 ** 30
+    (tmp_path / "rec.json").write_text(json.dumps(prov))
+    cases = [([*predict, "--n", str(10 ** 15)], "MemoryError: Unable to allocate")]
+    cases += [([*argv, "--n", str(n)], f"ParamError: an ensemble of N={n} candidates")
+              for argv, n in [(predict, 10 ** 30), (predict, 2 ** 63 - 1), (spectrum, 10 ** 26)]]
+    cases += [(["predict", "--config", str(tmp_path / "rec.json")],
+               f"ParamError: an ensemble of N={10 ** 30} candidates")]
+    for argv, message in cases:
+        out = tmp_path / "o"
+        assert run(*argv, "--out", str(out)) == 1, argv
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("side", ["13", "1000001"])
