@@ -15,14 +15,19 @@ from gtta.subspace import fit
 from gtta.synthdata import FrameSequenceSpec, gen_frame_sequence
 
 
-def spectrum_report(seed, stream, components, n, equal_sigma):
-    """Equal-std latent noise and global jitter on the last 30 of 60 frames."""
+def frame_setup(seed, components):
+    """A subspace fit to the first 30 of 60 frames, and the last 30 frames."""
     frames = gen_frame_sequence(FrameSequenceSpec(
         n_frames=60, height=16, width=16, frame_noise=0.05, seed=seed
     )).frames
-    s = fit(frames[:30], components)
+    return fit(frames[:30], components), frames[30:]
+
+
+def spectrum_report(seed, stream, components, n, equal_sigma):
+    """Equal-std latent noise and global jitter on the last 30 of 60 frames."""
+    s, frames = frame_setup(seed, components)
     return covariance_spectrum_experiment(
-        s, NoiseSchedule("constant", 0.1, n), frames[30:], RngStream(stream),
+        s, NoiseSchedule("constant", 0.1, n), frames, RngStream(stream),
         baseline="global_jitter", equal_sigma=equal_sigma,
     )
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .data import Dataset
 from .ensemble import grid_means, run_gtta
-from .errors import DataError, ParamError, ShapeError, UnsupportedTaskError
+from .errors import DataError, ParamError, ShapeError, UnsupportedTaskError, refuse_unindexable
 from .perturb import (
     NoiseSchedule,
     draw_latents,
@@ -85,6 +85,7 @@ def bias_variance_sweep(model, s: Subspace, scheds, eval_data: Dataset, M: int,
         raise ParamError(f"need at least 2 repeats, got {M}")
     targets = model.output_kind.target_rows(eval_data.targets)
     n = eval_data.n
+    refuse_unindexable((n * M, eval_data.inputs.shape[1]), f"a sweep of {M} repeats of {n} rows")
     X = np.repeat(eval_data.inputs, M, axis=0)
     streams = [stream for row in rng.rows(n) for stream in row.rows(M)]
     grid = grid_means(model, s, scheds, X, streams)

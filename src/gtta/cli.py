@@ -37,7 +37,7 @@ from .predictor import (
     save_model,
 )
 from .rng import RngStream
-from .segcount import StructuringElement, count as count_components, evaluate_counting
+from .segcount import count as count_components, evaluate_counting
 from .subspace import fit, load_subspace, save_subspace
 from .tensorio import (
     content_hash, load_json, load_tensor, recording, save_bytes, save_container, save_json,
@@ -452,11 +452,10 @@ def _cmd_count(args):
     if args.elem > min(prob.shape[1:]):
         raise ParamError(f"--elem {args.elem} is wider than the {prob.shape[1]}x{prob.shape[2]} "
                          "maps; an element wider than a map erodes every pixel of it")
-    element = StructuringElement.square(args.elem, args.iters)
     records = []
     for i in range(prob.shape[0]):
         result = count_components(
-            prob[i], args.threshold, element,
+            prob[i], args.threshold, args.elem, args.iters,
             min_area=args.min_area, connectivity=args.connectivity,
         )
         records.append({"row": i, "count": result.count, "areas": result.areas})

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, ParamError, PredictorError, ShapeError
+from .errors import DataError, ParamError, PredictorError, ShapeError, refuse_unindexable
 
 PROBABILITIES = "probabilities"
 REAL_VALUES = "real_values"
@@ -147,7 +147,9 @@ class Dataset:
 
 def one_hot(labels, num_classes: int) -> np.ndarray:
     labels = np.asarray(labels)
-    out = np.zeros((labels.shape[0], num_classes))
-    out[np.arange(labels.shape[0]), labels.astype(int)] = 1.0
+    n = labels.shape[0]
+    refuse_unindexable((n, num_classes), f"a one-hot layout of {n} rows by {num_classes} classes")
+    out = np.zeros((n, num_classes))
+    out[np.arange(n), labels.astype(int)] = 1.0
     return out
 

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the size check that raises one."""
+
+import math
+import sys
 
 
 class GttaError(Exception):
@@ -15,6 +18,13 @@ class DataError(GttaError):
 
 class ParamError(GttaError):
     """Invalid parameter value."""
+
+
+def refuse_unindexable(shape, what: str) -> None:
+    """Raise a ParamError naming ``what`` if a float64 array of ``shape`` has more
+    bytes than numpy can index, before numpy is asked to make it."""
+    if math.prod(int(n) for n in shape) * 8 > sys.maxsize:
+        raise ParamError(f"{what} needs more bytes than numpy can index")
 
 
 class ShapeError(GttaError):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DataError, ParamError
+from .errors import DataError, ParamError, refuse_unindexable
 from .rng import standard_normal
 from .subspace import Subspace, project, reconstruct
 
@@ -58,9 +58,7 @@ def per_component_sigma(sched: NoiseSchedule, s: Subspace) -> np.ndarray:
     ``N x n_u`` matrix of more bytes than numpy can index is a ``ParamError``.
     """
     N, n_u = sched.ensemble_size, s.n_u
-    if N * n_u * 8 > np.iinfo(np.intp).max:
-        raise ParamError(f"an ensemble of N={N} candidates over n_u={n_u} components needs "
-                         f"more bytes than numpy can index")
+    refuse_unindexable((N, n_u), f"an ensemble of N={N} candidates over n_u={n_u} components")
     var = np.maximum(s.variance_ratios, VAR_FLOOR)
     out = np.tile(s.ranges * sched.sigma / var, (N, 1))
     if sched.strategy == INCREMENTAL:

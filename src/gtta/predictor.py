@@ -32,6 +32,7 @@ from .errors import (
     PredictorError,
     ShapeError,
     TrainingDivergedError,
+    refuse_unindexable,
 )
 from .rng import RngStream
 from .tensorio import (
@@ -180,6 +181,7 @@ class MlpModel:
         self.weights = []
         self.biases = []
         for i, (fan_in, fan_out) in enumerate(zip(layer_sizes[:-1], layer_sizes[1:])):
+            refuse_unindexable((fan_in, fan_out), f"a layer of {fan_in}x{fan_out} weights")
             gen = rng.derive(i).generator()
             scale = np.sqrt(2.0 / fan_in)
             self.weights.append(scale * gen.standard_normal((fan_in, fan_out)))

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import Dataset, OutputKind
-from .errors import ParamError
+from .errors import ParamError, refuse_unindexable
 from .rng import RngStream
 
 
@@ -57,6 +57,7 @@ def tabular_target(inputs, coefficients, nonlinear_scale: float) -> np.ndarray:
 
 
 def gen_tabular(spec: TabularSpec) -> TabularData:
+    refuse_unindexable((spec.n, spec.dim), f"a fixture of {spec.n} rows of width {spec.dim}")
     root = RngStream(spec.seed)
     X = root.derive(1).generator().standard_normal((spec.n, spec.dim))
     coeff = root.derive(2).generator().standard_normal(spec.dim) / np.sqrt(spec.dim)
@@ -99,6 +100,7 @@ class BlobsData:
 
 
 def gen_blobs(spec: BlobsSpec) -> BlobsData:
+    refuse_unindexable((spec.n, spec.dim), f"a fixture of {spec.n} rows of width {spec.dim}")
     root = RngStream(spec.seed)
     half = spec.n // 2
     labels = np.concatenate([np.zeros(half, dtype=int), np.ones(spec.n - half, dtype=int)])
@@ -213,6 +215,8 @@ def _boundary_pixels(mask: np.ndarray) -> np.ndarray:
 
 
 def gen_blob_images(spec: BlobImagesSpec) -> BlobImagesData:
+    refuse_unindexable((spec.n_images, spec.height, spec.width),
+                       f"a fixture of {spec.n_images} {spec.height}x{spec.width} images")
     root = RngStream(spec.seed)
     inputs = np.empty((spec.n_images, spec.height * spec.width))
     targets = np.empty((spec.n_images, spec.height, spec.width))

@@ -34,13 +34,11 @@ from gtta.predictor import (
     weighted_cross_entropy,
 )
 from gtta.rng import RngStream
-from gtta.segcount import StructuringElement, count, erode, evaluate_counting, label_components
+from gtta.segcount import count, erode, evaluate_counting, label_components
 from gtta.subspace import fit, project, reconstruct
 from gtta.synthdata import BlobImagesSpec, gen_blob_images
 from gtta.tensorio import content_hash, load_tensor, save_tensor
 from test_predictor import gradient_check
-
-FULL3 = StructuringElement.square(3)
 
 
 def _verdict(criterion: int, ok: bool, detail: str):
@@ -349,7 +347,7 @@ def test_c11_segcount():
         radius_min=3.0, radius_max=4.5, gap=2.0, input_noise=0.0, seed=55,
     ))
     predicted = [
-        count(bundle.clean_targets[i], 0.5, FULL3, min_area=4).count
+        count(bundle.clean_targets[i], 0.5, 3, 1, min_area=4).count
         for i in range(100)
     ]
     mae = evaluate_counting(predicted, bundle.counts)
@@ -362,7 +360,7 @@ def test_c11_segcount():
         prob[2 : 11, 15 + off : 24 + off] = 0.9
         row = 5 + off // 2
         prob[row, 9 : 16 + off] = 0.9
-        result = count(prob, 0.5, FULL3, min_area=1)
+        result = count(prob, 0.5, 3, 1, min_area=1)
         bridges_ok = bridges_ok and result.count == 2
 
     # oracles on 200 random masks up to 64x64
@@ -373,7 +371,7 @@ def test_c11_segcount():
         gen = RngStream(8000 + k).generator()
         h, w = int(gen.integers(4, 65)), int(gen.integers(4, 65))
         mask = gen.random((h, w)) > 0.6
-        if not np.array_equal(erode(mask, FULL3), erosion_oracle(mask, FULL3)):
+        if not np.array_equal(erode(mask, 3, 1), erosion_oracle(mask, 3, 1)):
             oracle_ok = False
             break
         conn = 4 if k % 2 else 8

@@ -2,6 +2,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+import run_spectrum
+import run_structured_noise
 
 from gtta import perturb
 from gtta.analysis import (
@@ -16,12 +18,7 @@ from gtta.perturb import NoiseSchedule
 from gtta.predictor import MlpModel, batch_from_dataset, mlp_train
 from gtta.rng import RngStream
 from gtta.subspace import Subspace, fit
-from gtta.synthdata import (
-    BlobImagesSpec,
-    FrameSequenceSpec,
-    gen_blob_images,
-    gen_frame_sequence,
-)
+from gtta.synthdata import BlobImagesSpec, gen_blob_images
 
 
 class NoisyOracle:
@@ -127,37 +124,15 @@ def test_sweep_needs_repeats():
 # spectra
 
 
-def _frame_fixture(seed=901, noise_seed=7001):
-    frames = gen_frame_sequence(
-        FrameSequenceSpec(n_frames=60, height=16, width=16, frame_noise=0.05,
-                          seed=seed)
-    ).frames
-    s = fit(frames[:30], 3)
-    return s, frames[30:]
-
-
 def test_zero_noise_spectrum_is_zero():
-    s, data = _frame_fixture()
+    s, data = run_spectrum.frame_setup(901, 3)
     sched = NoiseSchedule("constant", 0.0, 20)
     report = covariance_spectrum_experiment(s, sched, data, RngStream(12))
     assert np.array_equal(report.eigenvalues, np.zeros(3))
 
 
-def test_equal_noise_flattens_spectrum():
-    s, data = _frame_fixture()
-    sched = NoiseSchedule("constant", 0.1, 100)
-    report = covariance_spectrum_experiment(
-        s, sched, data, RngStream(57), baseline="global_jitter",
-        equal_sigma=0.3,
-    )
-    e = report.eigenvalues
-    assert e.max() <= 1.05 * e.min()
-    b = report.baseline_eigenvalues
-    assert b[2] / b[0] < 0.05
-
-
 def test_spectrum_converges_to_noise_variance():
-    s, data = _frame_fixture()
+    s, data = run_spectrum.frame_setup(901, 3)
     sched = NoiseSchedule("constant", 0.1, 100)
     small = covariance_spectrum_experiment(s, sched, data, RngStream(13), equal_sigma=0.25)
     big = covariance_spectrum_experiment(s, dataclasses.replace(sched, ensemble_size=10_000),
@@ -168,7 +143,7 @@ def test_spectrum_converges_to_noise_variance():
 
 
 def test_schedule_driven_spectrum_uses_component_noise():
-    s, data = _frame_fixture()
+    s, data = run_spectrum.frame_setup(901, 3)
     sched = NoiseSchedule("constant", 0.05, 2000)
     report = covariance_spectrum_experiment(s, sched, data, RngStream(14))
     from gtta.perturb import per_component_sigma
@@ -243,16 +218,7 @@ def test_orthogonal_pattern_annihilated():
 
 
 def test_latent_noise_beats_jitter_at_scrubbing():
-    from gtta.synthdata import gen_circle_pattern
-
-    bundle = gen_blob_images(BlobImagesSpec(n_images=40, height=16, width=16,
-                                            input_noise=0.05, seed=100))
-    carrier = bundle.data.inputs
-    pattern = gen_circle_pattern(16, 16, radius=5.0, thickness=1.5, amplitude=0.8)
-    report = structured_noise_removal(
-        carrier, pattern, NoiseSchedule("constant", 0.1, 15), RngStream(0),
-        inject_fraction=0.5, retain="all", test_count=8,
-    )
+    report = run_structured_noise.seed_report(0, 0.1, 15, 0.8)
     assert report.correlation < report.baseline_correlation
 
 

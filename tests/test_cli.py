@@ -23,7 +23,7 @@ import gtta
 from gtta import predictor
 from gtta.cli import _build_parser, main
 from gtta.ensemble import BLOCK_ROWS
-from gtta.segcount import StructuringElement, count as count_components, erode, label_components
+from gtta.segcount import count as count_components, erode, label_components
 from gtta.tensorio import (
     content_hash, dumps_tensor, load_container, load_tensor, save_container, save_tensor,
 )
@@ -348,13 +348,12 @@ def golden_maps(tmp_path_factory):
 
 
 def test_golden_maps_exercise_erosion_and_min_area(golden_maps):
-    element = StructuringElement.square(3)
     vanished = dropped = 0
     for prob in load_tensor(golden_maps / "targets.gtt"):
         blobs, k = label_components(prob > 0.5)
-        eroded = erode(prob > 0.5, element)
+        eroded = erode(prob > 0.5, 3, 1)
         vanished += k - np.unique(blobs[eroded]).size  # blobs with no pixel left
-        dropped += label_components(eroded)[1] - count_components(prob, 0.5, element).count
+        dropped += label_components(eroded)[1] - count_components(prob, 0.5, 3, 1).count
     assert vanished > 0 and dropped > 0
 
 
@@ -1714,6 +1713,24 @@ def test_auto_sigma_agrees_with_the_bench_reference(golden_ensemble, tmp_path, m
         assert np.abs(std[i].ravel() - ref_std).max() <= reference.ENSEMBLE_TOL, i
 
 
+@pytest.mark.parametrize("iters", [1, 2, 3])
+@pytest.mark.parametrize("elem", [1, 3, 5])
+def test_count_agrees_with_the_bench_reference(golden_maps, tmp_path, monkeypatch, elem, iters):
+    # The benchmark checks counts against bench/reference.py, which erodes one
+    # square at a time and labels by pointer jumping; a change to either half
+    # of counting that moves a count or an area must fail here too.
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # write nothing into bench/
+    monkeypatch.syspath_prepend(str(BENCH))
+    import reference
+
+    maps, out = golden_maps / "targets.gtt", tmp_path / "c"
+    assert run("count", "--input", str(maps), "--elem", str(elem), "--iters", str(iters),
+               "--min-area", "4", "--connectivity", "8", "--out", str(out)) == 0
+    got = [(r["count"], r["areas"]) for r in read_json(out / "counts.json")["counts"]]
+    want = [reference.count(prob, 0.5, elem, iters, 4) for prob in load_tensor(maps)]
+    assert got == want
+
+
 @pytest.mark.parametrize("reply", [
     "dumps_tensor(np.clip(x, 0, 1))",                                 # [b, H*W], not [b, H, W]
     "dumps_tensor(3 * x.reshape(-1, 12, 12) - 1)",                    # outside [0, 1]
@@ -1994,9 +2011,9 @@ def test_no_thread_outlives_a_command(pipeline, tmp_path, monkeypatch, capsys, f
 
 def test_an_allocation_the_machine_cannot_make_is_one_error_line(pipeline, tmp_path, capsys):
     # 10**15 candidates ask numpy for petabytes, which the allocator refuses at
-    # once; an ensemble whose size numpy cannot even index is refused before
-    # numpy is asked, on the command line or in a --config record. Each once
-    # ended in numpy's traceback.
+    # once; an ensemble, a sweep, a layer, a one-hot layout or a fixture whose
+    # size numpy cannot even index is refused before numpy is asked, on the
+    # command line or in a --config record. Each once ended in numpy's traceback.
     predict = ["predict", "--model", str(pipeline / "model.gtt"), "--subspace",
                str(pipeline / "subspace.gtt"), "--input", str(pipeline / "test_x.gtt")]
     spectrum = [*(a.format(root=pipeline) for a in SPECTRUM), "--equal-sigma", "0.1"]
@@ -2008,6 +2025,18 @@ def test_an_allocation_the_machine_cannot_make_is_one_error_line(pipeline, tmp_p
               for argv, n in [(predict, 10 ** 30), (predict, 2 ** 63 - 1), (spectrum, 10 ** 26)]]
     cases += [(["predict", "--config", str(tmp_path / "rec.json")],
                f"ParamError: an ensemble of N={10 ** 30} candidates")]
+    bias_variance, train, classes = ([a.format(root=pipeline) for a in argv] for argv in
+                                     (BIAS_VARIANCE, TRAIN, TARGET_READERS["train-classes"][0]))
+    cases += [([*bias_variance, "--repeats", str(m)], f"ParamError: a sweep of {m} repeats")
+              for m in (10 ** 18, 10 ** 30)]
+    cases += [([*train, "--hidden", str(h)], "ParamError: a layer of 144x")
+              for h in (10 ** 30, 2 * 10 ** 18)]
+    cases += [([*classes, "--classes", str(10 ** 30)], "ParamError: a one-hot layout of 40 rows")]
+    for i, (kind, spec) in enumerate([("blobs", {"n": 10 ** 30}), ("blobs", {"dim": 10 ** 30}),
+                                      ("tabular", {"n": 10 ** 30}), ("images", {"height": 10 ** 21})]):
+        (tmp_path / f"spec{i}.json").write_text(json.dumps(spec))
+        cases += [(["synth", kind, "--spec", str(tmp_path / f"spec{i}.json")],
+                   "ParamError: a fixture of ")]
     for argv, message in cases:
         out = tmp_path / "o"
         assert run(*argv, "--out", str(out)) == 1, argv

@@ -10,7 +10,6 @@ from gtta.errors import DataError, ParamError
 from gtta.rng import RngStream
 from gtta.segcount import (
     CountResult,
-    StructuringElement,
     count,
     erode,
     evaluate_counting,
@@ -18,23 +17,20 @@ from gtta.segcount import (
 )
 
 
-def erosion_oracle(mask, element):
-    """Brute-force double loop, no shifting tricks."""
+def erosion_oracle(mask, side, iterations):
+    """Brute-force double loop over a square, one erosion per iteration, no shifting tricks."""
     mask = np.asarray(mask).astype(bool)
     h, w = mask.shape
-    eh, ew = element.mask.shape
-    ch, cw = eh // 2, ew // 2
+    c = side // 2
     out = mask.copy()
-    for _ in range(element.iterations):
+    for _ in range(iterations):
         nxt = np.zeros_like(out)
         for i in range(h):
             for j in range(w):
                 keep = True
-                for di in range(eh):
-                    for dj in range(ew):
-                        if not element.mask[di, dj]:
-                            continue
-                        ni, nj = i + di - ch, j + dj - cw
+                for di in range(side):
+                    for dj in range(side):
+                        ni, nj = i + di - c, j + dj - c
                         inside = 0 <= ni < h and 0 <= nj < w
                         if not (inside and out[ni, nj]):
                             keep = False
@@ -82,13 +78,10 @@ def flood_fill_oracle(mask, connectivity):
     return int(flood_fill_labels(mask, connectivity).max(initial=0))
 
 
-FULL3 = StructuringElement.square(3)
-
-
 def test_solid_square_erodes_to_interior():
     mask = np.zeros((7, 7), dtype=bool)
     mask[1:6, 1:6] = True
-    out = erode(mask, FULL3)
+    out = erode(mask, 3, 1)
     expected = np.zeros((7, 7), dtype=bool)
     expected[2:5, 2:5] = True
     assert np.array_equal(out, expected)
@@ -97,56 +90,55 @@ def test_solid_square_erodes_to_interior():
 def test_single_cell_element_is_identity():
     gen = RngStream(0).generator()
     mask = gen.random((9, 9)) > 0.5
-    out = erode(mask, StructuringElement(np.ones((1, 1), dtype=bool)))
+    out = erode(mask, 1, 1)
     assert np.array_equal(out, mask)
 
 
 def test_thin_mask_vanishes():
     mask = np.zeros((6, 8), dtype=bool)
     mask[3] = True  # one pixel thick
-    assert not erode(mask, FULL3).any()
+    assert not erode(mask, 3, 1).any()
 
 
 def test_border_treated_as_background():
     mask = np.ones((4, 4), dtype=bool)
-    out = erode(mask, FULL3)
+    out = erode(mask, 3, 1)
     expected = np.zeros((4, 4), dtype=bool)
     expected[1:3, 1:3] = True
     assert np.array_equal(out, expected)
 
 
 def test_element_validation():
-    with pytest.raises(ParamError):
-        StructuringElement(np.ones((2, 3), dtype=bool))
-    with pytest.raises(ParamError):
-        StructuringElement(np.zeros((3, 3), dtype=bool))
-    with pytest.raises(ParamError):
-        StructuringElement(np.ones((3, 3), dtype=bool), iterations=0)
+    mask = np.ones((5, 5), dtype=bool)
+    for side in (2, 0, -3):
+        with pytest.raises(ParamError, match=f"^element side must be a positive odd number, got {side}$"):
+            erode(mask, side, 1)
+    with pytest.raises(ParamError, match="^iterations must be >= 1, got 0$"):
+        erode(mask, 3, 0)
 
 
-@pytest.mark.parametrize("element", [
-    np.ones((1, 1), dtype=bool),
-    np.ones((3, 3), dtype=bool),
-    np.array([[0, 0, 1], [0, 0, 0], [0, 0, 0]], dtype=bool),  # one cell, off center
-], ids=["side-1", "side-3", "off-center"])
-def test_erosion_stops_once_nothing_changes(element):
+@pytest.mark.parametrize("side", [1, 3], ids=["side-1", "side-3"])
+def test_erosion_stops_once_nothing_changes(side):
     mask = RngStream(12).generator().random((11, 17)) > 0.15
-    bound = StructuringElement(element, iterations=max(mask.shape) + 1)
     start = time.perf_counter()
-    out = erode(mask, StructuringElement(element, iterations=10**9))
+    out = erode(mask, side, 10**9)
     assert time.perf_counter() - start < 5.0
-    assert np.array_equal(out, erosion_oracle(mask, bound))
+    assert np.array_equal(out, erosion_oracle(mask, side, max(mask.shape) + 1))
 
 
-@settings(max_examples=40, deadline=None)
+@settings(max_examples=60, deadline=None)
 @given(
-    mask=arrays(bool, (8, 10), elements=st.booleans()),
-    iters=st.integers(1, 2),
+    mask=st.tuples(st.integers(1, 16), st.integers(1, 16)).flatmap(
+        lambda shape: arrays(bool, shape, elements=st.booleans())),
+    side=st.sampled_from([1, 3, 5, 7]),
+    iters=st.integers(1, 6),
 )
-def test_erosion_matches_oracle_and_is_antiextensive(mask, iters):
-    element = StructuringElement.square(3, iterations=iters)
-    out = erode(mask, element)
-    assert np.array_equal(out, erosion_oracle(mask, element))
+@example(mask=np.ones((16, 16), dtype=bool), side=7, iters=2)  # a 4x4 core survives
+@example(mask=np.ones((5, 16), dtype=bool), side=5, iters=1)   # the square just fits
+@example(mask=np.ones((4, 16), dtype=bool), side=5, iters=1)   # one row too narrow
+def test_erosion_matches_oracle_and_is_antiextensive(mask, side, iters):
+    out = erode(mask, side, iters)
+    assert np.array_equal(out, erosion_oracle(mask, side, iters))
     assert not (out & ~mask).any()  # anti-extensive
 
 
@@ -158,7 +150,7 @@ def test_erosion_matches_oracle_and_is_antiextensive(mask, iters):
 def test_erosion_monotone(a, b):
     small = a & b
     big = a | b
-    assert not (erode(small, FULL3) & ~erode(big, FULL3)).any()
+    assert not (erode(small, 3, 1) & ~erode(big, 3, 1)).any()
 
 
 @pytest.mark.parametrize("connectivity", [4, 8])
@@ -240,13 +232,13 @@ def test_count_two_blobs():
     prob = np.zeros((9, 18))
     prob[1:8, 1:8] = 0.9
     prob[1:8, 10:17] = 0.9
-    result = count(prob, 0.5, FULL3, min_area=1)
+    result = count(prob, 0.5, 3, 1, min_area=1)
     assert result.count == 2
     assert result.areas == [25, 25]
 
 
 def test_count_empty_map():
-    result = count(np.zeros((6, 6)), 0.5, FULL3)
+    result = count(np.zeros((6, 6)), 0.5, 3, 1)
     assert result.count == 0
     assert result.areas == []
 
@@ -257,7 +249,7 @@ def test_bridge_is_cut_by_erosion():
     prob[1:10, 15:24] = 0.9
     prob[5, 10:15] = 0.9  # one-pixel bridge
     assert flood_fill_oracle(prob > 0.5, 8) == 1
-    result = count(prob, 0.5, FULL3, min_area=1)
+    result = count(prob, 0.5, 3, 1, min_area=1)
     assert result.count == 2
 
 
@@ -265,8 +257,8 @@ def test_min_area_drops_specks():
     prob = np.zeros((12, 12))
     prob[1:8, 1:8] = 0.9   # survives erosion with a large core
     prob[9:12, 9:12] = 0.9  # erodes to a single pixel
-    relaxed = count(prob, 0.5, FULL3, min_area=1)
-    strict = count(prob, 0.5, FULL3, min_area=4)
+    relaxed = count(prob, 0.5, 3, 1, min_area=1)
+    strict = count(prob, 0.5, 3, 1, min_area=4)
     assert relaxed.count == 2
     assert strict.count == 1
     assert relaxed.areas == [25, 1]
@@ -281,23 +273,23 @@ def test_count_translation_invariant():
     padded[2:12, 2:12] = base
     shifted[7:17, 5:15] = base
     for conn in (4, 8):
-        a = count(padded, 0.5, FULL3, min_area=1, connectivity=conn)
-        b = count(shifted, 0.5, FULL3, min_area=1, connectivity=conn)
+        a = count(padded, 0.5, 3, 1, min_area=1, connectivity=conn)
+        b = count(shifted, 0.5, 3, 1, min_area=1, connectivity=conn)
         assert a.count == b.count
         assert sorted(a.areas) == sorted(b.areas)
 
 
 def test_count_threshold_validation():
     with pytest.raises(ParamError):
-        count(np.zeros((3, 3)), 0.0, FULL3)
+        count(np.zeros((3, 3)), 0.0, 3, 1)
     with pytest.raises(ParamError):
-        count(np.zeros((3, 3)), 1.0, FULL3)
+        count(np.zeros((3, 3)), 1.0, 3, 1)
 
 
 def test_count_result_invariant():
     prob = np.zeros((9, 9))
     prob[1:8, 1:8] = 1.0
-    result = count(prob, 0.5, FULL3, min_area=1)
+    result = count(prob, 0.5, 3, 1, min_area=1)
     assert isinstance(result, CountResult)
     assert result.count == len(result.areas)
 
