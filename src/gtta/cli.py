@@ -21,9 +21,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import analysis, synthdata
-from .distill import distill as run_distill
-from .distill import generate_pseudolabels
 from .data import REAL_VALUES, Dataset, OutputKind
 from .ensemble import DEFAULT_SIGMA_GRID, ENGINE, run_gtta, select_sigma
 from .errors import DataError, FormatError, GttaError, ParamError
@@ -51,8 +48,10 @@ DEFAULT_ENSEMBLE_REGRESSION = 100
 
 # Options of earlier versions, each at the one value the code now always uses.
 # A config that names another value asks for a computation that no longer exists.
+# ``bins`` is ``analysis.STD_ERROR_BINS``, written out so that only ``analyze``
+# imports ``analysis``.
 _RETIRED = {"var_floor": VAR_FLOOR, "range_data": None, "hard_labels": False,
-            "restart": False, "bins": analysis.STD_ERROR_BINS}
+            "restart": False, "bins": 10}
 
 # Commands whose outputs moved with the engine version; a record of one of
 # them from another engine would replay a different computation.
@@ -300,6 +299,8 @@ def _parse_retain(text):
 
 
 def _cmd_synth(args):
+    from . import synthdata
+
     out = Path(args.out)
     params = load_json(args.spec)
     if args.seed is not None and "seed" not in params:
@@ -421,6 +422,8 @@ def _emit_ensemble_outputs(result, sched: NoiseSchedule, out: Path):
 
 
 def _cmd_distill(args):
+    from .distill import distill, generate_pseudolabels
+
     student = load_model(args.student)
     s = load_subspace(args.subspace)
     kind = student.output_kind
@@ -428,7 +431,7 @@ def _cmd_distill(args):
     unlabeled = np.atleast_2d(load_tensor(args.unlabeled))
     pseudo = generate_pseudolabels(student, s, _schedule(args, student), unlabeled,
                                    RngStream(args.seed, 7))
-    distilled, report = run_distill(
+    distilled, report = distill(
         student, labeled, pseudo,
         mixing=getattr(args, "lambda"), epochs=args.epochs, lr=args.lr,
         rng=RngStream(args.seed, 8), batch_size=args.batch_size,
@@ -467,8 +470,10 @@ def _cmd_count(args):
 
 
 def _cmd_analyze(experiment, args):
+    from .analysis import report_dict
+
     out = Path(args.out)
-    save_json(analysis.report_dict(experiment(args, out)), out / "report.json")
+    save_json(report_dict(experiment(args, out)), out / "report.json")
 
 
 def _load_eval_data(args, model) -> Dataset:
@@ -478,12 +483,14 @@ def _load_eval_data(args, model) -> Dataset:
 
 
 def _analyze_bias_variance(args, out: Path):
+    from .analysis import bias_variance_sweep
+
     with _load_predictor(args) as model:
         s = load_subspace(args.subspace)
         data = _load_eval_data(args, model)
         scheds = [_schedule(args, model, sigma) for sigma in _parse_floats(args.grid, "--grid")]
-        report = analysis.bias_variance_sweep(model, s, scheds, data, args.repeats,
-                                              RngStream(args.seed, 11))
+        report = bias_variance_sweep(model, s, scheds, data, args.repeats,
+                                     RngStream(args.seed, 11))
     rows = [(r["strategy"], r["sigma"], r["bias2"], r["variance"], r["error"])
             for r in report.rows]
     _write_csv(out / "bias_variance.csv",
@@ -492,8 +499,10 @@ def _analyze_bias_variance(args, out: Path):
 
 
 def _analyze_spectrum(args, out: Path):
+    from .analysis import covariance_spectrum_experiment
+
     s = load_subspace(args.subspace)
-    report = analysis.covariance_spectrum_experiment(
+    report = covariance_spectrum_experiment(
         s, _schedule(args, None), _load_rows(args.data), RngStream(args.seed, 12),
         baseline=args.baseline, equal_sigma=args.equal_sigma,
     )
@@ -507,10 +516,12 @@ def _analyze_spectrum(args, out: Path):
 
 
 def _analyze_std_error(args, out: Path):
+    from .analysis import std_error_correlation
+
     with _load_predictor(args) as model:
         s = load_subspace(args.subspace)
         data = _load_eval_data(args, model)
-        report = analysis.std_error_correlation(
+        report = std_error_correlation(
             model, s, _schedule(args, model), data, RngStream(args.seed, 13)
         )
     rows = [
@@ -523,9 +534,11 @@ def _analyze_std_error(args, out: Path):
 
 
 def _analyze_structured_noise(args, out: Path):
+    from .analysis import structured_noise_removal
+
     carrier = _load_rows(args.data)
     pattern = load_tensor(args.pattern).reshape(-1)
-    report = analysis.structured_noise_removal(
+    report = structured_noise_removal(
         carrier, pattern, _schedule(args, None), RngStream(args.seed, 14),
         inject_fraction=args.inject_fraction, retain=_parse_retain(args.retain),
     )

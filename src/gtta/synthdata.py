@@ -170,16 +170,25 @@ class BlobImagesData:
 
 
 def _place_blobs(spec: BlobImagesSpec, gen) -> list[tuple]:
+    """Blobs ``(cy, cx, r1, r2, theta)``, each kept apart from those placed before it.
+
+    Each of k blobs, k drawn from [blobs_min, blobs_max], gets up to 200
+    attempts; one whose attempts all fail is left out. An attempt takes five
+    uniform doubles in one draw and maps each as ``low + (high - low) * u``,
+    numpy's own formula for ``gen.uniform``, so the stream and every double
+    are those of five ``uniform`` calls.
+    """
     k = int(gen.integers(spec.blobs_min, spec.blobs_max + 1))
+    span = spec.radius_max - spec.radius_min
     placed = []
     for _ in range(k):
         for _attempt in range(200):
-            r1 = gen.uniform(spec.radius_min, spec.radius_max)
-            r2 = gen.uniform(spec.radius_min, spec.radius_max)
-            theta = gen.uniform(0, np.pi)
+            u1, u2, u3, u4, u5 = gen.random(5).tolist()
+            r1, r2 = spec.radius_min + span * u1, spec.radius_min + span * u2
+            theta = np.pi * u3
             rmax = max(r1, r2)
-            cy = gen.uniform(rmax + 1, spec.height - rmax - 2)
-            cx = gen.uniform(rmax + 1, spec.width - rmax - 2)
+            cy = (rmax + 1) + ((spec.height - rmax - 2) - (rmax + 1)) * u4
+            cx = (rmax + 1) + ((spec.width - rmax - 2) - (rmax + 1)) * u5
             ok = all(
                 np.hypot(cy - oy, cx - ox)
                 >= (rmax + max(orr1, orr2) + spec.gap) * (1.0 - spec.overlap)
@@ -191,12 +200,30 @@ def _place_blobs(spec: BlobImagesSpec, gen) -> list[tuple]:
     return placed
 
 
-def _ellipse_mask(height, width, cy, cx, r1, r2, theta) -> np.ndarray:
-    yy, xx = np.mgrid[0:height, 0:width]
-    dy, dx = yy - cy, xx - cx
+def _ellipse_box(height, width, cy, cx, r1, r2, theta) -> tuple[tuple, np.ndarray]:
+    """The ellipse's bounding box, as two slices, and its mask on that box.
+
+    The box is ``[floor(c - r), ceil(c + r)]`` along each axis, with
+    ``r = max(r1, r2)``, clipped to the image. A pixel is in the ellipse when
+    ``(u / r1)**2 + (v / r2)**2 <= 1``, where (u, v) is its offset from the
+    centre rotated by ``theta``; the box evaluates that on its own integer
+    coordinates only, with the same elementwise operations as over the whole
+    image, so every bit inside the box is that of the full-image mask.
+
+    Nothing outside the box is in the ellipse. A pixel outside lies at least
+    ``r + 1`` from the centre along one axis, and the rotation keeps
+    ``u**2 + v**2 = dx**2 + dy**2``, so its quadratic form is at least
+    ``(u**2 + v**2) / r**2 >= ((r + 1) / r)**2 > 1``: a margin of more than
+    ``2 / r``, far wider than rounding.
+    """
+    r = max(r1, r2)
+    y0, y1 = max(int(np.floor(cy - r)), 0), min(int(np.ceil(cy + r)), height - 1)
+    x0, x1 = max(int(np.floor(cx - r)), 0), min(int(np.ceil(cx + r)), width - 1)
+    dy = np.arange(y0, y1 + 1)[:, None] - cy
+    dx = np.arange(x0, x1 + 1) - cx
     u = dx * np.cos(theta) + dy * np.sin(theta)
     v = -dx * np.sin(theta) + dy * np.cos(theta)
-    return (u / r1) ** 2 + (v / r2) ** 2 <= 1.0
+    return (slice(y0, y1 + 1), slice(x0, x1 + 1)), (u / r1) ** 2 + (v / r2) ** 2 <= 1.0
 
 
 def _boundary_pixels(mask: np.ndarray) -> np.ndarray:
@@ -229,7 +256,8 @@ def gen_blob_images(spec: BlobImagesSpec) -> BlobImagesData:
         placed = _place_blobs(spec, gen)
         instances = np.zeros((spec.height, spec.width), dtype=np.int64)
         for obj_id, (cy, cx, r1, r2, theta) in enumerate(placed, start=1):
-            instances[_ellipse_mask(spec.height, spec.width, cy, cx, r1, r2, theta)] = obj_id
+            box, mask = _ellipse_box(spec.height, spec.width, cy, cx, r1, r2, theta)
+            instances[box][mask] = obj_id
         foreground = instances > 0
         clean = foreground.astype(np.float64)
         noisy = clean.copy()

@@ -368,6 +368,39 @@ def test_count_output_is_pinned(golden_maps, tmp_path, connectivity):
     assert digest == GOLDEN_COUNTS_SHA256[connectivity]
 
 
+# Blobs as large as the image allows (min(H, W) == 2 * radius_max + 3) that
+# may overlap almost entirely.
+EDGE_MAP_SPEC = {"n_images": 8, "height": 13, "width": 17, "blobs_min": 1, "blobs_max": 4,
+                 "radius_min": 3.0, "radius_max": 5.0, "overlap": 0.9, "boundary_noise": 0.3,
+                 "seed": 2}
+# SHA-256 of the arrays `synth images` writes for the golden maps and for
+# EDGE_MAP_SPEC. A change to the generator that claims to move no fixture
+# byte must leave them as they are.
+GOLDEN_SYNTH_SHA256 = {
+    "golden": {
+        "inputs.gtt": "3971a80ff80258031d7c267744bebcfcf514a6d93bd5ece511c67d42b61309c8",
+        "targets.gtt": "eebfb31113bc7cf6f4a5ba1ca130fee0fe35a23c8d12d84633f8115450fd1b09",
+        "instances.gtt": "6dd70ed7b30d13779b429c2760566babedcd2c66fe70c7f4bd8c1464818cd4e2",
+        "counts.gtt": "28e6151e0a7370f604ae3de5c56a480875ec2e3aa167977ad41ed7d261ed1282",
+    },
+    "edge": {
+        "inputs.gtt": "40c81b6fddd5d7dac6e7d100741881427731eb8b4a24f7701137c8ac599a80a2",
+        "targets.gtt": "46f6586c0c311e35e36679bc9bd16b8dfd9d1783e330d039e88b4dc0ef0e6b9e",
+        "instances.gtt": "84f3c0773e90eb6712e2dfcbf74d05669e98db6e8c0019182605def4be62c60a",
+        "counts.gtt": "bc967bf676eccad46ff212d90389e38dc6113aad6348312800b96e19f0b3689f",
+    },
+}
+
+
+def test_synth_images_output_is_pinned(golden_maps, tmp_path):
+    (tmp_path / "edge.json").write_text(json.dumps(EDGE_MAP_SPEC))
+    assert run("synth", "images", "--spec", str(tmp_path / "edge.json"),
+               "--out", str(tmp_path / "edge")) == 0
+    for name, directory in (("golden", golden_maps), ("edge", tmp_path / "edge")):
+        pinned = GOLDEN_SYNTH_SHA256[name]
+        assert _digests(directory, *pinned) == pinned, name
+
+
 # SHA-256 of mean.gtt, std.gtt and results.json per ensemble command on the
 # golden ensemble fixture. A change that claims to move no output byte must
 # leave them as they are. They hold for one numpy and BLAS build (numpy 2.4,
@@ -1868,6 +1901,21 @@ def test_package_imports_only_numpy_and_the_standard_library():
                 continue
             outside = {name.split(".")[0] for name in names} - allowed
             assert not outside, f"{path.name} imports {sorted(outside)}"
+
+
+def test_importing_the_cli_leaves_out_the_modules_of_synth_analyze_and_distill():
+    # Each of those commands imports its module when it runs, so no other
+    # command pays for the import.
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, gtta.cli; print(sorted(sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=60, check=True)
+    loaded = set(ast.literal_eval(proc.stdout))
+    assert "gtta.cli" in loaded
+    assert not loaded & {"gtta.synthdata", "gtta.analysis", "gtta.distill"}
+    from gtta import analysis, cli
+
+    assert cli._RETIRED["bins"] == analysis.STD_ERROR_BINS
 
 
 def test_every_public_definition_has_a_caller():

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gtta.errors import ParamError
 from gtta.segcount import label_components
@@ -11,6 +13,7 @@ from gtta.synthdata import (
     BlobsSpec,
     FrameSequenceSpec,
     TabularSpec,
+    _ellipse_box,
     gen_blob_images,
     gen_blobs,
     gen_circle_pattern,
@@ -139,6 +142,48 @@ def test_blob_images_boundary_noise_flips_only_near_edges():
         outer = ~erode(~fg, 3, 1)
         band = outer & ~inner
         assert not (diff[i] & ~band).any()
+
+
+def ellipse_oracle(height, width, cy, cx, r1, r2, theta):
+    """The ellipse's mask, by its per-pixel formula over the whole image."""
+    yy, xx = np.mgrid[0:height, 0:width]
+    dy, dx = yy - cy, xx - cx
+    u = dx * np.cos(theta) + dy * np.sin(theta)
+    v = -dx * np.sin(theta) + dy * np.cos(theta)
+    return (u / r1) ** 2 + (v / r2) ** 2 <= 1.0
+
+
+def pasted_box(height, width, cy, cx, r1, r2, theta):
+    box, mask = _ellipse_box(height, width, cy, cx, r1, r2, theta)
+    full = np.zeros((height, width), dtype=bool)
+    full[box] = mask
+    return full
+
+
+@settings(max_examples=150, deadline=None)
+@given(extra=st.tuples(st.integers(0, 30), st.integers(0, 30)),
+       radii=st.tuples(st.floats(1, 12), st.floats(1, 12)),
+       theta=st.floats(0, math.pi), at=st.tuples(st.floats(0, 1), st.floats(0, 1)))
+@example(extra=(0, 0), radii=(3.0, 5.5), theta=0.0, at=(0.0, 0.0))
+@example(extra=(0, 7), radii=(5.5, 3.0), theta=math.pi, at=(1.0, 1.0))
+@example(extra=(4, 0), radii=(2.0, 7.25), theta=math.pi, at=(0.0, 1.0))
+@example(extra=(3, 3), radii=(7.25, 2.0), theta=0.0, at=(1.0, 0.0))
+def test_ellipse_box_pasted_into_the_image_is_the_full_grid_mask(extra, radii, theta, at):
+    r1, r2 = radii
+    rmax = max(r1, r2)
+    height, width = (math.ceil(2 * rmax + 3) + e for e in extra)
+    # `at` 0 and 1 are the lowest and highest centres _place_blobs draws.
+    cy = (rmax + 1) + ((height - rmax - 2) - (rmax + 1)) * at[0]
+    cx = (rmax + 1) + ((width - rmax - 2) - (rmax + 1)) * at[1]
+    expected = ellipse_oracle(height, width, cy, cx, r1, r2, theta)
+    assert expected.any()
+    assert np.array_equal(pasted_box(height, width, cy, cx, r1, r2, theta), expected)
+
+
+@pytest.mark.parametrize("cy, cx", [(0.0, 0.0), (19.0, 14.0), (0.4, 13.3), (18.5, 0.2)])
+def test_ellipse_box_is_clipped_to_the_image(cy, cx):
+    args = (20, 15, cy, cx, 4.5, 2.5, 0.7)
+    assert np.array_equal(pasted_box(*args), ellipse_oracle(*args))
 
 
 def test_blob_images_deterministic():
