@@ -326,11 +326,26 @@ def _cmd_synth(args):
     save_json(params | {"kind": args.kind}, out / "spec.json")
 
 
+def _load_rows(path, header: bool = False) -> np.ndarray:
+    """The [n, d] rows of a GTT/CSV file; a 1-D tensor is one row."""
+    rows = np.atleast_2d(load_tensor(path, header=header))
+    if rows.ndim != 2:
+        raise DataError(f"inputs must be [n, d] with n >= 1, got shape {rows.shape}")
+    return rows
+
+
+def _split_target_col(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``rows`` without their last column, and that column, for ``--target-col last``."""
+    if rows.shape[1] < 2:
+        raise DataError("need at least 2 columns to split off a target column")
+    return np.ascontiguousarray(rows[:, :-1]), rows[:, -1].copy()
+
+
 def _cmd_fit(args):
-    data = load_tensor(args.data, header=args.header)
+    rows = _load_rows(args.data, header=args.header)
     if args.target_col == "last":
-        data = np.ascontiguousarray(data[:, :-1])
-    save_subspace(fit(data, _parse_retain(args.retain)), args.out)
+        rows, _ = _split_target_col(rows)
+    save_subspace(fit(rows, _parse_retain(args.retain)), args.out)
 
 
 def _train_kind(args, targets) -> OutputKind:
@@ -345,14 +360,6 @@ def _train_kind(args, targets) -> OutputKind:
     return OutputKind.real_values()
 
 
-def _load_rows(path, header: bool = False) -> np.ndarray:
-    """The [n, d] rows of a GTT/CSV file; a 1-D tensor is one row."""
-    rows = np.atleast_2d(load_tensor(path, header=header))
-    if rows.ndim != 2:
-        raise DataError(f"inputs must be [n, d] with n >= 1, got shape {rows.shape}")
-    return rows
-
-
 def _load_targets(args, alternative: str = "", header: bool = False) -> np.ndarray:
     """The tensor of ``--targets``, which a command that compares outputs with targets needs."""
     if not args.targets:
@@ -365,10 +372,7 @@ def _cmd_train(args):
         if args.targets:
             raise ParamError("train takes its targets from --targets or --target-col last, "
                              "not both")
-        rows = _load_rows(args.data, header=args.header)
-        if rows.shape[1] < 2:
-            raise DataError("need at least 2 columns to split off a target column")
-        rows, targets = np.ascontiguousarray(rows[:, :-1]), rows[:, -1].copy()
+        rows, targets = _split_target_col(_load_rows(args.data, header=args.header))
     else:
         targets = _load_targets(args, " or --target-col last", header=args.header)
         rows = _load_rows(args.data, header=args.header)
@@ -391,7 +395,7 @@ def _cmd_train(args):
 def _cmd_predict(args):
     with _load_predictor(args) as model:
         s = load_subspace(args.subspace)
-        rows = np.atleast_2d(load_tensor(args.input))
+        rows = _load_rows(args.input)
         sched = _schedule(args, model)
         result = run_gtta(model, s, sched, rows, RngStream(args.seed, 0).rows(len(rows)),
                           clamp=_parse_clamp(args.clamp))
@@ -401,7 +405,7 @@ def _cmd_predict(args):
 def _cmd_auto_sigma(args):
     with _load_predictor(args) as model:
         s = load_subspace(args.subspace)
-        rows = np.atleast_2d(load_tensor(args.input))
+        rows = _load_rows(args.input)
         scheds = [_schedule(args, model, sigma) for sigma in _parse_floats(args.grid, "--grid")]
         result = select_sigma(model, s, scheds, rows, RngStream(args.seed, 0).rows(len(rows)),
                               clamp=_parse_clamp(args.clamp), threshold=args.threshold)
@@ -428,7 +432,7 @@ def _cmd_distill(args):
     s = load_subspace(args.subspace)
     kind = student.output_kind
     labeled = Dataset(_load_rows(args.labeled), load_tensor(args.labeled_targets), kind)
-    unlabeled = np.atleast_2d(load_tensor(args.unlabeled))
+    unlabeled = _load_rows(args.unlabeled)
     pseudo = generate_pseudolabels(student, s, _schedule(args, student), unlabeled,
                                    RngStream(args.seed, 7))
     distilled, report = distill(

@@ -240,26 +240,24 @@ class MlpModel:
         """
         y, w = self._prepare_targets(batch)
         acts = self._forward(batch.inputs)
-        z = acts[-1]
         wsum = w.sum()
         if wsum <= 0:
             zero = [(np.zeros_like(wm), np.zeros_like(bm))
                     for wm, bm in zip(self.weights, self.biases)]
             return 0.0, zero
 
+        out = self._head(acts[-1])
         kind = self.output_kind.kind
         if kind == PROBABILITIES:
-            p = _softmax(z)
-            loss = weighted_cross_entropy(p, y, w)
+            loss = weighted_cross_entropy(out, y, w)
             wy = w * y
-            delta = (p * wy.sum(axis=1, keepdims=True) - wy) / wsum
+            delta = (out * wy.sum(axis=1, keepdims=True) - wy) / wsum
         elif kind == PER_PIXEL:
-            p = _sigmoid(z)
-            loss = weighted_cross_entropy(p, y, w, binary=True)
-            delta = w * (p - y) / wsum
+            loss = weighted_cross_entropy(out, y, w, binary=True)
+            delta = w * (out - y) / wsum
         else:
-            loss = weighted_squared_error(z, y, w)
-            delta = 2.0 * w * (z - y) / wsum
+            loss = weighted_squared_error(out, y, w)
+            delta = 2.0 * w * (out - y) / wsum
 
         grads = [None] * len(self.weights)
         for i in range(len(self.weights) - 1, -1, -1):

@@ -118,9 +118,7 @@ def project(s: Subspace, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.ndim not in (1, 2) or x.shape[-1] != s.d:
         raise ShapeError(f"expected input of shape ({s.d},) or (B, {s.d}), got {x.shape}")
-    if x.ndim == 1:
-        return s.components @ (x - s.mean)
-    return np.array([s.components @ (row - s.mean) for row in x]).reshape(len(x), s.n_u)
+    return np.matmul(s.components, (x - s.mean)[..., None])[..., 0]
 
 
 def reconstruct(s: Subspace, p: np.ndarray) -> np.ndarray:

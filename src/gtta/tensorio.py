@@ -12,9 +12,10 @@ Multi-tensor container::
 Every tensor, whether a file, a container section or a reply on a pipe, is
 parsed by :func:`read_tensor`.
 
-CSV files are comma-separated decimal floats, one row per sample, no header
-unless the caller skips one. All tensors are float64; integer-valued data
-(labels, instance ids) is stored as float64 and converted back by the caller.
+CSV files are comma-separated decimal floats, one row per sample, parsed by
+``np.loadtxt``; blank lines are skipped, and there is no header unless the
+caller skips one. All tensors are float64; integer-valued data (labels,
+instance ids) is stored as float64 and converted back by the caller.
 
 Every writer goes through :func:`save_bytes`, which makes the target's
 directory, writes a temporary file next to the target and renames it into
@@ -243,28 +244,19 @@ def load_tensor(path, header: bool = False) -> np.ndarray:
 
 
 def _parse_csv(blob: bytes, header: bool) -> np.ndarray:
+    """The [n, d] table of CSV text; ``header`` drops its first non-blank line."""
     try:
-        text = blob.decode("utf-8")
+        lines = [ln for ln in blob.decode("utf-8").splitlines() if ln.strip()]
     except UnicodeDecodeError as exc:
         raise FormatError(f"not a GTT file and not valid CSV text: {exc}") from exc
-    lines = [ln for ln in text.splitlines() if ln.strip()]
     if header:
         lines = lines[1:]
-    if not lines:
+    if not lines:  # np.loadtxt only warns of an empty table
         raise FormatError("empty CSV file")
-    rows = []
-    width = None
-    for i, ln in enumerate(lines):
-        try:
-            row = [float(tok) for tok in ln.split(",")]
-        except ValueError as exc:
-            raise FormatError(f"CSV line {i + 1}: {exc}") from exc
-        if width is None:
-            width = len(row)
-        elif len(row) != width:
-            raise FormatError(f"CSV line {i + 1}: expected {width} columns, got {len(row)}")
-        rows.append(row)
-    arr = np.array(rows, dtype=np.float64)
+    try:
+        arr = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
+    except ValueError as exc:
+        raise FormatError(f"not a numeric CSV table: {exc}") from exc
     if not np.all(np.isfinite(arr)):
         raise DataError("CSV contains NaN or Inf")
     return arr

@@ -1133,6 +1133,37 @@ def test_fit_drops_target_column(tmp_path):
     assert load_subspace(out).d == 2
 
 
+@pytest.mark.parametrize("command, data", [("fit", "row.gtt"), ("fit", "one_column.csv"),
+                                           ("train", "one_column.csv")])
+def test_target_col_last_on_a_row_or_one_column_is_one_data_error(tmp_path, capsys,
+                                                                   command, data):
+    # fit once ended in an IndexError traceback on a 1-D tensor, which is one
+    # row, and in numpy's "argmax of an empty sequence" one on a one-column table.
+    save_tensor(np.arange(1.0, 7.0), tmp_path / "row.gtt")
+    (tmp_path / "one_column.csv").write_text("".join(f"{i}.5\n" for i in range(6)))
+    options = {"fit": [], "train": ["--task", "regression", "--hidden", "4", "--epochs", "1"]}
+    out = tmp_path / "out.gtt"
+    assert run(command, "--data", str(tmp_path / data), "--target-col", "last",
+               *options[command], "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: DataError") and err.count("\n") == 1, err
+    assert not list(tmp_path.glob("out.gtt*"))
+
+
+@pytest.mark.parametrize("command", ["predict", "auto-sigma"])
+def test_input_rows_of_three_dimensions_are_one_data_error(pipeline, tmp_path, capsys, command):
+    # A 3-D --input once reached the engine, which refused it as a ShapeError.
+    save_tensor(load_tensor(pipeline / "test_x.gtt").reshape(8, 12, 12), tmp_path / "maps.gtt")
+    out = tmp_path / "o"
+    assert run(command, "--model", str(pipeline / "model.gtt"), "--subspace",
+               str(pipeline / "subspace.gtt"), "--input", str(tmp_path / "maps.gtt"),
+               "--n", "2", "--out", str(out)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: DataError") and err.count("\n") == 1, err
+    assert "(8, 12, 12)" in err
+    assert not out.exists()
+
+
 def test_distill_rerun_from_provenance_is_byte_identical(pipeline, tmp_path):
     out = tmp_path / "distill2"
     assert run("distill", "--config", str(pipeline / "distilled" / "provenance.json"),

@@ -239,10 +239,17 @@ def test_block_latents_equal_one_row_latents_bit_for_bit():
 
 
 def test_project_takes_one_row_or_a_block():
-    X = RngStream(18).generator().standard_normal((9, 4))
-    s = fit(X, 3)
-    block = project(s, X)
-    for i in range(len(X)):
-        assert np.array_equal(block[i], project(s, X[i]))
+    # Each row's coordinates are its own matrix-vector product, in a block or alone.
+    # Shapes are (rows, d, n_u), with n_u = d and d = 1 among them.
+    gen = RngStream(18).generator()
+    for rows, d, n_u in [(9, 4, 3), (200, 1024, 301), (1, 6, 2), (8, 144, 20), (12, 5, 5),
+                         (7, 1, 1), (33, 64, 64), (3, 300, 1), (50, 17, 9), (16, 2, 2)]:
+        s = fit(gen.standard_normal((max(n_u + 1, 9), d)), n_u)
+        X = gen.standard_normal((rows, d)) * gen.uniform(0.1, 10.0, d)
+        block = project(s, X)
+        assert block.shape == (rows, n_u)
+        for i in range(rows):
+            assert np.array_equal(block[i], project(s, X[i]))
+            assert np.array_equal(block[i], s.components @ (X[i] - s.mean))
     with pytest.raises(ShapeError):
-        project(s, X[:, :3])
+        project(s, X[:, :1])

@@ -92,6 +92,133 @@ def test_csv_ragged_rows_rejected(tmp_path):
         load_tensor(path)
 
 
+def csv_oracle(blob: bytes, header: bool) -> np.ndarray:
+    """The CSV parser as it was before ``np.loadtxt`` parsed tables, one ``float()`` per token."""
+    try:
+        text = blob.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"not a GTT file and not valid CSV text: {exc}") from exc
+    lines = [ln for ln in text.splitlines() if ln.strip()]
+    if header:
+        lines = lines[1:]
+    if not lines:
+        raise FormatError("empty CSV file")
+    rows = []
+    width = None
+    for i, ln in enumerate(lines):
+        try:
+            row = [float(tok) for tok in ln.split(",")]
+        except ValueError as exc:
+            raise FormatError(f"CSV line {i + 1}: {exc}") from exc
+        if width is None:
+            width = len(row)
+        elif len(row) != width:
+            raise FormatError(f"CSV line {i + 1}: expected {width} columns, got {len(row)}")
+        rows.append(row)
+    arr = np.array(rows, dtype=np.float64)
+    if not np.all(np.isfinite(arr)):
+        raise DataError("CSV contains NaN or Inf")
+    return arr
+
+
+_PAD = st.sampled_from(["", " ", "\t", "  ", " \t "])
+_BLANK_LINES = st.lists(st.sampled_from(["", " ", "\t", " \t  "]), max_size=2)
+
+# The ways a table is refused, and the token each of the last four puts in.
+_CORRUPTIONS = ("ragged", "empty field", "trailing comma", "header only", "blank lines only",
+                "text", "nan", "inf", "overflow")
+_BAD_TOKENS = {"text": "{}1.5x", "nan": "{}nan{}", "inf": "-Infinity{}", "overflow": "1e400"}
+
+
+def _corrupt(rows, kind, i, j, pad):
+    """Make the token ``rows`` of a table into one the parser refuses, the way ``kind`` names."""
+    if kind == "ragged":
+        rows.append(rows[i] + ["1"])
+    elif kind == "empty field":  # a new column, empty (or all pad) in row i
+        for k, row in enumerate(rows):
+            row.insert(j, pad if k == i else "0")
+    elif kind == "trailing comma":
+        rows[i].append("")
+    elif kind in ("header only", "blank lines only"):
+        rows.clear()
+    else:
+        rows[i][j] = _BAD_TOKENS[kind].format(pad, pad)
+
+
+@st.composite
+def csv_tables(draw, corruption=None):
+    """(CSV bytes, header) of a finite table written with ``repr`` or ``%.17g``.
+
+    Tokens carry stray spaces and tabs, lines end in LF or CRLF, blank and
+    whitespace-only lines fall anywhere, and a header line may come first.
+    A ``corruption`` from ``_CORRUPTIONS`` makes it a table the parser refuses.
+    """
+    n, d = draw(st.integers(1, 6)), draw(st.integers(1, 5))
+    write = draw(st.sampled_from([repr, lambda v: "%.17g" % v]))
+    finite = st.floats(allow_nan=False, allow_infinity=False)
+    rows = [[draw(_PAD) + write(draw(finite)) + draw(_PAD) for _ in range(d)] for _ in range(n)]
+    header = draw(st.booleans()) or corruption == "header only"
+    if corruption is not None:
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, d - 1))
+        _corrupt(rows, corruption, i, j, draw(_PAD))
+    lines = [draw(st.sampled_from(["id,x", " a , b ", "1,2,3"]))] if header else []
+    if corruption == "blank lines only":
+        lines = []
+    lines += [",".join(row) for row in rows]
+    lines = [ln for line in lines for ln in draw(_BLANK_LINES) + [line]] + draw(_BLANK_LINES)
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(lines) + draw(st.sampled_from(["", end]))
+    return text.encode(), header
+
+
+@settings(max_examples=300, deadline=2000)
+@given(table=csv_tables())
+def test_csv_parses_to_the_bytes_of_one_float_per_token(table):
+    blob, header = table
+    want = csv_oracle(blob, header)
+    got = tensorio._parse_csv(blob, header=header)
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def _refusal(parse, blob, header):
+    try:
+        parse(blob, header=header)
+    except (FormatError, DataError) as exc:
+        return type(exc)
+    return None
+
+
+@settings(max_examples=200, deadline=2000)
+@given(table=st.sampled_from(_CORRUPTIONS).flatmap(csv_tables),
+       bad_utf8=st.one_of(st.none(), st.integers(0, 1 << 16)))
+def test_csv_refuses_what_one_float_per_token_refused_with_its_error(table, bad_utf8):
+    blob, header = table
+    if bad_utf8 is not None:  # a byte that starts no UTF-8 sequence, anywhere
+        at = bad_utf8 % (len(blob) + 1)
+        blob = blob[:at] + b"\xff" + blob[at:]
+    want = _refusal(csv_oracle, blob, header)
+    assert want is not None
+    assert _refusal(tensorio._parse_csv, blob, header) is want
+
+
+@pytest.mark.parametrize("token", ["1_000", "2_5.0", "١٢", "３", "१.5"])
+def test_csv_refuses_the_numbers_only_python_float_reads(token):
+    # float() took digit separators and non-ASCII decimal digits; np.loadtxt does not.
+    blob = f"{token},2\n".encode()
+    assert csv_oracle(blob, header=False).shape == (1, 2)
+    with pytest.raises(FormatError, match="not a numeric CSV table"):
+        tensorio._parse_csv(blob, header=False)
+
+
+def test_csv_takes_a_unit_separator_as_space():
+    # np.loadtxt strips U+001F around a number, where float() refused it.
+    blob = b"\x1f1,2\x1f\n"
+    with pytest.raises(FormatError):
+        csv_oracle(blob, header=False)
+    assert tensorio._parse_csv(blob, header=False).tolist() == [[1.0, 2.0]]
+
+
 def test_truncated_payload(tmp_path):
     path = tmp_path / "t.gtt"
     path.write_bytes(dumps_tensor(np.ones((2, 3)))[:-8])
