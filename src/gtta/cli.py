@@ -57,6 +57,10 @@ _RETIRED = {"var_floor": VAR_FLOOR, "range_data": None, "hard_labels": False,
 # them from another engine would replay a different computation.
 _ENGINE_COMMANDS = ("predict", "auto-sigma", "distill", "analyze")
 
+# The error line of each failure that a command ends in and that its type does not name.
+_ERROR_LINES = {OSError: "IoError: {}",
+                FloatingPointError: "DataError: a value leaves float64's range ({})"}
+
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
@@ -74,19 +78,16 @@ def main(argv=None) -> int:
             recorded = " ".join(str(config.get(k, v)) for k, v in ran.items())
             raise ParamError(f"--config {args.config} is from a {recorded} run, "
                              f"not {' '.join(ran.values())}")
-        with recording() as record:
+        # A value that leaves float64's range is a FloatingPointError, not a warning.
+        with recording() as record, np.errstate(over="raise", invalid="raise"):
             args.handler(args)
             provenance = _provenance(args, record)
         out = Path(args.out)
         save_json(provenance, out / "provenance.json" if out.is_dir() else f"{out}.provenance.json")
-    except GttaError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
-        print(f"error: IoError: {exc}", file=sys.stderr)
-        return 1
-    except MemoryError as exc:
-        print(f"error: MemoryError: {exc}", file=sys.stderr)
+    except (GttaError, MemoryError, *_ERROR_LINES) as exc:
+        line = next((f for t, f in _ERROR_LINES.items() if isinstance(exc, t)),
+                    type(exc).__name__ + ": {}")
+        print("error: " + line.format(exc), file=sys.stderr)
         return 1
     return 0
 
@@ -239,20 +240,20 @@ def _parse_output_kind(text: str) -> OutputKind:
 
 @contextlib.contextmanager
 def _load_predictor(args):
-    """The model, for the length of a ``with`` block.
+    """The model and the subspace it is perturbed in, for the length of a ``with`` block.
 
-    An external model's child is closed, with its last checks, when the
-    block ends, so callers write artifacts after the block; if the block
-    raises, the child is killed.
+    The subspace is read right after the model. An external model's child is
+    closed, with its last checks, when the block ends, so callers write
+    artifacts after the block; if the block raises, the child is killed.
     """
     if args.model:
-        yield load_model(args.model)
+        yield load_model(args.model), load_subspace(args.subspace)
     elif args.model_cmd:
         if not args.output_kind:
             raise ParamError("--model-cmd requires --output-kind")
         kind = _parse_output_kind(args.output_kind)
         with SubprocessPredictor(shlex.split(args.model_cmd), kind) as model:
-            yield model
+            yield model, load_subspace(args.subspace)
     else:
         raise ParamError("need --model or --model-cmd")
 
@@ -393,8 +394,7 @@ def _cmd_train(args):
 
 
 def _cmd_predict(args):
-    with _load_predictor(args) as model:
-        s = load_subspace(args.subspace)
+    with _load_predictor(args) as (model, s):
         rows = _load_rows(args.input)
         sched = _schedule(args, model)
         result = run_gtta(model, s, sched, rows, RngStream(args.seed, 0).rows(len(rows)),
@@ -403,8 +403,7 @@ def _cmd_predict(args):
 
 
 def _cmd_auto_sigma(args):
-    with _load_predictor(args) as model:
-        s = load_subspace(args.subspace)
+    with _load_predictor(args) as (model, s):
         rows = _load_rows(args.input)
         scheds = [_schedule(args, model, sigma) for sigma in _parse_floats(args.grid, "--grid")]
         result = select_sigma(model, s, scheds, rows, RngStream(args.seed, 0).rows(len(rows)),
@@ -489,8 +488,7 @@ def _load_eval_data(args, model) -> Dataset:
 def _analyze_bias_variance(args, out: Path):
     from .analysis import bias_variance_sweep
 
-    with _load_predictor(args) as model:
-        s = load_subspace(args.subspace)
+    with _load_predictor(args) as (model, s):
         data = _load_eval_data(args, model)
         scheds = [_schedule(args, model, sigma) for sigma in _parse_floats(args.grid, "--grid")]
         report = bias_variance_sweep(model, s, scheds, data, args.repeats,
@@ -522,8 +520,7 @@ def _analyze_spectrum(args, out: Path):
 def _analyze_std_error(args, out: Path):
     from .analysis import std_error_correlation
 
-    with _load_predictor(args) as model:
-        s = load_subspace(args.subspace)
+    with _load_predictor(args) as (model, s):
         data = _load_eval_data(args, model)
         report = std_error_correlation(
             model, s, _schedule(args, model), data, RngStream(args.seed, 13)

@@ -12,8 +12,8 @@ from __future__ import annotations
 import numpy as np
 
 from .data import Dataset
-from .ensemble import run_gtta, uncertainty_weights
-from .errors import ParamError
+from .ensemble import run_gtta
+from .errors import ParamError, UnsupportedTaskError
 from .perturb import NoiseSchedule
 from .predictor import MlpModel, WeightedBatch, batch_from_dataset, mlp_train
 from .rng import RngStream
@@ -25,10 +25,14 @@ def generate_pseudolabels(model, s: Subspace, sched: NoiseSchedule,
     """Teacher outputs for the unlabeled rows ``X``: the ensemble mean as the
     targets and its consensus 1 - std as the weights.
 
-    Row i uses stream ``rng.derive(i)``.
+    Only a probability-valued teacher has a consensus: its std is at most
+    0.5, so every weight lies in [0.5, 1]. Row i uses stream ``rng.derive(i)``.
     """
+    if not model.output_kind.is_probabilistic:
+        raise UnsupportedTaskError("uncertainty weights need probability outputs, "
+                                   f"got {model.output_kind.kind!r}")
     result = run_gtta(model, s, sched, X, rng.rows(len(X)))
-    return WeightedBatch(X, result.mean_prediction, uncertainty_weights(result, model.output_kind))
+    return WeightedBatch(X, result.mean_prediction, 1.0 - result.std_map)
 
 
 def distill(student: MlpModel, labeled: Dataset, pseudo: WeightedBatch, *,

@@ -306,12 +306,3 @@ def select_sigma(model, s: Subspace, scheds, X: np.ndarray, streams, *,
     return run_gtta(model, s, scheds, X, streams, clamp=clamp,
                     score=lambda mean: _confidence(mean, kind, threshold),
                     bound=lambda first, n: _confidence_bound(first, n, kind, threshold))
-
-
-def uncertainty_weights(result: EnsembleResult, output_kind) -> np.ndarray:
-    """Consensus weights 1 - std, clamped into [0, 1]."""
-    if not output_kind.is_probabilistic:
-        raise UnsupportedTaskError(
-            f"uncertainty weights need probability outputs, got {output_kind.kind!r}"
-        )
-    return np.clip(1.0 - result.std_map, 0.0, 1.0)

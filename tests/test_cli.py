@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -23,6 +24,7 @@ import gtta
 from gtta import predictor
 from gtta.cli import _build_parser, main
 from gtta.ensemble import BLOCK_ROWS
+from gtta.errors import ShapeError
 from gtta.segcount import count as count_components, erode, label_components
 from gtta.tensorio import (
     content_hash, dumps_tensor, load_container, load_tensor, save_container, save_tensor,
@@ -2235,3 +2237,143 @@ def test_hostile_config_records_end_in_one_error_line(records, data):
     if code == 1:
         assert message.startswith("error: ") and message.count("\n") == 1, message
     assert not left, left
+
+
+# --------------------------------------------------------------------------
+# one exit: every failure a command ends in is one error line
+
+
+@pytest.mark.parametrize("failure, line", [
+    (ShapeError("rows do not fit"), "ShapeError: rows do not fit"),
+    (FileNotFoundError(2, "No such file or directory", "x.gtt"),
+     "IoError: [Errno 2] No such file or directory: 'x.gtt'"),
+    (MemoryError("Unable to allocate 8.00 PiB"), "MemoryError: Unable to allocate 8.00 PiB"),
+    (FloatingPointError("overflow encountered in multiply"),
+     "DataError: a value leaves float64's range (overflow encountered in multiply)"),
+], ids=["GttaError", "OSError", "MemoryError", "FloatingPointError"])
+def test_every_failure_ends_in_its_one_error_line(tmp_path, monkeypatch, capsys, failure, line):
+    from gtta import cli
+
+    def fail(args):
+        raise failure
+
+    monkeypatch.setattr(cli, "_cmd_fit", fail)
+    assert run("fit", "--data", str(tmp_path / "x.gtt"), "--out", str(tmp_path / "o")) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {line}\n" and not captured.out
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.fixture(scope="module")
+def huge_rows(tmp_path_factory):
+    """20 rows of 4 normals, the same rows times 1e200, and a subspace fit on the first."""
+    root = tmp_path_factory.mktemp("huge")
+    unit = np.random.default_rng(0).standard_normal((20, 4))
+    save_tensor(unit, root / "unit.gtt")
+    save_tensor(unit * 1e200, root / "huge.gtt")
+    save_tensor(np.ones(4), root / "pattern.gtt")
+    save_tensor(np.full(4, 1e200), root / "huge_pattern.gtt")
+    (root / "images.json").write_text(json.dumps(
+        {"n_images": 3, "height": 12, "width": 12, "input_noise": 1e308}))
+    (root / "tabular.json").write_text(json.dumps({"n": 10, "dim": 3, "noise": 1e308}))
+    assert run("fit", "--data", str(root / "unit.gtt"), "--retain", "all",
+               "--out", str(root / "unit_subspace.gtt")) == 0
+    return root
+
+
+@pytest.mark.parametrize("argv", [
+    ["fit", "--data", "{root}/huge.gtt"],
+    ["synth", "images", "--spec", "{root}/images.json"],
+    ["synth", "tabular", "--spec", "{root}/tabular.json"],
+    ["analyze", "spectrum", "--baseline", "global_jitter", "--subspace",
+     "{root}/unit_subspace.gtt", "--data", "{root}/huge.gtt"],
+    ["analyze", "structured-noise", "--data", "{root}/huge.gtt", "--pattern", "{root}/pattern.gtt"],
+    ["analyze", "structured-noise", "--data", "{root}/unit.gtt",
+     "--pattern", "{root}/huge_pattern.gtt"],
+], ids=["fit", "synth-images", "synth-tabular", "spectrum", "structured-noise-rows",
+        "structured-noise-pattern"])
+def test_a_value_that_leaves_float64_is_one_data_error(huge_rows, tmp_path, argv):
+    # Each once ended in numpy's warnings and then a misleading error, a
+    # LinAlgError traceback, or a report.json holding NaN.
+    code, message, caught = _one_run([*(a.format(root=huge_rows) for a in argv),
+                                      "--out", str(tmp_path / "o")])
+    assert not caught, caught
+    assert code == 1 and message.startswith("error: DataError: a value leaves float64's range")
+    assert message.count("\n") == 1, message
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("data", ["unit", "huge"])
+def test_a_command_leaves_the_float_error_state_as_it_found_it(huge_rows, tmp_path, data):
+    with np.errstate(all="ignore"):
+        before = np.geterr()
+        code = run("fit", "--data", str(huge_rows / f"{data}.gtt"), "--out", str(tmp_path / "o"))
+        assert code == (data == "huge") and np.geterr() == before
+
+
+# Fuzz slice: finite rows at one magnitude, anywhere from 1e-300 to 1e300.
+_MANTISSAS = st.lists(st.floats(-9.99, 9.99), min_size=4, max_size=4)
+_SCALES = st.integers(-300, 299).map(lambda e: 10.0 ** e)
+
+
+def _finite_artifacts(out: Path) -> None:
+    """Fail unless every JSON and CSV file under ``out`` holds finite numbers only."""
+    def refuse(constant):
+        raise AssertionError(f"{constant} in a written file")
+
+    for path in [out] if out.is_file() else out.rglob("*"):
+        if path.suffix == ".json":
+            json.loads(path.read_text(), parse_constant=refuse)
+        elif path.suffix == ".csv":
+            cells = [c for line in path.read_text().splitlines()[1:] for c in line.split(",")]
+            assert all(math.isfinite(float(c)) for c in cells if c), path
+
+
+@pytest.fixture(scope="module")
+def extreme_model(tmp_path_factory):
+    """A small fixed MLP of 4 inputs and a subspace fit on 20 unit-scale rows."""
+    from gtta.data import OutputKind
+    from gtta.predictor import MlpModel, save_model
+    from gtta.rng import RngStream
+    from gtta.subspace import fit, save_subspace
+
+    root = tmp_path_factory.mktemp("extreme")
+    save_model(MlpModel([4, 3, 2], OutputKind.probabilities(2), RngStream(0)), root / "model.gtt")
+    save_subspace(fit(np.random.default_rng(0).standard_normal((20, 4)), "all"),
+                  root / "subspace.gtt")
+    return root
+
+
+@settings(max_examples=40, deadline=3000)
+@given(rows=st.lists(_MANTISSAS, min_size=5, max_size=10), scale=_SCALES,
+       pattern=_MANTISSAS, pattern_scale=_SCALES, own_subspace=st.booleans())
+def test_rows_of_extreme_magnitude_end_in_one_error_line_or_finite_artifacts(
+        extreme_model, rows, scale, pattern, pattern_scale, own_subspace):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        save_tensor(np.array(rows) * scale, tmp / "rows.gtt")
+        save_tensor(np.array(pattern) * pattern_scale, tmp / "pattern.gtt")
+        data, fitted = str(tmp / "rows.gtt"), tmp / "fit.gtt"
+
+        def holds_the_contract(argv, out: Path) -> int:
+            code, message, caught = _one_run([*argv, "--out", str(out)])
+            assert not caught, (argv[:2], caught)
+            assert code in (0, 1), message
+            if code:
+                assert message.startswith("error: ") and message.count("\n") == 1, message
+                assert not out.exists()
+            else:
+                _finite_artifacts(out)
+            return code
+
+        fit_code = holds_the_contract(["fit", "--data", data, "--retain", "all"], fitted)
+        subspace = str(fitted if own_subspace and fit_code == 0
+                       else extreme_model / "subspace.gtt")
+        for i, argv in enumerate([
+                ["analyze", "spectrum", "--baseline", "global_jitter", "--subspace", subspace,
+                 "--data", data, "--n", "3"],
+                ["analyze", "structured-noise", "--data", data, "--pattern",
+                 str(tmp / "pattern.gtt"), "--n", "3"],
+                ["predict", "--model", str(extreme_model / "model.gtt"), "--subspace", subspace,
+                 "--input", data, "--n", "3"]]):
+            holds_the_contract(argv, tmp / f"o{i}")

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
+from gtta import distill as distill_module
 from gtta.cli import main
 from gtta.data import Dataset, OutputKind
 from gtta.distill import distill, generate_pseudolabels
-from gtta.errors import ParamError
+from gtta.errors import ParamError, UnsupportedTaskError
 from gtta.perturb import NoiseSchedule
 from gtta.predictor import (
     MlpModel,
@@ -54,6 +55,39 @@ def test_known_two_candidate_teacher():
     assert np.allclose(pseudo.targets[0], [0.7, 0.3], atol=1e-12)
     assert np.allclose(pseudo.weights[0], [0.9, 0.9], atol=1e-12)
 
+
+
+def test_teacher_weights_are_the_consensus_of_its_outputs():
+    _, s, unlabeled = make_setup(seed=22)
+
+    class TwoMaps:
+        output_kind = OutputKind.per_pixel(1, 2)
+
+        def predict(self, batch):
+            maps = np.array([[[0.0, 0.6]], [[1.0, 0.8]]])
+            return maps[: np.atleast_2d(batch).shape[0]].copy()
+
+    pseudo = generate_pseudolabels(TwoMaps(), s, NoiseSchedule("constant", 0.2, 2),
+                                   unlabeled[:1], RngStream(23))
+    w = pseudo.weights[0]
+    assert w[0, 0] == pytest.approx(0.5)   # maximal binary spread
+    assert w[0, 1] == pytest.approx(0.9)   # std 0.1
+
+
+def test_teacher_weights_of_a_quiet_ensemble_are_one():
+    model, s, unlabeled = make_setup(seed=24)
+    pseudo = generate_pseudolabels(model, s, NoiseSchedule("constant", 0.0, 3), unlabeled[:1],
+                                   RngStream(26))
+    assert np.array_equal(pseudo.weights[0], np.ones(2))
+
+
+def test_teacher_weights_need_probabilities(monkeypatch):
+    _, s, unlabeled = make_setup(seed=27)
+    model = MlpModel([6, 4, 1], OutputKind.real_values(), RngStream(28))
+    monkeypatch.setattr(distill_module, "run_gtta", None)  # refused before the ensemble runs
+    with pytest.raises(UnsupportedTaskError, match="uncertainty weights need probability outputs"):
+        generate_pseudolabels(model, s, NoiseSchedule("constant", 0.1, 3), unlabeled[:1],
+                              RngStream(29))
 
 def test_regeneration_is_bit_identical():
     model, s, unlabeled = make_setup(seed=5)

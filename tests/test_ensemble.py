@@ -9,7 +9,7 @@ import run_bias_variance
 from gtta import ensemble, perturb
 from gtta.data import OutputKind
 from gtta.ensemble import (
-    DEFAULT_SIGMA_GRID, FoldedLayer, run_gtta, select_sigma, uncertainty_weights,
+    DEFAULT_SIGMA_GRID, FoldedLayer, run_gtta, select_sigma,
 )
 from gtta.errors import ParamError, ShapeError, UnsupportedTaskError
 from gtta.perturb import NoiseSchedule, per_component_sigma
@@ -282,34 +282,6 @@ def test_default_thresholds_by_strategy():
     assert chosen("constant", 0.75) == 0.3
     assert chosen("incremental") == 0.3     # default 0.75
     assert chosen("incremental", 0.8) == 0.0
-
-
-def test_uncertainty_weights():
-    s = full_rank_subspace(seed=22)
-    kind = OutputKind.per_pixel(1, 2)
-    model = FixedOutputs(np.array([[[0.0, 0.6]], [[1.0, 0.8]]]), kind)
-    result = run_gtta(model, s, NoiseSchedule("constant", 0.2, 2), s.mean[None], [RngStream(23)])
-    w = uncertainty_weights(result, kind)[0]
-    assert w[0, 0] == pytest.approx(0.5)   # maximal binary spread
-    assert w[0, 1] == pytest.approx(0.9)   # std 0.1
-    assert np.all((w >= 0) & (w <= 1))
-
-
-def test_uncertainty_weights_zero_spread():
-    s = full_rank_subspace(seed=24)
-    kind = OutputKind.probabilities(2)
-    model = MlpModel([6, 4, 2], kind, RngStream(25))
-    result = run_gtta(model, s, NoiseSchedule("constant", 0.0, 3), s.mean[None], [RngStream(26)])
-    assert np.array_equal(uncertainty_weights(result, kind)[0], np.ones(2))
-
-
-def test_uncertainty_weights_need_probabilities():
-    s = full_rank_subspace(seed=27)
-    kind = OutputKind.real_values()
-    model = MlpModel([6, 4, 1], kind, RngStream(28))
-    result = run_gtta(model, s, NoiseSchedule("constant", 0.1, 3), s.mean[None], [RngStream(29)])
-    with pytest.raises(UnsupportedTaskError):
-        uncertainty_weights(result, kind)
 
 
 # --------------------------------------------------------------------------
