@@ -252,7 +252,11 @@ def _load_predictor(args):
         if not args.output_kind:
             raise ParamError("--model-cmd requires --output-kind")
         kind = _parse_output_kind(args.output_kind)
-        with SubprocessPredictor(shlex.split(args.model_cmd), kind) as model:
+        try:
+            argv = shlex.split(args.model_cmd)
+        except ValueError as exc:
+            raise ParamError(f"--model-cmd {args.model_cmd!r} cannot be split: {exc}") from None
+        with SubprocessPredictor(argv, kind) as model:
             yield model, load_subspace(args.subspace)
     else:
         raise ParamError("need --model or --model-cmd")

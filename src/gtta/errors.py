@@ -35,10 +35,6 @@ class IoError(GttaError):
     """Filesystem read or write failure."""
 
 
-class DegenerateWeightError(GttaError):
-    """All loss weights are zero, so the normalized loss is undefined."""
-
-
 class TrainingDivergedError(GttaError):
     """Loss became non-finite during training."""
 

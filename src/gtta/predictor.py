@@ -25,7 +25,6 @@ import numpy as np
 from .data import PER_PIXEL, PROBABILITIES, Dataset, OutputKind
 from .errors import (
     DataError,
-    DegenerateWeightError,
     FormatError,
     GttaError,
     ParamError,
@@ -50,57 +49,6 @@ _IO_CHUNK = 1 << 16
 
 # Bytes of an external model's stderr quoted in an error.
 _STDERR_TAIL = 2000
-
-
-# --------------------------------------------------------------------------
-# losses
-
-
-def _broadcast_weights(w, y):
-    # Trailing axes are appended so per-sample weights spread over classes
-    # and per-pixel weights stay per pixel.
-    w = np.asarray(w, dtype=np.float64)
-    while w.ndim < y.ndim:
-        w = w[..., None]
-    try:
-        return np.broadcast_to(w, y.shape)
-    except ValueError as exc:
-        raise ShapeError(f"weights {np.asarray(w).shape} do not broadcast to targets {y.shape}") from exc
-
-
-def _loss_terms(pred, y, w):
-    """Predictions and targets as float64, the weights broadcast to them, and the weights' sum."""
-    pred = np.asarray(pred, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    if pred.shape != y.shape:
-        raise ShapeError(f"predictions {pred.shape} vs targets {y.shape}")
-    wb = _broadcast_weights(w, y)
-    wsum = wb.sum()
-    if wsum <= 0:
-        raise DegenerateWeightError("all weights are zero")
-    return pred, y, wb, wsum
-
-
-def weighted_cross_entropy(p, y, w, *, binary: bool = False) -> float:
-    """Weight-normalized cross entropy, -(1/sum w) * sum w * y * log p.
-
-    ``w`` broadcasts to the target shape; every broadcast element counts in
-    the normalizer, so scaling all weights by a constant leaves the value
-    unchanged. With ``binary`` the two-term form over y and 1-y is used.
-    """
-    p, y, wb, wsum = _loss_terms(p, y, w)
-    if binary:
-        terms = y * np.log(np.clip(p, PROB_EPS, None)) + (1 - y) * np.log(
-            np.clip(1 - p, PROB_EPS, None)
-        )
-        return float(-(wb * terms).sum() / wsum)
-    return float(-(wb * y * np.log(np.clip(p, PROB_EPS, None))).sum() / wsum)
-
-
-def weighted_squared_error(pred, y, w) -> float:
-    """Weight-normalized squared error, sum w * (pred - y)^2 / sum w."""
-    pred, y, wb, wsum = _loss_terms(pred, y, w)
-    return float((wb * (pred - y) ** 2).sum() / wsum)
 
 
 # --------------------------------------------------------------------------
@@ -230,13 +178,18 @@ class MlpModel:
         out_size = self.layer_sizes[-1]
         if y.shape[1] != out_size:
             raise ShapeError(f"targets with {y.shape[1]} values per row, model emits {out_size}")
-        return y, _broadcast_weights(w, y)
+        try:
+            return y, np.broadcast_to(w, y.shape)
+        except ValueError:
+            raise ShapeError(f"weights {w.shape} do not broadcast to targets {y.shape}") from None
 
     def loss_and_gradients(self, batch: WeightedBatch):
         """Loss value plus gradients for every weight matrix and bias.
 
-        A batch whose weights sum to zero contributes zero loss and exactly
-        zero gradient.
+        The loss is normalized by the total weight, with the weights
+        broadcast to the targets, so scaling every weight by one constant
+        leaves it unchanged. A batch whose weights sum to zero contributes
+        zero loss and exactly zero gradient.
         """
         y, w = self._prepare_targets(batch)
         acts = self._forward(batch.inputs)
@@ -249,14 +202,16 @@ class MlpModel:
         out = self._head(acts[-1])
         kind = self.output_kind.kind
         if kind == PROBABILITIES:
-            loss = weighted_cross_entropy(out, y, w)
             wy = w * y
+            loss = -(wy * np.log(np.clip(out, PROB_EPS, None))).sum() / wsum
             delta = (out * wy.sum(axis=1, keepdims=True) - wy) / wsum
         elif kind == PER_PIXEL:
-            loss = weighted_cross_entropy(out, y, w, binary=True)
+            terms = y * np.log(np.clip(out, PROB_EPS, None)) + (1 - y) * np.log(
+                np.clip(1 - out, PROB_EPS, None))
+            loss = -(w * terms).sum() / wsum
             delta = w * (out - y) / wsum
         else:
-            loss = weighted_squared_error(out, y, w)
+            loss = (w * (out - y) ** 2).sum() / wsum
             delta = 2.0 * w * (out - y) / wsum
 
         grads = [None] * len(self.weights)
@@ -264,7 +219,7 @@ class MlpModel:
             grads[i] = (acts[i].T @ delta, delta.sum(axis=0))
             if i > 0:
                 delta = (delta @ self.weights[i].T) * (acts[i] > 0)
-        return loss, grads
+        return float(loss), grads
 
     @classmethod
     def from_parameters(cls, layer_sizes, output_kind, weights, biases) -> "MlpModel":
@@ -476,18 +431,19 @@ class SubprocessPredictor:
         if self._proc is None:
             return
         self._deadline = time.monotonic() + REQUEST_TIMEOUT_S
+        self._proc.stdin.close()
+        stray = 0
+        # No request is pending, so running out of time here, before EOF on
+        # stdout or before the exit, is the child lingering.
         try:
-            self._proc.stdin.close()
-            stray = 0
             while chunk := self._read_some(_IO_CHUNK):
                 stray += len(chunk)
-            if stray:
-                raise PredictorError(f"wrote {stray} bytes after its last reply")
-            code = self._proc.wait(max(self._deadline - time.monotonic(), 0.0))
-        except subprocess.TimeoutExpired:
+            if not stray:
+                code = self._proc.wait(max(self._deadline - time.monotonic(), 0.0))
+        except (PredictorError, subprocess.TimeoutExpired):
             raise self._fail(f"did not exit within {REQUEST_TIMEOUT_S:g} s of EOF") from None
-        except PredictorError as exc:
-            raise self._fail(str(exc)) from None
+        if stray:
+            raise self._fail(f"wrote {stray} bytes after its last reply")
         if code != 0:
             raise self._fail("failed at EOF")
         self._release()

@@ -134,6 +134,11 @@ def gen_blobs(spec: BlobsSpec) -> BlobsData:
 # blob images with instance maps and exact counts
 
 
+# Distance checks that placing one image's blobs may take at worst. A check
+# took about 2 us on a 2-core VM, so this is some 2 s; it admits blobs_max <= 100.
+_PLACEMENT_CHECKS = 10**6
+
+
 @dataclass(frozen=True)
 class BlobImagesSpec:
     n_images: int = 60
@@ -154,6 +159,13 @@ class BlobImagesSpec:
             raise ParamError("need 1 <= radius_min <= radius_max")
         if not 1 <= self.blobs_min <= self.blobs_max:
             raise ParamError("need 1 <= blobs_min <= blobs_max")
+        if not 0 <= self.overlap < 1:
+            raise ParamError(f"overlap must lie in [0, 1), got {self.overlap}")
+        # Blob i checks its distance to at most i others on each of its 200 attempts.
+        if 100 * self.blobs_max * (self.blobs_max - 1) > _PLACEMENT_CHECKS:
+            raise ParamError(f"blobs_max {self.blobs_max} could take 100 * blobs_max * "
+                             f"(blobs_max - 1) distance checks to place one image's blobs, "
+                             f"over the limit of {_PLACEMENT_CHECKS:g}")
         if min(self.height, self.width) < 2 * self.radius_max + 3:
             raise ParamError(f"{self.height}x{self.width} images cannot hold a blob of "
                              f"radius {self.radius_max}; need height and width "

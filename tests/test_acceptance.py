@@ -31,14 +31,13 @@ from gtta.predictor import (
     WeightedBatch,
     batch_from_dataset,
     mlp_train,
-    weighted_cross_entropy,
 )
 from gtta.rng import RngStream
 from gtta.segcount import count, erode, evaluate_counting, label_components
 from gtta.subspace import fit, project, reconstruct
 from gtta.synthdata import BlobImagesSpec, gen_blob_images
 from gtta.tensorio import content_hash, load_tensor, save_tensor
-from test_predictor import gradient_check
+from test_predictor import gradient_check, identity_model, loss_of
 
 
 def _verdict(criterion: int, ok: bool, detail: str):
@@ -166,12 +165,17 @@ def test_c04_weighted_loss_contract():
     p = gen.random((6, 4)) * 0.98 + 0.01
     p /= p.sum(axis=1, keepdims=True)
     y = one_hot(gen.integers(0, 4, size=6), 4)
+    # Weights lie in [0, 1], so the base is 0.4 and its rescalings 0.1, 0.2 and 0.8.
+    identity = identity_model(OutputKind.probabilities(4), 4)
     uniform_dev = max(
-        abs(weighted_cross_entropy(p, y, np.full(6, c))
-            - weighted_cross_entropy(p, y, np.ones(6)))
+        abs(loss_of(identity, np.log(p), y, np.full(6, 0.4 * c))
+            - loss_of(identity, np.log(p), y, np.full(6, 0.4)))
         for c in (0.25, 0.5, 2.0)
     )
-    log2_dev = abs(weighted_cross_entropy([0.5], [1.0], [1.0], binary=True) - math.log(2))
+    # A zero weight and a zero bias put the one pixel's sigmoid at exactly 0.5.
+    half = MlpModel.from_parameters([1, 1], OutputKind.per_pixel(1, 1), [np.zeros((1, 1))],
+                                    [np.zeros(1)])
+    log2_dev = abs(loss_of(half, [[0.0]], [[[1.0]]], [1.0]) - math.log(2))
 
     kind = OutputKind.probabilities(3)
     model = MlpModel([5, 8, 3], kind, RngStream(6001))

@@ -1114,6 +1114,24 @@ def test_synth_spec_field_out_of_type_or_range_is_param_error(tmp_path, capsys, 
     assert not out.exists()
 
 
+@pytest.mark.parametrize("spec", [
+    {"n_images": 2, "height": 24, "width": 24, "blobs_max": 10**12},
+    {"n_images": 2, "height": 24, "width": 24, "overlap": 1.0},
+], ids=["blobs_max", "overlap"])
+def test_synth_spec_it_cannot_finish_is_refused_before_any_draw(tmp_path, capsys, spec):
+    # The first once ran until it was killed: every blob that cannot be placed
+    # costs its 200 attempts against every blob placed before it.
+    (tmp_path / "spec.json").write_text(json.dumps(spec))
+    out = tmp_path / "o"
+    start = time.monotonic()
+    assert run("synth", "images", "--spec", str(tmp_path / "spec.json"), "--out", str(out)) == 1
+    assert time.monotonic() - start < 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ParamError") and err.count("\n") == 1, err
+    assert list(spec)[-1] in err
+    assert not out.exists()
+
+
 def test_fit_csv_with_header(tmp_path):
     csv = tmp_path / "d.csv"
     rows = ["a,b,c"] + [f"{i}.0,{i + 1}.0,{2 * i}.5" for i in range(8)]
@@ -1418,10 +1436,14 @@ def test_commands_that_compare_with_targets_need_them(pipeline, tmp_path, capsys
     ["train", "--data", "{root}/train_x.gtt", "--targets", "{tmp}/flat_y.gtt",
      "--task", "segmentation"],
     ["synth", "images", "--spec", "{tmp}/tiny.json"],
+    ["predict", "--model-cmd", "'unterminated", "--output-kind", "real"],
+    ["predict", "--config", "{tmp}/unsplittable.json"],
 ])
 def test_bad_values_end_in_error_line(pipeline, tmp_path, argv):
     save_tensor(np.zeros(24), tmp_path / "flat_y.gtt")
     (tmp_path / "tiny.json").write_text(json.dumps({"height": 8, "width": 8}))
+    (tmp_path / "unsplittable.json").write_text(json.dumps({"model_cmd": "'unterminated",
+                                                            "output_kind": "real"}))
     if argv[0] in ("predict", "auto-sigma"):
         argv = argv + ["--subspace", "{root}/subspace.gtt", "--input", "{root}/test_x.gtt"]
     argv = [a.format(root=pipeline, tmp=tmp_path) for a in argv]
@@ -1895,6 +1917,83 @@ def test_model_cmd_failure_kills_the_child(pipeline, tmp_path, capsys, monkeypat
     assert child.started() and not any(_alive(pid) for pid in child.started())
 
 
+@pytest.mark.parametrize("at_eof, message", [
+    ("time.sleep(600)", "did not exit within 1 s of EOF"),
+    ("os.close(1); time.sleep(600)", "did not exit within 1 s of EOF"),
+    ("stdout.write(b'xyz'); stdout.flush()", "wrote 3 bytes after its last reply"),
+    (None, "cannot spawn"),
+], ids=["lingers", "closes-stdout-and-lingers", "writes-after-eof", "missing-program"])
+def test_model_cmd_failure_at_eof_or_at_spawn_kills_the_child(pipeline, tmp_path, capsys,
+                                                              monkeypatch, model_child, at_eof,
+                                                              message):
+    # Requests keep their time limit; only the wait for the child to end is short.
+    close = predictor.SubprocessPredictor.close
+
+    def close_soon(self):
+        monkeypatch.setattr(predictor, "REQUEST_TIMEOUT_S", 1.0)
+        close(self)
+
+    monkeypatch.setattr(predictor.SubprocessPredictor, "close", close_soon)
+    child = model_child(LOGISTIC, at_eof=at_eof or "pass")
+    out = tmp_path / "o"
+    code = run("predict", "--model-cmd", child.cmd if at_eof else str(tmp_path / "missing"),
+               "--output-kind", "per-pixel:12x12", "--subspace", str(pipeline / "subspace.gtt"),
+               "--input", str(pipeline / "test_x.gtt"), "--n", "2", "--out", str(out))
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: PredictorError") and err.count("\n") == 1, err
+    assert message in err
+    assert not out.exists()
+    assert len(child.started()) == (1 if at_eof else 0)
+    assert not any(_alive(pid) for pid in child.started())
+
+
+# A classifier of the blobs fixture's rows: the softmax of their first three columns.
+SOFTMAX3 = ("(e := np.exp(x[:, :3] - x[:, :3].max(axis=1, keepdims=True)))"
+            " / e.sum(axis=1, keepdims=True)")
+
+
+def test_external_classifier_matches_the_same_model_in_process(tmp_path, model_child):
+    # Tensors cross the pipe as exact float64, so the child's ensembles are
+    # those of the same arithmetic run here, byte for byte.
+    (tmp_path / "blobs.json").write_text(json.dumps({"n": 60, "seed": 2}))
+    assert run("synth", "blobs", "--spec", str(tmp_path / "blobs.json"),
+               "--out", str(tmp_path / "data")) == 0
+    rows = tmp_path / "data" / "inputs.gtt"
+    assert run("fit", "--data", str(rows), "--retain", "0.9",
+               "--out", str(tmp_path / "sub.gtt")) == 0
+    common = ["--model-cmd", model_child(f"dumps_tensor({SOFTMAX3})").cmd,
+              "--output-kind", "probabilities:3",
+              "--subspace", str(tmp_path / "sub.gtt"), "--input", str(rows),
+              "--n", "4", "--seed", "3"]
+    grid = (0.0, 0.5, 2.0)
+    assert run("predict", *common, "--sigma", "0.5", "--out", str(tmp_path / "p")) == 0
+    assert run("auto-sigma", *common, "--grid", ",".join(map(str, grid)),
+               "--out", str(tmp_path / "a")) == 0
+
+    from gtta.data import OutputKind
+    from gtta.ensemble import run_gtta, select_sigma
+    from gtta.perturb import NoiseSchedule
+    from gtta.rng import RngStream
+    from gtta.subspace import load_subspace
+
+    class Softmax3:
+        output_kind = OutputKind.probabilities(3)
+
+        def predict(self, x):
+            return eval(SOFTMAX3, {"np": np, "x": x})
+
+    x, s = load_tensor(rows), load_subspace(tmp_path / "sub.gtt")
+    streams = RngStream(3, 0).rows(len(x))
+    plain = run_gtta(Softmax3(), s, NoiseSchedule("constant", 0.5, 4), x, streams)
+    chosen = select_sigma(Softmax3(), s, [NoiseSchedule("constant", g, 4) for g in grid], x,
+                          streams)
+    assert set(chosen.chosen_sigma.tolist()) == set(grid)  # every grid point wins a row
+    for out, result in (("p", plain), ("a", chosen)):
+        assert (tmp_path / out / "mean.gtt").read_bytes() == dumps_tensor(result.mean_prediction)
+        assert (tmp_path / out / "std.gtt").read_bytes() == dumps_tensor(result.std_map)
+
+
 @pytest.mark.parametrize("argv", [
     ["predict", "--input", "{root}/test_x.gtt", "--sigma", "0.1"],
     ["auto-sigma", "--input", "{root}/test_x.gtt", "--grid", "0,0.1"],
@@ -1972,6 +2071,27 @@ def test_every_public_definition_has_a_caller():
                 named.update(alias.name for alias in node.names)
     uncalled = sorted(f"{path}:{name}" for name, path in defined.items() if name not in named)
     assert not uncalled, uncalled
+
+
+def test_every_error_type_is_raised_by_the_package():
+    # Each GttaError subclass in errors.py is constructed in some other module
+    # of the package: errors.py defines no type that the package never raises.
+    errors = ast.parse((SRC / "gtta" / "errors.py").read_text())
+    subclasses, known = set(), {"GttaError"}
+    for node in errors.body:
+        if isinstance(node, ast.ClassDef) and {getattr(b, "id", None) for b in node.bases} & known:
+            subclasses.add(node.name)
+            known.add(node.name)
+    constructed = set()
+    for path in sorted((SRC / "gtta").glob("*.py")):
+        if path.name == "errors.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                constructed.add(func.attr if isinstance(func, ast.Attribute)
+                                else getattr(func, "id", None))
+    assert subclasses and not subclasses - constructed, sorted(subclasses - constructed)
 
 
 # --------------------------------------------------------------------------

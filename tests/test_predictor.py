@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from gtta import ensemble
 from gtta.data import OutputKind, one_hot
 from gtta.errors import (
-    DegenerateWeightError,
     ParamError,
     PredictorError,
     ShapeError,
@@ -26,8 +25,6 @@ from gtta.predictor import (
     load_model,
     mlp_train,
     save_model,
-    weighted_cross_entropy,
-    weighted_squared_error,
 )
 from gtta.rng import RngStream
 from gtta.subspace import fit
@@ -38,8 +35,23 @@ from gtta.synthdata import BlobsSpec, gen_blobs
 # loss values
 
 
+def identity_model(kind: OutputKind, width: int) -> MlpModel:
+    """One layer that passes its input to the head: logits in, ``kind``'s outputs out."""
+    return MlpModel.from_parameters([width, width], kind, [np.eye(width)], [np.zeros(width)])
+
+
+def loss_of(model: MlpModel, x, y, w) -> float:
+    return model.loss_and_gradients(WeightedBatch(np.asarray(x, dtype=np.float64),
+                                                  np.asarray(y, dtype=np.float64),
+                                                  np.asarray(w, dtype=np.float64)))[0]
+
+
 def test_single_pixel_log_two():
-    loss = weighted_cross_entropy([0.5], [1.0], [1.0], binary=True)
+    # A zero weight and a zero bias put the sigmoid at exactly 0.5.
+    model = MlpModel.from_parameters([1, 1], OutputKind.per_pixel(1, 1), [np.zeros((1, 1))],
+                                     [np.zeros(1)])
+    loss = loss_of(model, [[3.0]], [[[1.0]]], [1.0])
+    assert loss == pytest.approx(-np.log(0.5), abs=1e-12)
     assert loss == pytest.approx(math.log(2), abs=1e-12)
 
 
@@ -48,50 +60,55 @@ def test_uniform_weights_match_unweighted():
     p = gen.random((6, 4)) * 0.98 + 0.01
     p /= p.sum(axis=1, keepdims=True)
     y = one_hot(gen.integers(0, 4, size=6), 4)
-    base = weighted_cross_entropy(p, y, np.ones(6))
+    model = identity_model(OutputKind.probabilities(4), 4)
+    base = loss_of(model, np.log(p), y, np.ones(6))
+    # Each row's weight counts once per class in the normalizer.
+    assert base == pytest.approx(-(y * np.log(p)).sum() / y.size, abs=1e-12)
     for c in (0.3, 0.875, 1e-3):
-        assert weighted_cross_entropy(p, y, np.full(6, c)) == pytest.approx(base, abs=1e-12)
+        assert loss_of(model, np.log(p), y, np.full(6, c)) == pytest.approx(base, abs=1e-12)
 
 
 def test_zero_weight_masks_elements():
+    # Two pixels at p = 0.5 and 0.25; the zero weight leaves only the first.
     p = np.array([0.5, 0.25])
-    y = np.array([1.0, 1.0])
-    loss = weighted_cross_entropy(p, y, np.array([1.0, 0.0]), binary=True)
-    assert loss == pytest.approx(math.log(2), abs=1e-12)
-
-
-def test_all_zero_weights_rejected():
-    with pytest.raises(DegenerateWeightError):
-        weighted_cross_entropy([0.5], [1.0], [0.0], binary=True)
-    with pytest.raises(DegenerateWeightError):
-        weighted_squared_error([1.0], [0.0], [0.0])
+    model = identity_model(OutputKind.per_pixel(1, 2), 2)
+    loss = loss_of(model, [np.log(p / (1 - p))], [[[1.0, 1.0]]], [[[1.0, 0.0]]])
+    assert loss == pytest.approx(-np.log(p[0]), abs=1e-12)
 
 
 def test_squared_error_values():
-    assert weighted_squared_error([1.0, 2.0], [1.0, 2.0], [1.0, 1.0]) == 0.0
-    assert weighted_squared_error([3.0], [1.0], [1.0]) == pytest.approx(4.0)
+    model = identity_model(OutputKind.real_values(), 1)
+    assert loss_of(model, [[1.0], [2.0]], [1.0, 2.0], [1.0, 1.0]) == 0.0
+    assert loss_of(model, [[3.0]], [1.0], [1.0]) == pytest.approx(4.0)
     gen = RngStream(1).generator()
     pred, y = gen.random(8), gen.random(8)
-    assert weighted_squared_error(pred, y, np.full(8, 0.7)) == pytest.approx(
+    assert loss_of(model, pred[:, None], y, np.full(8, 0.7)) == pytest.approx(
         np.mean((pred - y) ** 2), abs=1e-12
     )
 
 
 @settings(max_examples=40, deadline=None)
-@given(scale=st.floats(1e-3, 1e3), seed=st.integers(0, 10_000))
+@given(scale=st.floats(1e-3, 1.0), seed=st.integers(0, 10_000))
 def test_loss_invariant_under_weight_rescaling(scale, seed):
+    # Weights lie in [0, 1], so the rescaled ones are the base ones times at most 1.
     gen = RngStream(seed).generator()
     p = gen.random((4, 3)) * 0.9 + 0.05
+    p /= p.sum(axis=1, keepdims=True)
     y = gen.random((4, 3))
     w = gen.random(4) * 0.9 + 0.1
-    a = weighted_cross_entropy(p, y, w)
-    b = weighted_cross_entropy(p, y, np.clip(w * scale, 0, None))
+    model = identity_model(OutputKind.probabilities(3), 3)
+    a = loss_of(model, np.log(p), y, w)
+    b = loss_of(model, np.log(p), y, w * scale)
+    assert a == pytest.approx(-(w[:, None] * y * np.log(p)).sum() / (3 * w.sum()), rel=1e-9)
     assert a == pytest.approx(b, rel=1e-9)
 
 
 def test_shape_mismatch_rejected():
-    with pytest.raises(ShapeError):
-        weighted_cross_entropy(np.ones((2, 3)), np.ones((2, 2)), np.ones(2))
+    model = identity_model(OutputKind.probabilities(3), 3)
+    with pytest.raises(ShapeError, match="targets with 2 values per row, model emits 3"):
+        loss_of(model, np.zeros((2, 3)), np.ones((2, 2)), np.ones(2))
+    with pytest.raises(ShapeError, match=r"weights \(2, 2\) do not broadcast to targets \(2, 3\)"):
+        loss_of(model, np.zeros((2, 3)), np.ones((2, 3)), np.ones((2, 2)))
 
 
 # --------------------------------------------------------------------------

@@ -200,6 +200,13 @@ def test_blob_images_validation():
         BlobImagesSpec(blobs_min=3, blobs_max=2)
     with pytest.raises(ParamError):
         BlobImagesSpec(height=8, width=8)  # radius_max 4.5 needs 12 pixels
+    for overlap in (-0.1, 1.0):
+        with pytest.raises(ParamError, match="overlap"):
+            BlobImagesSpec(overlap=overlap)
+    # 100 * 101 * 100 distance checks are over the budget, 100 * 100 * 99 are not
+    with pytest.raises(ParamError, match="blobs_max 101"):
+        BlobImagesSpec(blobs_max=101)
+    BlobImagesSpec(blobs_max=100, overlap=0.9)
     # the smallest image that fits a blob of radius_max still generates
     assert gen_blob_images(BlobImagesSpec(n_images=2, height=12, width=12)).data.n == 2
 
