@@ -37,8 +37,7 @@ from .rng import RngStream
 from .segcount import count as count_components, evaluate_counting
 from .subspace import fit, load_subspace, save_subspace
 from .tensorio import (
-    content_hash, load_json, load_tensor, recording, save_bytes, save_container, save_json,
-    save_tensor,
+    content_hash, load_json, load_tensor, recording, save_container, save_json, save_tensor,
 )
 
 # Task-level defaults: retained variance, ensemble sizes per task family.
@@ -180,14 +179,6 @@ def _provenance(args, record) -> dict:
         "inputs": {p: content_hash(p, seen) for p, seen in record["inputs"].items()},
         "outputs": {p: content_hash(p, seen) for p, seen in record["outputs"].items()},
     }
-
-
-def _write_csv(path, header, rows):
-    lines = [",".join(header)] + [
-        ",".join("" if v is None else repr(v) if isinstance(v, float) else str(v) for v in row)
-        for row in rows
-    ]
-    save_bytes("".join(line + "\n" for line in lines).encode(), path)
 
 
 # --------------------------------------------------------------------------
@@ -479,8 +470,7 @@ def _cmd_count(args):
 def _cmd_analyze(experiment, args):
     from .analysis import report_dict
 
-    out = Path(args.out)
-    save_json(report_dict(experiment(args, out)), out / "report.json")
+    save_json(report_dict(experiment(args)), Path(args.out) / "report.json")
 
 
 def _load_eval_data(args, model) -> Dataset:
@@ -489,69 +479,42 @@ def _load_eval_data(args, model) -> Dataset:
     return Dataset(_load_rows(args.data), targets, model.output_kind)
 
 
-def _analyze_bias_variance(args, out: Path):
+def _analyze_bias_variance(args):
     from .analysis import bias_variance_sweep
 
     with _load_predictor(args) as (model, s):
         data = _load_eval_data(args, model)
         scheds = [_schedule(args, model, sigma) for sigma in _parse_floats(args.grid, "--grid")]
-        report = bias_variance_sweep(model, s, scheds, data, args.repeats,
-                                     RngStream(args.seed, 11))
-    rows = [(r["strategy"], r["sigma"], r["bias2"], r["variance"], r["error"])
-            for r in report.rows]
-    _write_csv(out / "bias_variance.csv",
-               ["strategy", "sigma", "bias2", "variance", "error"], rows)
-    return report
+        return bias_variance_sweep(model, s, scheds, data, args.repeats, RngStream(args.seed, 11))
 
 
-def _analyze_spectrum(args, out: Path):
+def _analyze_spectrum(args):
     from .analysis import covariance_spectrum_experiment
 
-    s = load_subspace(args.subspace)
-    report = covariance_spectrum_experiment(
-        s, _schedule(args, None), _load_rows(args.data), RngStream(args.seed, 12),
-        baseline=args.baseline, equal_sigma=args.equal_sigma,
+    return covariance_spectrum_experiment(
+        load_subspace(args.subspace), _schedule(args, None), _load_rows(args.data),
+        RngStream(args.seed, 12), baseline=args.baseline, equal_sigma=args.equal_sigma,
     )
-    base = report.baseline_eigenvalues
-    rows = [
-        (i, float(v), None if base is None else float(base[i]))
-        for i, v in enumerate(report.eigenvalues)
-    ]
-    _write_csv(out / "spectrum.csv", ["index", "eigenvalue", "baseline_eigenvalue"], rows)
-    return report
 
 
-def _analyze_std_error(args, out: Path):
+def _analyze_std_error(args):
     from .analysis import std_error_correlation
 
     with _load_predictor(args) as (model, s):
         data = _load_eval_data(args, model)
-        report = std_error_correlation(
-            model, s, _schedule(args, model), data, RngStream(args.seed, 13)
-        )
-    rows = [
-        (float(report.bin_edges[b]), float(report.bin_edges[b + 1]),
-         int(report.bin_counts[b]), report.bin_mae[b])
-        for b in range(len(report.bin_counts))
-    ]
-    _write_csv(out / "std_error.csv", ["bin_lo", "bin_hi", "count", "mae"], rows)
-    return report
+        return std_error_correlation(model, s, _schedule(args, model), data,
+                                     RngStream(args.seed, 13))
 
 
-def _analyze_structured_noise(args, out: Path):
+def _analyze_structured_noise(args):
     from .analysis import structured_noise_removal
 
     carrier = _load_rows(args.data)
     pattern = load_tensor(args.pattern).reshape(-1)
-    report = structured_noise_removal(
+    return structured_noise_removal(
         carrier, pattern, _schedule(args, None), RngStream(args.seed, 14),
         inject_fraction=args.inject_fraction, retain=_parse_retain(args.retain),
     )
-    rows = [(i, r["latent_noise"], r["global_jitter"])
-            for i, r in enumerate(report.per_row)]
-    _write_csv(out / "structured_noise.csv",
-               ["row", "latent_noise", "global_jitter"], rows)
-    return report
 
 
 # --------------------------------------------------------------------------

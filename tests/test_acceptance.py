@@ -13,10 +13,11 @@ import numpy as np
 import run_bias_variance
 import run_distill_experiment
 import run_spectrum
+import run_std_error
 import run_structured_noise
-from gtta.analysis import bias_variance_sweep, std_error_correlation
+from gtta.analysis import bias_variance_sweep
 from gtta.cli import main as cli_main
-from gtta.data import Dataset, OutputKind, one_hot
+from gtta.data import OutputKind, one_hot
 from gtta.ensemble import run_gtta
 from gtta.perturb import (
     NoiseSchedule,
@@ -26,12 +27,7 @@ from gtta.perturb import (
     per_component_sigma,
     make_candidates,
 )
-from gtta.predictor import (
-    MlpModel,
-    WeightedBatch,
-    batch_from_dataset,
-    mlp_train,
-)
+from gtta.predictor import MlpModel, WeightedBatch
 from gtta.rng import RngStream
 from gtta.segcount import count, erode, evaluate_counting, label_components
 from gtta.subspace import fit, project, reconstruct
@@ -265,18 +261,7 @@ def test_c06_spectrum_flat_vs_lowrank_jitter():
 
 def test_c07_spread_tracks_error():
     start = time.time()
-    bundle = gen_blob_images(BlobImagesSpec(
-        n_images=80, height=16, width=16, boundary_noise=0.25, input_noise=0.05,
-        seed=42,
-    ))
-    train = Dataset(bundle.data.inputs[:60], bundle.data.targets[:60], OutputKind.per_pixel(16, 16))
-    ev = Dataset(bundle.data.inputs[60:], bundle.clean_targets[60:], OutputKind.per_pixel(16, 16))
-    model = MlpModel([256, 48, 256], OutputKind.per_pixel(16, 16), RngStream(1, 60))
-    mlp_train(model, batch_from_dataset(train), epochs=150, lr=0.5, rng=RngStream(1, 61))
-    s = fit(train.inputs, 0.99)
-    report = std_error_correlation(
-        model, s, NoiseSchedule("constant", 0.02, 15), ev, RngStream(1, 62)
-    )
+    report = run_std_error.spread_report(n_images=80, epochs=150)
     mae = [m for m, c in zip(report.bin_mae, report.bin_counts) if c > 0]
     rising = sum(1 for a, b in zip(mae, mae[1:]) if b >= a) / (len(mae) - 1)
     elapsed = time.time() - start

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 import run_spectrum
+import run_std_error
 import run_structured_noise
 
 from gtta import perturb
@@ -15,10 +16,9 @@ from gtta.analysis import (
 from gtta.data import Dataset, OutputKind
 from gtta.errors import ParamError
 from gtta.perturb import NoiseSchedule
-from gtta.predictor import MlpModel, batch_from_dataset, mlp_train
+from gtta.predictor import MlpModel
 from gtta.rng import RngStream
 from gtta.subspace import Subspace, fit
-from gtta.synthdata import BlobImagesSpec, gen_blob_images
 
 
 class NoisyOracle:
@@ -171,17 +171,7 @@ def test_degenerate_when_model_deterministic():
 
 
 def test_boundary_noise_task_correlates():
-    bundle = gen_blob_images(BlobImagesSpec(
-        n_images=60, height=16, width=16, boundary_noise=0.25, input_noise=0.05,
-        seed=42,
-    ))
-    train = Dataset(bundle.data.inputs[:45], bundle.data.targets[:45], OutputKind.per_pixel(16, 16))
-    ev = Dataset(bundle.data.inputs[45:], bundle.clean_targets[45:], OutputKind.per_pixel(16, 16))
-    model = MlpModel([256, 48, 256], OutputKind.per_pixel(16, 16), RngStream(1, 60))
-    mlp_train(model, batch_from_dataset(train), epochs=120, lr=0.5, rng=RngStream(1, 61))
-    s = fit(train.inputs, 0.99)
-    report = std_error_correlation(model, s, NoiseSchedule("constant", 0.02, 15),
-                                   ev, RngStream(1, 62))
+    report = run_std_error.spread_report(n_images=60, epochs=120)
     assert report.pearson is not None and report.pearson > 0.3
     assert report.bin_counts.sum() == report.n_elements
     mae = [m for m, c in zip(report.bin_mae, report.bin_counts) if c > 0]
