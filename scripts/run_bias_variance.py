@@ -3,7 +3,8 @@
 
 Trains a small classifier on blobs with a class-skewed distractor, then
 sweeps the noise grid for both schedules on distractor-carrying eval rows.
-Emits a CSV ready for plotting plus a JSON report.
+Prints one line per schedule and noise level, and writes their rows to a
+JSON report.
 """
 
 import argparse
@@ -11,7 +12,7 @@ import dataclasses
 import json
 
 from gtta.analysis import bias_variance_sweep
-from gtta.data import OutputKind
+from gtta.data import Dataset, OutputKind
 from gtta.perturb import NoiseSchedule
 from gtta.predictor import MlpModel, batch_from_dataset, mlp_train
 from gtta.rng import RngStream
@@ -33,7 +34,9 @@ def setup(seed):
     model = MlpModel([16, 32, 2], OutputKind.probabilities(2), RngStream(seed, 50))
     mlp_train(model, batch_from_dataset(train.data), epochs=120, lr=0.1,
               rng=RngStream(seed, 51))
-    return model, fit(train.data.inputs, "all"), ev.data.subset(ev.injected)
+    eval_ds = Dataset(ev.data.inputs[ev.injected], ev.data.targets[ev.injected],
+                      ev.data.output_kind)
+    return model, fit(train.data.inputs, "all"), eval_ds
 
 
 def main():
@@ -59,15 +62,10 @@ def main():
                   f"bias2={row['bias2']:.4f} var={row['variance']:.5f} "
                   f"err={row['error']:.4f}")
 
-    with open(args.out + ".csv", "w") as fh:
-        fh.write("strategy,sigma,bias2,variance,error\n")
-        for r in rows:
-            fh.write(f"{r['strategy']},{r['sigma']!r},{r['bias2']!r},"
-                     f"{r['variance']!r},{r['error']!r}\n")
     with open(args.out + ".json", "w") as fh:
         json.dump({"rows": rows, "ensemble_size": args.n,
                    "repeats": args.repeats}, fh, sort_keys=True, indent=2)
-    print(f"-> {args.out}.csv, {args.out}.json")
+    print(f"-> {args.out}.json")
 
 
 if __name__ == "__main__":

@@ -12,14 +12,21 @@ from gtta.analysis import covariance_spectrum_experiment, report_dict
 from gtta.perturb import NoiseSchedule
 from gtta.rng import RngStream
 from gtta.subspace import fit
-from gtta.synthdata import FrameSequenceSpec, gen_frame_sequence
+from gtta.synthdata import BlobImagesSpec, gen_blob_images
+
+
+def scene_frames(seed):
+    """A clean 16x16 scene of 2-3 blobs and 60 frames of it, each with noise of std 0.05."""
+    scene = gen_blob_images(BlobImagesSpec(
+        n_images=1, height=16, width=16, blobs_min=2, input_noise=0.0, seed=seed
+    )).data.inputs[0]
+    noise = RngStream(seed).derive(20).generator().standard_normal((60, scene.size))
+    return scene, scene + 0.05 * noise
 
 
 def frame_setup(seed, components):
     """A subspace fit to the first 30 of 60 frames, and the last 30 frames."""
-    frames = gen_frame_sequence(FrameSequenceSpec(
-        n_frames=60, height=16, width=16, frame_noise=0.05, seed=seed
-    )).frames
+    frames = scene_frames(seed)[1]
     return fit(frames[:30], components), frames[30:]
 
 

@@ -299,7 +299,7 @@ def _cmd_synth(args):
 
     out = Path(args.out)
     params = load_json(args.spec)
-    if args.seed is not None and "seed" not in params:
+    if "seed" not in params:
         params["seed"] = args.seed
     spec = synthdata.spec_from_dict(args.kind, params)
     if args.kind == "tabular":
@@ -311,7 +311,7 @@ def _cmd_synth(args):
         bundle = synthdata.gen_blobs(spec)
         save_tensor(bundle.data.inputs, out / "inputs.gtt")
         save_tensor(bundle.data.targets.astype(np.float64), out / "targets.gtt")
-        if bundle.spec.distractor_amplitude != 0:
+        if spec.distractor_amplitude != 0:
             save_tensor(bundle.pattern, out / "pattern.gtt")
     else:
         bundle = synthdata.gen_blob_images(spec)

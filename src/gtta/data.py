@@ -141,9 +141,6 @@ class Dataset:
     def d(self) -> int:
         return self.inputs.shape[1]
 
-    def subset(self, index) -> "Dataset":
-        return Dataset(self.inputs[index], self.targets[index], self.output_kind)
-
 
 def one_hot(labels, num_classes: int) -> np.ndarray:
     labels = np.asarray(labels)

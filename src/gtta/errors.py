@@ -38,8 +38,8 @@ class IoError(GttaError):
 class TrainingDivergedError(GttaError):
     """Loss became non-finite during training."""
 
-    def __init__(self, step: int, message: str | None = None):
-        super().__init__(message or f"training diverged at step {step}")
+    def __init__(self, step: int):
+        super().__init__(f"training diverged at step {step}")
         self.step = step
 
 

@@ -47,7 +47,6 @@ class TabularData:
     val: Dataset
     test: Dataset
     coefficients: np.ndarray
-    spec: TabularSpec
 
 
 def tabular_target(inputs, coefficients, nonlinear_scale: float) -> np.ndarray:
@@ -69,7 +68,7 @@ def gen_tabular(spec: TabularSpec) -> TabularData:
     train = Dataset(X[:n_train], y[:n_train], kind)
     val = Dataset(X[n_train : n_train + n_val], y[n_train : n_train + n_val], kind)
     test = Dataset(X[n_train + n_val :], y[n_train + n_val :], kind)
-    return TabularData(train, val, test, coeff, spec)
+    return TabularData(train, val, test, coeff)
 
 
 # --------------------------------------------------------------------------
@@ -96,7 +95,6 @@ class BlobsData:
     data: Dataset
     pattern: np.ndarray   # the fixed distractor vector, zero-amplitude allowed
     injected: np.ndarray  # [n] bool, rows that received the pattern
-    spec: BlobsSpec
 
 
 def gen_blobs(spec: BlobsSpec) -> BlobsData:
@@ -127,7 +125,7 @@ def gen_blobs(spec: BlobsSpec) -> BlobsData:
     if spec.distractor_amplitude != 0:
         X[injected] += pattern
     data = Dataset(X, labels.astype(np.float64), OutputKind.probabilities(2))
-    return BlobsData(data, pattern, injected, spec)
+    return BlobsData(data, pattern, injected)
 
 
 # --------------------------------------------------------------------------
@@ -178,7 +176,6 @@ class BlobImagesData:
     instance_maps: list           # [H, W] int arrays, 0 background
     counts: np.ndarray            # [n] true object counts
     clean_targets: np.ndarray     # [n, H, W] targets before boundary noise
-    spec: BlobImagesSpec
 
 
 def _place_blobs(spec: BlobImagesSpec, gen) -> list[tuple]:
@@ -285,58 +282,7 @@ def gen_blob_images(spec: BlobImagesSpec) -> BlobImagesData:
         counts[i] = len(placed)
 
     data = Dataset(inputs, targets, OutputKind.per_pixel(spec.height, spec.width))
-    return BlobImagesData(data, instance_maps, counts, clean_targets, spec)
-
-
-# --------------------------------------------------------------------------
-# video-like frame sequences
-
-
-@dataclass(frozen=True)
-class FrameSequenceSpec:
-    """Noisy frames of a single blob scene, like consecutive stills of one view."""
-
-    n_frames: int = 30
-    height: int = 16
-    width: int = 16
-    blobs_min: int = 2
-    blobs_max: int = 3
-    frame_noise: float = 0.05
-    seed: int = 0
-
-
-@dataclass(frozen=True)
-class FrameSequenceData:
-    frames: np.ndarray    # [n_frames, H*W]
-    scene: np.ndarray     # the shared clean scene, [H*W]
-    spec: FrameSequenceSpec
-
-
-def gen_frame_sequence(spec: FrameSequenceSpec) -> FrameSequenceData:
-    scene_spec = BlobImagesSpec(
-        n_images=1, height=spec.height, width=spec.width,
-        blobs_min=spec.blobs_min, blobs_max=spec.blobs_max,
-        input_noise=0.0, seed=spec.seed,
-    )
-    scene = gen_blob_images(scene_spec).data.inputs[0]
-    gen = RngStream(spec.seed).derive(20).generator()
-    frames = scene + spec.frame_noise * gen.standard_normal((spec.n_frames, scene.size))
-    return FrameSequenceData(frames=frames, scene=scene, spec=spec)
-
-
-# --------------------------------------------------------------------------
-# fixed structured patterns
-
-
-def gen_circle_pattern(height: int, width: int, *, radius: float | None = None,
-                       thickness: float = 1.5, amplitude: float = 1.0) -> np.ndarray:
-    """A flat ring pattern, the classic shaped distractor, as a [H*W] vector."""
-    if radius is None:
-        radius = min(height, width) / 3.0
-    yy, xx = np.mgrid[0:height, 0:width]
-    dist = np.hypot(yy - (height - 1) / 2.0, xx - (width - 1) / 2.0)
-    ring = np.abs(dist - radius) <= thickness / 2.0
-    return (amplitude * ring.astype(np.float64)).ravel()
+    return BlobImagesData(data, instance_maps, counts, clean_targets)
 
 
 # --------------------------------------------------------------------------

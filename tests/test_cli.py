@@ -1,5 +1,6 @@
 import argparse
 import ast
+import collections
 import contextlib
 import dataclasses
 import hashlib
@@ -25,6 +26,7 @@ from gtta.cli import _build_parser, main
 from gtta.ensemble import BLOCK_ROWS
 from gtta.errors import ShapeError
 from gtta.segcount import count as count_components, erode, label_components
+from gtta.synthdata import BlobImagesSpec, BlobsSpec, TabularSpec
 from gtta.tensorio import (
     content_hash, dumps_tensor, load_container, load_tensor, save_container, save_tensor,
 )
@@ -2051,26 +2053,32 @@ def test_importing_the_cli_leaves_out_the_modules_of_synth_analyze_and_distill()
     assert cli._RETIRED["bins"] == analysis.STD_ERROR_BINS
 
 
+def _names(node) -> collections.Counter:
+    """Each name ``node`` refers to, as a name, an attribute or an import, and how often."""
+    named = collections.Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            named[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            named[sub.attr] += 1
+        elif isinstance(sub, ast.ImportFrom):
+            named.update(alias.name for alias in sub.names)
+    return named
+
+
 def test_every_public_definition_has_a_caller():
-    # A public top-level function or class of the package must be named
-    # somewhere beyond its own definition: as a name, an attribute or an
-    # import, in the package or in scripts/.
-    paths = sorted((SRC / "gtta").glob("*.py")) + sorted((SRC.parent / "scripts").glob("*.py"))
-    defined, named = {}, set()
-    for path in paths:
-        tree = ast.parse(path.read_text(), filename=str(path))
-        if path.parent.name == "gtta":
-            defined.update({node.name: path.name for node in tree.body
-                            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-                            and not node.name.startswith("_")})
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Name):
-                named.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                named.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                named.update(alias.name for alias in node.names)
-    uncalled = sorted(f"{path}:{name}" for name, path in defined.items() if name not in named)
+    # A public function, class or method of the package is named somewhere in
+    # the package beyond its own definition; scripts and tests do not count.
+    trees = {path.name: ast.parse(path.read_text(), filename=str(path))
+             for path in sorted((SRC / "gtta").glob("*.py"))}
+    named = sum((_names(tree) for tree in trees.values()), collections.Counter())
+    uncalled = []
+    for module, tree in trees.items():
+        classes = [node for node in tree.body if isinstance(node, ast.ClassDef)]
+        for node in tree.body + [item for cls in classes for item in cls.body]:
+            if (isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+                    and named[node.name] == _names(node)[node.name]):
+                uncalled.append(f"{module}:{node.name}")
     assert not uncalled, uncalled
 
 
@@ -2501,7 +2509,11 @@ def test_rows_of_extreme_magnitude_end_in_one_error_line_or_finite_artifacts(
 # damaged input files. An integer is small or far past what numpy can index,
 # which is refused before anything is allocated; one in between could run
 # the machine out of memory.
-_COUNTS = st.one_of(st.integers(-2, 64), st.integers(10 ** 19, 10 ** 30)).map(str)
+def _integers(top):
+    return st.one_of(st.integers(-2, top), st.integers(10 ** 19, 10 ** 30))
+
+
+_COUNTS = _integers(64).map(str)
 _NUMBERS = st.one_of(st.floats(0, 2).map(repr), st.sampled_from(["-1", "nan", "inf", "x"]))
 _FRACTIONS = st.one_of(st.floats(0, 1).map(repr), st.sampled_from(["-0.5", "1.5", "nan", "x"]))
 ANALYZE_OPTIONS = {
@@ -2558,23 +2570,102 @@ def test_analyze_ends_in_one_error_line_or_a_finite_report(extreme_model, drawn)
             name, how = damage
             _damage(tmp / f"{name}.gtt", *how)
         argv = ["analyze", experiment, *[a.format(root=extreme_model, tmp=tmp) for a in base],
-                *[a for option in options for a in option], "--out", str(tmp / "o")]
-        err = io.StringIO()
-        with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            try:
-                code = run(*argv)
-            except SystemExit as exc:  # argparse
-                code = exc.code
-        wrote = sorted(p.name for p in (tmp / "o").iterdir()) if (tmp / "o").exists() else None
-        if code == 0:
+                *[a for option in options for a in option]]
+        if _one_fuzzed_run(argv, tmp / "o") == 0:
+            wrote = sorted(p.name for p in (tmp / "o").iterdir())
             assert wrote == ["provenance.json", "report.json"], wrote
-            _finite_artifacts(tmp / "o")
-    message = err.getvalue()
+
+
+def _one_fuzzed_run(argv, out: Path) -> int:
+    """The exit code of ``argv --out out``, run in process, which must end in one of two ways.
+
+    Exit 0 with finite artifacts, or exit 1 or 2 with exactly one ``error:``
+    line, no traceback, no warning and nothing written at ``out``.
+    """
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            code = run(*argv, "--out", str(out))
+        except SystemExit as exc:  # argparse
+            code = exc.code
+    message, wrote = err.getvalue(), sorted(out.parent.glob(out.name + "*"))
     assert not caught, [str(w.message) for w in caught]
     assert code in (0, 1, 2), message
     if code:
         lines = message.splitlines()
+        parser = "gtta " + " ".join(argv[:1 + (argv[0] == "analyze")])
         assert sum("error:" in line for line in lines) == 1 and "Traceback" not in message, message
-        assert lines[-1].startswith("error: " if code == 1 else "gtta analyze "), message
-        assert wrote is None, wrote
+        assert lines[-1].startswith("error: " if code == 1 else f"{parser}: error: "), message
+        assert not wrote, wrote
+    for path in wrote:
+        _finite_artifacts(path)
+    return code
+
+
+# Fuzz slice: the options of predict, auto-sigma, fit, count and synth, with
+# integers drawn as in the slice above. A synth spec keeps blobs_max <= 8 and
+# image sides <= 32, or goes far past them, so that placing blobs stays fast.
+# Every command gets a drawn spec file; only synth reads it.
+_CLAMPS = st.one_of(st.lists(st.floats(-3, 3).map(repr), min_size=1, max_size=3).map(",".join),
+                    st.sampled_from(["x", "nan,1", "-inf,inf"]))
+OPTION_VALUES = ANALYZE_OPTIONS | {
+    "--clamp": _CLAMPS,
+    "--strategy": st.sampled_from(["constant", "incremental", "x"]),
+    "--threshold": _FRACTIONS,
+    "--elem": _COUNTS,
+    "--iters": _COUNTS,
+    "--min-area": _COUNTS,
+    "--seed": _COUNTS,
+}
+# Each command on the fixture's files, and the options drawn for it.
+ENSEMBLE_ON_ROWS = ["--model", "{root}/model.gtt", "--subspace", "{root}/subspace.gtt",
+                    "--input", "{tmp}/rows.gtt"]
+OPTION_COMMANDS = {
+    "predict": (["predict", *ENSEMBLE_ON_ROWS],
+                ["--n", "--sigma", "--sigma-cap", "--clamp", "--strategy", "--seed"]),
+    "auto-sigma": (["auto-sigma", *ENSEMBLE_ON_ROWS],
+                   ["--n", "--sigma-cap", "--clamp", "--strategy", "--grid", "--threshold",
+                    "--seed"]),
+    "fit": (["fit", "--data", "{tmp}/rows.gtt"], ["--retain", "--seed"]),
+    "count": (["count", "--input", "{tmp}/maps.gtt"],
+              ["--threshold", "--elem", "--iters", "--min-area", "--seed"]),
+    "synth": (["synth", "{kind}", "--spec", "{tmp}/spec.json"], ["--seed"]),
+}
+SPEC_TYPES = {"tabular": TabularSpec, "blobs": BlobsSpec, "images": BlobImagesSpec}
+SPEC_VALUES = {
+    **dict.fromkeys(["n", "dim", "n_images", "seed"], _integers(64)),
+    **dict.fromkeys(["height", "width"], _integers(32)),
+    **dict.fromkeys(["blobs_min", "blobs_max"], _integers(8)),
+    "pattern_seed": st.none() | _integers(64),
+    "splits": st.lists(st.floats(0, 1), min_size=2, max_size=4),
+    "distractor_fractions": st.none() | st.lists(st.floats(0, 1), min_size=2, max_size=2),
+}
+_SPEC_FLOATS = st.floats(-2, 20)
+_SPEC_ODD = st.sampled_from(["x", True, 1e308])
+
+
+@st.composite
+def _option_run(draw):
+    command = draw(st.sampled_from(sorted(OPTION_COMMANDS)))
+    kind = draw(st.sampled_from(sorted(SPEC_TYPES)))
+    fields = draw(st.lists(st.sampled_from([f.name for f in dataclasses.fields(SPEC_TYPES[kind])]),
+                           unique=True))
+    spec = {name: draw(SPEC_VALUES.get(name, _SPEC_FLOATS) | _SPEC_ODD) for name in fields}
+    drawn = draw(st.lists(st.sampled_from(OPTION_COMMANDS[command][1]), unique=True))
+    return command, kind, spec, [(flag, draw(OPTION_VALUES[flag])) for flag in drawn]
+
+
+@settings(max_examples=60, deadline=2000)
+@given(drawn=_option_run())
+def test_command_options_end_in_one_error_line_or_finite_artifacts(extreme_model, drawn):
+    command, kind, spec, options = drawn
+    base, _ = OPTION_COMMANDS[command]
+    gen = np.random.default_rng(2)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        save_tensor(gen.standard_normal((12, 4)), tmp / "rows.gtt")
+        save_tensor(gen.random((2, 12, 12)), tmp / "maps.gtt")
+        (tmp / "spec.json").write_text(json.dumps(spec))
+        argv = [a.format(root=extreme_model, tmp=tmp, kind=kind) for a in base]
+        _one_fuzzed_run([*argv, *[a for option in options for a in option]], tmp / "o")

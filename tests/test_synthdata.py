@@ -11,13 +11,10 @@ from gtta.segcount import label_components
 from gtta.synthdata import (
     BlobImagesSpec,
     BlobsSpec,
-    FrameSequenceSpec,
     TabularSpec,
     _ellipse_box,
     gen_blob_images,
     gen_blobs,
-    gen_circle_pattern,
-    gen_frame_sequence,
     gen_tabular,
     spec_from_dict,
     tabular_target,
@@ -33,9 +30,10 @@ def test_tabular_deterministic():
 
 
 def test_tabular_zero_noise_recoverable():
-    data = gen_tabular(TabularSpec(noise=0.0, seed=1))
+    spec = TabularSpec(noise=0.0, seed=1)
+    data = gen_tabular(spec)
     for split in (data.train, data.val, data.test):
-        expected = tabular_target(split.inputs, data.coefficients, data.spec.nonlinear_scale)
+        expected = tabular_target(split.inputs, data.coefficients, spec.nonlinear_scale)
         assert np.array_equal(split.targets, expected)
 
 
@@ -209,24 +207,6 @@ def test_blob_images_validation():
     BlobImagesSpec(blobs_max=100, overlap=0.9)
     # the smallest image that fits a blob of radius_max still generates
     assert gen_blob_images(BlobImagesSpec(n_images=2, height=12, width=12)).data.n == 2
-
-
-def test_frame_sequence_shares_scene():
-    data = gen_frame_sequence(FrameSequenceSpec(n_frames=8, frame_noise=0.02, seed=13))
-    assert len(data.frames) == 8
-    spread = data.frames.std(axis=0)
-    assert spread.max() < 0.1  # frames hug the scene
-    assert np.abs(data.frames.mean(axis=0) - data.scene).max() < 0.05
-
-
-def test_circle_pattern_geometry():
-    pat = gen_circle_pattern(16, 16, radius=5.0, thickness=1.5, amplitude=2.0)
-    img = pat.reshape(16, 16)
-    assert img.max() == 2.0
-    yy, xx = np.nonzero(img)
-    dist = np.hypot(yy - 7.5, xx - 7.5)
-    assert np.all(np.abs(dist - 5.0) <= 0.76)
-    assert not img[7:9, 7:9].any()  # center stays empty
 
 
 def test_spec_from_dict():
