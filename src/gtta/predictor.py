@@ -470,16 +470,19 @@ class SubprocessPredictor:
             raise PredictorError("wrote bytes after its reply")
         raise PredictorError("closed its stdout between requests")
 
-    def _read(self, n: int) -> bytes:
-        """Exactly ``n`` bytes of the reply, taken as they arrive."""
-        chunks, got = [], 0
-        while got < n:
-            chunk = self._read_some(min(n - got, _IO_CHUNK))
+    def _read(self, n: int) -> bytearray:
+        """Exactly ``n`` bytes of the reply, taken as they arrive.
+
+        A ``bytearray``, so the tensor read from it is writable: a quiet grid
+        point's outputs are this reply, and the engine writes into them.
+        """
+        reply = bytearray()
+        while len(reply) < n:
+            chunk = self._read_some(min(n - len(reply), _IO_CHUNK))
             if not chunk:
-                raise PredictorError(f"closed its stdout {got} bytes into a {n}-byte read")
-            chunks.append(chunk)
-            got += len(chunk)
-        return b"".join(chunks)
+                raise PredictorError(f"closed its stdout {len(reply)} bytes into a {n}-byte read")
+            reply += chunk
+        return reply
 
     def _read_some(self, n: int) -> bytes:
         """Up to ``n`` bytes from the child's stdout, b"" at EOF."""

@@ -45,7 +45,7 @@ def erode(mask, side: int, iterations: int) -> np.ndarray:
     return out
 
 
-def label_components(mask, connectivity: int = 8) -> tuple[np.ndarray, int]:
+def label_components(mask, connectivity: int = 8) -> tuple[np.ndarray, int, np.ndarray]:
     """Label connected foreground components 1..K with a run-based two-scan.
 
     The first scan finds each row's foreground runs and joins every run to
@@ -55,29 +55,30 @@ def label_components(mask, connectivity: int = 8) -> tuple[np.ndarray, int]:
     root run and paints the labels back. Runs are indexed in raster order, so
     components are numbered in raster order of their first pixel. See He,
     Chao and Suzuki, "A run-based two-scan labeling algorithm", IEEE TIP
-    17(5), 2008. Returns the label grid and K. Connectivity is 4 or 8.
+    17(5), 2008. Returns the label grid, K and the K components' areas in
+    pixels, summed from their runs. Connectivity is 4 or 8.
     """
     if connectivity not in (4, 8):
         raise ParamError(f"connectivity must be 4 or 8, got {connectivity}")
     grid = np.asarray(mask).astype(bool)
     h, w = grid.shape
-    stride = w + 2
-    padded = np.zeros((h, stride), dtype=np.int8)
+    padded = np.zeros((h, w + 2), dtype=np.int8)
     padded[:, 1:-1] = grid
-    edges = np.diff(padded, axis=1)
-    row, start = np.nonzero(edges == 1)
-    end = np.nonzero(edges == -1)[1]  # one past the run's last pixel
-    # Keyed by row * stride + column, the runs of the row above that touch a
-    # run are the slice [lo, hi); the searches never leave that row.
+    # Each row is zero-padded, so its edges alternate between a run's start
+    # and one past its end, and so do all edges in raster order. A run is
+    # keyed by the flat indices of its two edges in the [h, w + 1] edge map.
+    stride = w + 1
+    start, end = np.flatnonzero(np.diff(padded, axis=1)).reshape(-1, 2).T
+    # A key less the stride is the same column in the row above, whose runs
+    # that touch a run are the slice [lo, hi); the searches never leave that row.
     reach = int(connectivity == 8)
-    above = (row - 1) * stride
-    lo = np.searchsorted(row * stride + end, above + start - reach, side="right")
-    hi = np.searchsorted(row * stride + start, above + end + reach, side="left")
+    lo = np.searchsorted(end, start - stride - reach, side="right")
+    hi = np.searchsorted(start, end - stride + reach, side="left")
     touching = hi - lo
     upper = np.repeat(lo - np.cumsum(touching) + touching, touching) + np.arange(touching.sum())
-    lower = np.repeat(np.arange(row.size), touching)
+    lower = np.repeat(np.arange(start.size), touching)
 
-    parent = list(range(row.size))
+    parent = list(range(start.size))
 
     def find(a):
         while parent[a] != a:
@@ -95,10 +96,13 @@ def label_components(mask, connectivity: int = 8) -> tuple[np.ndarray, int]:
     for r in sorted(joined):
         parent[r] = parent[parent[r]]
     root = np.asarray(parent, dtype=np.int64)
-    is_root = root == np.arange(row.size)
+    is_root = root == np.arange(start.size)
+    label, length = np.cumsum(is_root)[root], end - start
+    k = int(is_root.sum())
     labels = np.zeros((h, w), dtype=np.int64)
-    labels[grid] = np.repeat(np.cumsum(is_root)[root], end - start)
-    return labels, int(is_root.sum())
+    labels[grid] = np.repeat(label, length)
+    areas = np.bincount(label, weights=length, minlength=k + 1)[1:].astype(np.int64)
+    return labels, k, areas
 
 
 @dataclass(frozen=True)
@@ -116,11 +120,8 @@ def count(seg_prob, threshold: float, side: int, iterations: int, *,
         raise ParamError(f"min_area must be >= 0, got {min_area}")
     binary = np.asarray(seg_prob) > threshold
     eroded = erode(binary, side, iterations)
-    labels, k = label_components(eroded, connectivity=connectivity)
-    area = np.bincount(labels.ravel(), minlength=k + 1)
-    keep = area >= min_area
-    keep[0] = False
-    areas = area[keep].tolist()
+    _, _, area = label_components(eroded, connectivity=connectivity)
+    areas = area[area >= min_area].tolist()
     return CountResult(count=len(areas), areas=areas)
 
 

@@ -21,11 +21,19 @@ Every writer goes through :func:`save_bytes`, which makes the target's
 directory, writes a temporary file next to the target and renames it into
 place, so an interrupted or failed write never leaves a truncated artifact.
 
+A file is read once, front to back, in parts: a header, then each payload as
+its own ``bytes`` object of the size the header names, checked against the
+file's size before it is allocated (a pipe, whose size is known only once it
+is read, is read whole first). A loaded GTT tensor is a read-only view of its
+payload's bytes, not a copy; a loaded CSV table is read-only too.
+
 While a :func:`recording` is open, every file read through a loader here and
 every file written through :func:`save_bytes` is noted, so a command's
 provenance names exactly the files it touched, and a file read in it may not
-be overwritten. The SHA-256 of the bytes read or written is taken then, from
-those bytes, on a worker thread, so no file is read a second time to hash it.
+be overwritten. The SHA-256 of the bytes read or written is taken then, on a
+worker thread, from the very parts read or written, so no file is read a
+second time to hash it, and a load's digest is of exactly the bytes its
+tensors view.
 """
 
 from __future__ import annotations
@@ -33,10 +41,12 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import hashlib
+import io
 import json
 import math
 import os
 import queue
+import stat
 import struct
 import threading
 
@@ -59,15 +69,24 @@ class _Digest(threading.Event):
 
 
 def _take_digests(jobs: queue.SimpleQueue) -> None:
-    """Take the SHA-256 of each queued ``(digest, bytes)`` job in order, until a None.
+    """Take the SHA-256 of each queued ``(digest, parts)`` job in order, until a None.
 
-    hashlib releases the GIL while it hashes a large buffer, so the digests
-    run on a second core while the command computes.
+    A job's parts are a file's bytes in order. hashlib releases the GIL while
+    it hashes a large buffer, so the digests run on a second core while the
+    command computes.
     """
-    for pending, data in iter(jobs.get, None):
-        pending.hexdigest = hashlib.sha256(data).hexdigest()
+    for pending, parts in iter(jobs.get, None):
+        pending.hexdigest = _sha256(parts)
         pending.set()
-        del pending, data  # keep no file's bytes while waiting for the next
+        del pending, parts  # keep no file's bytes while waiting for the next
+
+
+def _sha256(parts) -> str:
+    """The SHA-256 hex digest of the bytes ``parts`` yield, in order."""
+    h = hashlib.sha256()
+    for part in parts:
+        h.update(part)
+    return h.hexdigest()
 
 
 @contextlib.contextmanager
@@ -92,13 +111,19 @@ def recording():
         worker.join()
 
 
-def _note(role: str, path, data: bytes) -> None:
-    """Note ``path`` as read or written, with the digest of its bytes ``data`` queued."""
+def _note(role: str, path, parts) -> None:
+    """Note ``path`` as read or written, with the digest of its bytes, ``parts`` in order, queued."""
     opened = _record.get()
     if opened is not None:
         record, jobs = opened
         record[role][os.fspath(path)] = pending = _Digest()
-        jobs.put((pending, data))
+        jobs.put((pending, parts))
+
+
+def _finite(arr: np.ndarray) -> bool:
+    """Whether every element of a non-empty ``arr`` is finite, with no mask of its size:
+    NaN propagates through the min and max without a floating-point error."""
+    return bool(np.isfinite(arr.min()) and np.isfinite(arr.max()))
 
 
 def as_tensor(data) -> np.ndarray:
@@ -111,7 +136,7 @@ def as_tensor(data) -> np.ndarray:
         raise FormatError("scalar (rank-0) tensors are not allowed")
     if any(s == 0 for s in arr.shape):
         raise FormatError(f"zero-element dimension in shape {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not _finite(arr):
         raise DataError("tensor contains NaN or Inf")
     return np.ascontiguousarray(arr)
 
@@ -130,7 +155,8 @@ def read_tensor(read) -> np.ndarray:
     The header, the dimensions and the payload are asked for one after the
     other, each only once the part before it has been checked, so ``read``
     can take a stream's bytes as they arrive instead of trusting a size the
-    header names.
+    header names. The tensor is a view of the payload ``read`` returns, so it
+    is read-only for ``bytes`` and writable for a ``bytearray``.
     """
     head = read(6)
     if head[:4] != _MAGIC:
@@ -146,31 +172,67 @@ def read_tensor(read) -> np.ndarray:
     size = 8 * math.prod(shape)
     if size >> 64:  # no file or pipe holds it, and the number would not even print
         raise FormatError(f"a shape of {rank} dimensions names over 2**64 payload bytes")
-    payload = read(size)
-    arr = np.frombuffer(payload, dtype="<f8").astype(np.float64).reshape(shape)
-    if not np.all(np.isfinite(arr)):
+    arr = np.frombuffer(read(size), dtype="<f8").reshape(shape)
+    if not _finite(arr):
         raise DataError("tensor payload contains NaN or Inf")
     return arr
 
 
 class _Cursor:
-    """A file's bytes, read front to back, exactly as many as each call asks for."""
+    """An open file's bytes, read front to back, exactly as many as each call asks for.
 
-    def __init__(self, blob: bytes, path):
-        self._view, self._pos, self._path = memoryview(blob), 0, path
+    Each part is checked against the bytes the file has left before it is
+    read, so a size that a header names is refused before anything of that
+    size is allocated. ``parts`` keeps every part read, in order.
+    """
 
-    def read(self, n: int) -> memoryview:
-        left = len(self._view) - self._pos
-        if n > left:
+    def __init__(self, fh, path):
+        info = os.fstat(fh.fileno())
+        size = info.st_size
+        if not stat.S_ISREG(info.st_mode):  # a pipe's size is known only once it is read
+            blob = fh.read()
+            fh, size = io.BufferedReader(io.BytesIO(blob)), len(blob)
+        self._fh, self._path, self._pos, self._size, self.parts = fh, path, 0, size, []
+
+    def magic(self) -> bytes:
+        """The first four bytes, left unread."""
+        return self._fh.peek(4)[:4]
+
+    @property
+    def left(self) -> int:
+        return self._size - self._pos
+
+    def read(self, n: int) -> bytes:
+        if n > self.left:
             raise FormatError(f"{self._path} is truncated: {n} bytes wanted at byte "
-                              f"{self._pos}, {left} left")
+                              f"{self._pos}, {self.left} left")
+        try:
+            part = self._fh.read(n)
+        except OSError as exc:
+            raise IoError(f"cannot read {self._path}: {exc}") from exc
+        if len(part) != n:
+            raise FormatError(f"{self._path} shrank while it was read")
         self._pos += n
-        return self._view[self._pos - n : self._pos]
+        self.parts.append(part)
+        return part
 
     def end(self, what: str) -> None:
         """Refuse bytes after the last part read."""
-        if self._pos != len(self._view):
-            raise FormatError(f"{len(self._view) - self._pos} trailing bytes after {what}")
+        if self.left:
+            raise FormatError(f"{self.left} trailing bytes after {what}")
+
+
+@contextlib.contextmanager
+def _reading(path):
+    """A :class:`_Cursor` over the file at ``path``, noted as read when the block ends."""
+    try:
+        fh = open(path, "rb")
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
+    with fh:
+        cursor = _Cursor(fh, path)
+        yield cursor
+    _note("inputs", path, cursor.parts)
 
 
 def save_bytes(data: bytes, path) -> None:
@@ -195,7 +257,7 @@ def save_bytes(data: bytes, path) -> None:
     finally:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
-    _note("outputs", path, data)
+    _note("outputs", path, (data,))
 
 
 def save_json(obj, path) -> None:
@@ -203,20 +265,12 @@ def save_json(obj, path) -> None:
     save_bytes((json.dumps(obj, sort_keys=True, indent=2) + "\n").encode(), path)
 
 
-def _read(path) -> bytes:
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-    _note("inputs", path, blob)
-    return blob
-
-
 def load_json(path) -> dict:
     """Read a file that must hold one JSON object."""
+    with _reading(path) as cursor:
+        blob = cursor.read(cursor.left)
     try:
-        obj = json.loads(_read(path))
+        obj = json.loads(blob)
     except ValueError as exc:
         raise FormatError(f"{path} is not JSON: {exc}") from None
     if not isinstance(obj, dict):
@@ -232,19 +286,18 @@ def load_tensor(path, header: bool = False) -> np.ndarray:
     """Load a tensor from a GTT binary file or a CSV file.
 
     The format is sniffed from the first four bytes. ``header`` skips one
-    CSV header line and is ignored for binary files.
+    CSV header line and is ignored for binary files. The tensor is read-only.
     """
-    blob = _read(path)
-    if blob[:4] != _MAGIC:
-        return _parse_csv(blob, header=header)
-    cursor = _Cursor(blob, path)
-    tensor = read_tensor(cursor.read)
-    cursor.end("payload")
+    with _reading(path) as cursor:
+        if cursor.magic() != _MAGIC:
+            return _parse_csv(cursor.read(cursor.left), header=header)
+        tensor = read_tensor(cursor.read)
+        cursor.end("payload")
     return tensor
 
 
 def _parse_csv(blob: bytes, header: bool) -> np.ndarray:
-    """The [n, d] table of CSV text; ``header`` drops its first non-blank line."""
+    """The read-only [n, d] table of CSV text; ``header`` drops its first non-blank line."""
     try:
         lines = [ln for ln in blob.decode("utf-8").splitlines() if ln.strip()]
     except UnicodeDecodeError as exc:
@@ -257,8 +310,9 @@ def _parse_csv(blob: bytes, header: bool) -> np.ndarray:
         arr = np.loadtxt(lines, delimiter=",", comments=None, ndmin=2)
     except ValueError as exc:
         raise FormatError(f"not a numeric CSV table: {exc}") from exc
-    if not np.all(np.isfinite(arr)):
+    if not _finite(arr):
         raise DataError("CSV contains NaN or Inf")
+    arr.flags.writeable = False
     return arr
 
 
@@ -276,19 +330,20 @@ def save_container(sections: dict[str, np.ndarray], path) -> None:
 
 
 def load_container(path) -> dict[str, np.ndarray]:
-    cursor = _Cursor(_read(path), path)
-    if cursor.read(4) != _CONTAINER_MAGIC:
-        raise FormatError("bad magic, not a GTT container")
-    (count,) = struct.unpack("<I", cursor.read(4))
+    """The named, read-only tensors of a container file, in file order."""
     sections: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack("<H", cursor.read(2))
-        try:
-            name = str(cursor.read(name_len), "utf-8")
-        except UnicodeDecodeError as exc:
-            raise FormatError(f"section name is not UTF-8: {exc}") from None
-        sections[name] = read_tensor(cursor.read)
-    cursor.end("last section")
+    with _reading(path) as cursor:
+        if cursor.read(4) != _CONTAINER_MAGIC:
+            raise FormatError("bad magic, not a GTT container")
+        (count,) = struct.unpack("<I", cursor.read(4))
+        for _ in range(count):
+            (name_len,) = struct.unpack("<H", cursor.read(2))
+            try:
+                name = str(cursor.read(name_len), "utf-8")
+            except UnicodeDecodeError as exc:
+                raise FormatError(f"section name is not UTF-8: {exc}") from None
+            sections[name] = read_tensor(cursor.read)
+        cursor.end("last section")
     return sections
 
 
@@ -301,11 +356,8 @@ def content_hash(path, seen: _Digest | None = None) -> str:
     if seen is not None:
         seen.wait()
         return seen.hexdigest
-    h = hashlib.sha256()
     try:
         with open(path, "rb") as fh:
-            for chunk in iter(lambda: fh.read(1 << 20), b""):
-                h.update(chunk)
+            return _sha256(iter(lambda: fh.read(1 << 20), b""))
     except OSError as exc:
         raise IoError(f"cannot read {path}: {exc}") from exc
-    return h.hexdigest()

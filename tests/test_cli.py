@@ -349,7 +349,7 @@ def golden_maps(tmp_path_factory):
 def test_golden_maps_exercise_erosion_and_min_area(golden_maps):
     vanished = dropped = 0
     for prob in load_tensor(golden_maps / "targets.gtt"):
-        blobs, k = label_components(prob > 0.5)
+        blobs, k, _ = label_components(prob > 0.5)
         eroded = erode(prob > 0.5, 3, 1)
         vanished += k - np.unique(blobs[eroded]).size  # blobs with no pixel left
         dropped += label_components(eroded)[1] - count_components(prob, 0.5, 3, 1).count
@@ -1279,7 +1279,7 @@ def test_per_pixel_targets_outside_the_unit_range_are_refused(pipeline, tmp_path
     # Each once exited 0: training on the pixel, or reporting an infinite
     # error after numpy's overflow warnings.
     argv, option = TARGET_READERS[command]
-    targets = load_tensor(Path(argv[argv.index(option) + 1].format(root=pipeline)))
+    targets = load_tensor(Path(argv[argv.index(option) + 1].format(root=pipeline))).copy()
     targets[0, 5, 7] = value
     save_tensor(targets, tmp_path / "y.gtt")
     code, err, caught = _one_run([*_with_targets(pipeline, command, tmp_path / "y.gtt"),
@@ -1359,7 +1359,7 @@ def test_bias_variance_whose_sums_would_overflow_reports_its_finite_error(pipeli
     # A count target of -1e154 has a finite squared gap and a finite mean of
     # them, about 2.5e306, but their float64 sum overflowed, and the sweep was
     # refused as a DataError.
-    targets = load_tensor(pipeline / "data" / "counts.gtt")
+    targets = load_tensor(pipeline / "data" / "counts.gtt").copy()
     targets[0] = -1e154
     save_tensor(targets, tmp_path / "y.gtt")
     code, err, caught = _one_run([*_with_targets(pipeline, "bias-variance-real", tmp_path / "y.gtt"),
@@ -1376,7 +1376,7 @@ def test_bias_variance_that_overflows_float64_is_one_error_line(tmp_path):
     assert run("synth", "tabular", "--spec", str(tmp_path / "spec.json"),
                "--out", str(tmp_path / "t")) == 0
     t = tmp_path / "t"
-    targets = load_tensor(t / "test_targets.gtt")
+    targets = load_tensor(t / "test_targets.gtt").copy()
     targets[0] = 1e200
     save_tensor(targets, tmp_path / "y.gtt")
     assert run("fit", "--data", str(t / "train_inputs.gtt"), "--retain", "all",
@@ -1626,7 +1626,7 @@ def test_commands_on_hostile_targets_end_in_one_error_line_or_succeed(pipeline, 
             (tmp / "y.gtt").write_bytes(source.read_bytes())
             _damage(tmp / "y.gtt", kind, how)
         else:
-            targets = load_tensor(source)
+            targets = load_tensor(source).copy()
             if kind == "value":
                 at, value = how
                 targets.flat[at % targets.size] = value

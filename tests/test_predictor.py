@@ -426,6 +426,13 @@ def test_subprocess_echo_round_trip(model_child):
         assert np.array_equal(out, batch)
 
 
+def test_subprocess_reply_is_writable(model_child):
+    # A quiet grid point's outputs are the reply itself, and the engine writes into them.
+    with SubprocessPredictor(model_child().argv, OutputKind.real_values()) as pred:
+        out = pred.predict(np.ones((2, 3)))
+    assert out.flags.writeable
+
+
 def test_subprocess_failure_raises():
     pred = SubprocessPredictor(
         [sys.executable, "-c", "import sys; sys.exit(3)"], OutputKind.real_values()

@@ -159,7 +159,7 @@ def test_labeling_matches_flood_fill(connectivity):
         gen = RngStream(seed).generator()
         h, w = int(gen.integers(3, 30)), int(gen.integers(3, 30))
         mask = gen.random((h, w)) > 0.6
-        _, k = label_components(mask, connectivity=connectivity)
+        _, k, _ = label_components(mask, connectivity=connectivity)
         assert k == flood_fill_oracle(mask, connectivity)
 
 
@@ -204,11 +204,44 @@ CHECKER = np.array([[1, 0, 1], [0, 1, 0]], dtype=bool)
 def test_label_grid_matches_flood_fill_numbering(case):
     grid, stored, connectivity = case
     assert np.array_equal(stored, grid)
-    labels, k = label_components(stored, connectivity=connectivity)
+    labels, k, _ = label_components(stored, connectivity=connectivity)
     expected = flood_fill_labels(grid, connectivity)
     assert labels.shape == grid.shape
     assert np.array_equal(labels, expected)
     assert k == int(expected.max(initial=0))
+
+
+EDGE_CASES = [
+    (np.ones((1, 9), bool), 0),
+    (np.zeros((7, 1), bool), 0),
+    (np.ones((5, 6), bool), 4),
+    (np.zeros((4, 5), bool), 1),
+    (CHECKER, 1),
+    (CHECKER, 2),
+]
+
+
+def _edge_examples(test):
+    """Each of EDGE_CASES under both connectivities, as an explicit example."""
+    for grid, min_area in EDGE_CASES:
+        for connectivity in (4, 8):
+            test = example(case=(grid, grid, connectivity), min_area=min_area)(test)
+    return test
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=label_cases(), min_area=st.integers(0, 8))
+@_edge_examples
+def test_count_areas_are_the_label_grid_areas(case, min_area):
+    # Erosion by a 1x1 square keeps the map, so count labels the grid itself.
+    grid, _, connectivity = case
+    labels, k, areas = label_components(grid, connectivity=connectivity)
+    area = np.bincount(labels.ravel(), minlength=k + 1)[1:]
+    assert areas.tolist() == area.tolist()
+    result = count(grid.astype(np.float64), 0.5, 1, 1, min_area=min_area,
+                   connectivity=connectivity)
+    assert result.areas == area[area >= min_area].tolist()
+    assert result.count == len(result.areas)
 
 
 def test_labels_are_contiguous_ids():
@@ -217,7 +250,7 @@ def test_labels_are_contiguous_ids():
         [0, 0, 0],
         [1, 0, 1],
     ], dtype=bool)
-    labels, k = label_components(mask, connectivity=4)
+    labels, k, _ = label_components(mask, connectivity=4)
     assert k == 4
     assert sorted(np.unique(labels).tolist()) == [0, 1, 2, 3, 4]
 

@@ -1,7 +1,9 @@
 import hashlib
 import io
+import os
 import struct
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -444,3 +446,101 @@ def test_read_tensor_takes_the_parts_in_order():
     assert sizes == [6, 16, 48]
     assert np.array_equal(tensor, np.arange(6.0).reshape(2, 3))
 
+
+def _load_arrays(tmp_path, kind):
+    """Write a small file of ``kind``, and a loader of the arrays it holds."""
+    path = tmp_path / f"file.{kind}"
+    if kind == "tensor":
+        save_tensor(np.arange(6.0).reshape(2, 3), path)
+        return path, lambda: [load_tensor(path)]
+    if kind == "container":
+        save_container({"a": np.ones((2, 2)), "b": np.arange(3.0)}, path)
+        return path, lambda: list(load_container(path).values())
+    path.write_text("1.0,2.0\n3.0,4.0\n")
+    return path, lambda: [load_tensor(path)]
+
+
+@pytest.mark.parametrize("kind", ["tensor", "container", "csv"])
+def test_loaded_arrays_are_read_only_and_their_digest_is_the_files(tmp_path, kind):
+    path, load = _load_arrays(tmp_path, kind)
+    with tensorio.recording() as record:
+        arrays = load()
+        digest = tensorio.content_hash(path, record["inputs"][str(path)])
+    assert digest == _sha256(path.read_bytes())
+    for arr in arrays:
+        assert arr.dtype == np.float64 and not arr.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            arr.flat[0] = 1.0
+        if kind != "csv":  # a view of the payload's bytes, not a copy
+            assert not arr.flags.owndata
+
+
+_HUGE_HEADER = b"GTT1" + struct.pack("<BB", 0, 1) + struct.pack("<Q", 1 << 40)
+
+
+@pytest.mark.parametrize("load, blob", [
+    (load_tensor, _HUGE_HEADER + b"\x00" * 64),
+    (load_container, b"GTTC" + struct.pack("<IH", 1, 1) + b"a" + _HUGE_HEADER + b"\x00" * 64),
+])
+def test_a_payload_past_the_end_of_the_file_is_refused_before_it_is_allocated(
+        tmp_path, load, blob):
+    path = tmp_path / "huge.gtt"
+    path.write_bytes(blob)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match=f"truncated: {8 << 40} bytes wanted"):
+            load(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def _feed(fd, blob):
+    os.write(fd, blob)
+    os.close(fd)
+
+
+def _through_a_pipe(blob, load):
+    """``load`` of a path that reads ``blob`` from a pipe, and the digest recorded for it."""
+    read_end, write_end = os.pipe()
+    writer = threading.Thread(target=_feed, args=(write_end, blob))
+    writer.start()
+    path = f"/dev/fd/{read_end}"
+    try:
+        with tensorio.recording() as record:
+            loaded = load(path)
+            return loaded, tensorio.content_hash(path, record["inputs"][path])
+    finally:
+        writer.join(timeout=10)
+        os.close(read_end)
+        assert not writer.is_alive()
+
+
+@pytest.mark.parametrize("blob", [_TENSOR_BLOB, b"1,2\n3,4\n"])
+def test_a_pipe_is_read_whole_and_then_parsed_like_a_file(tmp_path, blob):
+    # A pipe has no size to check a header against until it has been read.
+    (tmp_path / "file").write_bytes(blob)
+    loaded, digest = _through_a_pipe(blob, load_tensor)
+    assert np.array_equal(loaded, load_tensor(tmp_path / "file")) and not loaded.flags.writeable
+    assert digest == _sha256(blob)
+
+
+def test_a_short_pipe_is_refused_as_truncated():
+    with pytest.raises(FormatError, match="truncated: 48 bytes wanted at byte 22, 40 left"):
+        _through_a_pipe(_TENSOR_BLOB[:-8], load_tensor)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_every_non_finite_value_is_refused_without_a_floating_point_error(tmp_path, bad):
+    data = np.arange(6.0)
+    data[3] = bad
+    (tmp_path / "t.csv").write_text(",".join(map(str, data)) + "\n")
+    blob = dumps_tensor(np.arange(6.0))[:-8 * 3] + struct.pack("<d", bad) + b"\x00" * 16
+    with np.errstate(over="raise", invalid="raise"):
+        with pytest.raises(DataError, match="NaN or Inf"):
+            tensorio.as_tensor(data)
+        with pytest.raises(DataError, match="NaN or Inf"):
+            read_tensor(_exact_reader(blob))
+        with pytest.raises(DataError, match="NaN or Inf"):
+            load_tensor(tmp_path / "t.csv")
