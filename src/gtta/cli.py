@@ -247,6 +247,8 @@ def _load_predictor(args):
             argv = shlex.split(args.model_cmd)
         except ValueError as exc:
             raise ParamError(f"--model-cmd {args.model_cmd!r} cannot be split: {exc}") from None
+        if not argv:
+            raise ParamError(f"--model-cmd {args.model_cmd!r} names no command")
         with SubprocessPredictor(argv, kind) as model:
             yield model, load_subspace(args.subspace)
     else:

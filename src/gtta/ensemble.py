@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import perturb
-from .data import PER_PIXEL, PROBABILITIES
+from .data import PROBABILITIES
 from .errors import ParamError, ShapeError, UnsupportedTaskError
 from .perturb import NoiseSchedule, make_candidates
 from .predictor import MlpModel
@@ -70,14 +70,6 @@ class FoldedLayer:
 
     mean: np.ndarray        # [h], mean W1 + b1
     components: np.ndarray  # [n_u, h], C W1
-
-    @property
-    def d(self) -> int:
-        return self.mean.shape[0]
-
-    @property
-    def n_u(self) -> int:
-        return self.components.shape[0]
 
 
 def _fold(model: MlpModel, s: Subspace) -> tuple[FoldedLayer, MlpModel]:
@@ -244,34 +236,34 @@ def _point(model, s, fold, sig, draws, clamp, bound=None, best=None):
     return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
 
 
-def _confidence(mean: np.ndarray, output_kind, threshold: float) -> np.ndarray:
-    """Per-row confidence of [B, *out] mean predictions, shape [B]."""
-    if output_kind.kind == PROBABILITIES:
-        return mean.max(axis=1)
-    if output_kind.kind == PER_PIXEL:
-        # A pixel counts as confident when the ensemble commits to either
-        # class, foreground or background.
-        return np.count_nonzero((mean > threshold) | (mean < 1 - threshold), axis=(1, 2))
-    raise UnsupportedTaskError("sigma selection needs probability-valued outputs")
+def _selection_rule(output_kind, threshold: float):
+    """Sigma selection's ``(score, bound)`` for a probability-valued ``output_kind``.
 
-
-def _confidence_bound(first: np.ndarray, n: int, output_kind, threshold: float) -> np.ndarray:
-    """Per-row upper bound on the confidence of N-candidate ensembles from their first outputs.
-
-    ``first`` holds the first k of each row's N outputs, [B, k, *out]. Every
-    output lies in [0, 1], so with S the sum of the first k the mean lies in
+    ``score`` maps [B, *out] ensemble means to a confidence per row: the
+    top-class mean, or the count of pixels whose mean is beyond ``threshold``
+    on either side. ``bound`` maps the first k of each row's N outputs,
+    [B, k, *out], and N to an upper bound on its final score. Every output
+    lies in [0, 1], so with S the sum of the first k the mean lies in
     [S / N, (S + N - k) / N]; the bound widens that by BOUND_SLACK for rounding.
     """
-    total = first.sum(axis=1)
-    rest = n - first.shape[1]
     if output_kind.kind == PROBABILITIES:
-        return (total.max(axis=1) + rest) / n + BOUND_SLACK
-    # A pixel can end confident unless (1 - t) N <= S and S + N - k <= t N:
-    # count the S outside that band, narrowed by N * BOUND_SLACK on each side.
-    lo, hi = (1 - threshold + BOUND_SLACK) * n, (threshold - BOUND_SLACK) * n - rest
-    total -= (lo + hi) / 2
-    np.abs(total, out=total)
-    return np.count_nonzero(total > (hi - lo) / 2, axis=(1, 2))
+        def bound(first, n):
+            return (first.sum(axis=1).max(axis=1) + (n - first.shape[1])) / n + BOUND_SLACK
+        return (lambda mean: mean.max(axis=1)), bound
+
+    def score(mean):
+        return np.count_nonzero((mean > threshold) | (mean < 1 - threshold), axis=(1, 2))
+
+    def bound(first, n):
+        # A pixel can end confident unless (1 - t) N <= S and S + N - k <= t N:
+        # count the S outside that band, narrowed by N * BOUND_SLACK on each side.
+        rest = n - first.shape[1]
+        lo, hi = (1 - threshold + BOUND_SLACK) * n, (threshold - BOUND_SLACK) * n - rest
+        total = first.sum(axis=1)
+        total -= (lo + hi) / 2
+        np.abs(total, out=total)
+        return np.count_nonzero(total > (hi - lo) / 2, axis=(1, 2))
+    return score, bound
 
 
 def select_sigma(model, s: Subspace, scheds, X: np.ndarray, streams, *,
@@ -287,8 +279,8 @@ def select_sigma(model, s: Subspace, scheds, X: np.ndarray, streams, *,
     in (0.5, 1). Ties go to the smaller sigma. The whole grid is one engine
     call on the same streams, so candidates differ only in noise scale, and
     a row's winner equals its plain ensemble at the chosen sigma bit for
-    bit, even though a point stops after half its candidates once
-    :func:`_confidence_bound` shows it cannot win a row. Returns the
+    bit, even though a point stops after half its candidates once the
+    bound of :func:`_selection_rule` shows it cannot win a row. Returns the
     ensembles that won; ``chosen_sigma`` holds each row's sigma.
     """
     sigmas = [sc.sigma for sc in scheds]
@@ -302,7 +294,5 @@ def select_sigma(model, s: Subspace, scheds, X: np.ndarray, streams, *,
         threshold = CONFIDENCE_THRESHOLDS[scheds[0].strategy]
     if not 0.5 < threshold < 1:  # a NaN fails too
         raise ParamError(f"the confidence threshold must lie in (0.5, 1), got {threshold}")
-    kind = model.output_kind
-    return run_gtta(model, s, scheds, X, streams, clamp=clamp,
-                    score=lambda mean: _confidence(mean, kind, threshold),
-                    bound=lambda first, n: _confidence_bound(first, n, kind, threshold))
+    score, bound = _selection_rule(model.output_kind, threshold)
+    return run_gtta(model, s, scheds, X, streams, clamp=clamp, score=score, bound=bound)

@@ -111,7 +111,7 @@ def latent_candidates(sig: np.ndarray, draws: LatentDraws) -> np.ndarray:
 
 
 def make_candidates(sig: np.ndarray, s, draws: LatentDraws) -> np.ndarray:
-    """The candidates of the drawn rows through the affine map ``s``, shape [B, N, s.d].
+    """The candidates of the drawn rows through the affine map ``s``, shape [B, N, d].
 
     Through a :class:`Subspace` they are reconstructed inputs: a candidate
     whose row of ``sig`` is zero is the input itself when the subspace is
@@ -122,11 +122,12 @@ def make_candidates(sig: np.ndarray, s, draws: LatentDraws) -> np.ndarray:
     (``ensemble.FoldedLayer``); there every candidate, quiet or not, is
     ``mean + latents @ components``.
     """
+    n_u, d = s.components.shape
     quiet = ~sig.any(axis=1) if isinstance(s, Subspace) else np.zeros(len(sig), dtype=bool)
-    out = np.empty((len(draws.X), sig.shape[0], s.d))
+    out = np.empty((len(draws.X), sig.shape[0], d))
     if not quiet.all():
-        latents = latent_candidates(sig, draws).reshape(-1, s.n_u)
-        np.matmul(latents, s.components, out=out.reshape(-1, s.d))
+        latents = latent_candidates(sig, draws).reshape(-1, n_u)
+        np.matmul(latents, s.components, out=out.reshape(-1, d))
         out += s.mean
     if quiet.any():
         base = draws.X if s.full_rank else reconstruct(s, draws.base)

@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import os
+import struct
 import subprocess
 import sys
 import tempfile
@@ -803,6 +804,77 @@ def test_count_rejects_input_that_is_not_maps(tmp_path, capsys, shape):
     assert not (tmp_path / "o").exists()
 
 
+def test_count_of_one_hw_map_is_that_of_its_one_map_stack(golden_maps, tmp_path):
+    maps = load_tensor(golden_maps / "targets.gtt")
+    save_tensor(maps[0], tmp_path / "hw.gtt")
+    save_tensor(maps[:1], tmp_path / "stack.gtt")
+    for name in ("hw", "stack"):
+        assert run("count", "--input", str(tmp_path / f"{name}.gtt"), "--elem", "3",
+                   "--min-area", "4", "--out", str(tmp_path / name)) == 0
+    counts = (tmp_path / "hw" / "counts.json").read_bytes()
+    assert counts == (tmp_path / "stack" / "counts.json").read_bytes()
+    assert json.loads(counts)["counts"][0]["count"] > 0
+
+
+def _without_ranges(pipeline, tmp, child):
+    sections = dict(load_container(pipeline / "subspace.gtt"))
+    del sections["ranges"]
+    save_container(sections, tmp / "subspace.gtt")
+    return ["predict", "--model", "{root}/model.gtt", "--subspace", "{tmp}/subspace.gtt",
+            "--input", "{root}/test_x.gtt"]
+
+
+def _unchained_model(pipeline, tmp, child):
+    sections = dict(load_container(pipeline / "model.gtt"))
+    sections["w1"] = np.ones((sections["w1"].shape[0] + 1, sections["w1"].shape[1]))
+    save_container(sections, tmp / "model.gtt")
+    (tmp / "model.gtt.json").write_bytes((pipeline / "model.gtt.json").read_bytes())
+    return PREDICT
+
+
+def _header_only(head):
+    def write(pipeline, tmp, child):
+        (tmp / "x.gtt").write_bytes(head)
+        return ["count", "--input", "{tmp}/x.gtt"]
+    return write
+
+
+def _model_cmd(reply, kind):
+    def write(pipeline, tmp, child):
+        return ["predict", "--model-cmd", child(reply).cmd, "--output-kind", kind,
+                "--subspace", "{root}/subspace.gtt", "--input", "{root}/test_x.gtt", "--n", "2"]
+    return write
+
+
+# Inputs that each fail at one check no other test reaches, and the error and
+# message that check ends in.
+FAILED_CHECKS = {
+    "rows that do not sum to 1": (
+        _model_cmd("dumps_tensor(np.full((len(x), 3), 0.5))", "probabilities:3"),
+        "PredictorError", "class probabilities do not sum to 1"),
+    "a real-valued reply of rank 3": (
+        _model_cmd("dumps_tensor(x[:, :, None])", "real"),
+        "PredictorError", "real values, got shape"),
+    "weights that do not chain": (_unchained_model, "FormatError", "do not chain into layers"),
+    "a subspace without ranges": (_without_ranges, "FormatError", "missing sections: ['ranges']"),
+    "a header of rank 0": (_header_only(b"GTT1\x00\x00" + bytes(8)), "FormatError",
+                           "rank 0 is not allowed"),
+    "a zero dimension": (_header_only(b"GTT1\x00\x02" + struct.pack("<2Q", 3, 0)),
+                         "FormatError", "zero-element dimension in shape (3, 0)"),
+}
+
+
+@pytest.mark.parametrize("case", FAILED_CHECKS)
+def test_each_failed_check_ends_in_one_error_line(pipeline, tmp_path, model_child, case):
+    write, error, message = FAILED_CHECKS[case]
+    argv = [a.format(root=pipeline, tmp=tmp_path) for a in write(pipeline, tmp_path, model_child)]
+    code, err, caught = _one_run([*argv, "--out", str(tmp_path / "o")])
+    assert code == 1 and not caught, caught
+    assert err.startswith(f"error: {error}: ") and err.count("\n") == 1, err
+    assert message in err, err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("option, value", [("--elem", "2"), ("--elem", "-3"), ("--elem", "0"),
                                            ("--min-area", "-3")])
 def test_count_rejects_bad_parameters(pipeline, tmp_path, capsys, option, value):
@@ -1416,38 +1488,62 @@ def test_commands_that_compare_with_targets_need_them(pipeline, tmp_path, capsys
     assert not list(tmp_path.glob("o*"))
 
 
-@pytest.mark.parametrize("argv", [
-    ["predict", "--model-cmd", "cat", "--output-kind", "per-pixel:abc"],
-    ["predict", "--model-cmd", "cat", "--output-kind", "probabilities:x"],
-    ["predict", "--model-cmd", "cat", "--output-kind", "probabilities:1"],
-    ["predict", "--model-cmd", "cat", "--output-kind", "per-pixel:0x4"],
-    ["predict", "--model", "{root}/model.gtt", "--clamp", "1"],
-    ["predict", "--model", "{root}/model.gtt", "--clamp", "a,b"],
-    ["auto-sigma", "--model", "{root}/model.gtt", "--grid", "a,b"],
-    ["fit", "--data", "{root}/train_x.gtt", "--retain", "abc"],
-    ["predict", "--config", "{tmp}/missing.json"],
-    ["train", "--data", "{root}/train_x.gtt", "--targets", "{root}/train_y.gtt",
-     "--task", "classification"],
-    ["train", "--data", "{root}/train_x.gtt", "--targets", "{tmp}/flat_y.gtt",
-     "--task", "segmentation"],
-    ["synth", "images", "--spec", "{tmp}/tiny.json"],
-    ["predict", "--model-cmd", "'unterminated", "--output-kind", "real"],
-    ["predict", "--config", "{tmp}/unsplittable.json"],
-])
-def test_bad_values_end_in_error_line(pipeline, tmp_path, argv):
+# Command lines with a value that means nothing, and the start of the error
+# line each ends in.
+BAD_VALUES = [
+    (["predict", "--model-cmd", "cat", "--output-kind", "per-pixel:abc"], "ParamError"),
+    (["predict", "--model-cmd", "cat", "--output-kind", "probabilities:x"], "ParamError"),
+    (["predict", "--model-cmd", "cat", "--output-kind", "probabilities:1"], "ParamError"),
+    (["predict", "--model-cmd", "cat", "--output-kind", "per-pixel:0x4"], "ParamError"),
+    (["predict", "--model", "{root}/model.gtt", "--clamp", "1"], "ParamError"),
+    (["predict", "--model", "{root}/model.gtt", "--clamp", "a,b"], "ParamError"),
+    (["auto-sigma", "--model", "{root}/model.gtt", "--grid", "a,b"], "ParamError"),
+    (["fit", "--data", "{root}/train_x.gtt", "--retain", "abc"], "ParamError"),
+    (["predict", "--config", "{tmp}/missing.json"], "IoError"),
+    (["train", "--data", "{root}/train_x.gtt", "--targets", "{root}/train_y.gtt",
+      "--task", "classification"], "ParamError"),
+    (["train", "--data", "{root}/train_x.gtt", "--targets", "{tmp}/flat_y.gtt",
+      "--task", "segmentation"], "ParamError"),
+    (["synth", "images", "--spec", "{tmp}/tiny.json"], "ParamError"),
+    (["predict", "--model-cmd", "'unterminated", "--output-kind", "real"], "ParamError"),
+    (["predict", "--config", "{tmp}/unsplittable.json"], "ParamError"),
+    (["predict", "--model-cmd", "   ", "--output-kind", "real"],
+     "ParamError: --model-cmd '   ' names no command\n"),
+    (["predict", "--config", "{tmp}/blank.json"],
+     "ParamError: --model-cmd '   ' names no command\n"),
+]
+
+
+def _bad_value_argv(pipeline, tmp_path, argv) -> list:
+    """``argv`` on the pipeline's files, with the files it names in ``tmp_path`` written."""
     save_tensor(np.zeros(24), tmp_path / "flat_y.gtt")
     (tmp_path / "tiny.json").write_text(json.dumps({"height": 8, "width": 8}))
     (tmp_path / "unsplittable.json").write_text(json.dumps({"model_cmd": "'unterminated",
                                                             "output_kind": "real"}))
+    (tmp_path / "blank.json").write_text(json.dumps({"model_cmd": "   ", "output_kind": "real"}))
     if argv[0] in ("predict", "auto-sigma"):
         argv = argv + ["--subspace", "{root}/subspace.gtt", "--input", "{root}/test_x.gtt"]
-    argv = [a.format(root=pipeline, tmp=tmp_path) for a in argv]
+    return [a.format(root=pipeline, tmp=tmp_path) for a in argv] + ["--out", str(tmp_path / "o")]
+
+
+@pytest.mark.parametrize("argv, error", BAD_VALUES,
+                         ids=[f"argv{i}" for i in range(len(BAD_VALUES))])
+def test_bad_values_end_in_error_line(pipeline, tmp_path, argv, error):
+    code, err, caught = _one_run(_bad_value_argv(pipeline, tmp_path, argv))
+    assert code == 1 and not caught, caught
+    assert err.startswith(f"error: {error}") and err.count("\n") == 1, err
+    assert not (tmp_path / "o").exists()
+
+
+def test_the_cli_module_runs_as_a_program(pipeline, tmp_path):
+    # The one bad value run in a fresh interpreter, through cli.py's __main__ guard.
+    argv = _bad_value_argv(pipeline, tmp_path, BAD_VALUES[1][0])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), os.environ.get("PYTHONPATH", "")]))
-    proc = subprocess.run([sys.executable, "-m", "gtta.cli", *argv, "--out", str(tmp_path / "o")],
+    proc = subprocess.run([sys.executable, "-m", "gtta.cli", *argv],
                           capture_output=True, text=True, env=env, timeout=60)
-    assert proc.returncode in (1, 2)
-    assert proc.stderr.strip().splitlines()[-1].startswith("error:")
-    assert "Traceback" not in proc.stderr
+    assert proc.returncode == 1
+    assert proc.stderr.startswith("error: ParamError: cannot parse output kind 'probabilities:x'")
+    assert proc.stderr.count("\n") == 1, proc.stderr
 
 
 def test_subspace_shape_mismatch_is_format_error(pipeline, tmp_path, capsys):

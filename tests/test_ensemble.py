@@ -1,3 +1,4 @@
+import types
 from unittest import mock
 
 import numpy as np
@@ -181,9 +182,10 @@ def test_confidence_bound_never_falls_below_the_final_score(kind, n, rows, thres
         outputs = np.where(candidate < ones[:, None], 1.0, c[:, None])
         outputs = gen.permuted(outputs, axis=1)
     mean, _ = ensemble._mean(outputs)
-    final = ensemble._confidence(mean, kind, threshold)
+    score, bound = ensemble._selection_rule(kind, threshold)
+    final = score(mean)
     first = outputs[:, :-(-n // 2)]
-    assert np.all(ensemble._confidence_bound(first, n, kind, threshold) >= final)
+    assert np.all(bound(first, n) >= final)
 
 
 def test_single_point_grid_returns_base():
@@ -385,6 +387,18 @@ class InputSpace:
 
     def predict(self, batch):
         return self.model.predict(batch)
+
+
+def test_candidates_need_only_a_maps_mean_and_components():
+    X = RngStream(56).generator().standard_normal((20, 6))
+    s = fit(X, 4)
+    layer, _ = ensemble._fold(MlpModel([6, 8, 3], OutputKind.probabilities(3), RngStream(57)), s)
+    sig = per_component_sigma(NoiseSchedule("incremental", 0.2, 5), s)
+    draws = perturb.draw_latents(sig, s, X[:3], RngStream(58).rows(3))
+    bare = types.SimpleNamespace(mean=layer.mean, components=layer.components)
+    folded = perturb.make_candidates(sig, layer, draws)
+    assert folded.shape == (3, 5, 8)
+    assert np.array_equal(perturb.make_candidates(sig, bare, draws), folded)
 
 
 # (rows, d, retain) of the fit: every row kept, a tall fit cut short, a wide fit (d > 4n).

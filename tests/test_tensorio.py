@@ -11,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gtta import tensorio
+from gtta.data import OutputKind
 from gtta.errors import DataError, FormatError, IoError, ParamError
+from gtta.predictor import SubprocessPredictor
 from gtta.tensorio import (
     dumps_tensor,
     load_container,
@@ -529,6 +531,20 @@ def test_a_pipe_is_read_whole_and_then_parsed_like_a_file(tmp_path, blob):
 def test_a_short_pipe_is_refused_as_truncated():
     with pytest.raises(FormatError, match="truncated: 48 bytes wanted at byte 22, 40 left"):
         _through_a_pipe(_TENSOR_BLOB[:-8], load_tensor)
+
+
+def test_every_loaded_tensor_is_aligned(tmp_path, model_child):
+    # Each payload is a buffer of its own. A view into one blob of the whole
+    # file would start at the payload's offset, 6 + 8 * rank bytes into a
+    # .gtt file and odd after a section name of odd length.
+    save_tensor(np.arange(6.0).reshape(2, 3), tmp_path / "t.gtt")
+    save_container({"a": np.ones((2, 2)), "bcd": np.arange(3.0), "efghi": np.ones(5)},
+                   tmp_path / "c.gtt")
+    loaded = [load_tensor(tmp_path / "t.gtt"), *load_container(tmp_path / "c.gtt").values(),
+              _through_a_pipe(_TENSOR_BLOB, load_tensor)[0]]
+    with SubprocessPredictor(model_child().argv, OutputKind.real_values()) as pred:
+        loaded.append(pred.predict(np.ones((2, 3))))
+    assert [arr.flags.aligned for arr in loaded] == [True] * 6
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
