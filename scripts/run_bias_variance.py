@@ -56,8 +56,8 @@ def main():
         scheds = [NoiseSchedule(strategy, sigma, args.n) for sigma in grid]
         report = bias_variance_sweep(model, s, scheds, eval_ds, args.repeats,
                                      RngStream(seed, 52))
-        rows.extend(report.rows)
-        for row in report.rows:
+        rows.extend(report["rows"])
+        for row in report["rows"]:
             print(f"{strategy:11s} sigma={row['sigma']:<6g} "
                   f"bias2={row['bias2']:.4f} var={row['variance']:.5f} "
                   f"err={row['error']:.4f}")

@@ -8,7 +8,7 @@ two-parameter manifold across inputs. Prints the eigenvalue curves.
 import argparse
 import json
 
-from gtta.analysis import covariance_spectrum_experiment, report_dict
+from gtta.analysis import covariance_spectrum_experiment
 from gtta.perturb import NoiseSchedule
 from gtta.rng import RngStream
 from gtta.subspace import fit
@@ -50,14 +50,13 @@ def main():
     args = ap.parse_args()
 
     report = spectrum_report(args.seed, args.stream, args.components, args.n, args.equal_sigma)
-    print("latent-noise eigenvalues :", [f"{v:.5f}" for v in report.eigenvalues])
-    print("global-jitter eigenvalues:", [f"{v:.5f}" for v in report.baseline_eigenvalues])
-    e = report.eigenvalues
-    b = report.baseline_eigenvalues
-    print(f"noise spread max/min = {e.max() / e.min():.4f}; "
+    e, b = report["eigenvalues"], report["baseline_eigenvalues"]
+    print("latent-noise eigenvalues :", [f"{v:.5f}" for v in e])
+    print("global-jitter eigenvalues:", [f"{v:.5f}" for v in b])
+    print(f"noise spread max/min = {max(e) / min(e):.4f}; "
           f"jitter l3/l1 = {b[2] / b[0]:.2e}")
     with open(args.out, "w") as fh:
-        json.dump(report_dict(report), fh, sort_keys=True, indent=2)
+        json.dump(report, fh, sort_keys=True, indent=2)
     print(f"-> {args.out}")
 
 

@@ -10,7 +10,7 @@ mean error per std bin, and writes a JSON report.
 import argparse
 import json
 
-from gtta.analysis import report_dict, std_error_correlation
+from gtta.analysis import std_error_correlation
 from gtta.data import Dataset, OutputKind
 from gtta.perturb import NoiseSchedule
 from gtta.predictor import MlpModel, batch_from_dataset, mlp_train
@@ -48,13 +48,14 @@ def main():
     args = ap.parse_args()
 
     report = spread_report(args.images, args.epochs)
-    print(f"pearson = {report.pearson}")
-    for b, (count, mae) in enumerate(zip(report.bin_counts, report.bin_mae)):
-        lo, hi = report.bin_edges[b], report.bin_edges[b + 1]
+    print(f"pearson = {report['pearson']}")
+    edges = report["bin_edges"]
+    for b, (count, mae) in enumerate(zip(report["bin_counts"], report["bin_mae"])):
+        lo, hi = edges[b], edges[b + 1]
         print(f"std [{lo:.4f}, {hi:.4f}): {count:5d} elements, "
               + ("empty" if mae is None else f"mae {mae:.4f}"))
     with open(args.out, "w") as fh:
-        json.dump(report_dict(report), fh, sort_keys=True, indent=2)
+        json.dump(report, fh, sort_keys=True, indent=2)
     print(f"-> {args.out}")
 
 

@@ -50,11 +50,11 @@ def main():
         report = seed_report(seed, args.sigma, args.n, args.amplitude)
         rows.append({
             "seed": seed,
-            "latent_noise": report.correlation,
-            "global_jitter": report.baseline_correlation,
+            "latent_noise": report["correlation"],
+            "global_jitter": report["baseline_correlation"],
         })
-        print(f"seed {seed:2d}: latent residual corr {report.correlation:.4f}  "
-              f"jitter {report.baseline_correlation:.4f}")
+        print(f"seed {seed:2d}: latent residual corr {report['correlation']:.4f}  "
+              f"jitter {report['baseline_correlation']:.4f}")
 
     wins = sum(r["latent_noise"] < r["global_jitter"] for r in rows)
     summary = {

@@ -3,13 +3,12 @@
 Four experiments: the bias/variance/error decomposition across noise levels,
 latent covariance spectra against a low-rank jitter baseline, the relation
 between ensemble spread and true error, and how well reconstruction under
-latent noise scrubs a fixed structured distractor from the input.
+latent noise scrubs a fixed structured distractor from the input. Each
+returns its report as a dict of JSON values, the object its ``report.json``
+holds.
 """
 
 from __future__ import annotations
-
-import dataclasses
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,21 +33,8 @@ JITTER_SCALE = (0.1, 0.1)
 STD_ERROR_BINS = 10
 
 
-def report_dict(report) -> dict:
-    """The fields of an experiment report as JSON values; arrays become lists."""
-    return {f.name: v.tolist() if isinstance(v := getattr(report, f.name), np.ndarray) else v
-            for f in dataclasses.fields(report)}
-
-
 # --------------------------------------------------------------------------
 # bias / variance / error across noise levels
-
-
-@dataclass(frozen=True)
-class BiasVarianceReport:
-    rows: list            # dicts: strategy, sigma, bias2, variance, error
-    ensemble_size: int
-    repeats: int
 
 
 def _mean_square(gap: np.ndarray) -> float:
@@ -64,7 +50,7 @@ def _mean_square(gap: np.ndarray) -> float:
 
 
 def bias_variance_sweep(model, s: Subspace, scheds, eval_data: Dataset, M: int,
-                        rng: RngStream) -> BiasVarianceReport:
+                        rng: RngStream) -> dict:
     """Monte Carlo decomposition of the ensemble error per noise schedule.
 
     ``scheds`` is the grid: a non-empty list of schedules of one ensemble
@@ -76,10 +62,12 @@ def bias_variance_sweep(model, s: Subspace, scheds, eval_data: Dataset, M: int,
       error    = mean_m (mean_m' - target)^2
 
     so error == bias2 + variance identically, all averaged over inputs and
-    output elements. Repeat m of input i draws from rng.derive(i).derive(m)
-    once, and every schedule rescales those draws. The targets are laid out
-    as the model's rows before the first draw. A moment too large for float64
-    is a :class:`DataError`.
+    output elements. The report holds ``rows``, one dict of ``strategy``,
+    ``sigma``, ``bias2``, ``variance`` and ``error`` per schedule, the
+    ``ensemble_size`` N and the ``repeats`` M. Repeat m of input i draws
+    from rng.derive(i).derive(m) once, and every schedule rescales those
+    draws. The targets are laid out as the model's rows before the first
+    draw. A moment too large for float64 is a :class:`DataError`.
     """
     if M < 2:
         raise ParamError(f"need at least 2 repeats, got {M}")
@@ -110,19 +98,11 @@ def bias_variance_sweep(model, s: Subspace, scheds, eval_data: Dataset, M: int,
     except FloatingPointError:
         raise DataError(f"the ensemble error at sigma {sched.sigma} overflows float64; "
                         "the targets or the model's outputs are too large") from None
-    return BiasVarianceReport(rows=rows, ensemble_size=scheds[0].ensemble_size, repeats=M)
+    return {"rows": rows, "ensemble_size": scheds[0].ensemble_size, "repeats": M}
 
 
 # --------------------------------------------------------------------------
 # latent covariance spectra
-
-
-@dataclass(frozen=True)
-class SpectrumReport:
-    eigenvalues: np.ndarray                # latent-noise ensemble, descending
-    baseline_eigenvalues: np.ndarray | None
-    n_inputs: int
-    ensemble_size: int
 
 
 def _global_jitter(X: np.ndarray, streams, N: int) -> np.ndarray:
@@ -135,7 +115,7 @@ def _global_jitter(X: np.ndarray, streams, N: int) -> np.ndarray:
 def covariance_spectrum_experiment(s: Subspace, sched: NoiseSchedule,
                                    inputs: np.ndarray, rng: RngStream, *,
                                    baseline: str = "none",
-                                   equal_sigma: float | None = None) -> SpectrumReport:
+                                   equal_sigma: float | None = None) -> dict:
     """Eigenvalues of the averaged latent sample covariance over the inputs.
 
     Each input row of ``inputs`` [n, d] gets an ensemble of
@@ -143,7 +123,9 @@ def covariance_spectrum_experiment(s: Subspace, sched: NoiseSchedule,
     ``equal_sigma`` overrides the schedule with one shared noise std on
     every component. ``baseline="global_jitter"`` also reports the spectrum
     of a two-parameter brightness/contrast transform projected into the
-    same latent space.
+    same latent space. The report holds the descending ``eigenvalues``, the
+    ``baseline_eigenvalues`` (None without a baseline), ``n_inputs`` and
+    ``ensemble_size``.
     """
     N = sched.ensemble_size
     if N < 2:
@@ -165,28 +147,13 @@ def covariance_spectrum_experiment(s: Subspace, sched: NoiseSchedule,
     if baseline == "global_jitter":
         jittered = _global_jitter(X, rng.derive(2).rows(n), N)
         baseline_eigs = latent_sample_covariance(
-            project(s, jittered.reshape(-1, s.d)).reshape(n, N, s.n_u))[1]
-
-    return SpectrumReport(
-        eigenvalues=eigenvalues,
-        baseline_eigenvalues=baseline_eigs,
-        n_inputs=n,
-        ensemble_size=N,
-    )
+            project(s, jittered.reshape(-1, s.d)).reshape(n, N, s.n_u))[1].tolist()
+    return {"eigenvalues": eigenvalues.tolist(), "baseline_eigenvalues": baseline_eigs,
+            "n_inputs": n, "ensemble_size": N}
 
 
 # --------------------------------------------------------------------------
 # ensemble spread vs true error
-
-
-@dataclass(frozen=True)
-class CorrelationReport:
-    bin_edges: np.ndarray
-    bin_mae: list            # mean absolute error per bin, None where empty
-    bin_counts: np.ndarray
-    pearson: float | None
-    degenerate: bool
-    n_elements: int
 
 
 def _pearson_r(x, y) -> float | None:
@@ -202,8 +169,14 @@ def _pearson_r(x, y) -> float | None:
 
 
 def std_error_correlation(model, s: Subspace, sched: NoiseSchedule,
-                          eval_data: Dataset, rng: RngStream) -> CorrelationReport:
-    """Pool per-element (ensemble std, absolute error) pairs over the inputs."""
+                          eval_data: Dataset, rng: RngStream) -> dict:
+    """Pool per-element (ensemble std, absolute error) pairs over the inputs.
+
+    The report holds the ``bin_edges``, ``bin_counts`` and ``bin_mae`` (mean
+    absolute error, None where empty) of STD_ERROR_BINS equal-width std bins,
+    the ``pearson`` correlation of std and error (None when ``degenerate``:
+    every std the same) and the ``n_elements`` pooled.
+    """
     if not model.output_kind.is_probabilistic:
         raise UnsupportedTaskError("spread/error correlation needs probability outputs")
     targets = model.output_kind.target_rows(eval_data.targets)
@@ -221,25 +194,13 @@ def std_error_correlation(model, s: Subspace, sched: NoiseSchedule,
         float(err[idx == b].mean()) if counts[b] else None
         for b in range(bins)
     ]
-    return CorrelationReport(
-        bin_edges=edges,
-        bin_mae=mae,
-        bin_counts=counts,
-        pearson=None if degenerate else _pearson_r(std, err),
-        degenerate=degenerate,
-        n_elements=int(std.size),
-    )
+    return {"bin_edges": edges.tolist(), "bin_mae": mae, "bin_counts": counts.tolist(),
+            "pearson": None if degenerate else _pearson_r(std, err),
+            "degenerate": degenerate, "n_elements": int(std.size)}
 
 
 # --------------------------------------------------------------------------
 # structured distractor removal
-
-
-@dataclass(frozen=True)
-class StructuredNoiseReport:
-    correlation: float             # mean |cos(residual, pattern)| under latent noise
-    baseline_correlation: float    # same statistic for the global jitter
-    per_row: list = field(repr=False, default_factory=list)
 
 
 def _pattern_correlation(residuals: np.ndarray, pattern: np.ndarray) -> np.ndarray:
@@ -257,7 +218,7 @@ def structured_noise_removal(carrier: np.ndarray, pattern: np.ndarray,
                              sched: NoiseSchedule, rng: RngStream, *,
                              inject_fraction: float = 0.5,
                              retain="all",
-                             test_count: int | None = None) -> StructuredNoiseReport:
+                             test_count: int | None = None) -> dict:
     """How much of a fixed additive pattern survives noisy reconstruction.
 
     The [n, d] rows of ``carrier`` are split into fit and held-out rows.
@@ -265,7 +226,10 @@ def structured_noise_removal(carrier: np.ndarray, pattern: np.ndarray,
     subspace is fit on that contaminated set, and held-out rows carrying the
     pattern are perturbed and reconstructed. The report compares the mean
     normalized correlation between (reconstruction - clean input) and the
-    pattern against the same statistic for a two-parameter global jitter.
+    pattern, its ``correlation``, against the same statistic for a
+    two-parameter global jitter, its ``baseline_correlation``. Its
+    ``per_row`` holds both per held-out row, as ``latent_noise`` and
+    ``global_jitter``.
     """
     pattern = np.asarray(pattern, dtype=np.float64)
     n, d = carrier.shape
@@ -294,9 +258,9 @@ def structured_noise_removal(carrier: np.ndarray, pattern: np.ndarray,
     gtta_corr = _pattern_correlation(cands - clean, pattern)
     base_corr = _pattern_correlation(jittered - clean, pattern)
 
-    return StructuredNoiseReport(
-        correlation=float(np.mean(gtta_corr)),
-        baseline_correlation=float(np.mean(base_corr)),
-        per_row=[{"latent_noise": float(g), "global_jitter": float(b)}
-                 for g, b in zip(gtta_corr, base_corr)],
-    )
+    return {
+        "correlation": float(np.mean(gtta_corr)),
+        "baseline_correlation": float(np.mean(base_corr)),
+        "per_row": [{"latent_noise": float(g), "global_jitter": float(b)}
+                    for g, b in zip(gtta_corr, base_corr)],
+    }

@@ -190,7 +190,7 @@ def _add_common(sub, handler):
     sub.add_argument("--out", required=True)
     sub.add_argument("--config", help="JSON file of defaults; flags override")
     sub.add_argument("--threads", type=int, default=1,
-                     help="accepted so that older provenance files replay; no effect")
+                     help="no effect; accepted because existing command lines pass it")
     sub.add_argument("--seed", type=int, default=0)
     sub.set_defaults(handler=handler)
 
@@ -470,9 +470,7 @@ def _cmd_count(args):
 
 
 def _cmd_analyze(experiment, args):
-    from .analysis import report_dict
-
-    save_json(report_dict(experiment(args)), Path(args.out) / "report.json")
+    save_json(experiment(args), Path(args.out) / "report.json")
 
 
 def _load_eval_data(args, model) -> Dataset:

@@ -74,9 +74,6 @@ class FoldedLayer:
 
 def _fold(model: MlpModel, s: Subspace) -> tuple[FoldedLayer, MlpModel]:
     """The model's first layer folded into ``s``, and the model after that layer."""
-    if model.layer_sizes[0] != s.d:
-        raise ShapeError(f"the model takes {model.layer_sizes[0]} inputs, "
-                         f"the subspace reconstructs {s.d}")
     w, b = model.weights[0], model.biases[0]
     tail = MlpModel.from_parameters(model.layer_sizes[1:], model.output_kind,
                                     model.weights[1:], model.biases[1:])
@@ -106,9 +103,13 @@ def _setup(model, s: Subspace, scheds, X, streams, clamp):
                          f"got shape {X.shape} and {len(streams)} streams")
     if len({sc.ensemble_size for sc in scheds}) != 1:
         raise ParamError("a schedule grid needs one ensemble size")
+    builtin = isinstance(model, MlpModel)
+    if builtin and model.layer_sizes[0] != s.d:
+        raise ShapeError(f"the model takes {model.layer_sizes[0]} inputs, "
+                         f"the subspace reconstructs {s.d}")
     sigs = np.stack([perturb.per_component_sigma(sc, s) for sc in scheds])
     # Clipping happens in input space, so --clamp keeps the reconstruction.
-    fold = _fold(model, s) if isinstance(model, MlpModel) and clamp is None and sigs.any() else None
+    fold = _fold(model, s) if builtin and clamp is None and sigs.any() else None
     return X, sigs, fold
 
 

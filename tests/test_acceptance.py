@@ -251,9 +251,9 @@ def test_c06_spectrum_flat_vs_lowrank_jitter():
     start = time.time()
     report = run_spectrum.spectrum_report(seed=901, stream=57, components=3, n=100,
                                           equal_sigma=0.3)
-    e = report.eigenvalues
-    spread = float(e.max() / e.min())
-    ratio = float(report.baseline_eigenvalues[2] / report.baseline_eigenvalues[0])
+    e, b = report["eigenvalues"], report["baseline_eigenvalues"]
+    spread = float(max(e) / min(e))
+    ratio = float(b[2] / b[0])
     elapsed = time.time() - start
     ok = spread <= 1.05 and ratio < 0.05 and elapsed < 60
     _verdict(6, ok, f"eig spread x{spread:.4f}, jitter l3/l1 {ratio:.1e}, {elapsed:.1f}s")
@@ -262,11 +262,12 @@ def test_c06_spectrum_flat_vs_lowrank_jitter():
 def test_c07_spread_tracks_error():
     start = time.time()
     report = run_std_error.spread_report(n_images=80, epochs=150)
-    mae = [m for m, c in zip(report.bin_mae, report.bin_counts) if c > 0]
+    mae = [m for m, c in zip(report["bin_mae"], report["bin_counts"]) if c > 0]
     rising = sum(1 for a, b in zip(mae, mae[1:]) if b >= a) / (len(mae) - 1)
     elapsed = time.time() - start
-    ok = report.pearson is not None and report.pearson > 0.3 and rising >= 0.8 and elapsed < 120
-    _verdict(7, ok, f"pearson {report.pearson:.3f}, monotone bins {rising * 100:.0f}%, {elapsed:.1f}s")
+    pearson = report["pearson"]
+    ok = pearson is not None and pearson > 0.3 and rising >= 0.8 and elapsed < 120
+    _verdict(7, ok, f"pearson {pearson:.3f}, monotone bins {rising * 100:.0f}%, {elapsed:.1f}s")
 
 
 def test_c08_pattern_scrubbing_beats_jitter():
@@ -274,8 +275,8 @@ def test_c08_pattern_scrubbing_beats_jitter():
     margins = []
     for seed in range(20):
         report = run_structured_noise.seed_report(seed, sigma=0.1, n=15, amplitude=0.8)
-        wins += report.correlation < report.baseline_correlation
-        margins.append(report.baseline_correlation - report.correlation)
+        wins += report["correlation"] < report["baseline_correlation"]
+        margins.append(report["baseline_correlation"] - report["correlation"])
     ok = wins >= 18
     _verdict(8, ok, f"latent noise beat jitter in {wins}/20 seeds, "
                     f"median margin {np.median(margins):.3f}")
@@ -291,11 +292,11 @@ def test_c09_noise_reduces_bias():
             model, s, [NoiseSchedule("constant", sigma, 10) for sigma in grid], eval_ds, 8,
             RngStream(seed, 52),
         )
-        bias = [row["bias2"] for row in report.rows]
+        bias = [row["bias2"] for row in report["rows"]]
         identity_dev = max(
             identity_dev,
             max(abs(row["error"] - row["bias2"] - row["variance"])
-                for row in report.rows),
+                for row in report["rows"]),
         )
         wins += min(bias[1:]) < bias[0]
     ok = wins >= 16 and identity_dev < 1e-9

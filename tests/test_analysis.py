@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -50,7 +51,7 @@ def test_unbiased_oracle_decomposition():
     model = NoisyOracle(y, v, seed=1)
     report = bias_variance_sweep(model, s, [NoiseSchedule("constant", 0.1, N)], data, M,
                                  RngStream(2))
-    row = report.rows[0]
+    row = report["rows"][0]
     expected_var = v**2 / N
     assert abs(row["variance"] - expected_var) < 0.35 * expected_var
     assert row["bias2"] < 5 * v**2 / (M * N) * 3
@@ -66,7 +67,7 @@ def test_zero_noise_deterministic_model():
     model = MlpModel([5, 6, 2], OutputKind.probabilities(2), RngStream(4))
     report = bias_variance_sweep(model, s, [NoiseSchedule("constant", 0.0, 5)], data, 4,
                                  RngStream(5))
-    row = report.rows[0]
+    row = report["rows"][0]
     assert row["variance"] == 0.0
     assert row["error"] == pytest.approx(row["bias2"], abs=1e-15)
 
@@ -80,7 +81,7 @@ def test_identity_holds_on_every_row():
     model = MlpModel([4, 6, 2], OutputKind.probabilities(2), RngStream(7))
     scheds = [NoiseSchedule("incremental", sigma, 6) for sigma in (0.0, 0.05, 0.2)]
     report = bias_variance_sweep(model, s, scheds, data, 5, RngStream(8))
-    for row in report.rows:
+    for row in report["rows"]:
         assert row["error"] == pytest.approx(row["bias2"] + row["variance"], abs=1e-9)
 
 
@@ -107,8 +108,8 @@ def test_sweep_draws_once_and_keeps_each_schedules_rows(strategy, monkeypatch):
     report = bias_variance_sweep(model, s, scheds, data, 3, RngStream(14))
     assert len(set(pairs)) == len(pairs) == 9 * 3 * noisy
     monkeypatch.undo()
-    for sched, row in zip(scheds, report.rows):
-        assert bias_variance_sweep(model, s, [sched], data, 3, RngStream(14)).rows == [row]
+    for sched, row in zip(scheds, report["rows"]):
+        assert bias_variance_sweep(model, s, [sched], data, 3, RngStream(14))["rows"] == [row]
 
 
 def test_sweep_needs_repeats():
@@ -120,6 +121,24 @@ def test_sweep_needs_repeats():
                             RngStream(11))
 
 
+def test_each_report_is_the_json_object_it_writes():
+    # No array, tuple or numpy scalar: the report round-trips through JSON unchanged.
+    gen = RngStream(23).generator()
+    X = gen.standard_normal((10, 4))
+    data = Dataset(X, gen.integers(0, 2, size=10).astype(np.float64), OutputKind.probabilities(2))
+    s = fit(X, "all")
+    model = MlpModel([4, 5, 2], OutputKind.probabilities(2), RngStream(24))
+    sched = NoiseSchedule("constant", 0.1, 4)
+    reports = [
+        bias_variance_sweep(model, s, [sched], data, 2, RngStream(25)),
+        covariance_spectrum_experiment(s, sched, X, RngStream(26), baseline="global_jitter"),
+        std_error_correlation(model, s, sched, data, RngStream(27)),
+        structured_noise_removal(X, np.ones(4), sched, RngStream(28)),
+    ]
+    for report in reports:
+        assert json.loads(json.dumps(report)) == report
+
+
 # --------------------------------------------------------------------------
 # spectra
 
@@ -128,7 +147,7 @@ def test_zero_noise_spectrum_is_zero():
     s, data = run_spectrum.frame_setup(901, 3)
     sched = NoiseSchedule("constant", 0.0, 20)
     report = covariance_spectrum_experiment(s, sched, data, RngStream(12))
-    assert np.array_equal(report.eigenvalues, np.zeros(3))
+    assert np.array_equal(report["eigenvalues"], np.zeros(3))
 
 
 def test_spectrum_converges_to_noise_variance():
@@ -138,8 +157,9 @@ def test_spectrum_converges_to_noise_variance():
     big = covariance_spectrum_experiment(s, dataclasses.replace(sched, ensemble_size=10_000),
                                          data, RngStream(13), equal_sigma=0.25)
     target = 0.25**2
-    assert np.abs(big.eigenvalues - target).max() < np.abs(small.eigenvalues - target).max()
-    assert np.abs(big.eigenvalues - target).max() < 0.01 * target * 5
+    big, small = (np.asarray(r["eigenvalues"]) for r in (big, small))
+    assert np.abs(big - target).max() < np.abs(small - target).max()
+    assert np.abs(big - target).max() < 0.01 * target * 5
 
 
 def test_schedule_driven_spectrum_uses_component_noise():
@@ -149,7 +169,7 @@ def test_schedule_driven_spectrum_uses_component_noise():
     from gtta.perturb import per_component_sigma
 
     target = np.sort(per_component_sigma(sched, s)[0] ** 2)[::-1]
-    assert np.all(np.abs(report.eigenvalues - target) / target < 0.1)
+    assert np.all(np.abs(np.asarray(report["eigenvalues"]) - target) / target < 0.1)
 
 
 # --------------------------------------------------------------------------
@@ -165,16 +185,16 @@ def test_degenerate_when_model_deterministic():
     model = MlpModel([4, 5, 2], OutputKind.probabilities(2), RngStream(16))
     report = std_error_correlation(model, s, NoiseSchedule("constant", 0.0, 4),
                                    data, RngStream(17))
-    assert report.degenerate
-    assert report.pearson is None
-    assert report.bin_counts.sum() == report.n_elements
+    assert report["degenerate"]
+    assert report["pearson"] is None
+    assert sum(report["bin_counts"]) == report["n_elements"]
 
 
 def test_boundary_noise_task_correlates():
     report = run_std_error.spread_report(n_images=60, epochs=120)
-    assert report.pearson is not None and report.pearson > 0.3
-    assert report.bin_counts.sum() == report.n_elements
-    mae = [m for m, c in zip(report.bin_mae, report.bin_counts) if c > 0]
+    assert report["pearson"] is not None and report["pearson"] > 0.3
+    assert sum(report["bin_counts"]) == report["n_elements"]
+    mae = [m for m, c in zip(report["bin_mae"], report["bin_counts"]) if c > 0]
     rising = sum(1 for a, b in zip(mae, mae[1:]) if b >= a)
     assert rising / (len(mae) - 1) >= 0.8
 
@@ -189,8 +209,8 @@ def test_zero_pattern_zero_correlation():
     report = structured_noise_removal(
         carrier, np.zeros(8), NoiseSchedule("constant", 0.1, 6), RngStream(19)
     )
-    assert report.correlation == 0.0
-    assert report.baseline_correlation == 0.0
+    assert report["correlation"] == 0.0
+    assert report["baseline_correlation"] == 0.0
 
 
 def test_orthogonal_pattern_annihilated():
@@ -204,12 +224,12 @@ def test_orthogonal_pattern_annihilated():
         carrier, pattern, NoiseSchedule("constant", 0.1, 8), RngStream(21),
         inject_fraction=0.0, retain=6,
     )
-    assert report.correlation < 1e-8
+    assert report["correlation"] < 1e-8
 
 
 def test_latent_noise_beats_jitter_at_scrubbing():
     report = run_structured_noise.seed_report(0, 0.1, 15, 0.8)
-    assert report.correlation < report.baseline_correlation
+    assert report["correlation"] < report["baseline_correlation"]
 
 
 def test_pattern_shape_validated():

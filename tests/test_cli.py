@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
@@ -586,6 +587,60 @@ def test_distill_output_is_pinned(golden_ensemble, tmp_path):
             == GOLDEN_TRAIN_SHA256["distill"])
 
 
+# SHA-256 of the report.json each analyze experiment writes from the
+# pipeline's files. A change that claims to move no output byte must leave
+# them as they are. Same build caveat as above.
+GOLDEN_ANALYZE_SHA256 = {
+    "bias-variance": "5d67c752b1fb50cc609c1288a3a725a19efb984cad1de7f567b195960231f812",
+    "spectrum": "867e5662dc9ef7777ef8b8d7fcc7ab2cc2e72158d44e7884038fe1a80639ac44",
+    "std-error": "73c3a7815b3aa96a107df5641aa8cbe62fb600ca936e23f551526a278f72fc4b",
+    "structured-noise": "b06b3f7931f0954566b44fc1dd36c9980656fee4df2c848c32f4f2f371b17dfa",
+}
+GOLDEN_ANALYZE_COMMANDS = {
+    "bias-variance": ["--model", "{root}/model.gtt", "--subspace", "{root}/subspace.gtt",
+                      "--data", "{root}/test_x.gtt", "--targets", "{root}/test_y.gtt",
+                      "--grid", "0,0.05,0.1", "--n", "4", "--repeats", "3"],
+    "spectrum": ["--subspace", "{root}/subspace.gtt", "--data", "{root}/test_x.gtt",
+                 "--sigma", "0.1", "--n", "20", "--baseline", "global_jitter"],
+    "std-error": ["--model", "{root}/model.gtt", "--subspace", "{root}/subspace.gtt",
+                  "--data", "{root}/test_x.gtt", "--targets", "{root}/test_y.gtt",
+                  "--sigma", "0.05", "--n", "6"],
+    "structured-noise": ["--data", "{root}/train_x.gtt", "--pattern", "{out}/pattern.gtt",
+                         "--n", "4"],
+}
+
+
+@pytest.fixture(scope="module")
+def analyze_reports(pipeline, tmp_path_factory):
+    """The report.json path of each GOLDEN_ANALYZE_COMMANDS experiment, run once."""
+    out = tmp_path_factory.mktemp("analyze")
+    save_tensor(np.linspace(-0.5, 0.5, 144), out / "pattern.gtt")
+    reports = {}
+    for name, argv in GOLDEN_ANALYZE_COMMANDS.items():
+        assert run("analyze", name, *(a.format(root=pipeline, out=out) for a in argv),
+                   "--seed", "7", "--out", str(out / name)) == 0
+        reports[name] = out / name / "report.json"
+    return reports
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ANALYZE_COMMANDS))
+def test_analyze_report_is_pinned(analyze_reports, name):
+    assert (hashlib.sha256(analyze_reports[name].read_bytes()).hexdigest()
+            == GOLDEN_ANALYZE_SHA256[name])
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_ANALYZE_COMMANDS))
+def test_readme_table_names_each_reports_fields(analyze_reports, name):
+    # README's "Analyze reports" table is the reports' schema: the backticked
+    # names in an experiment's row are its top-level keys. A backticked list
+    # such as `strategy, sigma` names the fields of a nested object instead.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("## Analyze reports", 1)[1].split("\n## ", 1)[0]
+    row = next(line for line in table.splitlines() if line.startswith(f"| {name} |"))
+    named = {span for span in re.findall(r"`([^`]*)`", row) if span.isidentifier()}
+    assert named == set(read_json(analyze_reports[name]))
+
+
 @pytest.fixture(scope="module")
 def confident_model(tmp_path_factory):
     """A segmentation model trained with momentum: confident at sigma 0, lost under large noise."""
@@ -839,12 +894,30 @@ def _header_only(head):
     return write
 
 
+def _narrow_model(retain, *options):
+    """A 10-input model predicting 12-wide rows through a subspace fit with ``retain``."""
+    def write(pipeline, tmp, child):
+        from gtta.data import OutputKind
+        from gtta.rng import RngStream
+
+        save_tensor(RngStream(15).generator().standard_normal((20, 12)), tmp / "x.gtt")
+        predictor.save_model(predictor.MlpModel([10, 4, 2], OutputKind.probabilities(2),
+                                                RngStream(16)), tmp / "m.gtt")
+        assert run("fit", "--data", str(tmp / "x.gtt"), "--retain", retain,
+                   "--out", str(tmp / "s.gtt")) == 0
+        return ["predict", "--model", "{tmp}/m.gtt", "--subspace", "{tmp}/s.gtt",
+                "--input", "{tmp}/x.gtt", "--n", "5", *options]
+    return write
+
+
 def _model_cmd(reply, kind):
     def write(pipeline, tmp, child):
         return ["predict", "--model-cmd", child(reply).cmd, "--output-kind", kind,
                 "--subspace", "{root}/subspace.gtt", "--input", "{root}/test_x.gtt", "--n", "2"]
     return write
 
+
+NARROW = "the model takes 10 inputs, the subspace reconstructs 12"
 
 # Inputs that each fail at one check no other test reaches, and the error and
 # message that check ends in.
@@ -861,6 +934,16 @@ FAILED_CHECKS = {
                            "rank 0 is not allowed"),
     "a zero dimension": (_header_only(b"GTT1\x00\x02" + struct.pack("<2Q", 3, 0)),
                          "FormatError", "zero-element dimension in shape (3, 0)"),
+    # The folded layer, a lone quiet row, one call of quiet reconstructions
+    # and clamped input space each reach the model; one check comes first.
+    "a model of another width, folded": (
+        _narrow_model("all", "--sigma", "0.1"), "ShapeError", NARROW),
+    "a model of another width, quiet on a full-rank subspace": (
+        _narrow_model("all", "--sigma", "0"), "ShapeError", NARROW),
+    "a model of another width, quiet on a projecting subspace": (
+        _narrow_model("3", "--sigma", "0"), "ShapeError", NARROW),
+    "a model of another width, clamped": (
+        _narrow_model("all", "--sigma", "0.1", "--clamp", "0,1"), "ShapeError", NARROW),
 }
 
 

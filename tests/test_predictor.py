@@ -1,4 +1,5 @@
 import math
+import select
 import sys
 import threading
 from pathlib import Path
@@ -495,12 +496,49 @@ def test_subprocess_child_may_answer_before_it_reads_the_request():
     ("b'GTT1' + bytes([0, 1]) + (1 << 60).to_bytes(8, 'little')", "sys.exit(0)",
      "closed its stdout"),
     ("dumps_tensor(x) + b'!'", "pass", "wrote bytes after its reply"),
-], ids=["non-finite", "claims-2**60-values", "stray-byte"])
+    ("dumps_tensor(x)", "os.close(1)", "closed its stdout between requests"),
+], ids=["non-finite", "claims-2**60-values", "stray-byte", "hangs-up-and-stays"])
 def test_subprocess_bad_reply_kills_the_child(model_child, reply, after_reply, message):
     child = model_child(reply, after_reply=after_reply)
     pred = SubprocessPredictor(child.argv, OutputKind.real_values())
     with pytest.raises(PredictorError, match=message):
-        for _ in range(2):
-            pred.predict(np.ones((2, 3)))
+        pred.predict(np.ones((2, 3)))
+        # The next request starts once the child has written past its reply or hung up.
+        select.select([pred._proc.stdout], [], [], 60)
+        pred.predict(np.ones((2, 3)))
     assert not Path(f"/proc/{child.started()[0]}").exists()
+    pred.close()  # nothing left to close
+
+
+# Children that log their pid to the file named by their first argument and
+# then break off a request larger than a pipe holds, and the refusal each
+# ends in: one closes its stdin unread and waits with its stdout open; one
+# answers after the header and writes one byte more before it drains the rest.
+BREAKS_OFF = {
+    "closes-stdin": ("""import os, signal, sys
+with open(sys.argv[1], "w") as fh:
+    fh.write(str(os.getpid()))
+os.close(0)
+signal.pause()
+""", "closed its stdin mid-request"),
+    "stray-byte-mid-request": ("""import os, struct, sys
+with open(sys.argv[1], "w") as fh:
+    fh.write(str(os.getpid()))
+stdin, stdout = sys.stdin.buffer, sys.stdout.buffer
+head = stdin.read(6)
+b, d = struct.unpack("<2Q", stdin.read(16))
+stdout.write(b"GTT1" + struct.pack("<BB2Q", 0, 2, b, 1) + bytes(8 * b) + b"!")
+stdout.flush()
+stdin.read()
+""", "wrote bytes after its reply"),
+}
+
+
+@pytest.mark.parametrize("script, message", BREAKS_OFF.values(), ids=BREAKS_OFF)
+def test_subprocess_child_that_breaks_off_a_request_is_killed(tmp_path, script, message):
+    pid = tmp_path / "pid"
+    pred = SubprocessPredictor([sys.executable, "-c", script, str(pid)], OutputKind.real_values())
+    with pytest.raises(PredictorError, match=message):
+        pred.predict(np.ones((64, 8192)))
+    assert not Path(f"/proc/{pid.read_text()}").exists()
     pred.close()  # nothing left to close
